@@ -18,8 +18,6 @@ using namespace efd;
 
 namespace {
 
-std::uint64_t digest6(std::uint64_t h) { return h % 1'000'000; }
-
 testbed::NanRunConfig base_config(int shards) {
   testbed::NanRunConfig cfg;
   cfg.nan.n_meters = 60;
@@ -87,7 +85,7 @@ int main() {
                   static_cast<unsigned long long>(r.digest), wall_s);
 
       const std::string tag = std::string(to_string(mode)) + "_" + env;
-      json.add("digest6_" + tag, static_cast<double>(digest6(r.digest)),
+      json.add("digest6_" + tag, static_cast<double>(bench::digest6(r.digest)),
                "digest");
       json.add("delivered_" + tag, static_cast<double>(r.delivered), "packets");
       json.add("remote_" + tag, static_cast<double>(r.delivered_remote),

@@ -14,12 +14,6 @@
 
 using namespace efd;
 
-namespace {
-
-std::uint64_t digest6(std::uint64_t h) { return h % 1'000'000; }
-
-}  // namespace
-
 int main() {
   const int shards = sim::ShardedSimulator::env_shards(1);
   bench::JsonReporter json("nan_relay");
@@ -66,7 +60,7 @@ int main() {
                 wall_s);
 
     const std::string tag = std::to_string(max_hops);
-    json.add("digest6_h" + tag, static_cast<double>(digest6(r.digest)),
+    json.add("digest6_h" + tag, static_cast<double>(bench::digest6(r.digest)),
              "digest");
     json.add("offered_h" + tag, static_cast<double>(r.offered), "packets");
     json.add("delivered_h" + tag,

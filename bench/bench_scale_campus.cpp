@@ -9,28 +9,11 @@
 #include <chrono>
 #include <cstring>
 
+#include "src/sim/fnv1a.hpp"
 #include "src/sim/sharded.hpp"
 #include "src/testbed/campus.hpp"
 
 using namespace efd;
-
-namespace {
-
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-};
-
-/// Shape metrics go through JsonReporter's %.6g formatting, so a digest must
-/// fit six significant digits to round-trip exactly.
-std::uint64_t digest6(std::uint64_t h) { return h % 1'000'000; }
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int max_outlets = 10'000;
@@ -50,7 +33,7 @@ int main(int argc, char** argv) {
               "shards", "events", "events/s", "delivered", "remote",
               "balance", "digest");
 
-  Fnv1a sweep;
+  sim::Fnv1a64 sweep;
   double worst_balance = 1.0;
   for (const int outlets : {10, 100, 1'000, 10'000}) {
     if (outlets > max_outlets) continue;
@@ -80,7 +63,7 @@ int main(int argc, char** argv) {
                 r.load_balance, static_cast<unsigned long long>(r.digest));
 
     const std::string tag = std::to_string(outlets);
-    json.add("digest6_" + tag, static_cast<double>(digest6(r.digest)),
+    json.add("digest6_" + tag, static_cast<double>(bench::digest6(r.digest)),
              "digest");
     json.add("delivered_" + tag, static_cast<double>(r.delivered), "packets");
     json.add("remote_" + tag, static_cast<double>(r.packets_remote),
@@ -91,11 +74,11 @@ int main(int argc, char** argv) {
     worst_balance = std::max(worst_balance, r.load_balance);
   }
 
-  json.add("sweep_digest6", static_cast<double>(digest6(sweep.h)), "digest");
+  json.add("sweep_digest6", static_cast<double>(bench::digest6(sweep.h)), "digest");
   // Warn-only in bench_compare: load balance depends on host scheduling.
   json.add("shard_load_balance", worst_balance, "ratio");
   std::printf("sweep digest6 %llu   worst load balance %.2f\n",
-              static_cast<unsigned long long>(digest6(sweep.h)),
+              static_cast<unsigned long long>(bench::digest6(sweep.h)),
               worst_balance);
   return 0;
 }

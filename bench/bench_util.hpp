@@ -6,6 +6,7 @@
 // against. See DESIGN.md §4 for the experiment index.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -38,6 +39,10 @@ inline double duration_scale() {
   }();
   return scale;
 }
+
+/// A digest cut to six decimal digits: JsonReporter formats metrics with
+/// %.6g, so only that much of a digest round-trips exactly.
+inline std::uint64_t digest6(std::uint64_t h) { return h % 1'000'000; }
 
 /// Machine-readable bench results: collects (name, value, unit) metrics and
 /// writes `BENCH_<figure>.json` next to the human-readable table on

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "src/sim/rng.hpp"
+#include "src/sim/sharded.hpp"
 
 namespace efd::grid {
 
@@ -51,6 +52,33 @@ sim::Time CampusTopology::derive_lookahead(BoundaryKind kind, double length_m,
   return sim::Time{floor_ns + static_cast<std::int64_t>(prop_ns + ser_ns)};
 }
 
+std::vector<BoundaryLink> chain_crossings(
+    int n_cells, int group_size, sim::Rng rng, const CrossingRanges& backbone,
+    const CrossingRanges& bridge,
+    sim::Time (*lookahead)(BoundaryKind kind, double length_m, double budget_db)) {
+  std::vector<BoundaryLink> links;
+  const auto add = [&](int a, int b, BoundaryKind kind, const CrossingRanges& r) {
+    BoundaryLink l;
+    l.board_a = a;
+    l.board_b = b;
+    l.kind = kind;
+    l.length_m = rng.uniform(r.min_length_m, r.max_length_m);
+    l.budget_db = rng.uniform(r.min_budget_db, r.max_budget_db);
+    l.lookahead = lookahead(kind, l.length_m, l.budget_db);
+    links.push_back(l);
+  };
+  for (int c = 0; c + 1 < n_cells; ++c) {
+    if (c / group_size == (c + 1) / group_size) {
+      add(c, c + 1, BoundaryKind::kPlcBackbone, backbone);
+    }
+  }
+  const int n_groups = (n_cells + group_size - 1) / group_size;
+  for (int g = 0; g + 1 < n_groups; ++g) {
+    add(g * group_size, (g + 1) * group_size, BoundaryKind::kWifiBridge, bridge);
+  }
+  return links;
+}
+
 CampusTopology CampusTopology::generate(const CampusConfig& cfg) {
   assert(cfg.n_outlets >= 1);
   assert(cfg.outlets_per_board >= 1);
@@ -61,56 +89,17 @@ CampusTopology CampusTopology::generate(const CampusConfig& cfg) {
   t.n_boards_ = (cfg.n_outlets + cfg.outlets_per_board - 1) / cfg.outlets_per_board;
   t.n_buildings_ =
       (t.n_boards_ + cfg.boards_per_building - 1) / cfg.boards_per_building;
-  t.building_of_.resize(static_cast<std::size_t>(t.n_boards_));
-  for (int b = 0; b < t.n_boards_; ++b) {
-    t.building_of_[static_cast<std::size_t>(b)] = b / cfg.boards_per_building;
-  }
-
-  sim::Rng rng = sim::Rng{cfg.seed}.fork(0xCA3905);
 
   // Riser chain: consecutive boards of one building share a backbone cable
   // through the shaft, the path the paper's testbed measured as barely
-  // usable for direct PLC.
-  for (int b = 0; b + 1 < t.n_boards_; ++b) {
-    if (t.building_of_[static_cast<std::size_t>(b)] !=
-        t.building_of_[static_cast<std::size_t>(b + 1)]) {
-      continue;
-    }
-    BoundaryLink l;
-    l.board_a = b;
-    l.board_b = b + 1;
-    l.kind = BoundaryKind::kPlcBackbone;
-    l.length_m = rng.uniform(10.0, 35.0);
-    l.budget_db = rng.uniform(40.0, 60.0);
-    l.lookahead = derive_lookahead(l.kind, l.length_m, l.budget_db);
-    t.links_.push_back(l);
-  }
-
-  // Building-to-building WiFi bridges between the ground-floor boards,
-  // chaining the campus. (The hybrid story of the paper: where the copper
-  // gives out, the radio carries the traffic.)
-  for (int bld = 0; bld + 1 < t.n_buildings_; ++bld) {
-    BoundaryLink l;
-    l.board_a = bld * cfg.boards_per_building;
-    l.board_b = (bld + 1) * cfg.boards_per_building;
-    l.kind = BoundaryKind::kWifiBridge;
-    l.length_m = rng.uniform(40.0, 150.0);
-    l.budget_db = rng.uniform(65.0, 80.0);
-    l.lookahead = derive_lookahead(l.kind, l.length_m, l.budget_db);
-    t.links_.push_back(l);
-  }
-
+  // usable for direct PLC. Building-to-building WiFi bridges join the
+  // ground-floor boards, chaining the campus. (The hybrid story of the
+  // paper: where the copper gives out, the radio carries the traffic.)
+  t.links_ = chain_crossings(t.n_boards_, cfg.boards_per_building,
+                             sim::Rng{cfg.seed}.fork(0xCA3905),
+                             {10.0, 35.0, 40.0, 60.0}, {40.0, 150.0, 65.0, 80.0},
+                             derive_lookahead);
   return t;
-}
-
-std::vector<int> CampusTopology::neighbors(int board) const {
-  std::vector<int> out;
-  for (const BoundaryLink& l : links_) {
-    if (l.board_a == board) out.push_back(l.board_b);
-    if (l.board_b == board) out.push_back(l.board_a);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 int CampusTopology::outlets_on_board(int board) const {
@@ -123,11 +112,6 @@ int CampusTopology::station_outlet(int board, int k) const {
   const int stations = std::min(cfg_.stations_per_board, outlets);
   assert(k >= 0 && k < stations);
   return k * outlets / stations;
-}
-
-int CampusTopology::shard_of_board(int board, int n_shards) const {
-  const int k = std::clamp(n_shards, 1, n_boards_);
-  return static_cast<int>(static_cast<std::int64_t>(board) * k / n_boards_);
 }
 
 void CampusTopology::build_board_grid(int board, PowerGrid& grid) const {
@@ -172,6 +156,9 @@ void CampusTopology::build_board_grid(int board, PowerGrid& grid) const {
 }
 
 std::string CampusTopology::to_json(int n_shards) const {
+  const auto shard_of = [&](int board) {
+    return sim::ShardedSimulator::block_shard(board, n_boards_, n_shards);
+  };
   std::string out;
   out.reserve(4096);
   out += "{\n  \"n_outlets\": " + std::to_string(cfg_.n_outlets);
@@ -183,11 +170,11 @@ std::string CampusTopology::to_json(int n_shards) const {
   for (int b = 0; b < n_boards_; ++b) {
     out += b == 0 ? "\n" : ",\n";
     out += "    {\"board\": " + std::to_string(b);
-    out += ", \"building\": " + std::to_string(building_of(b));
+    out += ", \"building\": " + std::to_string(b / cfg_.boards_per_building);
     out += ", \"outlets\": " + std::to_string(outlets_on_board(b));
     out += ", \"stations\": " +
            std::to_string(std::min(cfg_.stations_per_board, outlets_on_board(b)));
-    out += ", \"shard\": " + std::to_string(shard_of_board(b, n_shards)) + "}";
+    out += ", \"shard\": " + std::to_string(shard_of(b)) + "}";
   }
   out += "\n  ],\n  \"boundary_links\": [";
   for (std::size_t i = 0; i < links_.size(); ++i) {
@@ -203,7 +190,7 @@ std::string CampusTopology::to_json(int n_shards) const {
     out += ", \"budget_db\": " + std::string(buf);
     out += ", \"lookahead_ns\": " + std::to_string(l.lookahead.ns());
     out += ", \"cross_shard\": ";
-    out += shard_of_board(l.board_a, n_shards) != shard_of_board(l.board_b, n_shards)
+    out += shard_of(l.board_a) != shard_of(l.board_b)
                ? "true"
                : "false";
     out += "}";

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/grid/power_grid.hpp"
+#include "src/sim/rng.hpp"
 #include "src/sim/time.hpp"
 
 namespace efd::grid {
@@ -37,6 +38,23 @@ struct BoundaryLink {
   sim::Time lookahead{};     ///< derived: see derive_lookahead()
 };
 
+/// Uniform draw ranges for the crossings of one kind.
+struct CrossingRanges {
+  double min_length_m = 0.0;
+  double max_length_m = 0.0;
+  double min_budget_db = 0.0;
+  double max_budget_db = 0.0;
+};
+
+/// The crossing layout the campus and NAN generators share: consecutive
+/// cells of one group (a building's boards, a feeder's transformers) are
+/// chained by backbone runs, then the head cells of consecutive groups by
+/// WiFi bridges. Each link draws its length, then its budget, from `rng`.
+[[nodiscard]] std::vector<BoundaryLink> chain_crossings(
+    int n_cells, int group_size, sim::Rng rng, const CrossingRanges& backbone,
+    const CrossingRanges& bridge,
+    sim::Time (*lookahead)(BoundaryKind kind, double length_m, double budget_db));
+
 struct CampusConfig {
   int n_outlets = 100;
   int outlets_per_board = 20;
@@ -53,16 +71,8 @@ class CampusTopology {
  public:
   [[nodiscard]] static CampusTopology generate(const CampusConfig& cfg);
 
-  [[nodiscard]] const CampusConfig& config() const { return cfg_; }
   [[nodiscard]] int n_boards() const { return n_boards_; }
-  [[nodiscard]] int n_buildings() const { return n_buildings_; }
-  [[nodiscard]] int building_of(int board) const {
-    return building_of_[static_cast<std::size_t>(board)];
-  }
   [[nodiscard]] const std::vector<BoundaryLink>& links() const { return links_; }
-
-  /// Boards reachable from `board` over one crossing, ascending.
-  [[nodiscard]] std::vector<int> neighbors(int board) const;
 
   /// Outlets wired to this board's panel (the last board takes the
   /// remainder of cfg.n_outlets).
@@ -77,10 +87,6 @@ class CampusTopology {
   /// cable runs, and the appliance population. Deterministic per board.
   void build_board_grid(int board, PowerGrid& grid) const;
 
-  /// Shard owning `board` under the engine's contiguous-block split:
-  /// floor(board * n_shards / n_boards).
-  [[nodiscard]] int shard_of_board(int board, int n_shards) const;
-
   /// Conservative delivery-time bound for one crossing: propagation over
   /// `length_m`, plus store-and-forward serialization of a minimum frame at
   /// the rate the crossing's attenuation budget supports, plus the
@@ -89,15 +95,14 @@ class CampusTopology {
                                                   double budget_db);
 
   /// The whole campus as JSON: boards (building, outlets, stations, shard
-  /// under `n_shards`), crossings, and summary counts. Drives the
-  /// `efd topology` subcommand.
+  /// under the engine's split into `n_shards`), crossings, and summary
+  /// counts. Drives the `efd topology` subcommand.
   [[nodiscard]] std::string to_json(int n_shards) const;
 
  private:
   CampusConfig cfg_;
   int n_boards_ = 0;
   int n_buildings_ = 0;
-  std::vector<int> building_of_;
   std::vector<BoundaryLink> links_;
 };
 

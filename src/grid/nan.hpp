@@ -12,7 +12,6 @@
 // PLC relaying worth their overhead.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/grid/campus.hpp"
@@ -32,27 +31,18 @@ struct NanConfig {
 };
 
 /// Deterministic NAN generator, the feeder-shaped sibling of
-/// `CampusTopology`: same `derive_lookahead`/`to_json`/shard-split
-/// contract, so a NAN drops into `ShardedSimulator` exactly like a campus —
-/// one cell per transformer, boundary crossings with physics-derived
-/// lookahead. Transformer-local structure comes from a per-transformer
+/// `CampusTopology`: a NAN drops into `ShardedSimulator` exactly like a
+/// campus — one cell per transformer, boundary crossings with
+/// physics-derived lookahead. Transformer-local structure comes from a per-transformer
 /// forked Rng stream, so it never depends on shard count or threads.
 class NanTopology {
  public:
   [[nodiscard]] static NanTopology generate(const NanConfig& cfg);
 
-  [[nodiscard]] const NanConfig& config() const { return cfg_; }
   [[nodiscard]] int n_transformers() const { return n_transformers_; }
-  [[nodiscard]] int n_feeders() const { return n_feeders_; }
-  [[nodiscard]] int feeder_of(int transformer) const {
-    return feeder_of_[static_cast<std::size_t>(transformer)];
-  }
   /// Crossings reuse the campus BoundaryLink: board_a/board_b are
   /// transformer indices here.
   [[nodiscard]] const std::vector<BoundaryLink>& links() const { return links_; }
-
-  /// Transformers reachable from `transformer` over one crossing, ascending.
-  [[nodiscard]] std::vector<int> neighbors(int transformer) const;
 
   /// Meters hanging off this transformer's LV side (the last transformer
   /// takes the remainder of cfg.n_meters).
@@ -71,9 +61,6 @@ class NanTopology {
   /// long daisy-chained drop lines, and a household appliance population.
   void build_transformer_grid(int transformer, PowerGrid& grid) const;
 
-  /// Shard owning `transformer` under the engine's contiguous-block split.
-  [[nodiscard]] int shard_of(int transformer, int n_shards) const;
-
   /// Conservative delivery-time bound for one crossing, the NAN analogue
   /// of CampusTopology::derive_lookahead: concentrators are slower
   /// store-and-forward hops than office gateways, and feeder-run rates sag
@@ -81,15 +68,9 @@ class NanTopology {
   [[nodiscard]] static sim::Time derive_lookahead(BoundaryKind kind, double length_m,
                                                   double budget_db);
 
-  /// The whole NAN as JSON, shaped like CampusTopology::to_json (drives
-  /// the `efd topology` subcommand's --nan variant).
-  [[nodiscard]] std::string to_json(int n_shards) const;
-
  private:
   NanConfig cfg_;
   int n_transformers_ = 0;
-  int n_feeders_ = 0;
-  std::vector<int> feeder_of_;
   std::vector<BoundaryLink> links_;
 };
 

@@ -41,7 +41,6 @@ class GatewayFailover {
 
   void set_listener(Listener listener) { listener_ = std::move(listener); }
 
-  [[nodiscard]] int n_crossings() const { return static_cast<int>(path_.size()); }
   [[nodiscard]] Path path(int crossing) const {
     return path_[static_cast<std::size_t>(crossing)];
   }

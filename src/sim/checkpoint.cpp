@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/sim/fnv1a.hpp"
+
 namespace efd::sim {
 
 namespace {
@@ -19,12 +21,9 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 }
 
 [[nodiscard]] std::uint64_t digest_bytes(const std::uint8_t* p, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  Fnv1a64 f;
+  f.mix_bytes(p, n);
+  return f.h;
 }
 
 }  // namespace

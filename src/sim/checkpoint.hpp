@@ -18,20 +18,6 @@
 
 namespace efd::sim {
 
-/// FNV-1a over little-endian u64 words; the same constants every digest
-/// stream in the repo uses, so checkpoint fingerprints fold naturally into
-/// campus-level digests.
-struct Fnv1a64 {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  void mix(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-};
-
 /// Fingerprint of one shard's slab Simulator at a horizon.
 struct ShardCheckpoint {
   std::int64_t horizon_ns = 0;   ///< published conservative horizon

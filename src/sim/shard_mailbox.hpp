@@ -205,7 +205,4 @@ class ShardMailbox {
   std::vector<Chunk*> free_;
 };
 
-/// Pre-PR-9 name, kept for call sites that predate the capacity work.
-using SpscMailbox = ShardMailbox;
-
 }  // namespace efd::sim

@@ -14,6 +14,7 @@
 
 #include "src/core/env.hpp"
 #include "src/obs/obs.hpp"
+#include "src/sim/fnv1a.hpp"
 
 namespace efd::sim {
 
@@ -36,9 +37,7 @@ ShardedSimulator::ShardedSimulator(Config cfg) : cfg_(std::move(cfg)) {
   const auto n = static_cast<std::size_t>(cfg_.n_cells);
   shard_of_.resize(n);
   for (int c = 0; c < cfg_.n_cells; ++c) {
-    // Balanced contiguous blocks: cell c belongs to shard floor(c*k/n).
-    shard_of_[static_cast<std::size_t>(c)] = static_cast<int>(
-        (static_cast<std::int64_t>(c) * n_shards_) / cfg_.n_cells);
+    shard_of_[static_cast<std::size_t>(c)] = block_shard(c, cfg_.n_cells, n_shards_);
   }
 
   shards_.reserve(static_cast<std::size_t>(n_shards_));
@@ -104,6 +103,11 @@ ShardedSimulator::ShardedSimulator(Config cfg) : cfg_(std::move(cfg)) {
     }
     s.lookahead_intra_ns = intra;
   }
+}
+
+int ShardedSimulator::block_shard(int cell, int n_cells, int n_shards) {
+  const int k = std::clamp(n_shards, 1, n_cells);
+  return static_cast<int>(static_cast<std::int64_t>(cell) * k / n_cells);
 }
 
 void ShardedSimulator::set_cell_handler(int cell, CellHandler handler) {

@@ -105,6 +105,11 @@ class ShardedSimulator {
   [[nodiscard]] int n_shards() const { return n_shards_; }
   [[nodiscard]] int shard_of(int cell) const { return shard_of_[static_cast<std::size_t>(cell)]; }
 
+  /// The engine's cell -> shard split: balanced contiguous blocks, cell c
+  /// of n_cells in shard floor(c * k / n_cells), k = n_shards clamped to
+  /// [1, n_cells].
+  [[nodiscard]] static int block_shard(int cell, int n_cells, int n_shards);
+
   /// The slab engine executing `cell`. Build the cell's world onto it (and
   /// schedule its initial events) before run_until; during a run only the
   /// owning shard thread may touch it.

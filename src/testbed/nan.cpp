@@ -1,21 +1,15 @@
 #include "src/testbed/nan.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <map>
 #include <utility>
 
 #include "src/core/etx.hpp"
-#include "src/fault/injector.hpp"
-#include "src/hybrid/gateway.hpp"
 #include "src/hybrid/reorder.hpp"
 #include "src/hybrid/scheduler.hpp"
 #include "src/obs/obs.hpp"
-#include "src/plc/channel.hpp"
-#include "src/plc/network.hpp"
 #include "src/sim/rng.hpp"
-#include "src/wifi/network.hpp"
 
 namespace efd::testbed {
 
@@ -32,9 +26,6 @@ constexpr int kWifiOff = 32;
 /// because the origin meter keys the dedup buffer at the local concentrator
 /// while the destination station survives the boundary crossing.
 constexpr int kRemoteFlowBase = 1 << 24;
-
-constexpr std::uint32_t kKindBackbone = 0;
-constexpr std::uint32_t kKindBridge = 1;
 
 [[nodiscard]] int origin_of(int flow_id) {
   return flow_id >= kRemoteFlowBase
@@ -54,18 +45,6 @@ constexpr std::uint32_t kKindBridge = 1;
   return std::clamp((16.0 - mean_snr_db) / 22.0, 0.0, 0.98);
 }
 
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  void mix(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-};
-
 }  // namespace
 
 const char* to_string(DiversityMode mode) {
@@ -78,16 +57,10 @@ const char* to_string(DiversityMode mode) {
   return "?";
 }
 
-/// Everything one transformer cell owns. After build() only the shard
-/// thread executing the cell touches any of it.
-struct NanWorld::TransformerWorld {
-  int t = 0;
+/// One transformer cell: the shared cell state plus the NAN's dedup,
+/// relay and scheduler state and its report counters.
+struct NanWorld::TransformerWorld : CellWorld::Cell {
   int n_stations = 0;
-  grid::PowerGrid grid;
-  std::unique_ptr<plc::PlcChannel> channel;
-  std::unique_ptr<plc::PlcNetwork> plc;
-  std::unique_ptr<wifi::WifiNetwork> wifi;
-  sim::Rng rng{0};
 
   /// Load-balance mode only: the §7.4 capacity-proportional splitter.
   std::unique_ptr<hybrid::CapacityScheduler> scheduler;
@@ -103,241 +76,185 @@ struct NanWorld::TransformerWorld {
   int relay_meters = 0;
   int relay_hops_max = 0;
 
-  struct Crossing {
-    int neighbor = 0;
-    grid::BoundaryKind kind = grid::BoundaryKind::kPlcBackbone;
-    std::int64_t lookahead_ns = 0;
-    int link = -1;  ///< index into topo_.links(); kLinkPartition targets it
-  };
-  std::vector<Crossing> crossings;
-
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::unique_ptr<hybrid::GatewayFailover> failover;
-  bool dead = false;
-  std::uint64_t dead_drops = 0;
-
-  /// Order-exact stream fold: deliveries, egress posts and boundary
-  /// arrivals, mixed the instant they happen.
-  Fnv1a digest;
   std::uint64_t offered = 0;
   std::uint64_t offered_remote = 0;
   std::uint64_t delivered = 0;
   std::uint64_t delivered_remote = 0;
-  std::uint64_t queue_drops = 0;
   std::uint64_t relay_forwards = 0;
   std::uint64_t dup_copies = 0;
   std::uint64_t dup_bytes = 0;
   std::uint64_t wins_plc = 0;
   std::uint64_t wins_wifi = 0;
 
-  [[nodiscard]] int conc_id() const { return t * kIdStride; }
-  [[nodiscard]] int wifi_id(int k) const { return t * kIdStride + kWifiOff + k; }
+  /// Hand a report copy that reached the concentrator over `medium` (0 =
+  /// PLC, 1 = WiFi) to its origin meter's dedup buffer.
+  void to_dedup(const net::Packet& p, sim::Time when, int medium) {
+    const int k_origin = origin_of(p.flow_id);
+    if (k_origin >= 1 && k_origin < n_stations) {
+      dedup[static_cast<std::size_t>(k_origin)]->on_packet(p, when, medium);
+    }
+  }
+
+  /// Losing and late copies the dedup buffers dropped.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> dedup_drops() const {
+    std::pair<std::uint64_t, std::uint64_t> drops{0, 0};
+    for (const auto& rb : dedup) {
+      if (!rb) continue;
+      drops.first += rb->duplicates_dropped();
+      drops.second += rb->stragglers_dropped();
+    }
+    return drops;
+  }
+
+  [[nodiscard]] int conc_id() const { return index * kIdStride; }
+  [[nodiscard]] int wifi_id(int k) const { return index * kIdStride + kWifiOff + k; }
 };
 
 NanWorld::NanWorld(const NanRunConfig& cfg)
-    : cfg_(cfg), topo_(grid::NanTopology::generate(cfg.nan)) {
-  sim::ShardedSimulator::Config ec;
-  ec.n_cells = topo_.n_transformers();
-  ec.n_shards = cfg_.n_shards;
-  for (const grid::BoundaryLink& l : topo_.links()) {
-    ec.links.push_back({l.board_a, l.board_b, l.lookahead});
-    ec.links.push_back({l.board_b, l.board_a, l.lookahead});
-  }
-  ec.mailbox_capacity = cfg_.mailbox_capacity;
-  ec.watchdog.budget_ns = cfg_.watchdog_budget_ns;
-  engine_ = std::make_unique<sim::ShardedSimulator>(std::move(ec));
+    : NanWorld(cfg, grid::NanTopology::generate(cfg.nan)) {}
+
+NanWorld::NanWorld(const NanRunConfig& cfg, grid::NanTopology topo)
+    : CellWorld(cfg,
+                {topo.n_transformers(), topo.links(), cfg.report_interval, "nan.build",
+                 "nan.run"},
+                /*bridge_fallback=*/false),
+      cfg_(cfg),
+      topo_(std::move(topo)) {
   build();
 }
 
-NanWorld::~NanWorld() = default;
+std::unique_ptr<CellWorld::Cell> NanWorld::make_cell(int t) {
+  auto tw = std::make_unique<TransformerWorld>();
+  tw->index = t;
+  tw->n_stations = topo_.stations_on_transformer(t);
+  tw->rng = sim::Rng{cfg_.nan.seed}.fork(
+      0x5AFE7000 + static_cast<std::uint64_t>(t));
+  topo_.build_transformer_grid(t, tw->grid);
 
-void NanWorld::build() {
-  EFD_PROF_SCOPE("nan.build");
-  cells_.clear();
-  cells_.reserve(static_cast<std::size_t>(topo_.n_transformers()));
+  sim::Simulator& sim = engine().cell_sim(t);
+  tw->channel =
+      std::make_unique<plc::PlcChannel>(tw->grid, plc::PhyParams::hpav());
+  tw->plc = std::make_unique<plc::PlcNetwork>(
+      sim, *tw->channel,
+      sim::Rng{cfg_.nan.seed}.fork(0xA17E00 + static_cast<std::uint64_t>(t)));
+  tw->wifi = std::make_unique<wifi::WifiNetwork>(
+      sim, sim::Rng{cfg_.nan.seed}.fork(
+               0x31F1000 + static_cast<std::uint64_t>(t)));
 
-  for (int t = 0; t < topo_.n_transformers(); ++t) {
-    auto tw = std::make_unique<TransformerWorld>();
-    tw->t = t;
-    tw->n_stations = topo_.stations_on_transformer(t);
-    tw->rng = sim::Rng{cfg_.nan.seed}.fork(
-        0x5AFE7000 + static_cast<std::uint64_t>(t));
-    topo_.build_transformer_grid(t, tw->grid);
+  TransformerWorld* w = tw.get();
 
-    for (std::size_t li = 0; li < topo_.links().size(); ++li) {
-      const grid::BoundaryLink& l = topo_.links()[li];
-      if (l.board_a == t) {
-        tw->crossings.push_back(
-            {l.board_b, l.kind, l.lookahead.ns(), static_cast<int>(li)});
-      } else if (l.board_b == t) {
-        tw->crossings.push_back(
-            {l.board_a, l.kind, l.lookahead.ns(), static_cast<int>(li)});
+  // Per-meter dedup buffers at the concentrator. The deliver callback is
+  // the app layer: a local report counts here; a remote-bound report
+  // leaves for the crossing only AFTER dedup, so the boundary stream
+  // carries exactly one copy per sequence no matter how many media (or
+  // relay hops) raced to the concentrator.
+  tw->meter_seq.assign(static_cast<std::size_t>(tw->n_stations), 0);
+  tw->dedup.resize(static_cast<std::size_t>(tw->n_stations));
+  for (int k = 1; k < tw->n_stations; ++k) {
+    hybrid::ReorderBuffer::Config rc;
+    rc.hold_timeout = cfg_.gap_timeout;
+    auto rb = std::make_unique<hybrid::ReorderBuffer>(
+        sim,
+        [this, w](const net::Packet& p, sim::Time when) {
+          if (p.flow_id >= kRemoteFlowBase) {
+            egress(*w, p, remote_dst_id(p.flow_id) / kIdStride);
+            return;
+          }
+          ++w->delivered;
+          w->fold_delivery(w->conc_id(), p, when);
+        },
+        rc);
+    rb->set_win_listener([w](const net::Packet&, int tag) {
+      if (tag == 0) {
+        ++w->wins_plc;
+      } else if (tag == 1) {
+        ++w->wins_wifi;
+        EFD_COUNTER_INC("nan.diversity.wifi_wins");
       }
-    }
+    });
+    tw->dedup[static_cast<std::size_t>(k)] = std::move(rb);
+  }
 
-    sim::Simulator& sim = engine_->cell_sim(t);
-    tw->channel =
-        std::make_unique<plc::PlcChannel>(tw->grid, plc::PhyParams::hpav());
-    tw->plc = std::make_unique<plc::PlcNetwork>(
-        sim, *tw->channel,
-        sim::Rng{cfg_.nan.seed}.fork(0xA17E00 + static_cast<std::uint64_t>(t)));
-    tw->wifi = std::make_unique<wifi::WifiNetwork>(
-        sim, sim::Rng{cfg_.nan.seed}.fork(
-                 0x31F1000 + static_cast<std::uint64_t>(t)));
-
-    TransformerWorld* w = tw.get();
-
-    // Per-meter dedup buffers at the concentrator. The deliver callback is
-    // the app layer: a local report counts here; a remote-bound report
-    // leaves for the crossing only AFTER dedup, so the boundary stream
-    // carries exactly one copy per sequence no matter how many media (or
-    // relay hops) raced to the concentrator.
-    tw->meter_seq.assign(static_cast<std::size_t>(tw->n_stations), 0);
-    tw->dedup.resize(static_cast<std::size_t>(tw->n_stations));
-    for (int k = 1; k < tw->n_stations; ++k) {
-      hybrid::ReorderBuffer::Config rc;
-      rc.hold_timeout = cfg_.gap_timeout;
-      auto rb = std::make_unique<hybrid::ReorderBuffer>(
-          sim,
-          [this, w](const net::Packet& p, sim::Time when) {
-            if (p.flow_id >= kRemoteFlowBase) {
-              egress(*w, p);
+  for (int k = 0; k < tw->n_stations; ++k) {
+    const int id = t * kIdStride + k;
+    const int outlet = topo_.station_outlet(t, k);
+    tw->channel->attach_station(id, outlet);
+    tw->plc->add_station(id, outlet);
+    if (k == 0) {
+      // Concentrator: every PLC frame it receives is a report from one
+      // of its own meters (direct or relayed) — feed the origin meter's
+      // dedup buffer tagged "PLC copy".
+      tw->plc->station(id).mac().set_rx_handler(
+          [w](const net::Packet& p, sim::Time when) { w->to_dedup(p, when, 0); });
+    } else {
+      // Meter: either the final destination of a cross-transformer
+      // report, or an intermediate relay hop on another meter's path to
+      // the concentrator.
+      tw->plc->station(id).mac().set_rx_handler(
+          [w, id](const net::Packet& p, sim::Time when) {
+            if (p.flow_id >= kRemoteFlowBase &&
+                remote_dst_id(p.flow_id) == id) {
+              ++w->delivered_remote;
+              w->fold_delivery(id, p, when);
               return;
             }
-            ++w->delivered;
-            w->digest.mix(w->conc_id());
-            w->digest.mix(p.flow_id);
-            w->digest.mix(static_cast<std::uint64_t>(p.seq));
-            w->digest.mix(when.ns());
-          },
-          rc);
-      rb->set_win_listener([w](const net::Packet&, int tag) {
-        if (tag == 0) {
-          ++w->wins_plc;
-        } else if (tag == 1) {
-          ++w->wins_wifi;
-          EFD_COUNTER_INC("nan.diversity.wifi_wins");
-        }
-      });
-      tw->dedup[static_cast<std::size_t>(k)] = std::move(rb);
+            const auto it =
+                w->next_hop.find({origin_of(p.flow_id), id});
+            if (it == w->next_hop.end()) return;  // misdirected; drop
+            net::Packet q = p;
+            q.src = id;
+            q.dst = it->second;
+            ++w->relay_forwards;
+            EFD_COUNTER_INC("nan.relay.forwards");
+            if (!w->plc->station(id).mac().enqueue(q)) ++w->queue_drops;
+          });
     }
 
-    for (int k = 0; k < tw->n_stations; ++k) {
-      const int id = t * kIdStride + k;
-      const int outlet = topo_.station_outlet(t, k);
-      tw->channel->attach_station(id, outlet);
-      tw->plc->add_station(id, outlet);
-      if (k == 0) {
-        // Concentrator: every PLC frame it receives is a report from one
-        // of its own meters (direct or relayed) — feed the origin meter's
-        // dedup buffer tagged "PLC copy".
-        tw->plc->station(id).mac().set_rx_handler(
-            [w](const net::Packet& p, sim::Time when) {
-              const int k_origin = origin_of(p.flow_id);
-              if (k_origin >= 1 && k_origin < w->n_stations) {
-                w->dedup[static_cast<std::size_t>(k_origin)]->on_packet(
-                    p, when, 0);
-              }
-            });
-      } else {
-        // Meter: either the final destination of a cross-transformer
-        // report, or an intermediate relay hop on another meter's path to
-        // the concentrator.
-        tw->plc->station(id).mac().set_rx_handler(
-            [w, id](const net::Packet& p, sim::Time when) {
-              if (p.flow_id >= kRemoteFlowBase &&
-                  remote_dst_id(p.flow_id) == id) {
-                ++w->delivered_remote;
-                w->digest.mix(id);
-                w->digest.mix(p.flow_id);
-                w->digest.mix(static_cast<std::uint64_t>(p.seq));
-                w->digest.mix(when.ns());
-                return;
-              }
-              const auto it =
-                  w->next_hop.find({origin_of(p.flow_id), id});
-              if (it == w->next_hop.end()) return;  // misdirected; drop
-              net::Packet q = p;
-              q.src = id;
-              q.dst = it->second;
-              ++w->relay_forwards;
-              EFD_COUNTER_INC("nan.relay.forwards");
-              if (!w->plc->station(id).mac().enqueue(q)) ++w->queue_drops;
-            });
-      }
-
-      // The WiFi mirror: meters uplink straight to the concentrator's
-      // radio (no relaying — the diversity partner is single-hop).
-      const double x = static_cast<double>(outlet) * 6.0;
-      tw->wifi->add_station(tw->wifi_id(k), x, 0.0);
-      if (k == 0) {
-        tw->wifi->station(tw->wifi_id(0))
-            .set_rx_handler([w](const net::Packet& p, sim::Time when) {
-              const int k_origin = origin_of(p.flow_id);
-              if (k_origin >= 1 && k_origin < w->n_stations) {
-                w->dedup[static_cast<std::size_t>(k_origin)]->on_packet(
-                    p, when, 1);
-              }
-            });
-      }
+    // The WiFi mirror: meters uplink straight to the concentrator's
+    // radio (no relaying — the diversity partner is single-hop).
+    const double x = static_cast<double>(outlet) * 6.0;
+    tw->wifi->add_station(tw->wifi_id(k), x, 0.0);
+    if (k == 0) {
+      tw->wifi->station(tw->wifi_id(0))
+          .set_rx_handler([w](const net::Packet& p, sim::Time when) {
+            w->to_dedup(p, when, 1);
+          });
     }
-    tw->plc->set_cco(tw->conc_id());
-    tw->plc->set_boundary_gateway(tw->conc_id());
-
-    if (cfg_.mode == DiversityMode::kLoadBalance) {
-      tw->scheduler = std::make_unique<hybrid::CapacityScheduler>(
-          sim::Rng{cfg_.nan.seed}.fork(
-              0x5CED00 + static_cast<std::uint64_t>(t)));
-      // Build-time capacity estimates from the same deterministic physics
-      // the relay planner uses: mean PLC SNR as a rate proxy, and the
-      // radio's MCS pick at t=0.
-      double plc_cap = 0.0;
-      double wifi_cap = 0.0;
-      for (int k = 1; k < tw->n_stations; ++k) {
-        plc_cap += std::clamp(
-            tw->channel->mean_snr_db(t * kIdStride + k, tw->conc_id(), 0,
-                                     sim::Time{}),
-            0.0, 40.0);
-        wifi_cap += tw->wifi->mcs_capacity_mbps(tw->wifi_id(k),
-                                                tw->wifi_id(0), sim::Time{});
-      }
-      tw->scheduler->set_capacities({plc_cap, wifi_cap});
-    }
-
-    if (cfg_.relay_enabled && tw->n_stations >= 3) plan_relays(*tw);
-
-    engine_->set_cell_handler(t, [this, w](const sim::BoundaryEvent& e,
-                                           sim::Simulator&) {
-      // Fold the arrival stream before acting on it: (t, src, payload) in
-      // delivery order is exactly what conservative sync must make
-      // grouping-invariant.
-      w->digest.mix(e.t_ns);
-      w->digest.mix(e.src_cell);
-      w->digest.mix(static_cast<std::uint64_t>(e.kind));
-      w->digest.mix(e.a);
-      w->digest.mix(e.b);
-      w->digest.mix(e.c);
-      if (w->dead) {
-        ++w->dead_drops;
-        return;
-      }
-      net::Packet p;
-      p.flow_id = static_cast<int>(e.b >> 32);
-      p.seq = static_cast<std::uint32_t>(e.b & 0xffffffffu);
-      p.size_bytes = e.bytes;
-      p.created = sim::Time{static_cast<std::int64_t>(e.c)};
-      p.priority = 1;
-      // Whatever medium carried the crossing, the concentrator re-frames
-      // the report onto its own LV side for the final hop.
-      p.src = w->conc_id();
-      p.dst = remote_dst_id(p.flow_id);
-      if (!w->plc->inject_boundary(p)) ++w->queue_drops;
-    });
-
-    if (!cfg_.faults.empty()) wire_faults(*tw);
-    schedule_tick(*tw);
-    cells_.push_back(std::move(tw));
   }
+  tw->plc->set_cco(tw->conc_id());
+  tw->plc->set_boundary_gateway(tw->conc_id());
+
+  if (cfg_.mode == DiversityMode::kLoadBalance) {
+    tw->scheduler = std::make_unique<hybrid::CapacityScheduler>(
+        sim::Rng{cfg_.nan.seed}.fork(
+            0x5CED00 + static_cast<std::uint64_t>(t)));
+    // Build-time capacity estimates from the same deterministic physics
+    // the relay planner uses: mean PLC SNR as a rate proxy, and the
+    // radio's MCS pick at t=0.
+    double plc_cap = 0.0;
+    double wifi_cap = 0.0;
+    for (int k = 1; k < tw->n_stations; ++k) {
+      plc_cap += std::clamp(
+          tw->channel->mean_snr_db(t * kIdStride + k, tw->conc_id(), 0,
+                                   sim::Time{}),
+          0.0, 40.0);
+      wifi_cap += tw->wifi->mcs_capacity_mbps(tw->wifi_id(k),
+                                              tw->wifi_id(0), sim::Time{});
+    }
+    tw->scheduler->set_capacities({plc_cap, wifi_cap});
+  }
+
+  if (cfg_.relay_enabled && tw->n_stations >= 3) plan_relays(*tw);
+  return tw;
+}
+
+void NanWorld::arrive(Cell& c, net::Packet& p, std::uint32_t /*kind*/) {
+  // Whatever medium carried the crossing, the concentrator re-frames the
+  // report onto its own LV side for the final hop.
+  auto& tw = static_cast<TransformerWorld&>(c);
+  p.src = tw.conc_id();
+  p.dst = remote_dst_id(p.flow_id);
+  if (!tw.plc->inject_boundary(p)) ++tw.queue_drops;
 }
 
 void NanWorld::plan_relays(TransformerWorld& tw) {
@@ -348,8 +265,8 @@ void NanWorld::plan_relays(TransformerWorld& tw) {
   for (int a = 0; a < tw.n_stations; ++a) {
     for (int b = 0; b < tw.n_stations; ++b) {
       if (a == b) continue;
-      const int ida = tw.t * kIdStride + a;
-      const int idb = tw.t * kIdStride + b;
+      const int ida = tw.index * kIdStride + a;
+      const int idb = tw.index * kIdStride + b;
       const double snr =
           tw.channel->mean_snr_db(ida, idb, 0, sim::Time{});
       planner.set_link(ida, idb,
@@ -357,7 +274,7 @@ void NanWorld::plan_relays(TransformerWorld& tw) {
     }
   }
   for (int k = 1; k < tw.n_stations; ++k) {
-    const int meter = tw.t * kIdStride + k;
+    const int meter = tw.index * kIdStride + k;
     if (!planner.needs_relay(meter, tw.conc_id())) continue;
     const std::vector<net::StationId> path =
         planner.plan(meter, tw.conc_id());
@@ -371,115 +288,8 @@ void NanWorld::plan_relays(TransformerWorld& tw) {
   }
 }
 
-void NanWorld::wire_faults(TransformerWorld& tw) {
-  // Slice the NAN-wide plan into this transformer's specs: transformer-
-  // targeted kinds stay on their cell; a link partition lands on BOTH
-  // endpoint cells (each schedules the same apply/clear instants on its
-  // own cell clock, so both sides observe the cut simultaneously).
-  fault::FaultPlan local;
-  for (const fault::FaultSpec& s : cfg_.faults.specs()) {
-    if (s.kind == fault::FaultKind::kLinkPartition) {
-      if (s.target < 0 ||
-          s.target >= static_cast<int>(topo_.links().size())) {
-        continue;
-      }
-      const grid::BoundaryLink& l =
-          topo_.links()[static_cast<std::size_t>(s.target)];
-      if (l.board_a == tw.t || l.board_b == tw.t) local.add(s);
-    } else if (s.target == tw.t) {
-      local.add(s);
-    }
-  }
-
-  // NAN crossings have no parallel second medium (the feeder run IS the
-  // path between its transformers): a partition always drops.
-  tw.failover = std::make_unique<hybrid::GatewayFailover>(
-      std::vector<bool>(tw.crossings.size(), false));
-
-  if (local.empty()) return;
-
-  TransformerWorld* w = &tw;
-  tw.injector =
-      std::make_unique<fault::FaultInjector>(engine_->cell_sim(tw.t));
-  tw.failover->set_listener(
-      [w](int crossing, hybrid::GatewayFailover::Path path, sim::Time) {
-        const auto link = w->crossings[static_cast<std::size_t>(crossing)].link;
-        if (path == hybrid::GatewayFailover::Path::kPrimary) {
-          w->injector->record(fault::FaultPhase::kRecover,
-                              fault::FaultKind::kLinkPartition, link);
-        } else {
-          w->injector->record(
-              fault::FaultPhase::kTrip, fault::FaultKind::kLinkPartition, link,
-              path == hybrid::GatewayFailover::Path::kFallback ? 1.0 : 0.0);
-        }
-      });
-
-  tw.injector->set_hooks(
-      fault::FaultKind::kPlcBlackout,
-      {[w](const fault::FaultSpec& s, sim::Time) {
-         w->plc->medium().set_fault_pb_error(s.severity);
-       },
-       [w](const fault::FaultSpec&, sim::Time) {
-         w->plc->medium().set_fault_pb_error(0.0);
-       }});
-  tw.injector->set_hooks(
-      fault::FaultKind::kWifiJam,
-      {[w](const fault::FaultSpec& s, sim::Time) {
-         w->wifi->medium().set_jamming_db(s.severity);
-       },
-       [w](const fault::FaultSpec&, sim::Time) {
-         w->wifi->medium().set_jamming_db(0.0);
-       }});
-  tw.injector->set_hooks(
-      fault::FaultKind::kBoardBlackout,
-      {[w](const fault::FaultSpec&, sim::Time) {
-         w->dead = true;
-         w->plc->medium().set_fault_pb_error(1.0);
-         w->wifi->medium().set_jamming_db(200.0);
-       },
-       [w](const fault::FaultSpec&, sim::Time) {
-         w->dead = false;
-         w->plc->medium().set_fault_pb_error(0.0);
-         w->wifi->medium().set_jamming_db(0.0);
-       }});
-  tw.injector->set_hooks(
-      fault::FaultKind::kBoardBrownout,
-      {[w](const fault::FaultSpec& s, sim::Time) {
-         w->plc->medium().set_fault_pb_error(s.severity);
-       },
-       [w](const fault::FaultSpec&, sim::Time) {
-         w->plc->medium().set_fault_pb_error(0.0);
-       }});
-  tw.injector->set_hooks(
-      fault::FaultKind::kLinkPartition,
-      {[w](const fault::FaultSpec& s, sim::Time t) {
-         for (std::size_t ci = 0; ci < w->crossings.size(); ++ci) {
-           if (w->crossings[ci].link == s.target) {
-             w->failover->on_partition(static_cast<int>(ci), t);
-           }
-         }
-       },
-       [w](const fault::FaultSpec& s, sim::Time t) {
-         for (std::size_t ci = 0; ci < w->crossings.size(); ++ci) {
-           if (w->crossings[ci].link == s.target) {
-             w->failover->on_restore(static_cast<int>(ci), t);
-           }
-         }
-       }});
-
-  tw.injector->install(local);
-}
-
-void NanWorld::schedule_tick(TransformerWorld& tw) {
-  const auto jitter = static_cast<std::int64_t>(
-      static_cast<double>(cfg_.report_interval.ns()) * tw.rng.uniform(0.6, 1.4));
-  TransformerWorld* w = &tw;
-  engine_->cell_sim(tw.t).after_inline(sim::Time{jitter},
-                                       [this, w] { tick(*w); });
-}
-
-void NanWorld::tick(TransformerWorld& tw) {
-  schedule_tick(tw);
+void NanWorld::tick(Cell& c) {
+  auto& tw = static_cast<TransformerWorld&>(c);
   if (tw.n_stations < 2) return;
   // A blacked-out transformer offers nothing; the tick chain keeps
   // running so reporting resumes the instant power returns.
@@ -491,28 +301,28 @@ void NanWorld::tick(TransformerWorld& tw) {
   // testable as a deterministic assertion.
   const int src_k =
       1 + static_cast<int>(tw.rng.uniform_int(0, tw.n_stations - 2));
-  const int src_id = tw.t * kIdStride + src_k;
+  const int src_id = tw.index * kIdStride + src_k;
 
   net::Packet p;
   p.seq = tw.meter_seq[static_cast<std::size_t>(src_k)]++;
   p.size_bytes = static_cast<std::size_t>(tw.rng.uniform_int(150, 900));
-  p.created = engine_->cell_sim(tw.t).now();
+  p.created = engine().cell_sim(tw.index).now();
   p.priority = 1;
   p.flow_id = src_id * kIdStride;
 
-  const bool remote =
-      !tw.crossings.empty() && tw.rng.bernoulli(cfg_.p_remote);
+  const std::vector<Crossing>& xs = crossings(tw.index);
+  const bool remote = !xs.empty() && tw.rng.bernoulli(cfg_.p_remote);
   if (remote) {
-    const auto& c = tw.crossings[static_cast<std::size_t>(tw.rng.uniform_int(
-        0, static_cast<std::int64_t>(tw.crossings.size()) - 1))];
-    const int dst_stations = topo_.stations_on_transformer(c.neighbor);
+    const Crossing& x = xs[static_cast<std::size_t>(tw.rng.uniform_int(
+        0, static_cast<std::int64_t>(xs.size()) - 1))];
+    const int dst_stations = topo_.stations_on_transformer(x.neighbor);
     if (dst_stations >= 2) {
       // Never address the destination concentrator itself: the final PLC
       // hop would be a station transmitting to itself.
       const int dst_k =
           1 + static_cast<int>(tw.rng.uniform_int(0, dst_stations - 2));
       p.flow_id = kRemoteFlowBase +
-                  (c.neighbor * kIdStride + dst_k) * kIdStride + src_k;
+                  (x.neighbor * kIdStride + dst_k) * kIdStride + src_k;
       ++tw.offered_remote;
     }
   }
@@ -551,7 +361,7 @@ void NanWorld::tick(TransformerWorld& tw) {
 bool NanWorld::send_plc(TransformerWorld& tw, int meter_k,
                         const net::Packet& p) {
   net::Packet q = p;
-  q.src = tw.t * kIdStride + meter_k;
+  q.src = tw.index * kIdStride + meter_k;
   const auto it = tw.next_hop.find({meter_k, q.src});
   q.dst = it != tw.next_hop.end() ? it->second : tw.conc_id();
   if (!tw.plc->station(q.src).mac().enqueue(q)) {
@@ -573,146 +383,51 @@ bool NanWorld::send_wifi(TransformerWorld& tw, int meter_k,
   return true;
 }
 
-void NanWorld::egress(TransformerWorld& tw, const net::Packet& p) {
-  const int dst_cell = remote_dst_id(p.flow_id) / kIdStride;
-  const auto it = std::find_if(
-      tw.crossings.begin(), tw.crossings.end(),
-      [dst_cell](const auto& c) { return c.neighbor == dst_cell; });
-  assert(it != tw.crossings.end() && "remote flow targets a non-neighbor");
-  const int ci = static_cast<int>(it - tw.crossings.begin());
-  if (tw.failover && !tw.failover->usable(ci)) {
-    // Partitioned crossing with no fallback medium: deterministic drop.
-    tw.failover->record_drop();
-    return;
+void NanWorld::fold_counters(const Cell& c, sim::Fnv1a64& f) const {
+  const auto& tw = static_cast<const TransformerWorld&>(c);
+  const auto [suppressed, stragglers] = tw.dedup_drops();
+  for (const std::uint32_t s : tw.meter_seq) {
+    f.mix(static_cast<std::uint64_t>(s));
   }
-  tw.plc->record_boundary_egress();
-  post_crossing(tw, p, dst_cell);
-}
-
-void NanWorld::post_crossing(TransformerWorld& tw, const net::Packet& p,
-                             int dst_cell) {
-  const auto it = std::find_if(
-      tw.crossings.begin(), tw.crossings.end(),
-      [dst_cell](const auto& c) { return c.neighbor == dst_cell; });
-  assert(it != tw.crossings.end());
-  const sim::Time now = engine_->cell_sim(tw.t).now();
-  sim::BoundaryEvent e;
-  e.t_ns = now.ns() + it->lookahead_ns;
-  e.src_cell = tw.t;
-  e.dst_cell = dst_cell;
-  e.kind = it->kind == grid::BoundaryKind::kWifiBridge ? kKindBridge
-                                                       : kKindBackbone;
-  e.bytes = static_cast<std::uint32_t>(p.size_bytes);
-  e.a = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.src)) << 32) |
-        static_cast<std::uint32_t>(p.dst);
-  e.b = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.flow_id))
-         << 32) |
-        p.seq;
-  e.c = static_cast<std::uint64_t>(p.created.ns());
-  tw.digest.mix(e.t_ns);
-  tw.digest.mix(e.dst_cell);
-  tw.digest.mix(e.b);
-  engine_->post(e);
-}
-
-void NanWorld::run() { run_until(cfg_.duration); }
-
-void NanWorld::run_until(sim::Time end) {
-  EFD_PROF_SCOPE("nan.run");
-  engine_->run_until(end);
+  f.mix(tw.offered);
+  f.mix(tw.offered_remote);
+  f.mix(tw.delivered);
+  f.mix(tw.delivered_remote);
+  f.mix(tw.queue_drops);
+  f.mix(tw.relay_forwards);
+  f.mix(tw.dup_copies);
+  f.mix(tw.dup_bytes);
+  f.mix(tw.wins_plc);
+  f.mix(tw.wins_wifi);
+  f.mix(suppressed);
+  f.mix(stragglers);
+  f.mix(tw.plc->boundary_ingress());
+  f.mix(tw.plc->boundary_egress());
 }
 
 NanResult NanWorld::result() const {
   NanResult r;
+  fill_result(r, r.transformer_digests);
   r.n_transformers = topo_.n_transformers();
-  r.n_shards = engine_->n_shards();
-  r.events = engine_->events_dispatched();
-  r.shards = engine_->shard_stats();
-
-  Fnv1a f;
-  for (const auto& tw : cells_) {
-    std::uint64_t suppressed = 0;
-    std::uint64_t stragglers = 0;
-    for (const auto& rb : tw->dedup) {
-      if (!rb) continue;
-      suppressed += rb->duplicates_dropped();
-      stragglers += rb->stragglers_dropped();
-    }
-
-    f.mix(tw->t);
-    f.mix(tw->digest.h);
-    for (const std::uint32_t s : tw->meter_seq) {
-      f.mix(static_cast<std::uint64_t>(s));
-    }
-    f.mix(tw->offered);
-    f.mix(tw->offered_remote);
-    f.mix(tw->delivered);
-    f.mix(tw->delivered_remote);
-    f.mix(tw->queue_drops);
-    f.mix(tw->relay_forwards);
-    f.mix(tw->dup_copies);
-    f.mix(tw->dup_bytes);
-    f.mix(tw->wins_plc);
-    f.mix(tw->wins_wifi);
-    f.mix(suppressed);
-    f.mix(stragglers);
-    f.mix(tw->plc->boundary_ingress());
-    f.mix(tw->plc->boundary_egress());
-
-    r.offered += tw->offered;
-    r.offered_remote += tw->offered_remote;
-    r.delivered += tw->delivered;
-    r.delivered_remote += tw->delivered_remote;
-    r.queue_drops += tw->queue_drops;
-    r.dup_copies += tw->dup_copies;
-    r.dup_bytes += tw->dup_bytes;
-    r.wins_plc += tw->wins_plc;
-    r.wins_wifi += tw->wins_wifi;
+  for (const auto& c : cells()) {
+    const auto& tw = static_cast<const TransformerWorld&>(*c);
+    const auto [suppressed, stragglers] = tw.dedup_drops();
+    r.offered += tw.offered;
+    r.offered_remote += tw.offered_remote;
+    r.delivered += tw.delivered;
+    r.delivered_remote += tw.delivered_remote;
+    r.queue_drops += tw.queue_drops;
+    r.dup_copies += tw.dup_copies;
+    r.dup_bytes += tw.dup_bytes;
+    r.wins_plc += tw.wins_plc;
+    r.wins_wifi += tw.wins_wifi;
     r.suppressed += suppressed;
     r.stragglers += stragglers;
-    r.relay_meters += static_cast<std::uint64_t>(tw->relay_meters);
-    r.relay_forwards += tw->relay_forwards;
-    r.relay_hops_max = std::max(r.relay_hops_max, tw->relay_hops_max);
-  }
-  r.digest = f.h;
-
-  // Fault-domain accounting rides outside the digest fold above, so the
-  // fault-free digest is bit-for-bit independent of fault wiring.
-  r.transformer_digests.reserve(cells_.size());
-  for (const auto& tw : cells_) {
-    r.transformer_digests.push_back(tw->digest.h);
-    r.dead_drops += tw->dead_drops;
-    if (tw->injector) {
-      r.fault_events += tw->injector->trace().size();
-      r.fault_trace += tw->injector->trace_lines();
-    }
-    if (tw->failover) {
-      r.failovers += tw->failover->failovers();
-      r.failbacks += tw->failover->failbacks();
-      r.partition_drops += tw->failover->drops();
-    }
-  }
-  r.mailbox_peak = engine_->mailbox_peak_occupancy();
-
-  std::int64_t busy_max = 0;
-  std::int64_t busy_sum = 0;
-  for (const auto& s : r.shards) {
-    r.boundary_posted += s.boundary_posted;
-    r.boundary_delivered += s.boundary_delivered;
-    busy_max = std::max(busy_max, s.busy_ns);
-    busy_sum += s.busy_ns;
-  }
-  if (!r.shards.empty() && busy_sum > 0) {
-    const double mean = static_cast<double>(busy_sum) /
-                        static_cast<double>(r.shards.size());
-    r.load_balance = static_cast<double>(busy_max) / mean;
+    r.relay_meters += static_cast<std::uint64_t>(tw.relay_meters);
+    r.relay_forwards += tw.relay_forwards;
+    r.relay_hops_max = std::max(r.relay_hops_max, tw.relay_hops_max);
   }
   return r;
-}
-
-void NanWorld::reset_and_rebuild() {
-  engine_->reset();
-  build();
 }
 
 NanResult run_nan(const NanRunConfig& cfg) {

@@ -20,19 +20,20 @@
 // the channel's own SNR physics — ABB's multi-interface NAN routing).
 // Cross-transformer reports ride the MV feeder runs / feeder-head WiFi
 // crossings as BoundaryEvents, so every digest is byte-identical across
-// EFD_SHARDS, faults included.
+// EFD_SHARDS, faults included. The engine wiring, boundary handling, fault
+// wiring, checkpoint/restore and result tail are the shared CellWorld
+// scaffold (cell_world.hpp).
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/fault/fault.hpp"
 #include "src/grid/nan.hpp"
 #include "src/hybrid/routing.hpp"
 #include "src/net/packet.hpp"
-#include "src/sim/sharded.hpp"
 #include "src/sim/time.hpp"
+#include "src/testbed/cell_world.hpp"
 
 namespace efd::testbed {
 
@@ -46,11 +47,11 @@ enum class DiversityMode : std::uint8_t {
 
 [[nodiscard]] const char* to_string(DiversityMode mode);
 
-struct NanRunConfig {
+/// The shared engine and fault fields come from CellRunConfig; fault
+/// plans target a transformer index, or a topology link for kLinkPartition.
+struct NanRunConfig : CellRunConfig {
   grid::NanConfig nan;
-  int n_shards = 1;
   DiversityMode mode = DiversityMode::kDiversity;
-  sim::Time duration = sim::milliseconds(200);
   /// Mean spacing of per-transformer report ticks (each offers one report).
   sim::Time report_interval = sim::milliseconds(4);
   /// Probability a report targets a meter behind a neighboring transformer
@@ -62,26 +63,13 @@ struct NanRunConfig {
   /// relaying off (only the direct link is a 1-hop path).
   bool relay_enabled = true;
   hybrid::RelayPlanner::Config relay;
-  /// Transformer-domain fault plan: kPlcBlackout / kWifiJam /
-  /// kBoardBrownout / kBoardBlackout target a transformer index,
-  /// kLinkPartition a topology link index. Empty = fault-free.
-  fault::FaultPlan faults;
-  std::size_t mailbox_capacity = 0;
-  std::int64_t watchdog_budget_ns = 30'000'000'000;
 };
 
-struct NanResult {
-  /// Order-exact fold of every transformer's delivery and boundary
-  /// streams, combined in transformer order. Invariant across shard
-  /// counts and EFD_SIMD legs.
-  std::uint64_t digest = 0;
-  std::uint64_t events = 0;
+struct NanResult : CellResult {
   std::uint64_t offered = 0;           ///< reports generated at meters
   std::uint64_t offered_remote = 0;    ///< subset bound for another cell
   std::uint64_t delivered = 0;         ///< reports landed at own concentrator
   std::uint64_t delivered_remote = 0;  ///< reports landed across a crossing
-  std::uint64_t boundary_posted = 0;
-  std::uint64_t boundary_delivered = 0;
   std::uint64_t queue_drops = 0;
 
   // Redundancy-vs-throughput accounting (diversity mode).
@@ -98,55 +86,35 @@ struct NanResult {
   int relay_hops_max = 0;           ///< longest planned path (links)
 
   int n_transformers = 0;
-  int n_shards = 0;
-  std::vector<sim::ShardedSimulator::ShardStats> shards;
-  double load_balance = 1.0;
-
   /// Per-transformer digest stream values, in transformer order.
   std::vector<std::uint64_t> transformer_digests;
-  std::string fault_trace;
-  std::uint64_t fault_events = 0;
-  std::uint64_t dead_drops = 0;
-  std::uint64_t partition_drops = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t failbacks = 0;
-  std::uint64_t mailbox_peak = 0;
 };
 
-class NanWorld {
+/// The NAN on the CellWorld scaffold: one transformer per cell. It keeps
+/// the report tick, the PLC/WiFi transports, dedup, relay planning and the
+/// load-balance scheduler; a partitioned crossing always drops (a feeder
+/// run has no second medium).
+class NanWorld : public CellWorld {
  public:
   explicit NanWorld(const NanRunConfig& cfg);
-  ~NanWorld();
-
-  void run();
-  void run_until(sim::Time end);
 
   [[nodiscard]] NanResult result() const;
-
-  /// Reset the engine and rebuild every transformer cell; a subsequent
-  /// run() replays the identical NAN (same digest).
-  void reset_and_rebuild();
-
-  [[nodiscard]] sim::ShardedSimulator& engine() { return *engine_; }
-  [[nodiscard]] const grid::NanTopology& topology() const { return topo_; }
 
  private:
   struct TransformerWorld;
 
-  void build();
+  NanWorld(const NanRunConfig& cfg, grid::NanTopology topo);
+
+  std::unique_ptr<Cell> make_cell(int t) override;
+  void tick(Cell& c) override;
+  void arrive(Cell& c, net::Packet& p, std::uint32_t kind) override;
+  void fold_counters(const Cell& c, sim::Fnv1a64& f) const override;
   void plan_relays(TransformerWorld& tw);
-  void wire_faults(TransformerWorld& tw);
-  void tick(TransformerWorld& tw);
-  void schedule_tick(TransformerWorld& tw);
   bool send_plc(TransformerWorld& tw, int meter_k, const net::Packet& p);
   bool send_wifi(TransformerWorld& tw, int meter_k, const net::Packet& p);
-  void egress(TransformerWorld& tw, const net::Packet& p);
-  void post_crossing(TransformerWorld& tw, const net::Packet& p, int dst_cell);
 
   NanRunConfig cfg_;
   grid::NanTopology topo_;
-  std::unique_ptr<sim::ShardedSimulator> engine_;
-  std::vector<std::unique_ptr<TransformerWorld>> cells_;
 };
 
 /// Build, run and summarize one NAN in a single call.

@@ -4,30 +4,24 @@
 #include <string>
 
 #include "src/obs/obs.hpp"
+#include "src/sim/fnv1a.hpp"
 
 namespace efd::testkit {
 
 namespace {
 
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
+/// The shared FNV-1a, plus the trace's non-integer field types.
+struct TraceHash : sim::Fnv1a64 {
+  using Fnv1a64::mix;
   void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix(sim::Time t) { mix(static_cast<std::uint64_t>(t.ns())); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
+  void mix(sim::Time t) { mix(t.ns()); }
   void mix(bool v) { mix(static_cast<std::uint64_t>(v)); }
 };
 
 }  // namespace
 
 std::uint64_t RunTrace::digest() const {
-  Fnv1a f;
+  TraceHash f;
   f.mix(static_cast<std::uint64_t>(sofs.size()));
   for (const plc::SofRecord& s : sofs) {
     f.mix(s.start);

@@ -14,6 +14,7 @@
 #include "src/sim/checkpoint.hpp"
 #include "src/sim/rng.hpp"
 #include "src/testbed/campus.hpp"
+#include "tests/cell_world_checkpoint_suite.hpp"
 
 namespace efd::testbed {
 namespace {
@@ -142,53 +143,8 @@ TEST(ChaosCampus, RandomCampusStormIsSeedDeterministic) {
 }
 
 // --- Checkpoint / restore ---------------------------------------------------
-
-TEST(ChaosCampus, CheckpointRestoreReplaysTheUninterruptedDigests) {
-  // Reference: one uninterrupted run through the full duration.
-  const CampusResult full = run_campus(stormy_campus(2));
-
-  // Interrupted run: stop mid-storm, fingerprint, keep going — continuing
-  // from a quiescent horizon must not perturb the timeline.
-  CampusWorld world(stormy_campus(2));
-  world.run_until(sim::milliseconds(40));
-  const CampusCheckpoint cp = world.checkpoint();
-  EXPECT_EQ(cp.engine.n_shards, 2);
-  EXPECT_EQ(cp.engine.n_cells, 5);
-  world.run_until(sim::milliseconds(80));
-  const CampusResult continued = world.result();
-  EXPECT_EQ(continued.digest, full.digest);
-  EXPECT_EQ(continued.fault_trace, full.fault_trace);
-  EXPECT_EQ(continued.board_digests, full.board_digests);
-
-  // Restore rewinds to the checkpoint (reset + deterministic replay,
-  // FNV-verified) and replaying to the end reproduces the same digests.
-  ASSERT_TRUE(world.restore(cp));
-  world.run_until(sim::milliseconds(80));
-  const CampusResult replayed = world.result();
-  EXPECT_EQ(replayed.digest, full.digest);
-  EXPECT_EQ(replayed.fault_trace, full.fault_trace);
-  EXPECT_EQ(replayed.board_digests, full.board_digests);
-  EXPECT_EQ(replayed.delivered, full.delivered);
-  EXPECT_EQ(replayed.dead_drops, full.dead_drops);
-}
-
-TEST(ChaosCampus, RestoreRejectsACorruptedCheckpoint) {
-  CampusWorld world(stormy_campus(1));
-  world.run_until(sim::milliseconds(30));
-  const CampusCheckpoint good = world.checkpoint();
-
-  CampusCheckpoint bad = good;
-  bad.world_digest ^= 1;
-  EXPECT_FALSE(world.restore(bad));
-
-  CampusCheckpoint tampered = good;
-  ASSERT_FALSE(tampered.engine.shards.empty());
-  tampered.engine.shards[0].pending_digest ^= 1;
-  EXPECT_FALSE(world.restore(tampered));
-
-  // The genuine fingerprint still restores after the failed attempts.
-  EXPECT_TRUE(world.restore(good));
-}
+// The restore round trip itself is the shared CellWorldCheckpoint suite,
+// instantiated for the campus at the bottom of this file.
 
 TEST(ChaosCampus, EngineCheckpointBytesRoundTripAndRejectCorruption) {
   CampusWorld world(stormy_campus(2));
@@ -233,4 +189,16 @@ TEST(ChaosCampus, BoundedMailboxesPreserveTheStormDigest) {
 }
 
 }  // namespace
+
+template <>
+struct CellWorldTraits<CampusWorld> {
+  static CampusRunConfig storm(int n_shards) { return stormy_campus(n_shards); }
+  static constexpr int kCells = 5;
+  static const std::vector<std::uint64_t>& cell_digests(const CampusResult& r) {
+    return r.board_digests;
+  }
+};
+
+INSTANTIATE_TYPED_TEST_SUITE_P(ChaosCampus, CellWorldCheckpoint, CampusWorld);
+
 }  // namespace efd::testbed

@@ -12,6 +12,7 @@
 #include "src/grid/nan.hpp"
 #include "src/sim/rng.hpp"
 #include "src/testbed/nan.hpp"
+#include "tests/cell_world_checkpoint_suite.hpp"
 
 namespace efd::testbed {
 namespace {
@@ -209,4 +210,17 @@ TEST(ChaosNan, ResetAndRebuildReplaysTheIdenticalNan) {
 }
 
 }  // namespace
+
+template <>
+struct CellWorldTraits<NanWorld> {
+  static NanRunConfig storm(int n_shards) { return stormy_nan(n_shards); }
+  static constexpr int kCells = 4;
+  static const std::vector<std::uint64_t>& cell_digests(const NanResult& r) {
+    return r.transformer_digests;
+  }
+};
+
+// Checkpoint/restore through the shared scaffold, as for the campus.
+INSTANTIATE_TYPED_TEST_SUITE_P(ChaosNan, CellWorldCheckpoint, NanWorld);
+
 }  // namespace efd::testbed
