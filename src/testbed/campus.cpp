@@ -37,6 +37,14 @@ struct CampusWorld::BoardWorld : CellWorld::Cell {
   std::uint64_t offered_remote = 0;
   std::uint64_t delivered = 0;
 
+  /// Hand a frame that crossed into this board to its mains, addressed to
+  /// the final station its flow names.
+  void to_mains(net::Packet p) {
+    p.src = gateway_id();
+    p.dst = p.flow_id - kRemoteFlowBase;
+    if (!plc->inject_boundary(p)) ++queue_drops;
+  }
+
   [[nodiscard]] int gateway_id() const { return index * kIdStride; }
   [[nodiscard]] int radio_id() const { return index * kIdStride + kWifiRadioOff; }
   [[nodiscard]] int ap_id() const { return index * kIdStride + kWifiApOff; }
@@ -112,12 +120,7 @@ std::unique_ptr<CellWorld::Cell> CampusWorld::make_cell(int b) {
     // Building AP: every frame it receives came over the bridge and
     // continues onto the board's mains.
     bw->wifi->station(bw->ap_id())
-        .set_rx_handler([w](const net::Packet& p, sim::Time) {
-          net::Packet q = p;
-          q.src = w->gateway_id();
-          q.dst = p.flow_id - kRemoteFlowBase;
-          if (!w->plc->inject_boundary(q)) ++w->queue_drops;
-        });
+        .set_rx_handler([w](const net::Packet& p, sim::Time) { w->to_mains(p); });
   }
   return bw;
 }
@@ -129,9 +132,7 @@ void CampusWorld::arrive(Cell& c, net::Packet& p, std::uint32_t kind) {
     p.dst = bw.ap_id();
     if (!bw.wifi->inject_boundary(p)) ++bw.queue_drops;
   } else {
-    p.src = bw.gateway_id();
-    p.dst = p.flow_id - kRemoteFlowBase;
-    if (!bw.plc->inject_boundary(p)) ++bw.queue_drops;
+    bw.to_mains(p);
   }
 }
 

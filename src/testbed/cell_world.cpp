@@ -205,7 +205,7 @@ void CellWorld::post_crossing(Cell& c, const net::Packet& p, int dst_cell) {
   e.src_cell = c.index;
   e.dst_cell = dst_cell;
   // A bridge crossing rerouted by a partition travels the backbone: the
-  // destination hands it straight to its mains instead of its radio.
+  // destination hands it straight to its mains instead of its AP.
   e.kind = bridged(c, ci) ? kKindBridge : kKindBackbone;
   e.bytes = static_cast<std::uint32_t>(p.size_bytes);
   e.a = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.src)) << 32) |

@@ -86,6 +86,9 @@ struct CellResult {
 class CellWorld {
  public:
   virtual ~CellWorld() = default;
+  // Cell callbacks hold the world's address.
+  CellWorld(const CellWorld&) = delete;
+  CellWorld& operator=(const CellWorld&) = delete;
 
   /// Advance every cell through the configured duration.
   void run();
