@@ -1,8 +1,8 @@
 #pragma once
 
-// FNV-1a, the one hash behind every order-exact digest stream in the repo:
-// engine checkpoints, campus and NAN cell digests, scenario traces and the
-// bench sweeps. Words are folded as little-endian bytes, so a digest is the
+// FNV-1a, the hash behind the order-exact digest streams: engine
+// checkpoints, campus and NAN cell digests, scenario traces and the campus
+// bench sweep. Words are folded as little-endian bytes, so a digest is the
 // same on every host.
 
 #include <cstddef>
