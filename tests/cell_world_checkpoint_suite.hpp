@@ -1,10 +1,13 @@
 #pragma once
 
 // Checkpoint/restore through the shared CellWorld scaffold, written once as
-// a type-parameterized suite. Each world's chaos suite instantiates it:
+// function templates. Each world's chaos suite specializes the traits and
+// calls them from its own named tests:
 //
 //   template <> struct CellWorldTraits<CampusWorld> { ... };
-//   INSTANTIATE_TYPED_TEST_SUITE_P(ChaosCampus, CellWorldCheckpoint, CampusWorld);
+//   TEST(ChaosCampus, RestoreRejectsACorruptedCheckpoint) {
+//     expect_restore_rejects_a_corrupted_checkpoint<CampusWorld>();
+//   }
 //
 // The traits give the world's storm config (an 80 ms run with faults
 // firing across the 40 ms checkpoint), its cell count, and its per-cell
@@ -21,20 +24,16 @@ template <class World>
 struct CellWorldTraits;
 
 template <class World>
-class CellWorldCheckpoint : public ::testing::Test {};
-
-TYPED_TEST_SUITE_P(CellWorldCheckpoint);
-
-TYPED_TEST_P(CellWorldCheckpoint, CheckpointRestoreReplaysTheUninterruptedDigests) {
-  using Traits = CellWorldTraits<TypeParam>;
+void expect_checkpoint_restore_replays_the_uninterrupted_digests() {
+  using Traits = CellWorldTraits<World>;
   // Reference: one uninterrupted run through the full duration.
-  TypeParam reference(Traits::storm(2));
+  World reference(Traits::storm(2));
   reference.run();
   const auto full = reference.result();
 
   // Interrupted run: stop mid-storm, fingerprint, keep going — continuing
   // from a quiescent horizon must not perturb the timeline.
-  TypeParam world(Traits::storm(2));
+  World world(Traits::storm(2));
   world.run_until(sim::milliseconds(40));
   const CellCheckpoint cp = world.checkpoint();
   EXPECT_EQ(cp.engine.n_shards, 2);
@@ -57,9 +56,10 @@ TYPED_TEST_P(CellWorldCheckpoint, CheckpointRestoreReplaysTheUninterruptedDigest
   EXPECT_EQ(replayed.dead_drops, full.dead_drops);
 }
 
-TYPED_TEST_P(CellWorldCheckpoint, RestoreRejectsACorruptedCheckpoint) {
-  using Traits = CellWorldTraits<TypeParam>;
-  TypeParam world(Traits::storm(1));
+template <class World>
+void expect_restore_rejects_a_corrupted_checkpoint() {
+  using Traits = CellWorldTraits<World>;
+  World world(Traits::storm(1));
   world.run_until(sim::milliseconds(30));
   const CellCheckpoint good = world.checkpoint();
 
@@ -75,9 +75,5 @@ TYPED_TEST_P(CellWorldCheckpoint, RestoreRejectsACorruptedCheckpoint) {
   // The genuine fingerprint still restores after the failed attempts.
   EXPECT_TRUE(world.restore(good));
 }
-
-REGISTER_TYPED_TEST_SUITE_P(CellWorldCheckpoint,
-                            CheckpointRestoreReplaysTheUninterruptedDigests,
-                            RestoreRejectsACorruptedCheckpoint);
 
 }  // namespace efd::testbed

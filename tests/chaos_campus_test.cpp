@@ -143,8 +143,8 @@ TEST(ChaosCampus, RandomCampusStormIsSeedDeterministic) {
 }
 
 // --- Checkpoint / restore ---------------------------------------------------
-// The restore round trip itself is the shared CellWorldCheckpoint suite,
-// instantiated for the campus at the bottom of this file.
+// The restore round trip itself is the shared suite in
+// tests/cell_world_checkpoint_suite.hpp, called at the bottom of this file.
 
 TEST(ChaosCampus, EngineCheckpointBytesRoundTripAndRejectCorruption) {
   CampusWorld world(stormy_campus(2));
@@ -199,6 +199,12 @@ struct CellWorldTraits<CampusWorld> {
   }
 };
 
-INSTANTIATE_TYPED_TEST_SUITE_P(ChaosCampus, CellWorldCheckpoint, CampusWorld);
+TEST(ChaosCampus, CheckpointRestoreReplaysTheUninterruptedDigests) {
+  expect_checkpoint_restore_replays_the_uninterrupted_digests<CampusWorld>();
+}
+
+TEST(ChaosCampus, RestoreRejectsACorruptedCheckpoint) {
+  expect_restore_rejects_a_corrupted_checkpoint<CampusWorld>();
+}
 
 }  // namespace efd::testbed

@@ -221,6 +221,12 @@ struct CellWorldTraits<NanWorld> {
 };
 
 // Checkpoint/restore through the shared scaffold, as for the campus.
-INSTANTIATE_TYPED_TEST_SUITE_P(ChaosNan, CellWorldCheckpoint, NanWorld);
+TEST(ChaosNan, CheckpointRestoreReplaysTheUninterruptedDigests) {
+  expect_checkpoint_restore_replays_the_uninterrupted_digests<NanWorld>();
+}
+
+TEST(ChaosNan, RestoreRejectsACorruptedCheckpoint) {
+  expect_restore_rejects_a_corrupted_checkpoint<NanWorld>();
+}
 
 }  // namespace efd::testbed

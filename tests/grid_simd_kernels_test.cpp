@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,15 @@
 #include "src/plc/phy.hpp"
 #include "src/plc/tone_map.hpp"
 #include "src/sim/rng.hpp"
+
+namespace efd::grid::simd {
+
+// gtest lists a pointer parameter by its address, which changes from run to
+// run; list the kernel by name instead. CTest's gtest discovery then names
+// each case after it (AllImpls/KernelSweep.<Test>/avx2), stably.
+void PrintTo(const CarrierKernels* k, std::ostream* os) { *os << k->name; }
+
+}  // namespace efd::grid::simd
 
 namespace efd {
 namespace {
@@ -189,14 +199,9 @@ TEST_P(KernelSweep, RoboMeanLinearSnrClampBoundary) {
       << k.name << " above clamp";
 }
 
-std::string kernel_name(const ::testing::TestParamInfo<const CarrierKernels*>& i) {
-  return i.param->name;
-}
-
 INSTANTIATE_TEST_SUITE_P(AllImpls, KernelSweep,
                          ::testing::ValuesIn(grid::simd::available_kernels().begin(),
-                                             grid::simd::available_kernels().end()),
-                         kernel_name);
+                                             grid::simd::available_kernels().end()));
 
 TEST(KernelSelection, ScalarIsAlwaysHonored) {
   EXPECT_STREQ(grid::simd::select_kernels("scalar").name, "scalar");
