@@ -298,19 +298,37 @@ void BM_PbErrorMemoized(benchmark::State& state) {
 }
 BENCHMARK(BM_PbErrorMemoized);
 
-void BM_BuildSlotMap(benchmark::State& state) {
-  // One slot's full bit-loading pass (perturbed-SNR copy + margin ladder),
-  // the kernel behind every estimator retune.
+/// Times one slot's full bit-loading pass (perturbed-SNR copy + margin
+/// ladder), the kernel behind every estimator retune, after `frames`
+/// error-free 3-PB frames. Each frame adds 3 PB samples; past 1,200 samples
+/// the ladder's depth leaves 0 and its four rungs become distinct.
+void run_build_slot_map(benchmark::State& state, int frames) {
   Rig rig;
   plc::ChannelEstimator est(*rig.channel, 0, 1, sim::Rng{3}, {});
   const sim::Time now = sim::days(1) + sim::hours(12);
   est.on_sound_frame(now);
+  for (int i = 0; i < frames; ++i) {
+    est.on_frame_received(rig.channel->slot_at(now), 3, 0, 2, now);
+  }
+  plc::ToneMap tm;
   std::uint32_t id = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(est.build_slot_map(2, now, 1.5, ++id));
+    est.build_slot_map(2, now, 1.5, ++id, tm);
+    benchmark::DoNotOptimize(tm.ble_mbps());
   }
 }
+
+void BM_BuildSlotMap(benchmark::State& state) {
+  // Cold: straight after the sound-frame bootstrap, a one-rung ladder.
+  run_build_slot_map(state, 0);
+}
 BENCHMARK(BM_BuildSlotMap);
+
+void BM_BuildSlotMapWarm(benchmark::State& state) {
+  // Warm: 6,003 PB samples put the ladder at depth 0.5, four distinct rungs.
+  run_build_slot_map(state, 2000);
+}
+BENCHMARK(BM_BuildSlotMapWarm);
 
 // --- efd::obs overhead (DESIGN.md §8) -------------------------------------
 // The instrumentation's three cost tiers: enabled (relaxed RMW on a

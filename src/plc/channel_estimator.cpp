@@ -3,11 +3,50 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/obs/obs.hpp"
 
 namespace efd::plc {
+
+namespace {
+
+/// Per-thread ladder scratch: the perturbed SNR, one rung's bit loading
+/// (carriers, plus the BER-LUT row offsets and bit weights ToneMap scores
+/// them by), the best rung's carriers so far, and the carriers
+/// clamp_to_rate demotes. One set per thread rather than per estimator
+/// keeps thousands of mostly idle links from each holding carrier-sized
+/// buffers; like PlcChannel's workspace, the scratch is not reentrant.
+struct LadderScratch {
+  std::vector<double> snr;
+  std::vector<Modulation> carriers;
+  std::vector<Modulation> best_carriers;
+  std::vector<std::int32_t> lut_rows;
+  std::vector<double> bits;
+};
+
+LadderScratch& ladder_scratch() {
+  thread_local LadderScratch scratch;
+  return scratch;
+}
+
+Modulation demote(Modulation m) {
+  switch (m) {
+    case Modulation::kQam1024: return Modulation::kQam256;
+    case Modulation::kQam256: return Modulation::kQam64;
+    case Modulation::kQam64: return Modulation::kQam16;
+    case Modulation::kQam16: return Modulation::kQam8;
+    case Modulation::kQam8: return Modulation::kQpsk;
+    case Modulation::kQpsk: return Modulation::kBpsk;
+    default: return Modulation::kOff;
+  }
+}
+
+}  // namespace
 
 ChannelEstimator::ChannelEstimator(const PlcChannel& channel, net::StationId tx,
                                    net::StationId rx, sim::Rng rng, Config config)
@@ -20,12 +59,12 @@ double ChannelEstimator::current_uncertainty_db() const {
          std::sqrt(1.0 + static_cast<double>(pb_samples_) / cfg_.uncertainty_n0);
 }
 
-ToneMap ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
-                                         std::uint32_t id) const {
+void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
+                                      std::uint32_t id, ToneMap& out) const {
   const PhyParams& phy = channel_.phy();
   const auto& static_snr = channel_.static_snr_db(tx_, rx_, slot, now);
-  snr_scratch_.assign(static_snr.begin(), static_snr.end());
-  std::vector<double>& snr = snr_scratch_;
+  std::vector<double>& snr = ladder_scratch().snr;
+  snr.assign(static_snr.begin(), static_snr.end());
   // The receiver's measurements include part of the instantaneous noise and
   // a per-carrier estimation error that shrinks with accumulated samples.
   const double offset = channel_.fast_offset_db(rx_, now) * cfg_.offset_tracking;
@@ -46,39 +85,63 @@ ToneMap ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_
   const double depth =
       std::clamp(1.0 - current_uncertainty_db() / 6.0, 0.0, 1.0);
   const auto& true_snr = channel_.static_snr_db(tx_, rx_, slot, now);
-  ToneMap best;
+  run_margin_ladder(snr, true_snr, margin_db, depth, phy, id,
+                    grid::simd::active_kernels(), out);
+}
+
+void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db,
+                                         std::span<const double> true_snr_db,
+                                         double margin_db, double depth,
+                                         const PhyParams& phy, std::uint32_t id,
+                                         const grid::simd::CarrierKernels& kernels,
+                                         ToneMap& out) {
+  LadderScratch& scratch = ladder_scratch();
+  const double ladder[] = {margin_db, margin_db - 1.5 * depth,
+                           margin_db - 3.0 * depth, margin_db - 4.5 * depth};
+  const std::size_t n = measured_snr_db.size();
+  const std::int32_t row_len = ber_lut_view().size;
+  scratch.carriers.resize(n);
+  scratch.best_carriers.resize(n);
+  scratch.lut_rows.resize(n);
+  scratch.bits.resize(n);
+  // Empty until a rung scores; only NaN SNRs leave it so (an empty map).
+  std::span<const Modulation> winner;
   double best_score = -1.0;
   double best_expected = 0.0;
-  for (double m : {margin_db, margin_db - 1.5 * depth, margin_db - 3.0 * depth,
-                   margin_db - 4.5 * depth}) {
-    ToneMap candidate = ToneMap::from_snr(snr, m, phy, 0.0, id);
-    const double expected =
-        std::min(candidate.pb_error_probability(true_snr, phy), 0.45);
-    const double score = candidate.phy_rate_mbps() * (1.0 - expected);
+  for (std::size_t r = 0; r < std::size(ladder); ++r) {
+    const double m = ladder[r];
+    // A repeated margin loads the same bits, and the strict `>` below keeps
+    // the earlier rung on a tie. At depth 0 (every bootstrap) all four
+    // rungs repeat, so this leaves one.
+    if (r > 0 && m == ladder[r - 1]) continue;
+    // Integer bit total: exact, so it equals ToneMap::recompute's sum.
+    int total_bits = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Modulation mod = pick_modulation(measured_snr_db[i] - m);
+      const int b = bits_per_symbol(mod);
+      total_bits += b;
+      scratch.carriers[i] = mod;
+      scratch.bits[i] = static_cast<double>(b);
+      scratch.lut_rows[i] = static_cast<std::int32_t>(mod) * row_len;
+    }
+    const double expected = std::min(
+        ToneMap::pb_error_probability(scratch.lut_rows, scratch.bits,
+                                      true_snr_db, kernels),
+        0.45);
+    // phy_rate_mbps() of the candidate map, in ToneMap::recompute's order.
+    const double phy_rate =
+        static_cast<double>(total_bits) * phy.fec_rate / phy.symbol.us();
+    const double score = phy_rate * (1.0 - expected);
     if (score > best_score) {
+      // Keep this rung's carriers; the next rung overwrites the other set.
+      std::swap(scratch.carriers, scratch.best_carriers);
+      winner = scratch.best_carriers;
       best_score = score;
       best_expected = expected;
-      best = std::move(candidate);
     }
   }
-  return ToneMap::from_carriers(best.carriers(), phy, best_expected, id);
+  out.assign_carriers(winner, phy, best_expected, id);
 }
-
-namespace {
-
-Modulation demote(Modulation m) {
-  switch (m) {
-    case Modulation::kQam1024: return Modulation::kQam256;
-    case Modulation::kQam256: return Modulation::kQam64;
-    case Modulation::kQam64: return Modulation::kQam16;
-    case Modulation::kQam16: return Modulation::kQam8;
-    case Modulation::kQam8: return Modulation::kQpsk;
-    case Modulation::kQpsk: return Modulation::kBpsk;
-    default: return Modulation::kOff;
-  }
-}
-
-}  // namespace
 
 void ChannelEstimator::clamp_to_rate(ToneMap& map, double rate_mbps,
                                      const PhyParams& phy, std::uint32_t id) {
@@ -86,7 +149,8 @@ void ChannelEstimator::clamp_to_rate(ToneMap& map, double rate_mbps,
   // With single-PB, single-symbol frames, spare rate buys no airtime — only
   // errors. Demote carriers one constellation step at a time (round-robin
   // passes) until the BLE lands at the single-symbol rate.
-  std::vector<Modulation> carriers = map.carriers();
+  std::vector<Modulation>& carriers = ladder_scratch().carriers;
+  carriers.assign(map.carriers().begin(), map.carriers().end());
   const double bits_target = rate_mbps * phy.symbol.us() /
                              (phy.fec_rate * (1.0 - map.expected_pberr()));
   double bits = 0.0;
@@ -99,7 +163,7 @@ void ChannelEstimator::clamp_to_rate(ToneMap& map, double rate_mbps,
       m = lower;
     }
   }
-  map = ToneMap::from_carriers(std::move(carriers), phy, map.expected_pberr(), id);
+  map.assign_carriers(carriers, phy, map.expected_pberr(), id);
 }
 
 void ChannelEstimator::retune(sim::Time now, bool error_triggered) {
@@ -124,18 +188,18 @@ void ChannelEstimator::retune(sim::Time now, bool error_triggered) {
       cfg_.base_margin_db + current_uncertainty_db() + panic_margin_db_;
   margin_at_last_retune_ = margin;
 
-  maps_.slots.clear();
-  maps_.slots.reserve(static_cast<std::size_t>(phy.tone_map_slots));
+  // Rebuild the slot maps in place: a warm retune reuses their buffers.
+  maps_.slots.resize(static_cast<std::size_t>(phy.tone_map_slots));
   const bool clamp =
       pbs_per_frame_ewma_ <= cfg_.clamp_pb_threshold && pb_samples_ > 50;
   double expected_sum = 0.0;
   for (int s = 0; s < phy.tone_map_slots; ++s) {
-    ToneMap tm = build_slot_map(s, now, margin, next_id_++);
+    ToneMap& tm = maps_.slots[static_cast<std::size_t>(s)];
+    build_slot_map(s, now, margin, next_id_++, tm);
     if (clamp) {
       clamp_to_rate(tm, phy.single_pb_symbol_rate_mbps(), phy, next_id_++);
     }
     expected_sum += tm.expected_pberr();
-    maps_.slots.push_back(std::move(tm));
   }
   expected_pberr_ = expected_sum / phy.tone_map_slots;
   has_maps_ = true;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "src/plc/channel.hpp"
 #include "src/plc/tone_map.hpp"
@@ -112,10 +113,24 @@ class ChannelEstimator {
   [[nodiscard]] sim::Time last_update() const { return last_update_; }
 
   /// One slot's bit-loading pass: perturbed-SNR measurement plus the
-  /// goodput-maximizing margin ladder. Public so the micro benches can time
-  /// the kernel in isolation; simulation code goes through retunes.
-  [[nodiscard]] ToneMap build_slot_map(int slot, sim::Time now, double margin_db,
-                                       std::uint32_t id) const;
+  /// goodput-maximizing margin ladder, written into `out` in place. The
+  /// ladder scores each distinct rung from per-thread scratch and builds
+  /// only the winner. Public so the micro benches can time the kernel in
+  /// isolation; simulation code goes through retunes.
+  void build_slot_map(int slot, sim::Time now, double margin_db,
+                      std::uint32_t id, ToneMap& out) const;
+
+  /// The ladder on its own: bit-loads `measured_snr_db` at each distinct
+  /// margin of {m, m - 1.5 d, m - 3 d, m - 4.5 d} (m = `margin_db`,
+  /// d = `depth`), scores each rung's goodput against `true_snr_db` on
+  /// `kernels`, and writes the best rung's map (expected PBerr capped at
+  /// 0.45) into `out`. Static so tests can pin it on every kernel entry.
+  static void run_margin_ladder(std::span<const double> measured_snr_db,
+                                std::span<const double> true_snr_db,
+                                double margin_db, double depth,
+                                const PhyParams& phy, std::uint32_t id,
+                                const grid::simd::CarrierKernels& kernels,
+                                ToneMap& out);
 
  private:
   void retune(sim::Time now, bool error_triggered);
@@ -150,9 +165,6 @@ class ChannelEstimator {
   double margin_at_last_retune_ = 0.0;
   double symbols_per_frame_ewma_ = 10.0;
   double pbs_per_frame_ewma_ = 10.0;
-  /// Perturbed-SNR scratch reused across build_slot_map calls (estimators
-  /// are per-link, so no aliasing between links).
-  mutable std::vector<double> snr_scratch_;
 };
 
 }  // namespace efd::plc

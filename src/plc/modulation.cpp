@@ -52,33 +52,6 @@ grid::simd::InterpTableView ber_lut_view() {
   };
 }
 
-double required_snr_db(Modulation m) {
-  // Net thresholds after the ~7 dB coding gain of the rate-16/21 turbo code.
-  switch (m) {
-    case Modulation::kOff: return -1e9;
-    case Modulation::kBpsk: return 2.0;
-    case Modulation::kQpsk: return 5.0;
-    case Modulation::kQam8: return 8.5;
-    case Modulation::kQam16: return 11.5;
-    case Modulation::kQam64: return 17.5;
-    case Modulation::kQam256: return 23.5;
-    case Modulation::kQam1024: return 29.5;
-  }
-  return 1e9;
-}
-
-Modulation pick_modulation(double snr_db) {
-  static constexpr Modulation kAll[] = {
-      Modulation::kQam1024, Modulation::kQam256, Modulation::kQam64,
-      Modulation::kQam16,   Modulation::kQam8,   Modulation::kQpsk,
-      Modulation::kBpsk,
-  };
-  for (Modulation m : kAll) {
-    if (snr_db >= required_snr_db(m)) return m;
-  }
-  return Modulation::kOff;
-}
-
 double uncoded_ber(Modulation m, double snr_db) {
   if (m == Modulation::kOff) return 0.0;
   const auto& table = ber_tables().ber[static_cast<std::size_t>(m)];

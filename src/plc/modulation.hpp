@@ -49,13 +49,40 @@ inline constexpr std::array<int, kModulationCount> kBitsPerSymbol = {
 /// contribute nothing to the reduction — no branch needed.
 [[nodiscard]] grid::simd::InterpTableView ber_lut_view();
 
+/// Bit-loading thresholds indexed by Modulation: net carrier SNRs (dB)
+/// after the ~7 dB coding gain of the rate-16/21 turbo code. Strictly
+/// increasing; kOff's entry never binds.
+inline constexpr std::array<double, kModulationCount> kRequiredSnrDb = {
+    -1e9,  // kOff
+    2.0,   // kBpsk
+    5.0,   // kQpsk
+    8.5,   // kQam8
+    11.5,  // kQam16
+    17.5,  // kQam64
+    23.5,  // kQam256
+    29.5,  // kQam1024
+};
+
 /// Minimum carrier SNR (dB) at which the bit-loader selects `m`, assuming
 /// the standard's rate-16/21 turbo FEC. Calibrated so that operating at the
 /// threshold leaves a small residual PB error rate, as HPAV does.
-[[nodiscard]] double required_snr_db(Modulation m);
+[[nodiscard]] constexpr double required_snr_db(Modulation m) {
+  return kRequiredSnrDb[static_cast<std::size_t>(m)];
+}
 
-/// Largest constellation whose threshold is at or below `snr_db`.
-[[nodiscard]] Modulation pick_modulation(double snr_db);
+/// Largest constellation whose threshold is at or below `snr_db`. Because
+/// the thresholds increase strictly, that constellation's index is the
+/// number of thresholds met: seven independent compares, no branches (the
+/// bit loader runs this once per carrier and rung). NaN meets none and
+/// picks kOff.
+[[nodiscard]] constexpr Modulation pick_modulation(double snr_db) {
+  static_assert(kModulationCount == 8, "one compare per non-off threshold");
+  const auto& t = kRequiredSnrDb;
+  const int met = (snr_db >= t[1]) + (snr_db >= t[2]) + (snr_db >= t[3]) +
+                  (snr_db >= t[4]) + (snr_db >= t[5]) + (snr_db >= t[6]) +
+                  (snr_db >= t[7]);
+  return static_cast<Modulation>(met);
+}
 
 /// Approximate uncoded bit-error rate of `m` at the given carrier SNR.
 /// Standard Gray-coded square-QAM approximation; used to derive PB error

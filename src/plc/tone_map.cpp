@@ -33,27 +33,34 @@ void ToneMap::recompute() {
   const std::int32_t row_len = ber_lut_view().size;
   lut_rows_.resize(n);
   bits_.resize(n);
-  double bits = 0.0;
+  // Integer total: exact, and free of a serial floating-point add chain.
+  int total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const int b = efd::plc::bits_per_symbol(carriers_[i]);
-    bits += b;
+    total += b;
     bits_[i] = static_cast<double>(b);
     lut_rows_[i] = static_cast<std::int32_t>(carriers_[i]) * row_len;
   }
-  bits /= robo_repetitions_;
+  const double bits = static_cast<double>(total) / robo_repetitions_;
   bits_per_symbol_ = bits;
   phy_rate_mbps_ = bits * fec_rate_ / symbol_us_;
   ble_mbps_ = phy_rate_mbps_ * (1.0 - expected_pberr_);
+}
+
+void ToneMap::set_header(const PhyParams& phy, double expected_pberr,
+                         std::uint32_t id) {
+  fec_rate_ = phy.fec_rate;
+  symbol_us_ = phy.symbol.us();
+  expected_pberr_ = expected_pberr;
+  id_ = id;
+  robo_repetitions_ = 1;
 }
 
 ToneMap ToneMap::from_snr(std::span<const double> snr_db, double margin_db,
                           const PhyParams& phy, double expected_pberr,
                           std::uint32_t id) {
   ToneMap tm;
-  tm.fec_rate_ = phy.fec_rate;
-  tm.symbol_us_ = phy.symbol.us();
-  tm.expected_pberr_ = expected_pberr;
-  tm.id_ = id;
+  tm.set_header(phy, expected_pberr, id);
   tm.carriers_.reserve(snr_db.size());
   for (double snr : snr_db) {
     tm.carriers_.push_back(pick_modulation(snr - margin_db));
@@ -62,16 +69,12 @@ ToneMap ToneMap::from_snr(std::span<const double> snr_db, double margin_db,
   return tm;
 }
 
-ToneMap ToneMap::from_carriers(std::vector<Modulation> carriers, const PhyParams& phy,
-                               double expected_pberr, std::uint32_t id) {
-  ToneMap tm;
-  tm.fec_rate_ = phy.fec_rate;
-  tm.symbol_us_ = phy.symbol.us();
-  tm.expected_pberr_ = expected_pberr;
-  tm.id_ = id;
-  tm.carriers_ = std::move(carriers);
-  tm.recompute();
-  return tm;
+void ToneMap::assign_carriers(std::span<const Modulation> carriers,
+                              const PhyParams& phy, double expected_pberr,
+                              std::uint32_t id) {
+  set_header(phy, expected_pberr, id);
+  carriers_.assign(carriers.begin(), carriers.end());
+  recompute();
 }
 
 ToneMap ToneMap::robo(const PhyParams& phy, const RoboMode& robo) {
@@ -96,10 +99,10 @@ double ToneMap::pb_error_probability(
     std::span<const double> actual_snr_db, const PhyParams& phy,
     const grid::simd::CarrierKernels& kernels) const {
   (void)phy;
-  EFD_PROF_SCOPE("plc.pberr");
-  EFD_PROF_SCOPE(kernels.name);  // nests under plc.pberr
   assert(actual_snr_db.size() == carriers_.size());
   if (robo_repetitions_ > 1) {
+    EFD_PROF_SCOPE("plc.pberr");
+    EFD_PROF_SCOPE(kernels.name);  // nests under plc.pberr
     // ROBO interleaves each bit's copies across *different* carriers, so a
     // copy landing in a deep notch is rescued by copies on clean carriers:
     // combining approximates summing the linear SNRs of the copies, i.e.
@@ -114,9 +117,20 @@ double ToneMap::pb_error_probability(
         uncoded_ber(Modulation::kQpsk, combined_db + kCodingGainDb);
     return fec_waterfall(ber);
   }
+  return pb_error_probability(lut_rows_, bits_, actual_snr_db, kernels);
+}
+
+double ToneMap::pb_error_probability(std::span<const std::int32_t> lut_rows,
+                                     std::span<const double> bits,
+                                     std::span<const double> actual_snr_db,
+                                     const grid::simd::CarrierKernels& kernels) {
+  EFD_PROF_SCOPE("plc.pberr");
+  EFD_PROF_SCOPE(kernels.name);  // nests under plc.pberr
+  assert(lut_rows.size() == actual_snr_db.size() &&
+         bits.size() == actual_snr_db.size());
   double weighted_ber = 0.0;
   double total_bits = 0.0;
-  kernels.ber_weighted_sum_n(ber_lut_view(), lut_rows_.data(), bits_.data(),
+  kernels.ber_weighted_sum_n(ber_lut_view(), lut_rows.data(), bits.data(),
                              actual_snr_db.data(), kCodingGainDb,
                              actual_snr_db.size(), &weighted_ber, &total_bits);
   if (total_bits == 0.0) return 1.0;  // nothing loaded: undecodable

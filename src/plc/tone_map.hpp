@@ -25,10 +25,12 @@ class ToneMap {
                           const PhyParams& phy, double expected_pberr,
                           std::uint32_t id);
 
-  /// Build from an explicit per-carrier assignment (used by the estimator's
-  /// rate clamping, which demotes individual carriers).
-  static ToneMap from_carriers(std::vector<Modulation> carriers, const PhyParams& phy,
-                               double expected_pberr, std::uint32_t id);
+  /// Rebuild in place from an explicit per-carrier assignment, reusing this
+  /// map's buffers: the estimator writes each retune's winning bit loading
+  /// (and its rate clamp's demotions) into the slot's existing map, so a
+  /// rebuild at the same carrier count allocates nothing.
+  void assign_carriers(std::span<const Modulation> carriers, const PhyParams& phy,
+                       double expected_pberr, std::uint32_t id);
 
   /// The default/ROBO tone map used for sound frames and broadcast (§2.1).
   static ToneMap robo(const PhyParams& phy, const RoboMode& robo = {});
@@ -62,6 +64,16 @@ class ToneMap {
       std::span<const double> actual_snr_db, const PhyParams& phy,
       const grid::simd::CarrierKernels& kernels) const;
 
+  /// The structure-of-arrays form every non-ROBO map is scored by (the
+  /// member forms delegate here): per carrier, the BER-LUT row offset
+  /// (modulation * row length) and the bit weight. Lets the estimator's
+  /// margin ladder score a candidate bit loading without building a
+  /// ToneMap for it.
+  [[nodiscard]] static double pb_error_probability(
+      std::span<const std::int32_t> lut_rows, std::span<const double> bits,
+      std::span<const double> actual_snr_db,
+      const grid::simd::CarrierKernels& kernels);
+
  private:
   std::vector<Modulation> carriers_;
   // Structure-of-arrays mirrors of carriers_, rebuilt by recompute(): the
@@ -81,6 +93,7 @@ class ToneMap {
   double phy_rate_mbps_ = 0.0;
   double ble_mbps_ = 0.0;
 
+  void set_header(const PhyParams& phy, double expected_pberr, std::uint32_t id);
   void recompute();
 };
 

@@ -2,7 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <ostream>
+#include <span>
+#include <vector>
+
 #include "src/grid/appliance.hpp"
+#include "src/grid/simd.hpp"
+#include "tests/alloc_count.hpp"
+
+namespace efd::grid::simd {
+
+// Name the kernel entry in parameterized test output.
+void PrintTo(const CarrierKernels* k, std::ostream* os) { *os << k->name; }
+
+}  // namespace efd::grid::simd
 
 namespace efd::plc {
 namespace {
@@ -185,6 +201,123 @@ TEST_F(EstimatorFixture, BleSlotAccessorMatchesSet) {
   for (int s = 0; s < channel.phy().tone_map_slots; ++s) sum += est.ble_mbps(s);
   EXPECT_NEAR(est.average_ble_mbps(), sum / channel.phy().tone_map_slots, 1e-9);
 }
+
+/// Drives one retune with tone maps already present and the ladder at
+/// depth > 0, through the public expiry path, and returns the heap
+/// allocations it made. `pbs_per_frame` <= 1 engages the single-PB clamp.
+std::uint64_t warm_retune_allocations(ChannelEstimator& est, const PlcChannel& ch,
+                                      int pbs_per_frame, sim::Time start) {
+  est.on_sound_frame(start);
+  sim::Time now = start;
+  for (int i = 0; i < 2000; ++i) {
+    now += sim::milliseconds(10);
+    est.on_frame_received(ch.slot_at(now), pbs_per_frame, 0, 1, now);
+  }
+  // Past 1,200 PB samples the default uncertainty (12 dB / sqrt(1 + n/400))
+  // is below 6 dB, so the ladder's depth is positive: four distinct rungs.
+  EXPECT_GT(est.pb_samples(), 1200u);
+  EXPECT_TRUE(est.has_tone_maps());
+  const sim::Time expired = now + ChannelEstimator::Config{}.expiry;
+  // Fill the channel's SNR cache for the retune instant up front: a cache
+  // miss belongs to the channel, not to the retune.
+  for (int s = 0; s < ch.phy().tone_map_slots; ++s) {
+    (void)ch.static_snr_db(0, 1, s, expired);
+  }
+  const auto updates = est.update_count();
+  const testsupport::AllocationWindow window;
+  est.maybe_expire(expired);
+  const std::uint64_t allocations = window.count();
+  EXPECT_EQ(est.update_count(), updates + 1);
+  return allocations;
+}
+
+TEST_F(EstimatorFixture, WarmRetuneIsAllocationFree) {
+  auto est = make();
+  EXPECT_EQ(warm_retune_allocations(est, channel, 60, t0()), 0u);
+}
+
+TEST_F(EstimatorFixture, WarmClampedRetuneIsAllocationFree) {
+  auto est = make();
+  EXPECT_EQ(warm_retune_allocations(est, channel, 1, t0()), 0u);
+  // The clamp did engage, so its in-place demotion was part of the count.
+  EXPECT_NEAR(est.average_ble_mbps(),
+              channel.phy().single_pb_symbol_rate_mbps(), 4.0);
+}
+
+/// The candidate-map ladder run_margin_ladder replaced, kept as its oracle:
+/// a full ToneMap per rung (repeated rungs included), the winner's
+/// carriers copied into the result.
+ToneMap candidate_map_ladder(std::span<const double> measured,
+                             std::span<const double> true_snr, double margin,
+                             double depth, const PhyParams& phy, std::uint32_t id,
+                             const grid::simd::CarrierKernels& kernels) {
+  ToneMap best;
+  double best_score = -1.0;
+  double best_expected = 0.0;
+  for (double m : {margin, margin - 1.5 * depth, margin - 3.0 * depth,
+                   margin - 4.5 * depth}) {
+    ToneMap candidate = ToneMap::from_snr(measured, m, phy, 0.0, id);
+    const double expected =
+        std::min(candidate.pb_error_probability(true_snr, phy, kernels), 0.45);
+    const double score = candidate.phy_rate_mbps() * (1.0 - expected);
+    if (score > best_score) {
+      best_score = score;
+      best_expected = expected;
+      best = std::move(candidate);
+    }
+  }
+  ToneMap out;
+  out.assign_carriers(best.carriers(), phy, best_expected, id);
+  return out;
+}
+
+class LadderEquivalence
+    : public ::testing::TestWithParam<const grid::simd::CarrierKernels*> {};
+
+TEST_P(LadderEquivalence, MatchesCandidateMapOracleBitForBit) {
+  const grid::simd::CarrierKernels& k = *GetParam();
+  sim::Rng rng{0x1add3u};
+  // One output map across all trials: exercises the in-place rebuild over
+  // a previous map's buffers, including a change of carrier count.
+  ToneMap fast;
+  for (const PhyParams& phy : {PhyParams::hpav(), PhyParams::hpav500()}) {
+    const auto n = static_cast<std::size_t>(phy.band.n_carriers);
+    std::vector<double> true_snr(n);
+    std::vector<double> measured(n);
+    for (int trial = 0; trial < 40; ++trial) {
+      // A frequency-selective channel spanning every threshold, measured
+      // through per-carrier estimation noise of varying strength.
+      const double level = rng.uniform(-5.0, 40.0);
+      const double ripple = rng.uniform(0.0, 20.0);
+      const double sigma = rng.uniform(0.0, 4.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        true_snr[i] = level + ripple * rng.uniform(-1.0, 1.0);
+        measured[i] = true_snr[i] + rng.normal(0.0, sigma + 1e-9);
+      }
+      const double margin = rng.uniform(-2.0, 14.0);
+      for (double depth : {0.0, 0.5, 1.0}) {
+        const auto id = static_cast<std::uint32_t>(trial + 1);
+        const ToneMap oracle = candidate_map_ladder(measured, true_snr, margin,
+                                                    depth, phy, id, k);
+        ChannelEstimator::run_margin_ladder(measured, true_snr, margin, depth,
+                                            phy, id, k, fast);
+        ASSERT_EQ(fast.carriers(), oracle.carriers())
+            << k.name << " trial " << trial << " depth " << depth;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.expected_pberr()),
+                  std::bit_cast<std::uint64_t>(oracle.expected_pberr()))
+            << k.name << " trial " << trial << " depth " << depth;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.ble_mbps()),
+                  std::bit_cast<std::uint64_t>(oracle.ble_mbps()))
+            << k.name << " trial " << trial << " depth " << depth;
+        EXPECT_EQ(fast.id(), oracle.id());
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllImpls, LadderEquivalence,
+                         ::testing::ValuesIn(grid::simd::available_kernels().begin(),
+                                             grid::simd::available_kernels().end()));
 
 class ProbeRateSweep : public ::testing::TestWithParam<int> {};
 

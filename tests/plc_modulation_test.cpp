@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <limits>
+
 namespace efd::plc {
 namespace {
 
@@ -42,6 +46,53 @@ TEST(Modulation, PickBelowBpskIsOff) {
 
 TEST(Modulation, PickVeryHighSnrIsMaxConstellation) {
   EXPECT_EQ(pick_modulation(60.0), Modulation::kQam1024);
+}
+
+/// The top-down search pick_modulation replaced, kept as its oracle: the
+/// largest constellation whose threshold is met, else kOff.
+Modulation pick_top_down(double snr_db) {
+  static constexpr Modulation kTopDown[] = {
+      Modulation::kQam1024, Modulation::kQam256, Modulation::kQam64,
+      Modulation::kQam16,   Modulation::kQam8,   Modulation::kQpsk,
+      Modulation::kBpsk,
+  };
+  for (Modulation m : kTopDown) {
+    if (snr_db >= required_snr_db(m)) return m;
+  }
+  return Modulation::kOff;
+}
+
+TEST(Modulation, PickMatchesTopDownAtEveryThresholdEdge) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 1; i < std::size(kLadder); ++i) {
+    const double t = required_snr_db(kLadder[i]);
+    for (double snr : {std::nextafter(t, -kInf), t, std::nextafter(t, kInf)}) {
+      EXPECT_EQ(pick_modulation(snr), pick_top_down(snr))
+          << to_string(kLadder[i]) << " edge, snr " << snr;
+    }
+  }
+}
+
+TEST(Modulation, PickMatchesTopDownAtSpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double snr : {0.0, -0.0, kInf, -kInf}) {
+    EXPECT_EQ(pick_modulation(snr), pick_top_down(snr)) << snr;
+  }
+  EXPECT_EQ(pick_modulation(kInf), Modulation::kQam1024);
+  EXPECT_EQ(pick_modulation(-kInf), Modulation::kOff);
+  EXPECT_EQ(pick_modulation(std::numeric_limits<double>::quiet_NaN()),
+            Modulation::kOff);
+  EXPECT_EQ(pick_top_down(std::numeric_limits<double>::quiet_NaN()),
+            Modulation::kOff);
+}
+
+TEST(Modulation, PickMatchesTopDownOnDenseSweep) {
+  // 0.001 dB steps over [-100, 100] dB, computed from an integer index so
+  // the grid does not drift.
+  for (int k = -100000; k <= 100000; ++k) {
+    const double snr = k * 1e-3;
+    ASSERT_EQ(pick_modulation(snr), pick_top_down(snr)) << snr << " dB";
+  }
 }
 
 class PickSweep : public ::testing::TestWithParam<double> {};

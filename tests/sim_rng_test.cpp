@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/sim/stats.hpp"
 
 namespace efd::sim {
@@ -114,6 +116,74 @@ TEST(Rng, LognormalLinearMean) {
   RunningStats s;
   for (int i = 0; i < 50000; ++i) s.add(rng.lognormal(5.0, 0.3));
   EXPECT_NEAR(s.mean(), 5.0, 0.15);
+}
+
+// Golden streams: the first 8 draws of every transform from Rng{1}, as
+// exact hexfloat literals. Simulation digests depend on these streams, and
+// the distributions come from the standard library, so a toolchain whose
+// <random> draws differently must fail here first, naming the transform,
+// instead of surfacing as an unexplained digest change.
+
+template <typename T, typename Draw>
+void expect_stream(const char* transform, const T (&golden)[8], Draw draw) {
+  Rng rng{1};
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(draw(rng), golden[i]) << transform << " draw " << i;
+  }
+}
+
+TEST(RngGolden, Uniform) {
+  const double golden[8] = {
+      0x1.109f48cd2b63p-1,  0x1.c90fc93c4f5b8p-1, 0x1.c7ef13b35fb6cp-1,
+      0x1.1c52c9ecabc72p-1, 0x1.c64ce0ae628a4p-4, 0x1.d82229379b391p-3,
+      0x1.9a6427fea10f8p-2, 0x1.62045e69f8502p-1};
+  expect_stream("uniform", golden, [](Rng& r) { return r.uniform(); });
+}
+
+TEST(RngGolden, UniformAb) {
+  const double golden[8] = {
+      0x1.427d2334ad8cp+0,   0x1.090fc93c4f5b8p+2,  0x1.07ef13b35fb6cp+2,
+      0x1.714b27b2af1c8p+0,  -0x1.0e6cc7d4675d7p+1, -0x1.27ddd6c864c6fp+0,
+      0x1.a6427fea10f8p-3,   0x1.4408bcd3f0a04p+1};
+  expect_stream("uniform(a,b)", golden,
+                [](Rng& r) { return r.uniform(-3.0, 5.0); });
+}
+
+TEST(RngGolden, UniformInt) {
+  const std::int64_t golden[8] = {532, 893, 891, 555, 111, 230, 401, 692};
+  expect_stream("uniform_int", golden,
+                [](Rng& r) { return r.uniform_int(0, 1000); });
+}
+
+TEST(RngGolden, Normal) {
+  const double golden[8] = {
+      0x1.7e40f455e7438p+3, 0x1.48bebbd30e012p+3, 0x1.2eec66bb7369bp+3,
+      0x1.a83845a351594p+3, 0x1.1e0addef6c22cp+3, 0x1.62a8b9a4dd398p+3,
+      0x1.766bff38405c7p+3, 0x1.836d5eedadf6dp+3};
+  expect_stream("normal", golden, [](Rng& r) { return r.normal(10.0, 2.0); });
+}
+
+TEST(RngGolden, Exponential) {
+  const double golden[8] = {
+      0x1.8543a0d28128fp+1, 0x1.1db5e2f939e3p+3,  0x1.1b1c09e6f1df1p+3,
+      0x1.9eec89df74febp+1, 0x1.e186fa4e9e7a4p-2, 0x1.0c5908df998b9p+0,
+      0x1.0633d780242a7p+1, 0x1.2d03b188cdd75p+2};
+  expect_stream("exponential_mean", golden,
+                [](Rng& r) { return r.exponential_mean(4.0); });
+}
+
+TEST(RngGolden, Bernoulli) {
+  const bool golden[8] = {false, false, false, false, true, true, false, false};
+  expect_stream("bernoulli", golden, [](Rng& r) { return r.bernoulli(0.3); });
+}
+
+TEST(RngGolden, Lognormal) {
+  const double golden[8] = {
+      0x1.9994ce295c48dp+2, 0x1.3eb85b84dd284p+2, 0x1.1a62cb68c02cep+2,
+      0x1.f29f9fd4fe018p+2, 0x1.04e6eb7ad0a66p+2, 0x1.67e2a4d28fe62p+2,
+      0x1.8ad143b382cdfp+2, 0x1.a3a2a6b82c91ep+2};
+  expect_stream("lognormal", golden,
+                [](Rng& r) { return r.lognormal(5.0, 0.3); });
 }
 
 /// Pearson chi-squared statistic of the joint distribution of interleaved
