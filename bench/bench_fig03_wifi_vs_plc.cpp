@@ -1,13 +1,8 @@
 // Fig. 3 + §4.1: WiFi vs PLC for all station pairs — mean and standard
 // deviation of back-to-back saturated throughput, connectivity, and the
 // performance/variability ratios vs floor distance.
-//
-// Sweep modes (EFD_BENCH_THREADS): unset -> legacy back-to-back sweep on one
-// shared testbed (byte-identical to the historical output); n >= 1 -> each
-// pair measured on its own per-task testbed via ParallelRunner, output
-// identical for every worker count.
-#include "src/testbed/parallel_runner.hpp"
-
+// Pairs are measured back to back in simulated time, each on its own
+// testbed (bench::sweep).
 #include "bench_util.hpp"
 
 using namespace efd;
@@ -21,8 +16,7 @@ struct PairResult {
   testbed::ThroughputResult wifi;
 };
 
-PairResult measure_pair(testbed::Testbed& tb, int a, int b) {
-  const auto duration = sim::seconds(8.0 * bench::duration_scale());
+PairResult measure_pair(testbed::Testbed& tb, int a, int b, sim::Time duration) {
   PairResult r;
   r.a = a;
   r.b = b;
@@ -47,38 +41,31 @@ int main() {
 
   // Bench phases nest under the reporter's root "bench" scope; the folded
   // tree in BENCH_fig03.json then attributes the run to setup/sweep/report.
-  sim::Simulator sim;
   testbed::Testbed::Config cfg;
   cfg.with_hpav500 = false;
+  sim::Simulator topology_sim;
   std::unique_ptr<testbed::Testbed> tb;
   {
     EFD_PROF_SCOPE("phase.setup");
-    tb = std::make_unique<testbed::Testbed>(sim, cfg);
-    sim.run_until(testbed::weekday_afternoon());
+    tb = std::make_unique<testbed::Testbed>(topology_sim, cfg);
   }
 
+  const auto pairs = tb->all_pairs();
+  const auto duration = sim::seconds(8.0 * bench::duration_scale());
+  // One WiFi measurement per pair, preceded by a PLC one where both
+  // stations share a PLC network.
+  std::vector<sim::Time> spans;
+  for (const auto& [a, b] : pairs) {
+    spans.push_back(testbed::measurement_span(duration) *
+                    (tb->same_plc_network(a, b) ? 2 : 1));
+  }
   std::vector<PairResult> results;
   {
     EFD_PROF_SCOPE("phase.sweep");
-    const int threads = testbed::ParallelRunner::env_threads();
-    if (threads == 0) {
-      for (const auto& [a, b] : tb->all_pairs()) {
-        results.push_back(measure_pair(*tb, a, b));
-      }
-    } else {
-      std::printf("sweep: per-pair testbeds on %d worker(s)\n", threads);
-      const auto pairs = tb->all_pairs();
-      const testbed::ParallelRunner pool(threads);
-      results = pool.map_with_sim<PairResult>(
-          static_cast<int>(pairs.size()),
-          [&pairs, &cfg](int i, sim::Simulator& task_sim) {
-            testbed::Testbed task_tb(task_sim, cfg);
-            task_sim.run_until(testbed::weekday_afternoon());
-            return measure_pair(task_tb,
-                                pairs[static_cast<std::size_t>(i)].first,
-                                pairs[static_cast<std::size_t>(i)].second);
-          });
-    }
+    results = bench::sweep<PairResult>(
+        "pair", cfg, spans, [&](testbed::Testbed& task_tb, std::size_t i) {
+          return measure_pair(task_tb, pairs[i].first, pairs[i].second, duration);
+        });
   }
 
   EFD_PROF_SCOPE("phase.report");

@@ -1,11 +1,8 @@
 // Fig. 6 + §5: throughput asymmetry of PLC links — both directions of every
 // link, the most asymmetric pairs, and the fraction of pairs above 1.5x.
-//
-// Sweep modes (EFD_BENCH_THREADS): unset -> legacy sweep on one shared
-// testbed; n >= 1 -> per-pair testbeds fanned out via ParallelRunner.
+// Pairs are measured back to back in simulated time, each on its own
+// testbed (bench::sweep).
 #include <algorithm>
-
-#include "src/testbed/parallel_runner.hpp"
 
 #include "bench_util.hpp"
 
@@ -22,12 +19,12 @@ struct PairResult {
   }
 };
 
-PairResult measure_pair(testbed::Testbed& tb, int a, int b) {
+PairResult measure_pair(testbed::Testbed& tb, int a, int b, sim::Time duration) {
   bench::warm_link(tb, a, b);
   bench::warm_link(tb, b, a);
   PairResult r{a, b, 0, 0};
-  r.fwd = testbed::measure_plc_throughput(tb, a, b, sim::seconds(8)).mean_mbps;
-  r.rev = testbed::measure_plc_throughput(tb, b, a, sim::seconds(8)).mean_mbps;
+  r.fwd = testbed::measure_plc_throughput(tb, a, b, duration).mean_mbps;
+  r.rev = testbed::measure_plc_throughput(tb, b, a, duration).mean_mbps;
   return r;
 }
 
@@ -39,34 +36,23 @@ int main() {
                 "direction is <60% of the other");
   bench::JsonReporter json("fig06");
 
-  sim::Simulator sim;
   testbed::Testbed::Config cfg;
   cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
-  sim.run_until(testbed::weekday_afternoon());
-
   std::vector<std::pair<int, int>> links;
-  for (const auto& [a, b] : tb.plc_links()) {
+  sim::Simulator topology_sim;
+  for (const auto& [a, b] : testbed::Testbed(topology_sim, cfg).plc_links()) {
     if (a > b) continue;  // one entry per undirected pair
     links.emplace_back(a, b);
   }
 
-  std::vector<PairResult> measured;
-  const int threads = testbed::ParallelRunner::env_threads();
-  if (threads == 0) {
-    for (const auto& [a, b] : links) measured.push_back(measure_pair(tb, a, b));
-  } else {
-    std::printf("sweep: per-pair testbeds on %d worker(s)\n", threads);
-    const testbed::ParallelRunner pool(threads);
-    measured = pool.map_with_sim<PairResult>(
-        static_cast<int>(links.size()),
-        [&links, &cfg](int i, sim::Simulator& task_sim) {
-          testbed::Testbed task_tb(task_sim, cfg);
-          task_sim.run_until(testbed::weekday_afternoon());
-          return measure_pair(task_tb, links[static_cast<std::size_t>(i)].first,
-                              links[static_cast<std::size_t>(i)].second);
-        });
-  }
+  const auto duration = sim::seconds(8.0 * bench::duration_scale());
+  // Two measurements per pair: forward, then reverse.
+  const std::vector<sim::Time> spans(
+      links.size(), testbed::measurement_span(duration) * 2);
+  const auto measured = bench::sweep<PairResult>(
+      "pair", cfg, spans, [&](testbed::Testbed& tb, std::size_t i) {
+        return measure_pair(tb, links[i].first, links[i].second, duration);
+      });
 
   std::vector<PairResult> pairs;
   for (const auto& r : measured) {

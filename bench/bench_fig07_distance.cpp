@@ -1,10 +1,7 @@
 // Fig. 7 + §5: saturated throughput vs cable distance for every link, with
 // both HomePlug AV and HPAV500; plus PBerr vs throughput (right panel).
-//
-// Sweep modes (EFD_BENCH_THREADS): unset -> legacy sweep on one shared
-// testbed; n >= 1 -> per-link testbeds fanned out via ParallelRunner.
-#include "src/testbed/parallel_runner.hpp"
-
+// Links are measured back to back in simulated time, each on its own
+// testbed (bench::sweep).
 #include "bench_util.hpp"
 
 using namespace efd;
@@ -18,15 +15,15 @@ struct Row {
   double pberr_av = 0.0;
 };
 
-Row measure_link(testbed::Testbed& tb, int a, int b) {
+Row measure_link(testbed::Testbed& tb, int a, int b, sim::Time duration) {
   Row r{a, b, tb.plc_channel().cable_distance(a, b), 0, 0, 0};
   bench::warm_link(tb, a, b, testbed::PlcGeneration::kHpav);
-  r.t_av = testbed::measure_plc_throughput(tb, a, b, sim::seconds(8),
+  r.t_av = testbed::measure_plc_throughput(tb, a, b, duration,
                                            testbed::PlcGeneration::kHpav)
                .mean_mbps;
   r.pberr_av = tb.plc_network_of(b).mm_pberr(a, b);
   bench::warm_link(tb, a, b, testbed::PlcGeneration::kHpav500);
-  r.t_av500 = testbed::measure_plc_throughput(tb, a, b, sim::seconds(8),
+  r.t_av500 = testbed::measure_plc_throughput(tb, a, b, duration,
                                               testbed::PlcGeneration::kHpav500)
                   .mean_mbps;
   return r;
@@ -41,28 +38,17 @@ int main() {
                 "(with severe asymmetry); PBerr decreases as throughput rises");
   bench::JsonReporter json("fig07");
 
-  sim::Simulator sim;
-  testbed::Testbed tb(sim);  // both generations
-  sim.run_until(testbed::weekday_afternoon());
-
-  std::vector<Row> rows;
-  const int threads = testbed::ParallelRunner::env_threads();
-  if (threads == 0) {
-    for (const auto& [a, b] : tb.plc_links()) {
-      rows.push_back(measure_link(tb, a, b));
-    }
-  } else {
-    std::printf("sweep: per-link testbeds on %d worker(s)\n", threads);
-    const auto links = tb.plc_links();
-    const testbed::ParallelRunner pool(threads);
-    rows = pool.map_with_sim<Row>(
-        static_cast<int>(links.size()), [&links](int i, sim::Simulator& task_sim) {
-          testbed::Testbed task_tb(task_sim);  // both generations
-          task_sim.run_until(testbed::weekday_afternoon());
-          return measure_link(task_tb, links[static_cast<std::size_t>(i)].first,
-                              links[static_cast<std::size_t>(i)].second);
-        });
-  }
+  const testbed::Testbed::Config cfg{};  // both generations
+  sim::Simulator topology_sim;
+  const auto links = testbed::Testbed(topology_sim, cfg).plc_links();
+  const auto duration = sim::seconds(8.0 * bench::duration_scale());
+  // Two measurements per link: AV, then AV500.
+  const std::vector<sim::Time> spans(
+      links.size(), testbed::measurement_span(duration) * 2);
+  const auto rows = bench::sweep<Row>(
+      "link", cfg, spans, [&](testbed::Testbed& tb, std::size_t i) {
+        return measure_link(tb, links[i].first, links[i].second, duration);
+      });
 
   bench::section("throughput vs cable distance (bucket means and ranges)");
   std::printf("%-12s %8s %16s %8s %18s\n", "cable dist", "T_AV", "range_AV",

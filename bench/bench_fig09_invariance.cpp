@@ -2,12 +2,9 @@
 // captured frames of saturated traffic, showing the 10 ms periodicity of
 // the tone-map slots over the AC half cycle.
 //
-// Sweep modes (EFD_BENCH_THREADS): unset -> legacy sequential captures on
-// one shared testbed; n >= 1 -> per-link testbeds fanned out via
-// ParallelRunner. Capture and printing are separate stages so parallel
-// tasks never interleave output.
-#include "src/testbed/parallel_runner.hpp"
-
+// The links are captured back to back in simulated time, each on its own
+// testbed (bench::sweep). Capture and printing are separate stages so
+// parallel tasks never interleave output.
 #include "bench_util.hpp"
 
 using namespace efd;
@@ -25,12 +22,14 @@ struct CaptureResult {
   bool empty = true;
 };
 
+constexpr sim::Time kCaptureDuration = sim::seconds(2);
+
 CaptureResult capture_link(testbed::Testbed& tb, int a, int b) {
   auto& medium = tb.plc_network_of(a).medium();
   core::SofCapture capture(medium);
   capture.filter(a, b);
   bench::warm_link(tb, a, b);
-  (void)testbed::measure_plc_throughput(tb, a, b, sim::seconds(2));
+  (void)testbed::measure_plc_throughput(tb, a, b, kCaptureDuration);
 
   CaptureResult out;
   const auto& records = capture.records();
@@ -85,11 +84,8 @@ int main() {
                 "slot-to-slot differences on both good and average links");
   bench::JsonReporter json("fig09");
 
-  sim::Simulator sim;
   testbed::Testbed::Config cfg;
   cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
-  sim.run_until(testbed::weekday_afternoon());
 
   struct Link {
     int a, b;
@@ -98,22 +94,12 @@ int main() {
   const Link links[] = {{5, 6, "average link (paper: link 6-1)"},
                         {11, 10, "good link (paper: link 0-2)"}};
 
-  std::vector<CaptureResult> captures;
-  const int threads = testbed::ParallelRunner::env_threads();
-  if (threads == 0) {
-    for (const auto& l : links) captures.push_back(capture_link(tb, l.a, l.b));
-  } else {
-    std::printf("sweep: per-link testbeds on %d worker(s)\n", threads);
-    const testbed::ParallelRunner pool(threads);
-    captures = pool.map_with_sim<CaptureResult>(
-        static_cast<int>(std::size(links)),
-        [&links, &cfg](int i, sim::Simulator& task_sim) {
-          testbed::Testbed task_tb(task_sim, cfg);
-          task_sim.run_until(testbed::weekday_afternoon());
-          const Link& l = links[static_cast<std::size_t>(i)];
-          return capture_link(task_tb, l.a, l.b);
-        });
-  }
+  const std::vector<sim::Time> spans(
+      std::size(links), testbed::measurement_span(kCaptureDuration));
+  const auto captures = bench::sweep<CaptureResult>(
+      "link", cfg, spans, [&links](testbed::Testbed& tb, std::size_t i) {
+        return capture_link(tb, links[i].a, links[i].b);
+      });
 
   for (std::size_t i = 0; i < std::size(links); ++i) {
     const double swing = print_capture(captures[i], links[i].label);

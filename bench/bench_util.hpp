@@ -5,6 +5,7 @@
 // corresponding paper table or figure plus the reference shape to compare
 // against. See DESIGN.md §4 for the experiment index.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +24,7 @@
 #include "src/obs/obs.hpp"
 #include "src/sim/stats.hpp"
 #include "src/testbed/experiment.hpp"
+#include "src/testbed/parallel_runner.hpp"
 
 namespace efd::bench {
 
@@ -148,6 +150,36 @@ inline void header(const char* figure, const char* title, const char* paper_shap
 
 inline void section(const std::string& name) {
   std::printf("\n-- %s --\n", name.c_str());
+}
+
+/// The figure benches' one sweep path. Item `i` is measured by
+/// `measure(tb, i)` on its own Testbed built from `cfg` on the worker's
+/// reused Simulator, fanned out over EFD_BENCH_THREADS workers (unset:
+/// hardware concurrency). Before measuring, item `i`'s testbed runs to
+/// weekday_afternoon() plus the simulated time `spans` gives items
+/// [0, i) — where a back-to-back campaign on one testbed reaches it — so
+/// each item sees its own grid state while its result stays a pure
+/// function of `i`, and stdout is identical for every worker count.
+template <typename R, typename Measure>
+std::vector<R> sweep(const char* item, const testbed::Testbed::Config& cfg,
+                     const std::vector<sim::Time>& spans, const Measure& measure) {
+  std::vector<sim::Time> starts;
+  starts.reserve(spans.size());
+  sim::Time t = testbed::weekday_afternoon();
+  for (const sim::Time span : spans) {
+    starts.push_back(t);
+    t = t + span;
+  }
+  const testbed::ParallelRunner pool(testbed::ParallelRunner::env_threads());
+  const int n = static_cast<int>(spans.size());
+  std::fprintf(stderr, "sweep: per-%s testbeds on %d worker(s)\n", item,
+               std::min(pool.thread_count(), n));
+  return pool.map_with_sim<R>(n, [&](int i, sim::Simulator& sim) {
+    const auto item_index = static_cast<std::size_t>(i);
+    testbed::Testbed tb(sim, cfg);
+    sim.run_until(starts[item_index]);
+    return measure(tb, item_index);
+  });
 }
 
 /// Drive a ChannelEstimator for a link with emulated saturated traffic

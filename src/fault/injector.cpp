@@ -39,13 +39,11 @@ void FaultInjector::fire(const FaultSpec& spec, FaultPhase phase) {
     ++applied_;
     if (spec.duration > sim::Time{}) ++active_;
     EFD_COUNTER_INC("fault.injector.applied");
-    EFD_TRACE_EVENT("fault", "apply");
     if (hooks.apply) hooks.apply(spec, sim_.now());
   } else {
     ++cleared_;
     --active_;
     EFD_COUNTER_INC("fault.injector.cleared");
-    EFD_TRACE_EVENT("fault", "clear");
     if (hooks.clear) hooks.clear(spec, sim_.now());
   }
 }

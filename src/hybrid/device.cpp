@@ -211,12 +211,10 @@ void HybridDevice::on_member_state(std::size_t i, fault::HealthMonitor::State s,
     push_masked_capacities();
     salvage(i);
     EFD_COUNTER_INC("hybrid.failover.trips");
-    EFD_TRACE_EVENT("hybrid", "failover.trip");
   } else if (s == State::kClosed && !was_live) {
     live_[i] = 1;
     push_masked_capacities();
     EFD_COUNTER_INC("hybrid.failover.recoveries");
-    EFD_TRACE_EVENT("hybrid", "failover.recovery");
   }
   // Half-open keeps the member masked: probes may flow, traffic may not.
   if (fcfg_.on_transition) fcfg_.on_transition(static_cast<int>(i), s, t);

@@ -1,13 +1,17 @@
 #include "src/net/sources.hpp"
 
+#include <atomic>
 #include <cassert>
 
 namespace efd::net {
 
 namespace {
+// Atomic because the parallel sweeps emit packets from several threads at
+// once: a plain counter could hand one thread an id it had already used,
+// and PLC reassembly keyed by that id would then drop a packet.
 std::uint64_t next_packet_id() {
-  static std::uint64_t counter = 0;
-  return ++counter;
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 }  // namespace
 

@@ -10,7 +10,6 @@
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/profile.hpp"
-#include "src/obs/trace.hpp"
 
 #if EFD_OBS_ENABLED
 
@@ -40,14 +39,6 @@
     ::efd::obs::histogram_observe(efd_obs_hid, static_cast<double>(v)); \
   } while (0)
 
-/// Instant trace event. `cat`/`name` must be string literals.
-#define EFD_TRACE_EVENT(cat, name) \
-  ::efd::obs::EventTracer::instance().instant(cat, name)
-
-/// RAII span covering the rest of the enclosing scope.
-#define EFD_TRACE_SPAN(cat, name) \
-  ::efd::obs::ScopedSpan EFD_OBS_CONCAT(efd_obs_span_, __LINE__)(cat, name)
-
 /// Hierarchical profiler period covering the rest of the enclosing scope.
 /// `name` is a const char* that must outlive the process (string literal or
 /// the carrier dispatch table's static entry names); nesting builds the
@@ -68,12 +59,6 @@
   } while (0)
 #define EFD_HISTO_OBSERVE(name, v) \
   do {                             \
-  } while (0)
-#define EFD_TRACE_EVENT(cat, name) \
-  do {                             \
-  } while (0)
-#define EFD_TRACE_SPAN(cat, name) \
-  do {                            \
   } while (0)
 #define EFD_PROF_SCOPE(name) \
   do {                       \

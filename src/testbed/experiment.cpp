@@ -10,12 +10,16 @@ sim::Time weekday_afternoon() { return sim::days(1) + sim::hours(14); }
 
 sim::Time weekend_night() { return sim::days(5) + sim::hours(3); }
 
+sim::Time measurement_span(sim::Time duration) {
+  return duration + sim::milliseconds(100);
+}
+
 namespace {
 
 ThroughputResult measure(net::Interface& tx, net::Interface& rx,
                          sim::Simulator& sim, net::StationId src,
                          net::StationId dst, sim::Time duration) {
-  EFD_TRACE_SPAN("testbed", "measure_throughput");
+  EFD_PROF_SCOPE("testbed.measure_throughput");
   const auto wall_start = std::chrono::steady_clock::now();
   net::ThroughputMeter meter;
   rx.set_rx_handler(
@@ -36,7 +40,7 @@ ThroughputResult measure(net::Interface& tx, net::Interface& rx,
   // experiment does not contend with this one's tail.
   rx.set_rx_handler([](const net::Packet&, sim::Time) {});
   tx.clear_queue();
-  sim.run_until(sim.now() + sim::milliseconds(100));
+  sim.run_until(start + measurement_span(duration));
 
   // Wall-clock per simulated second: the hot-path health number every
   // scaling PR watches (lower is faster; ratio < 1 means faster than

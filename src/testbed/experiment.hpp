@@ -31,4 +31,8 @@ ThroughputResult measure_plc_throughput(Testbed& tb, net::StationId src,
 ThroughputResult measure_wifi_throughput(Testbed& tb, net::StationId src,
                                          net::StationId dst, sim::Time duration);
 
+/// Simulated time one measure_*_throughput call of `duration` advances the
+/// clock by: the measurement plus its drain period.
+[[nodiscard]] sim::Time measurement_span(sim::Time duration);
+
 }  // namespace efd::testbed

@@ -1,7 +1,7 @@
 #include "src/testbed/parallel_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -18,22 +18,19 @@ ParallelRunner::ParallelRunner(int n_threads) : n_threads_(n_threads) {
   }
 }
 
-void ParallelRunner::run(int n_tasks, const std::function<void(int)>& fn) const {
+namespace {
+
+/// The one worker loop. `workers` jthreads each own a default-constructed
+/// `State` for their lifetime and claim task indices from a shared counter
+/// in ascending order, so one worker runs the tasks serially in index
+/// order. A throwing task is recorded and the sweep goes on; the first
+/// exception is rethrown once every worker has drained.
+template <typename State, typename Task>
+void run_pool(int n_tasks, int n_threads, const Task& task) {
   if (n_tasks <= 0) return;
-  const int workers = std::min(n_threads_, n_tasks);
+  const int workers = std::min(n_threads, n_tasks);
   EFD_GAUGE_SET("testbed.workers", workers);
-  EFD_TRACE_SPAN("testbed", "parallel_run");
   EFD_PROF_SCOPE("testbed.parallel_run");
-  if (workers <= 1) {
-    // Serial fast path: same claim order, no thread machinery.
-    for (int i = 0; i < n_tasks; ++i) {
-      EFD_TRACE_SPAN("testbed", "task");
-      EFD_PROF_SCOPE("testbed.task");
-      fn(i);
-      EFD_COUNTER_INC("testbed.tasks_run");
-    }
-    return;
-  }
   std::atomic<int> next{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;
@@ -42,13 +39,13 @@ void ParallelRunner::run(int n_tasks, const std::function<void(int)>& fn) const 
     pool.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
       pool.emplace_back([&] {
+        State state;
         for (;;) {
           const int i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= n_tasks) return;
           try {
-            EFD_TRACE_SPAN("testbed", "task");
             EFD_PROF_SCOPE("testbed.task");
-            fn(i);
+            task(i, state);
             EFD_COUNTER_INC("testbed.tasks_run");
           } catch (...) {
             const std::scoped_lock lock(error_mutex);
@@ -59,6 +56,20 @@ void ParallelRunner::run(int n_tasks, const std::function<void(int)>& fn) const 
     }
   }  // jthreads join here
   if (first_error) std::rethrow_exception(first_error);
+}
+
+struct NoState {};
+
+/// Worker-lifetime engine and scenario storage, reset between tasks.
+struct SimState {
+  sim::Simulator sim;
+  core::Arena arena;
+};
+
+}  // namespace
+
+void ParallelRunner::run(int n_tasks, const std::function<void(int)>& fn) const {
+  run_pool<NoState>(n_tasks, n_threads_, [&fn](int i, NoState&) { fn(i); });
 }
 
 void ParallelRunner::run_with_sim(
@@ -71,61 +82,18 @@ void ParallelRunner::run_with_sim(
 void ParallelRunner::run_with_sim(
     int n_tasks,
     const std::function<void(int, sim::Simulator&, core::Arena&)>& fn) const {
-  if (n_tasks <= 0) return;
-  const int workers = std::min(n_threads_, n_tasks);
-  EFD_GAUGE_SET("testbed.workers", workers);
-  EFD_TRACE_SPAN("testbed", "parallel_run");
-  EFD_PROF_SCOPE("testbed.parallel_run");
-  if (workers <= 1) {
-    sim::Simulator sim;
-    core::Arena arena;
-    for (int i = 0; i < n_tasks; ++i) {
-      EFD_TRACE_SPAN("testbed", "task");
-      EFD_PROF_SCOPE("testbed.task");
-      sim.reset();
-      arena.reset();
-      fn(i, sim, arena);
-      EFD_COUNTER_INC("testbed.tasks_run");
-      EFD_COUNTER_INC("testbed.sim_reuses");
-    }
-    return;
-  }
-  std::atomic<int> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        sim::Simulator sim;  // worker-lifetime engine, reset between tasks
-        core::Arena arena;   // worker-lifetime scenario storage, ditto
-        for (;;) {
-          const int i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= n_tasks) return;
-          try {
-            EFD_TRACE_SPAN("testbed", "task");
-            EFD_PROF_SCOPE("testbed.task");
-            sim.reset();
-            arena.reset();
-            fn(i, sim, arena);
-            EFD_COUNTER_INC("testbed.tasks_run");
-            EFD_COUNTER_INC("testbed.sim_reuses");
-          } catch (...) {
-            const std::scoped_lock lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-          }
-        }
-      });
-    }
-  }  // jthreads join here
-  if (first_error) std::rethrow_exception(first_error);
+  run_pool<SimState>(n_tasks, n_threads_, [&fn](int i, SimState& s) {
+    s.sim.reset();
+    s.arena.reset();
+    fn(i, s.sim, s.arena);
+    EFD_COUNTER_INC("testbed.sim_reuses");
+  });
 }
 
 int ParallelRunner::env_threads() {
-  // 0 = "unset" (sequential legacy sweep); anything unparsable, empty,
-  // zero or negative degrades to the same. Absurd values clamp: a worker
-  // pool past 4096 threads is a typo, not a request.
+  // 0 = "unset" (hardware concurrency); anything unparsable, empty, zero
+  // or negative degrades to the same. Absurd values clamp: a worker pool
+  // past 4096 threads is a typo, not a request.
   return core::env_count("EFD_BENCH_THREADS", 0, 4096);
 }
 

@@ -29,8 +29,9 @@ class ParallelRunner {
 
   /// Run `fn(i)` for every `i` in [0, n_tasks). Tasks are claimed from an
   /// atomic counter, so scheduling is dynamic but results must not depend
-  /// on claim order (see the class contract). The first exception thrown
-  /// by a task is rethrown here after all workers drain.
+  /// on claim order (see the class contract). A throwing task does not stop
+  /// the sweep: every other task still runs, and the first exception caught
+  /// is rethrown here after all workers drain — at any worker count.
   void run(int n_tasks, const std::function<void(int)>& fn) const;
 
   /// Map variant: `results[i] = fn(i)`.
@@ -90,10 +91,9 @@ class ParallelRunner {
   }
 
   /// Worker count requested via the EFD_BENCH_THREADS environment variable;
-  /// 0 when unset or unparsable. The figure benches treat 0 as "legacy
-  /// shared-testbed sequential sweep" (byte-identical to the seed output)
-  /// and any n >= 1 as the per-task-testbed decomposition run on n workers
-  /// (whose output is identical for every n, per the class contract).
+  /// 0 when unset or unparsable, which the constructor resolves to the
+  /// hardware concurrency. Output is identical for every count, per the
+  /// class contract.
   [[nodiscard]] static int env_threads();
 
  private:

@@ -69,12 +69,8 @@ ProptestReport run_proptest(std::uint64_t seed, int n, const ProptestOptions& op
   report.n = n;
 
   ScenarioGen gen(seed);
-  const int threads =
-      opts.threads > 0 ? opts.threads
-                       : (testbed::ParallelRunner::env_threads() > 0
-                              ? testbed::ParallelRunner::env_threads()
-                              : 0);
-  testbed::ParallelRunner runner(threads);
+  testbed::ParallelRunner runner(
+      opts.threads > 0 ? opts.threads : testbed::ParallelRunner::env_threads());
   // Per-task storage discipline: the scenario's lists live on the worker's
   // arena (reset before every task), so after each worker has warmed up its
   // chunk the whole generate/check/teardown cycle is heap-free. The

@@ -23,8 +23,6 @@ TEST(ObsDisabledTest, MacrosAddZeroAllocations) {
     EFD_COUNTER_ADD("disabled.counter_add", i);
     EFD_GAUGE_SET("disabled.gauge", i * 0.5);
     EFD_HISTO_OBSERVE("disabled.histogram", i);
-    EFD_TRACE_EVENT("disabled", "event");
-    EFD_TRACE_SPAN("disabled", "span");
     EFD_PROF_SCOPE("disabled.prof");
   }
   EXPECT_EQ(window.count(), 0u);

@@ -41,6 +41,34 @@ TEST(ParallelRunner, TaskExceptionIsRethrown) {
                std::runtime_error);
 }
 
+TEST(ParallelRunner, ThrowingTaskIsRethrownAfterEveryOtherTaskRan) {
+  // Same contract at every worker count, including the 1-worker pool.
+  for (const int workers : {1, 4}) {
+    std::vector<std::atomic<int>> hits(16);
+    EXPECT_THROW(ParallelRunner(workers).run(16,
+                                             [&](int i) {
+                                               hits[static_cast<std::size_t>(i)]++;
+                                               if (i == 3) {
+                                                 throw std::runtime_error("boom");
+                                               }
+                                             }),
+                 std::runtime_error);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << workers << " worker(s)";
+
+    std::vector<std::atomic<int>> sim_hits(16);
+    EXPECT_THROW(ParallelRunner(workers).run_with_sim(
+                     16,
+                     [&](int i, sim::Simulator&) {
+                       sim_hits[static_cast<std::size_t>(i)]++;
+                       if (i == 3) throw std::runtime_error("boom");
+                     }),
+                 std::runtime_error);
+    for (const auto& h : sim_hits) {
+      EXPECT_EQ(h.load(), 1) << workers << " worker(s), run_with_sim";
+    }
+  }
+}
+
 TEST(ParallelRunner, DefaultThreadCountIsPositive) {
   EXPECT_GE(ParallelRunner().thread_count(), 1);
   EXPECT_EQ(ParallelRunner(5).thread_count(), 5);
