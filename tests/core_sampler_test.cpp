@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/grid/appliance.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/sim/fnv1a.hpp"
 #include "src/sim/stats.hpp"
 
 namespace efd::core {
@@ -83,6 +88,36 @@ TEST(LinkTraceSampler, NoisyLinkHasLowerBleAndMoreVariance) {
   EXPECT_LT(noisy.mean(), clean.mean());
   // Link quality and variability are negatively correlated (§6.2, §8.1).
   EXPECT_GT(noisy.stddev(), clean.stddev());
+}
+
+// Golden trace of the fig12-14 path: fig14's sampler config on the noisy
+// link, long enough that the estimator leaves its cold start (depth > 0 in
+// the margin ladder) and retunes on errors. Every sample's time and BLE bits
+// are folded into one FNV-1a digest, so any change to the estimator's draws,
+// bit loading or retune triggers fails here instead of only moving the
+// perfbench provenance digest.
+TEST(LinkTraceSampler, GoldenTraceDigest) {
+  LinkRig rig(true);
+  LinkTraceSampler::Config cfg;
+  cfg.step = sim::seconds(5);
+  cfg.pbs_per_step = 130000;
+  LinkTraceSampler sampler(*rig.channel, *rig.estimator, 0, 1, sim::Rng{0x14e},
+                           cfg);
+  const auto error_retunes = [] {
+    return obs::MetricsRegistry::instance().snapshot().counter(
+        "plc.est.error_retunes");
+  };
+  const std::uint64_t retunes_before = error_retunes();
+  const auto trace = sampler.run(noon(), noon() + sim::minutes(30));
+  sim::Fnv1a64 digest;
+  for (const BleSample& s : trace) {
+    digest.mix(s.t.ns());
+    digest.mix(std::bit_cast<std::uint64_t>(s.ble_mbps));
+  }
+  // uncertainty 12/sqrt(1 + n/400) dB falls below 6 dB past 1200 samples.
+  EXPECT_GT(rig.estimator->pb_samples(), 1200u);
+  EXPECT_GT(error_retunes() - retunes_before, 0u);
+  EXPECT_EQ(digest.h, 0x02cd6d95b3e3774eULL);
 }
 
 TEST(ProbeTraceSampler, ConvergesFasterAtHigherRates) {
