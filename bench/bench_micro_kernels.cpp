@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <queue>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -329,6 +330,34 @@ void BM_BuildSlotMapWarm(benchmark::State& state) {
   run_build_slot_map(state, 2000);
 }
 BENCHMARK(BM_BuildSlotMapWarm);
+
+/// One slot's estimation noise: 917 Gaussian draws in one Rng::normal_fill
+/// batch, as build_slot_map draws them.
+void BM_NormalFill(benchmark::State& state) {
+  sim::Rng rng{3};
+  std::vector<double> noise(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.normal_fill(noise, 0.0, 0.3);
+    benchmark::DoNotOptimize(noise.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_NormalFill)->Arg(917);
+
+/// Per-call reference for BM_NormalFill: the same values drawn one at a time
+/// through a fresh std::normal_distribution on std::mt19937_64.
+void BM_NormalPerCall(benchmark::State& state) {
+  std::mt19937_64 engine{3};
+  std::vector<double> noise(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (double& v : noise) v = std::normal_distribution<double>{0.0, 0.3}(engine);
+    benchmark::DoNotOptimize(noise.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_NormalPerCall)->Arg(917);
 
 // --- efd::obs overhead (DESIGN.md §8) -------------------------------------
 // The instrumentation's three cost tiers: enabled (relaxed RMW on a

@@ -62,16 +62,23 @@ double ChannelEstimator::current_uncertainty_db() const {
 void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
                                       std::uint32_t id, ToneMap& out) const {
   const PhyParams& phy = channel_.phy();
-  const auto& static_snr = channel_.static_snr_db(tx_, rx_, slot, now);
+  const std::vector<double>& static_snr = channel_.static_snr_db(tx_, rx_, slot, now);
+  const double uncertainty = current_uncertainty_db();
   std::vector<double>& snr = ladder_scratch().snr;
-  snr.assign(static_snr.begin(), static_snr.end());
+  snr.resize(static_snr.size());
   // The receiver's measurements include part of the instantaneous noise and
   // a per-carrier estimation error that shrinks with accumulated samples.
+  // The error is drawn for every carrier in one batch, then added to the
+  // offset SNR, carrier by carrier, in the order of the per-carrier loop.
   const double offset = channel_.fast_offset_db(rx_, now) * cfg_.offset_tracking;
-  const double sigma = 0.3 * current_uncertainty_db();
-  for (double& v : snr) {
-    v -= offset;
-    if (sigma > 0.0) v += rng_.normal(0.0, sigma);
+  const double sigma = 0.3 * uncertainty;
+  if (sigma > 0.0) {
+    rng_.normal_fill(snr, 0.0, sigma);
+    for (std::size_t i = 0; i < snr.size(); ++i) {
+      snr[i] = (static_snr[i] - offset) + snr[i];
+    }
+  } else {
+    for (std::size_t i = 0; i < snr.size(); ++i) snr[i] = static_snr[i] - offset;
   }
   // The bit loader maximizes *goodput*, rate * (1 - PBerr): on carriers
   // near a constellation threshold it can pay to load aggressively and
@@ -82,10 +89,8 @@ void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
   // Gambling below the safe margin requires *knowing* the channel: scale
   // the ladder's depth by confidence, so a freshly reset device starts
   // conservative and earns its aggressiveness with samples (Fig. 16).
-  const double depth =
-      std::clamp(1.0 - current_uncertainty_db() / 6.0, 0.0, 1.0);
-  const auto& true_snr = channel_.static_snr_db(tx_, rx_, slot, now);
-  run_margin_ladder(snr, true_snr, margin_db, depth, phy, id,
+  const double depth = std::clamp(1.0 - uncertainty / 6.0, 0.0, 1.0);
+  run_margin_ladder(snr, static_snr, margin_db, depth, phy, id,
                     grid::simd::active_kernels(), out);
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <random>
+#include <vector>
 
 #include "src/sim/stats.hpp"
 
@@ -184,6 +188,73 @@ TEST(RngGolden, Lognormal) {
       0x1.8ad143b382cdfp+2, 0x1.a3a2a6b82c91ep+2};
   expect_stream("lognormal", golden,
                 [](Rng& r) { return r.lognormal(5.0, 0.3); });
+}
+
+// Batch draws: the in-repo engine and Rng::normal_fill against the standard
+// library they must reproduce bit for bit.
+
+TEST(RngBatch, EngineMatchesStdMt19937_64) {
+  Mt19937_64 ours{0x5eedULL};
+  std::mt19937_64 ref{0x5eedULL};
+  for (std::size_t i = 0; i < 3 * Mt19937_64::kWords; ++i) {
+    ASSERT_EQ(ours(), ref()) << "output " << i;
+  }
+}
+
+TEST(RngBatch, EngineTenThousandthOutputIsTheStandards) {
+  // [rand.predef]: the 10000th consecutive output of a default-constructed
+  // mt19937_64 (seed 5489).
+  Mt19937_64 e{5489};
+  for (int i = 1; i < 10000; ++i) (void)e();
+  EXPECT_EQ(e(), 9981545732273789042ULL);
+}
+
+/// The test-only oracle: a std::mt19937_64 seeded as Rng{seed} seeds its
+/// engine (the splitmix64 finalizer of the seed).
+std::mt19937_64 oracle_engine(std::uint64_t seed) {
+  std::uint64_t x = seed + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return std::mt19937_64{x ^ (x >> 31)};
+}
+
+TEST(RngBatch, NormalFillMatchesPerCallStdNormalDistribution) {
+  const std::size_t lengths[] = {0,   1,   2,   155, 156,  157,
+                                 311, 312, 313, 917, 2232, 5000};
+  // Every uniform() consumes one engine word, so `offset` uniforms start the
+  // batch at that position in the first block. 311 leaves one word, so the
+  // first pair straddles the block boundary; the odd offsets hit that carry
+  // again at every later boundary.
+  const std::size_t offsets[] = {0, 1, 2, 311};
+  const double sds[] = {1e-9, 0.3, 2.0};
+  const double means[] = {0.0, 10.0};
+  std::uint64_t seed = 100;
+  for (const std::size_t n : lengths) {
+    for (const std::size_t offset : offsets) {
+      for (const double sd : sds) {
+        for (const double mean : means) {
+          SCOPED_TRACE(::testing::Message() << "n " << n << " offset " << offset
+                                            << " sd " << sd << " mean " << mean);
+          Rng rng{++seed};
+          std::mt19937_64 ref = oracle_engine(seed);
+          std::uniform_real_distribution<double> unit{0.0, 1.0};
+          for (std::size_t i = 0; i < offset; ++i) {
+            ASSERT_EQ(rng.uniform(), unit(ref));
+          }
+          std::vector<double> got(n);
+          rng.normal_fill(got, mean, sd);
+          for (std::size_t i = 0; i < n; ++i) {
+            const double want = std::normal_distribution<double>{mean, sd}(ref);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                      std::bit_cast<std::uint64_t>(want))
+                << "draw " << i << ": " << got[i] << " vs " << want;
+          }
+          // The engine advanced exactly as the per-call loop's did.
+          EXPECT_EQ(rng.uniform(), unit(ref));
+        }
+      }
+    }
+  }
 }
 
 /// Pearson chi-squared statistic of the joint distribution of interleaved
