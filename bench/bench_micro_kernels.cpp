@@ -331,22 +331,9 @@ void BM_BuildSlotMapWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildSlotMapWarm);
 
-/// One slot's estimation noise: 917 Gaussian draws in one Rng::normal_fill
-/// batch, as build_slot_map draws them.
-void BM_NormalFill(benchmark::State& state) {
-  sim::Rng rng{3};
-  std::vector<double> noise(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    rng.normal_fill(noise, 0.0, 0.3);
-    benchmark::DoNotOptimize(noise.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_NormalFill)->Arg(917);
-
-/// Per-call reference for BM_NormalFill: the same values drawn one at a time
-/// through a fresh std::normal_distribution on std::mt19937_64.
+/// Per-call reference for kernel/polar_normal/<impl>/917: the same values
+/// drawn one at a time through a fresh std::normal_distribution on
+/// std::mt19937_64.
 void BM_NormalPerCall(benchmark::State& state) {
   std::mt19937_64 engine{3};
   std::vector<double> noise(static_cast<std::size_t>(state.range(0)));
@@ -636,6 +623,29 @@ const bool kKernelBenchesRegistered = [] {
                                    7.0, n, &wb, &tb);
               benchmark::DoNotOptimize(wb);
               benchmark::DoNotOptimize(tb);
+            }
+          });
+      benchmark::RegisterBenchmark(
+          name("polar_normal").c_str(), [&k, out, n](benchmark::State& state) {
+            // One slot's estimation noise, as build_slot_map draws it.
+            sim::Rng draws{3};
+            for (auto _ : state) {
+              draws.normal_fill(*out, 0.0, 0.3, k.polar_block);
+              benchmark::DoNotOptimize(out->data());
+              benchmark::ClobberMemory();
+            }
+          });
+      auto levels = std::make_shared<std::vector<std::int32_t>>(n);
+      benchmark::RegisterBenchmark(
+          name("load_bits").c_str(),
+          [&k, db, levels, rows, bits, n](benchmark::State& state) {
+            // One ladder rung's bit loading.
+            const grid::simd::BitLoadingTable& table = plc::bit_loading_table();
+            for (auto _ : state) {
+              benchmark::DoNotOptimize(k.load_bits_n(table, db->data(), 3.0, n,
+                                                     levels->data(), rows->data(),
+                                                     bits->data()));
+              benchmark::ClobberMemory();
             }
           });
     }

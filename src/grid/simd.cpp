@@ -84,6 +84,33 @@ void s_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
   *total_bits = tb;
 }
 
+}  // namespace
+
+namespace detail {
+std::int64_t load_bits_scalar(const BitLoadingTable& t, const double* snr_db,
+                              double margin_db, std::size_t n,
+                              std::int32_t* level, std::int32_t* row_off,
+                              double* bits) {
+  static_assert(kBitLevels == 8, "one compare per non-off level");
+  const auto& r = t.required_db;
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double s = snr_db[i] - margin_db;
+    const std::int32_t met = (s >= r[1]) + (s >= r[2]) + (s >= r[3]) +
+                             (s >= r[4]) + (s >= r[5]) + (s >= r[6]) +
+                             (s >= r[7]);
+    const std::int32_t b = t.bits[static_cast<std::size_t>(met)];
+    level[i] = met;
+    row_off[i] = met * t.row_len;
+    bits[i] = static_cast<double>(b);
+    total += b;
+  }
+  return total;
+}
+}  // namespace detail
+
+namespace {
+
 constexpr CarrierKernels kScalar = {
     "scalar",
     &s_db_to_linear_n,
@@ -95,6 +122,8 @@ constexpr CarrierKernels kScalar = {
     &s_shift_n,
     &s_sum_db_to_linear_n,
     &s_ber_weighted_sum_n,
+    &sim::polar_block_scalar,
+    &detail::load_bits_scalar,
 };
 
 }  // namespace

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
+
+#include "src/sim/rng.hpp"
 
 namespace efd::grid::simd {
 
@@ -19,11 +22,23 @@ struct InterpTableView {
   double step_db = 1.0;
 };
 
+/// Bit-loading table of plc/modulation for `load_bits_n`, indexed by
+/// constellation level (0 is off): the SNR a level needs (dB, strictly
+/// increasing from level 1; level 0's entry never binds), the bits it
+/// carries per symbol, and the BER-LUT row length its row offset scales.
+inline constexpr std::size_t kBitLevels = 8;
+struct BitLoadingTable {
+  std::array<double, kBitLevels> required_db{};
+  std::array<std::int32_t, kBitLevels> bits{};
+  std::int32_t row_len = 0;
+};
+
 /// One interchangeable set of *batch* carrier-domain kernels — the
 /// structure-of-arrays counterpart of `efd::testkit::CarrierMathImpl`. The
-/// five hot per-carrier loops of the channel stack (attenuation assembly,
-/// noise accumulation, dB<->linear conversion, SNR assembly, BER-LUT
-/// reduction) route through the table returned by `active_kernels()`, so a
+/// hot per-carrier loops of the channel stack (attenuation assembly, noise
+/// accumulation, dB<->linear conversion, SNR assembly, BER-LUT reduction)
+/// and of the estimator's retune (its Gaussian noise draw and its bit
+/// loading) route through the table returned by `active_kernels()`, so a
 /// SIMD implementation is one more entry selected at runtime: no `#ifdef`
 /// forks at call sites, every variant lives in every binary and can be
 /// differentially checked against the others (testkit DiffRunner).
@@ -42,11 +57,19 @@ struct InterpTableView {
 ///  - ber_weighted_sum_n: per element, row = row_off[i] (premultiplied row
 ///    index * lut.size), clamped-lerp lookup of lut at snr[i] + gain_db,
 ///    then *weighted_ber += value * bits[i], *total_bits += bits[i].
+///  - polar_block:      sim::PolarBlockFn, the polar method over a block of
+///    untempered engine words (Rng::normal_fill's transform).
+///  - load_bits_n:      level[i] = number of levels k >= 1 with
+///    snr[i] - margin >= required_db[k] (NaN meets none), row_off[i] =
+///    level * row_len, bits[i] = t.bits[level]; returns the sum of bits.
 ///
 /// The scalar entry reproduces the PR 1 fast-path loops operation for
-/// operation (bit-identical figures under EFD_SIMD=scalar); vector entries
-/// may reassociate sums and use FMA, and are gated by the DiffRunner
-/// tolerance contract instead (DESIGN.md §11/§12).
+/// operation (bit-identical figures under EFD_SIMD=scalar). polar_block and
+/// load_bits_n are exact in every entry: their outputs are bit-identical
+/// across entries, so the estimator's draws and bit loading never depend
+/// on EFD_SIMD. The other vector kernels may reassociate sums and use FMA,
+/// and are gated by the DiffRunner tolerance contract instead (DESIGN.md
+/// §11/§12).
 struct CarrierKernels {
   const char* name;
   void (*db_to_linear_n)(const double* db, double* out, std::size_t n);
@@ -65,7 +88,21 @@ struct CarrierKernels {
                              const std::int32_t* row_off, const double* bits,
                              const double* snr_db, double gain_db, std::size_t n,
                              double* weighted_ber, double* total_bits);
+  sim::PolarBlockFn polar_block;
+  std::int64_t (*load_bits_n)(const BitLoadingTable& t, const double* snr_db,
+                              double margin_db, std::size_t n,
+                              std::int32_t* level, std::int32_t* row_off,
+                              double* bits);
 };
+
+namespace detail {
+/// The scalar entry's bit loader. The NEON entry shares it, and the AVX2
+/// entry finishes its partial block with it.
+std::int64_t load_bits_scalar(const BitLoadingTable& t, const double* snr_db,
+                              double margin_db, std::size_t n,
+                              std::int32_t* level, std::int32_t* row_off,
+                              double* bits);
+}  // namespace detail
 
 /// The portable scalar entry (always available).
 [[nodiscard]] const CarrierKernels& scalar_kernels();

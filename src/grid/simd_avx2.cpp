@@ -10,9 +10,14 @@
 // 4-lane polynomial evaluations whose relative error is below 1e-14 — two
 // orders of magnitude inside the DiffRunner's 1e-12 dB contract — and the
 // reductions (ROBO sum, BER-weighted sum) keep vector-lane partial
-// accumulators, which reassociates the sum within the PBerr tolerance.
+// accumulators, which reassociates the sum within the PBerr tolerance. The
+// estimator's two kernels (polar block, bit loading) are exact: integer work
+// and correctly rounded mul/add/sub/div/sqrt in the scalar order, no FMA, so
+// they return the scalar entry's bits.
 #include <immintrin.h>
 
+#include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -21,6 +26,7 @@
 #include "src/grid/simd.hpp"
 
 namespace efd::grid::simd {
+
 namespace {
 
 // --- 4-lane exp2 / log2 ----------------------------------------------------
@@ -335,6 +341,185 @@ void a_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
   *total_bits = hsum(tb);
 }
 
+// --- exact kernels ---------------------------------------------------------
+
+inline __m256i splat(std::uint64_t v) {
+  return _mm256_set1_epi64x(static_cast<long long>(v));
+}
+
+/// Mt19937_64::temper on 4 words.
+inline __m256i v_temper(__m256i z) {
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_srli_epi64(z, 29), splat(0x5555555555555555ULL)));
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_slli_epi64(z, 17), splat(0x71d67fffeda60000ULL)));
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_slli_epi64(z, 37), splat(0xfff7eee000000000ULL)));
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 43));
+}
+
+/// rng.cpp's polar_coord on 4 untempered words: 2u - 1 with u the canonical
+/// double of the tempered word. Each 32-bit half converts exactly as
+/// (2^52 + half) - 2^52, hi * 2^32 + lo rounds once, and u >= 1 clamps below 1.
+inline __m256d v_polar_coord(__m256i word) {
+  const __m256i w = v_temper(word);
+  const __m256i magic = splat(0x4330000000000000ULL);  // the bits of 2^52
+  const __m256d two52 = _mm256_set1_pd(0x1p52);
+  const __m256d hi = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(w, 32), magic)), two52);
+  const __m256d lo = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(_mm256_and_si256(w, splat(0xffffffffULL)),
+                                          magic)),
+      two52);
+  __m256d u = _mm256_mul_pd(
+      _mm256_add_pd(_mm256_mul_pd(hi, _mm256_set1_pd(0x1p32)), lo),
+      _mm256_set1_pd(0x1p-64));
+  u = _mm256_min_pd(u, _mm256_set1_pd(0x1.fffffffffffffp-1));
+  return _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), u),
+                       _mm256_set1_pd(1.0));
+}
+
+/// Left-packing permutations of 4 double lanes by accept mask, as 32-bit
+/// lane indices for permutevar8x32, and each mask's accepted count.
+struct CompactTable {
+  alignas(32) std::int32_t idx[16][8];
+  std::uint8_t count[16];
+};
+
+constexpr CompactTable make_compact_table() {
+  CompactTable t{};
+  for (int m = 0; m < 16; ++m) {
+    int k = 0;
+    for (int j = 0; j < 4; ++j) {
+      if ((m >> j) & 1) {
+        t.idx[m][2 * k] = 2 * j;
+        t.idx[m][2 * k + 1] = 2 * j + 1;
+        ++k;
+      }
+    }
+    t.count[m] = static_cast<std::uint8_t>(k);
+    for (; k < 4; ++k) {
+      t.idx[m][2 * k] = 0;
+      t.idx[m][2 * k + 1] = 1;
+    }
+  }
+  return t;
+}
+
+constexpr CompactTable kCompact = make_compact_table();
+
+inline __m256d permute_lanes(__m256d v, __m256i idx) {
+  return _mm256_castsi256_pd(
+      _mm256_permutevar8x32_epi32(_mm256_castpd_si256(v), idx));
+}
+
+std::size_t a_polar_block(const std::uint64_t* words, std::size_t n_words,
+                          double mean, double stddev, double* y) {
+  constexpr std::size_t kPairs = sim::Mt19937_64::kWords / 2;
+  assert(n_words % 2 == 0 && n_words <= sim::Mt19937_64::kWords);
+  // Accepted pairs' y and r, packed. Each pack stores a whole vector at the
+  // accepted count, hence 4 lanes of slack. Written before read.
+  alignas(32) double ys[kPairs + 4];
+  alignas(32) double r2[kPairs + 4];
+  alignas(32) double log_r[kPairs];
+  std::size_t have = 0;
+  // Four pairs: x0 y0 x1 y1 | x2 y2 x3 y3. Pairs outside `live_mask` are
+  // padding and never accepted.
+  const auto pack = [&](const std::uint64_t* w8, int live_mask) {
+    const __m256d c0 =
+        v_polar_coord(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(w8)));
+    const __m256d c1 = v_polar_coord(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w8 + 4)));
+    // unpacklo/hi give x0 x2 x1 x3 and y0 y2 y1 y3; swap the middle lanes.
+    const __m256d x = _mm256_permute4x64_pd(_mm256_unpacklo_pd(c0, c1), 0xD8);
+    const __m256d yv = _mm256_permute4x64_pd(_mm256_unpackhi_pd(c0, c1), 0xD8);
+    const __m256d r = _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(yv, yv));
+    // Kept unless r > 1 or r == 0 (r is never NaN).
+    const __m256d ok =
+        _mm256_and_pd(_mm256_cmp_pd(r, _mm256_set1_pd(1.0), _CMP_LE_OQ),
+                      _mm256_cmp_pd(r, _mm256_setzero_pd(), _CMP_NEQ_OQ));
+    const int mask = _mm256_movemask_pd(ok) & live_mask;
+    const __m256i perm =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(kCompact.idx[mask]));
+    _mm256_storeu_pd(ys + have, permute_lanes(yv, perm));
+    _mm256_storeu_pd(r2 + have, permute_lanes(r, perm));
+    have += kCompact.count[mask];
+  };
+  const std::size_t n_pairs = n_words / 2;
+  std::size_t j = 0;
+  for (; j + 4 <= n_pairs; j += 4) pack(words + 2 * j, 0xF);
+  if (j < n_pairs) {
+    alignas(32) std::uint64_t w8[8] = {};
+    std::memcpy(w8, words + 2 * j, (n_words - 2 * j) * sizeof(std::uint64_t));
+    pack(w8, (1 << (n_pairs - j)) - 1);
+  }
+  // libm's log, one call per pair: a vector log would round differently.
+  for (std::size_t k = 0; k < have; ++k) log_r[k] = std::log(r2[k]);
+  const __m256d vsd = _mm256_set1_pd(stddev);
+  const __m256d vmean = _mm256_set1_pd(mean);
+  std::size_t k = 0;
+  for (; k + 4 <= have; k += 4) {
+    const __m256d r = _mm256_load_pd(r2 + k);
+    const __m256d mult = _mm256_sqrt_pd(_mm256_div_pd(
+        _mm256_mul_pd(_mm256_set1_pd(-2.0), _mm256_load_pd(log_r + k)), r));
+    _mm256_storeu_pd(
+        y + k,
+        _mm256_add_pd(_mm256_mul_pd(_mm256_mul_pd(_mm256_load_pd(ys + k), mult),
+                                    vsd),
+                      vmean));
+  }
+  for (; k < have; ++k) {
+    const double mult = std::sqrt(-2 * log_r[k] / r2[k]);
+    y[k] = (ys[k] * mult) * stddev + mean;
+  }
+  return have;
+}
+
+std::int64_t a_load_bits_n(const BitLoadingTable& t, const double* snr_db,
+                           double margin_db, std::size_t n, std::int32_t* level,
+                           std::int32_t* row_off, double* bits) {
+  const __m256d vmargin = _mm256_set1_pd(margin_db);
+  __m256d req[kBitLevels - 1];
+  for (std::size_t k = 1; k < kBitLevels; ++k) {
+    req[k - 1] = _mm256_set1_pd(t.required_db[k]);
+  }
+  const __m256i bits_by_level =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t.bits.data()));
+  // The low 32 bits of each 64-bit count, gathered into the low half.
+  const __m256i low_words = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const __m128i vrow = _mm_set1_epi32(t.row_len);
+  __m256i total = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d s = _mm256_sub_pd(_mm256_loadu_pd(snr_db + i), vmargin);
+    const auto ge = [&](std::size_t k) {
+      return _mm256_castpd_si256(_mm256_cmp_pd(s, req[k], _CMP_GE_OQ));
+    };
+    // Each met threshold's all-ones mask is -1, so the count is minus their
+    // sum, written out as a tree: a loop over the seven compares is not
+    // unrolled at -O2 and costs a third of the kernel.
+    const __m256i minus_met = _mm256_add_epi64(
+        _mm256_add_epi64(_mm256_add_epi64(ge(0), ge(1)),
+                         _mm256_add_epi64(ge(2), ge(3))),
+        _mm256_add_epi64(_mm256_add_epi64(ge(4), ge(5)), ge(6)));
+    const __m256i met = _mm256_sub_epi64(_mm256_setzero_si256(), minus_met);
+    const __m256i lv = _mm256_permutevar8x32_epi32(met, low_words);
+    const __m128i lv4 = _mm256_castsi256_si128(lv);
+    const __m128i b4 =
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(bits_by_level, lv));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(level + i), lv4);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(row_off + i),
+                     _mm_mullo_epi32(lv4, vrow));
+    _mm256_storeu_pd(bits + i, _mm256_cvtepi32_pd(b4));
+    total = _mm256_add_epi64(total, _mm256_cvtepi32_epi64(b4));
+  }
+  alignas(32) std::int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), total);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
+         detail::load_bits_scalar(t, snr_db + i, margin_db, n - i, level + i,
+                                  row_off + i, bits + i);
+}
+
 constexpr CarrierKernels kAvx2 = {
     "avx2",
     &a_db_to_linear_n,
@@ -346,6 +531,8 @@ constexpr CarrierKernels kAvx2 = {
     &a_shift_n,
     &a_sum_db_to_linear_n,
     &a_ber_weighted_sum_n,
+    &a_polar_block,
+    &a_load_bits_n,
 };
 
 }  // namespace

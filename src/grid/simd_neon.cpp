@@ -17,6 +17,7 @@
 #include "src/grid/simd.hpp"
 
 namespace efd::grid::simd {
+
 namespace {
 
 constexpr double kLn2 = 0.6931471805599453094172321;
@@ -251,6 +252,10 @@ constexpr CarrierKernels kNeon = {
     &n_shift_n,
     &n_sum_db_to_linear_n,
     &n_ber_weighted_sum_n,
+    // No NEON bodies yet for the two exact kernels: the scalar ones, which
+    // every entry must match bit for bit anyway.
+    &sim::polar_block_scalar,
+    &detail::load_bits_scalar,
 };
 
 }  // namespace

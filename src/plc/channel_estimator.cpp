@@ -16,17 +16,19 @@ namespace efd::plc {
 namespace {
 
 /// Per-thread ladder scratch: the perturbed SNR, one rung's bit loading
-/// (carriers, plus the BER-LUT row offsets and bit weights ToneMap scores
-/// them by), the best rung's carriers so far, and the carriers
-/// clamp_to_rate demotes. One set per thread rather than per estimator
-/// keeps thousands of mostly idle links from each holding carrier-sized
-/// buffers; like PlcChannel's workspace, the scratch is not reentrant.
+/// (constellation levels, plus the BER-LUT row offsets and bit weights
+/// ToneMap scores them by), the best rung's levels so far, and the carriers
+/// of the winning map and of clamp_to_rate's demotion. One set per thread
+/// rather than per estimator keeps thousands of mostly idle links from each
+/// holding carrier-sized buffers; like PlcChannel's workspace, the scratch
+/// is not reentrant.
 struct LadderScratch {
   std::vector<double> snr;
-  std::vector<Modulation> carriers;
-  std::vector<Modulation> best_carriers;
+  std::vector<std::int32_t> levels;
+  std::vector<std::int32_t> best_levels;
   std::vector<std::int32_t> lut_rows;
   std::vector<double> bits;
+  std::vector<Modulation> carriers;
 };
 
 LadderScratch& ladder_scratch() {
@@ -70,10 +72,11 @@ void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
   // a per-carrier estimation error that shrinks with accumulated samples.
   // The error is drawn for every carrier in one batch, then added to the
   // offset SNR, carrier by carrier, in the order of the per-carrier loop.
+  const grid::simd::CarrierKernels& kernels = grid::simd::active_kernels();
   const double offset = channel_.fast_offset_db(rx_, now) * cfg_.offset_tracking;
   const double sigma = 0.3 * uncertainty;
   if (sigma > 0.0) {
-    rng_.normal_fill(snr, 0.0, sigma);
+    rng_.normal_fill(snr, 0.0, sigma, kernels.polar_block);
     for (std::size_t i = 0; i < snr.size(); ++i) {
       snr[i] = (static_snr[i] - offset) + snr[i];
     }
@@ -90,8 +93,7 @@ void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
   // the ladder's depth by confidence, so a freshly reset device starts
   // conservative and earns its aggressiveness with samples (Fig. 16).
   const double depth = std::clamp(1.0 - uncertainty / 6.0, 0.0, 1.0);
-  run_margin_ladder(snr, static_snr, margin_db, depth, phy, id,
-                    grid::simd::active_kernels(), out);
+  run_margin_ladder(snr, static_snr, margin_db, depth, phy, id, kernels, out);
 }
 
 void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db,
@@ -104,13 +106,12 @@ void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db
   const double ladder[] = {margin_db, margin_db - 1.5 * depth,
                            margin_db - 3.0 * depth, margin_db - 4.5 * depth};
   const std::size_t n = measured_snr_db.size();
-  const std::int32_t row_len = ber_lut_view().size;
-  scratch.carriers.resize(n);
-  scratch.best_carriers.resize(n);
+  scratch.levels.resize(n);
+  scratch.best_levels.resize(n);
   scratch.lut_rows.resize(n);
   scratch.bits.resize(n);
-  // Empty until a rung scores; only NaN SNRs leave it so (an empty map).
-  std::span<const Modulation> winner;
+  // False until a rung scores; only NaN SNRs leave it so (an empty map).
+  bool have_winner = false;
   double best_score = -1.0;
   double best_expected = 0.0;
   for (std::size_t r = 0; r < std::size(ladder); ++r) {
@@ -119,16 +120,11 @@ void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db
     // the earlier rung on a tie. At depth 0 (every bootstrap) all four
     // rungs repeat, so this leaves one.
     if (r > 0 && m == ladder[r - 1]) continue;
-    // Integer bit total: exact, so it equals ToneMap::recompute's sum.
-    int total_bits = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Modulation mod = pick_modulation(measured_snr_db[i] - m);
-      const int b = bits_per_symbol(mod);
-      total_bits += b;
-      scratch.carriers[i] = mod;
-      scratch.bits[i] = static_cast<double>(b);
-      scratch.lut_rows[i] = static_cast<std::int32_t>(mod) * row_len;
-    }
+    // pick_modulation(measured - m) per carrier; the integer bit total is
+    // exact, so it equals ToneMap::recompute's sum.
+    const std::int64_t total_bits = kernels.load_bits_n(
+        bit_loading_table(), measured_snr_db.data(), m, n, scratch.levels.data(),
+        scratch.lut_rows.data(), scratch.bits.data());
     const double expected = std::min(
         ToneMap::pb_error_probability(scratch.lut_rows, scratch.bits,
                                       true_snr_db, kernels),
@@ -138,14 +134,19 @@ void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db
         static_cast<double>(total_bits) * phy.fec_rate / phy.symbol.us();
     const double score = phy_rate * (1.0 - expected);
     if (score > best_score) {
-      // Keep this rung's carriers; the next rung overwrites the other set.
-      std::swap(scratch.carriers, scratch.best_carriers);
-      winner = scratch.best_carriers;
+      // Keep this rung's levels; the next rung overwrites the other set.
+      std::swap(scratch.levels, scratch.best_levels);
+      have_winner = true;
       best_score = score;
       best_expected = expected;
     }
   }
-  out.assign_carriers(winner, phy, best_expected, id);
+  // Only the winner's levels become carriers.
+  scratch.carriers.resize(have_winner ? n : 0);
+  for (std::size_t i = 0; i < scratch.carriers.size(); ++i) {
+    scratch.carriers[i] = static_cast<Modulation>(scratch.best_levels[i]);
+  }
+  out.assign_carriers(scratch.carriers, phy, best_expected, id);
 }
 
 void ChannelEstimator::clamp_to_rate(ToneMap& map, double rate_mbps,

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace efd::plc {
 
@@ -50,6 +51,20 @@ grid::simd::InterpTableView ber_lut_view() {
       kLutMinDb,
       kLutStepDb,
   };
+}
+
+const grid::simd::BitLoadingTable& bit_loading_table() {
+  static_assert(grid::simd::kBitLevels == kModulationCount);
+  static constexpr grid::simd::BitLoadingTable kTable = [] {
+    grid::simd::BitLoadingTable t;
+    for (std::size_t m = 0; m < grid::simd::kBitLevels; ++m) {
+      t.required_db[m] = kRequiredSnrDb[m];
+      t.bits[m] = kBitsPerSymbol[m];
+    }
+    t.row_len = static_cast<std::int32_t>(kLutSize);
+    return t;
+  }();
+  return kTable;
 }
 
 double uncoded_ber(Modulation m, double snr_db) {

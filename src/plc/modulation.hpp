@@ -84,6 +84,12 @@ inline constexpr std::array<double, kModulationCount> kRequiredSnrDb = {
   return static_cast<Modulation>(met);
 }
 
+/// The bit loader's table for the batch kernel
+/// grid::simd::CarrierKernels::load_bits_n: kRequiredSnrDb, kBitsPerSymbol
+/// and ber_lut_view()'s row length. A level it writes is a Modulation index,
+/// so its counts equal pick_modulation's.
+[[nodiscard]] const grid::simd::BitLoadingTable& bit_loading_table();
+
 /// Approximate uncoded bit-error rate of `m` at the given carrier SNR.
 /// Standard Gray-coded square-QAM approximation; used to derive PB error
 /// probabilities for tone maps that are mismatched to the channel.

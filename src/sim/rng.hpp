@@ -74,6 +74,21 @@ class Mt19937_64 {
   std::size_t p_ = kWords;
 };
 
+/// One block of the polar method: turns `n_words` untempered engine words
+/// (even, at most `Mt19937_64::kWords`), read as consecutive (x, y) pairs,
+/// into the variates of the accepted pairs, each `y * mult * stddev + mean`
+/// exactly as libstdc++'s `std::normal_distribution` rounds it. Writes only
+/// `y[0, returned)` and returns the number of accepted pairs. Every entry
+/// must return the same bits: the carrier-kernel table (grid/simd.hpp)
+/// holds one per instruction set.
+using PolarBlockFn = std::size_t (*)(const std::uint64_t* words,
+                                     std::size_t n_words, double mean,
+                                     double stddev, double* y);
+
+/// The portable entry: the per-call polar loop, op for op.
+std::size_t polar_block_scalar(const std::uint64_t* words, std::size_t n_words,
+                               double mean, double stddev, double* y);
+
 /// Seeded random-number source. Every stochastic component takes an `Rng`
 /// (or forks one) so that whole experiments are reproducible from a single
 /// seed. `fork` derives an independent, deterministic substream, which keeps
@@ -112,8 +127,10 @@ class Rng {
   /// `out.size()` Gaussian draws at once: exactly the values, in order, of
   /// that many `normal(mean, stddev)` calls, and the engine left exactly
   /// where they would leave it. Like those calls, every polar pair yields
-  /// one variate and discards the other.
-  void normal_fill(std::span<double> out, double mean, double stddev);
+  /// one variate and discards the other. `block` transforms the words;
+  /// every entry gives the same values.
+  void normal_fill(std::span<double> out, double mean, double stddev,
+                   PolarBlockFn block = &polar_block_scalar);
 
   /// Exponential with the given mean (not rate).
   double exponential_mean(double mean) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <ostream>
 #include <string>
@@ -161,6 +162,76 @@ TEST_P(KernelSweep, BerWeightedSumMatchesNaiveLutWalk) {
     }
     EXPECT_NEAR(wb, ref_wb, 1e-9 * std::max(ref_wb, 1.0)) << k.name << " n=" << n;
     EXPECT_EQ(tb, ref_tb) << k.name << " n=" << n;
+  }
+}
+
+/// The input nearest `from` whose difference with `margin` meets `done`,
+/// stepping one ulp at a time towards `to`; NaN if 64 steps do not reach it.
+template <typename Done>
+double step_input(double from, double to, double margin, Done done) {
+  double s = from;
+  for (int step = 0; step < 64 && !done(s - margin); ++step) {
+    s = std::nextafter(s, to);
+  }
+  return done(s - margin) ? s : NAN;
+}
+
+TEST_P(KernelSweep, LoadBitsMatchesPickModulation) {
+  const CarrierKernels& k = *GetParam();
+  const grid::simd::BitLoadingTable& table = plc::bit_loading_table();
+  const std::int32_t row_len = plc::ber_lut_view().size;
+  sim::Rng rng{0xb175u};
+  for (const double margin : {0.0, 1.5, -4.5}) {
+    // The special values, and for every threshold the input that lands on
+    // it after the subtraction and the nearest inputs whose differences
+    // land below and above it (one ulp of the threshold where the margin's
+    // rounding lets a difference land there).
+    std::vector<double> edges = {NAN, INFINITY, -INFINITY, -0.0, 0.0};
+    for (std::size_t m = 1; m < plc::kModulationCount; ++m) {
+      const double t = plc::kRequiredSnrDb[m];
+      const double on = t + margin;
+      ASSERT_EQ(on - margin, t) << "margin " << margin << " threshold " << t;
+      const double below =
+          step_input(on, -INFINITY, margin, [t](double d) { return d < t; });
+      const double above =
+          step_input(on, INFINITY, margin, [t](double d) { return d > t; });
+      ASSERT_FALSE(std::isnan(below) || std::isnan(above))
+          << "margin " << margin << " threshold " << t;
+      edges.insert(edges.end(), {below, on, above});
+    }
+    std::vector<std::size_t> sizes = {917, 2232};
+    for (std::size_t n = 0; n <= 9; ++n) sizes.push_back(n);
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE(::testing::Message() << k.name << " margin " << margin
+                                        << " n " << n);
+      // Two edges then one random SNR: the edges, rotated by n, land in
+      // every lane of a vector block and in the tails.
+      std::vector<double> snr(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        snr[i] = i % 3 < 2 ? edges[(i + n) % edges.size()]
+                           : rng.uniform(-10.0, 45.0);
+      }
+      std::vector<std::int32_t> level(n + 4, -7);
+      std::vector<std::int32_t> row_off(n + 4, -7);
+      Padded bits(n);
+      const std::int64_t total = k.load_bits_n(
+          table, snr.data(), margin, n, level.data(), row_off.data(), bits.data());
+      std::int64_t want_total = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const plc::Modulation mod = plc::pick_modulation(snr[i] - margin);
+        const int b = plc::kBitsPerSymbol[static_cast<std::size_t>(mod)];
+        want_total += b;
+        ASSERT_EQ(level[i], static_cast<std::int32_t>(mod)) << "i " << i;
+        ASSERT_EQ(row_off[i], static_cast<std::int32_t>(mod) * row_len) << "i " << i;
+        ASSERT_EQ(bits.buf[i], static_cast<double>(b)) << "i " << i;
+      }
+      EXPECT_EQ(total, want_total);
+      bits.expect_no_overrun(n, "load_bits_n");
+      for (std::size_t i = n; i < n + 4; ++i) {
+        ASSERT_EQ(level[i], -7) << "level written past " << n;
+        ASSERT_EQ(row_off[i], -7) << "row_off written past " << n;
+      }
+    }
   }
 }
 

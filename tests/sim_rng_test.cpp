@@ -5,10 +5,20 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <random>
 #include <vector>
 
+#include "src/grid/simd.hpp"
 #include "src/sim/stats.hpp"
+
+namespace efd::grid::simd {
+
+// List a kernel entry by name, not by its address, so CTest's test names
+// stay stable (AllImpls/PolarBlock.<Test>/avx2).
+void PrintTo(const CarrierKernels* k, std::ostream* os) { *os << k->name; }
+
+}  // namespace efd::grid::simd
 
 namespace efd::sim {
 namespace {
@@ -218,7 +228,9 @@ std::mt19937_64 oracle_engine(std::uint64_t seed) {
   return std::mt19937_64{x ^ (x >> 31)};
 }
 
-TEST(RngBatch, NormalFillMatchesPerCallStdNormalDistribution) {
+/// Rng::normal_fill through `block` against std::normal_distribution on the
+/// oracle engine, bit for bit, across block boundaries and odd offsets.
+void expect_normal_fill_matches_oracle(PolarBlockFn block) {
   const std::size_t lengths[] = {0,   1,   2,   155, 156,  157,
                                  311, 312, 313, 917, 2232, 5000};
   // Every uniform() consumes one engine word, so `offset` uniforms start the
@@ -242,7 +254,7 @@ TEST(RngBatch, NormalFillMatchesPerCallStdNormalDistribution) {
             ASSERT_EQ(rng.uniform(), unit(ref));
           }
           std::vector<double> got(n);
-          rng.normal_fill(got, mean, sd);
+          rng.normal_fill(got, mean, sd, block);
           for (std::size_t i = 0; i < n; ++i) {
             const double want = std::normal_distribution<double>{mean, sd}(ref);
             ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
@@ -256,6 +268,133 @@ TEST(RngBatch, NormalFillMatchesPerCallStdNormalDistribution) {
     }
   }
 }
+
+TEST(RngBatch, NormalFillMatchesPerCallStdNormalDistribution) {
+  expect_normal_fill_matches_oracle(&polar_block_scalar);
+}
+
+// Every carrier-kernel entry's polar block must give the scalar entry's
+// bits (grid/simd.hpp), so each runs the same oracle grid.
+
+class PolarBlock
+    : public ::testing::TestWithParam<const grid::simd::CarrierKernels*> {};
+
+TEST_P(PolarBlock, NormalFillMatchesPerCallStdNormalDistribution) {
+  expect_normal_fill_matches_oracle(GetParam()->polar_block);
+}
+
+/// Inverse of Mt19937_64::temper, to craft the untempered word behind a
+/// chosen engine output. Each xor-shift step is undone by iterating it
+/// until every bit has passed through.
+std::uint64_t untemper(std::uint64_t z) {
+  const auto undo_right = [](std::uint64_t v, int shift, std::uint64_t mask) {
+    std::uint64_t x = v;
+    for (int i = 0; i < 64 / shift + 1; ++i) x = v ^ ((x >> shift) & mask);
+    return x;
+  };
+  const auto undo_left = [](std::uint64_t v, int shift, std::uint64_t mask) {
+    std::uint64_t x = v;
+    for (int i = 0; i < 64 / shift + 1; ++i) x = v ^ ((x << shift) & mask);
+    return x;
+  };
+  z = undo_right(z, 43, ~std::uint64_t{0});
+  z = undo_left(z, 37, 0xfff7eee000000000ULL);
+  z = undo_left(z, 17, 0x71d67fffeda60000ULL);
+  return undo_right(z, 29, 0x5555555555555555ULL);
+}
+
+/// Replays fixed engine outputs to a standard distribution.
+struct ReplayEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  const std::vector<std::uint64_t>* outputs;
+  std::size_t pos = 0;
+  result_type operator()() { return (*outputs)[pos++]; }
+};
+
+/// One block of `tempered` outputs through the entry, against the per-call
+/// std::normal_distribution values of the pairs the block holds. Checks the
+/// count and that nothing is written past it; returns the count.
+std::size_t expect_block_matches_std(const grid::simd::CarrierKernels& k,
+                              const std::vector<std::uint64_t>& tempered,
+                              double mean, double sd) {
+  SCOPED_TRACE(::testing::Message() << k.name << " words " << tempered.size());
+  std::vector<std::uint64_t> words;
+  for (const std::uint64_t t : tempered) words.push_back(untemper(t));
+  // The per-call reference, with an accepted pair (x = y = 0.5) appended:
+  // a call that runs past the block's words is not one of the block's.
+  std::vector<std::uint64_t> outputs = tempered;
+  outputs.insert(outputs.end(), 2, 0xc000000000000000ULL);
+  ReplayEngine replay{&outputs};
+  std::vector<double> want;
+  while (replay.pos < tempered.size()) {
+    const double v = std::normal_distribution<double>{mean, sd}(replay);
+    if (replay.pos <= tempered.size()) want.push_back(v);
+  }
+  constexpr double kSentinel = -777.25;
+  std::vector<double> got(tempered.size() / 2 + 4, kSentinel);
+  const std::size_t n = k.polar_block(words.data(), words.size(), mean, sd, got.data());
+  EXPECT_EQ(n, want.size());
+  if (n != want.size()) return n;
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "variate " << i << ": " << got[i] << " vs " << want[i];
+  }
+  for (std::size_t i = n; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], kSentinel) << "wrote element " << i;
+  }
+  return n;
+}
+
+TEST_P(PolarBlock, CraftedWordsHitRejectionAndClamp) {
+  const grid::simd::CarrierKernels& k = *GetParam();
+  for (const std::uint64_t w : {0ULL, 1ULL, 0x8000000000000000ULL, ~0ULL,
+                                0x0123456789abcdefULL, 0xfedcba9876543210ULL}) {
+    ASSERT_EQ(Mt19937_64::temper(untemper(w)), w) << "untemper " << w;
+  }
+  constexpr std::uint64_t kZero = 0x8000000000000000ULL;  // u = 1/2: coord 0
+  constexpr std::uint64_t kHalf = 0xc000000000000000ULL;  // coord 0.5
+  // 2^64 - 1023 and the tie 2^64 - 1024 round to 2^64 (u = 1, clamped);
+  // 2^64 - 1025 rounds down to the largest u below 1.
+  constexpr std::uint64_t kClamp = ~0ULL;
+  constexpr std::uint64_t kClampNear = 0ULL - 1023;
+  constexpr std::uint64_t kClampTie = 0ULL - 1024;
+  constexpr std::uint64_t kBelowClamp = 0ULL - 1025;
+  // r == 0: both coordinates 0, rejected, between accepted pairs.
+  EXPECT_EQ(expect_block_matches_std(k, {kHalf, kHalf, kZero, kZero, kHalf, kZero},
+                                     0.0, 1.0),
+            2u);
+  // The clamp on the coordinate that becomes the variate (x = 0).
+  EXPECT_EQ(expect_block_matches_std(k,
+                                     {kZero, kClamp, kZero, kClampNear, kZero,
+                                      kClampTie, kZero, kBelowClamp},
+                                     10.0, 2.0),
+            4u);
+  // Chunks in which every pair is rejected (r == 0 or r > 1), across full
+  // vector blocks and a partial one.
+  for (const std::size_t pairs : {1, 3, 4, 5, 8, 9}) {
+    std::vector<std::uint64_t> tempered;
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const std::uint64_t w = p % 2 == 0 ? kClamp : kZero;
+      tempered.insert(tempered.end(), {w, w});
+    }
+    EXPECT_EQ(expect_block_matches_std(k, tempered, 0.0, 0.3), 0u);
+  }
+  // Random blocks of every length up to a full vector block and past it,
+  // and a whole engine block.
+  Mt19937_64 engine{0x9e3779b9ULL};
+  for (const std::size_t n_words : {0, 2, 4, 6, 8, 10, 14, 16, 18, 312}) {
+    std::vector<std::uint64_t> tempered(n_words);
+    for (std::uint64_t& t : tempered) t = engine();
+    expect_block_matches_std(k, tempered, -3.0, 0.7);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllImpls, PolarBlock,
+                         ::testing::ValuesIn(grid::simd::available_kernels().begin(),
+                                             grid::simd::available_kernels().end()));
 
 /// Pearson chi-squared statistic of the joint distribution of interleaved
 /// draws from two streams, bucketed into an 8x8 contingency table against
