@@ -68,7 +68,8 @@ void s_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
     const double* row = lut.table + row_off[i];
     const double pos = (snr_db[i] + gain_db - lut.min_db) / lut.step_db;
     double v;
-    if (pos <= 0.0) {
+    // NaN lands on row[0], as the vector entries' max against 0 puts it.
+    if (!(pos > 0.0)) {
       v = row[0];
     } else if (pos >= last) {
       v = row[lut.size - 1];

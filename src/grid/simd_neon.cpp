@@ -206,7 +206,7 @@ void n_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
                          const double* bits2) {
     const float64x2_t eff = vaddq_f64(vld1q_f64(snr2), vgain);
     float64x2_t pos = vdivq_f64(vsubq_f64(eff, vmin), vstep);
-    pos = vmaxq_f64(pos, vzero);
+    pos = vmaxnmq_f64(pos, vzero);  // NaN -> 0, like AVX2's max_pd
     pos = vminq_f64(pos, vlast);
     float64x2_t cell = vrndmq_f64(pos);  // floor
     cell = vminq_f64(cell, vmaxcell);

@@ -80,7 +80,13 @@ const std::vector<double>& PlcChannel::static_snr_db(net::StationId a, net::Stat
 }
 
 double PlcChannel::fast_offset_db(net::StationId b, sim::Time t) const {
-  return grid_.fast_noise_offset_db(outlet(b), t);
+  const int ob = outlet(b);
+  if (ob != offset_outlet_ || t != offset_t_) {
+    offset_db_ = grid_.fast_noise_offset_db(ob, t);
+    offset_outlet_ = ob;
+    offset_t_ = t;
+  }
+  return offset_db_;
 }
 
 std::vector<double> PlcChannel::snr_db(net::StationId a, net::StationId b, int slot,

@@ -10,6 +10,7 @@
 #include "src/net/packet.hpp"
 #include "src/plc/phy.hpp"
 #include "src/plc/tone_map.hpp"
+#include "src/sim/time.hpp"
 
 namespace efd::plc {
 
@@ -24,10 +25,13 @@ namespace efd::plc {
 /// across epochs); the fast (cycle-scale) noise term is a scalar uniformly
 /// shifting SNR, so cached vectors stay valid across it. PB error
 /// probabilities are memoized per (link, slot, tone map, quantized fast
-/// offset), which keeps saturated frame-level simulation cheap. Internal
-/// per-carrier scratch lives in a thread_local grid::CarrierWorkspace, so
-/// cache-miss rebuilds allocate nothing once warm; the channel itself is
-/// not thread-safe — parallel experiments use one channel per thread.
+/// offset), which keeps saturated frame-level simulation cheap. The fast
+/// offset itself is a pure function of (outlet, time) and is memoized in
+/// one entry: a trace step asks for the same instant once per slot and once
+/// per retuned slot map. Internal per-carrier scratch lives in a
+/// thread_local grid::CarrierWorkspace, so cache-miss rebuilds allocate
+/// nothing once warm; the channel itself is not thread-safe — parallel
+/// experiments use one channel per thread.
 class PlcChannel {
  public:
   PlcChannel(const grid::PowerGrid& grid, PhyParams phy)
@@ -76,7 +80,8 @@ class PlcChannel {
   struct SnrEntry {
     std::uint64_t epoch = 0;
     std::vector<double> snr_db;
-    /// pberr memo: key = tone map id * 4096 + quantized offset bucket.
+    /// pberr memo: key = (tone map id << 20) ^ (quantized offset bucket
+    /// + 512).
     std::unordered_map<std::uint64_t, double> pberr;
   };
 
@@ -104,6 +109,11 @@ class PlcChannel {
   /// when it moves (like the per-entry pberr memo), bounding cache growth.
   mutable std::uint64_t cache_epoch_ = 0;
   mutable bool cache_epoch_valid_ = false;
+  /// The last fast offset served, keyed by outlet rather than station so
+  /// that re-attaching a station cannot leave it stale.
+  mutable int offset_outlet_ = -1;
+  mutable sim::Time offset_t_{};
+  mutable double offset_db_ = 0.0;
 };
 
 }  // namespace efd::plc

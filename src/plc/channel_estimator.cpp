@@ -110,30 +110,41 @@ void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db
   scratch.best_levels.resize(n);
   scratch.lut_rows.resize(n);
   scratch.bits.resize(n);
-  // False until a rung scores; only NaN SNRs leave it so (an empty map).
+  // False until a rung scores; only a NaN score leaves it so (an empty map).
   bool have_winner = false;
   double best_score = -1.0;
   double best_expected = 0.0;
-  for (std::size_t r = 0; r < std::size(ladder); ++r) {
+  // Branch and bound, from the most aggressive rung down to the safe one.
+  // expected lies in [0, 0.45] (or is NaN), so score = phy_rate * (1 -
+  // expected) <= phy_rate under monotone rounding: a rung whose phy_rate is
+  // below the best score so far cannot win, and its BER reduction is
+  // skipped. `>=` hands a tie to the lower index, as a forward strict `>`
+  // would, so the winner is the same rung the full ladder picks.
+  for (std::size_t r = std::size(ladder); r-- > 0;) {
     const double m = ladder[r];
-    // A repeated margin loads the same bits, and the strict `>` below keeps
-    // the earlier rung on a tie. At depth 0 (every bootstrap) all four
-    // rungs repeat, so this leaves one.
+    // A repeated margin loads the same bits and scores the same; the
+    // earliest index of a run of equal margins stands for the run. At depth
+    // 0 (every bootstrap) all four rungs repeat, so this leaves one.
     if (r > 0 && m == ladder[r - 1]) continue;
     // pick_modulation(measured - m) per carrier; the integer bit total is
     // exact, so it equals ToneMap::recompute's sum.
     const std::int64_t total_bits = kernels.load_bits_n(
         bit_loading_table(), measured_snr_db.data(), m, n, scratch.levels.data(),
         scratch.lut_rows.data(), scratch.bits.data());
+    // phy_rate_mbps() of the candidate map, in ToneMap::recompute's order.
+    const double phy_rate =
+        static_cast<double>(total_bits) * phy.fec_rate / phy.symbol.us();
+    if (phy_rate < best_score) {
+      EFD_COUNTER_INC("plc.est.ladder_rungs_bounded");
+      continue;
+    }
+    EFD_COUNTER_INC("plc.est.ladder_rungs_scored");
     const double expected = std::min(
         ToneMap::pb_error_probability(scratch.lut_rows, scratch.bits,
                                       true_snr_db, kernels),
         0.45);
-    // phy_rate_mbps() of the candidate map, in ToneMap::recompute's order.
-    const double phy_rate =
-        static_cast<double>(total_bits) * phy.fec_rate / phy.symbol.us();
     const double score = phy_rate * (1.0 - expected);
-    if (score > best_score) {
+    if (score >= best_score) {
       // Keep this rung's levels; the next rung overwrites the other set.
       std::swap(scratch.levels, scratch.best_levels);
       have_winner = true;

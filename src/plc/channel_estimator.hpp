@@ -124,7 +124,9 @@ class ChannelEstimator {
   /// margin of {m, m - 1.5 d, m - 3 d, m - 4.5 d} (m = `margin_db`,
   /// d = `depth`), scores each rung's goodput against `true_snr_db` on
   /// `kernels`, and writes the best rung's map (expected PBerr capped at
-  /// 0.45) into `out`. Static so tests can pin it on every kernel entry.
+  /// 0.45) into `out`; a tie goes to the lower index. A rung whose raw PHY
+  /// rate cannot reach the best score so far is not scored. Static so tests
+  /// can pin it on every kernel entry.
   static void run_margin_ladder(std::span<const double> measured_snr_db,
                                 std::span<const double> true_snr_db,
                                 double margin_db, double depth,

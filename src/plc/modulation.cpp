@@ -71,7 +71,7 @@ double uncoded_ber(Modulation m, double snr_db) {
   if (m == Modulation::kOff) return 0.0;
   const auto& table = ber_tables().ber[static_cast<std::size_t>(m)];
   const double pos = (snr_db - kLutMinDb) / kLutStepDb;
-  if (pos <= 0.0) return table.front();
+  if (!(pos > 0.0)) return table.front();  // NaN too: no cast of NaN below
   if (pos >= static_cast<double>(kLutSize - 1)) return table.back();
   const auto idx = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(idx);

@@ -165,6 +165,53 @@ TEST_P(KernelSweep, BerWeightedSumMatchesNaiveLutWalk) {
   }
 }
 
+TEST_P(KernelSweep, BerLookupsMapNonFiniteSnrToTheLutEdges) {
+  const CarrierKernels& k = *GetParam();
+  const grid::simd::InterpTableView lut = plc::ber_lut_view();
+  // NaN and -inf read the first LUT cell and +inf the last, exactly as the
+  // finite inputs beyond each clamp edge do.
+  for (std::size_t m = 1; m < plc::kModulationCount; ++m) {
+    const auto mod = static_cast<plc::Modulation>(m);
+    const double first = plc::uncoded_ber(mod, -1e9);
+    const double last = plc::uncoded_ber(mod, 1e9);
+    EXPECT_EQ(plc::uncoded_ber(mod, NAN), first) << m;
+    EXPECT_EQ(plc::uncoded_ber(mod, -INFINITY), first) << m;
+    EXPECT_EQ(plc::uncoded_ber(mod, INFINITY), last) << m;
+  }
+  // One loaded carrier per call, in every lane of a vector block and the
+  // tail; the other carriers carry bits 0, so the sum is that carrier's BER
+  // times its bits with no rounding from the reduction order.
+  const std::size_t n = 9;
+  sim::Rng rng{0x4a4u};
+  for (const double x : {NAN, -INFINITY, INFINITY}) {
+    const std::vector<double> snr(n, x);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t m = 1; m < plc::kModulationCount; ++m) {
+        SCOPED_TRACE(::testing::Message() << k.name << " snr " << x << " lane "
+                                          << j << " modulation " << m);
+        std::vector<std::int32_t> rows(n);
+        std::vector<double> bits(n, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          rows[i] = rng.uniform_int(0, plc::kModulationCount - 1) * lut.size;
+        }
+        rows[j] = static_cast<std::int32_t>(m) * lut.size;
+        bits[j] = static_cast<double>(plc::kBitsPerSymbol[m]);
+        double wb = -1.0, tb = -1.0;
+        k.ber_weighted_sum_n(lut, rows.data(), bits.data(), snr.data(), 7.0, n,
+                             &wb, &tb);
+        const double want =
+            plc::uncoded_ber(static_cast<plc::Modulation>(m), x + 7.0) * bits[j];
+        if (x > 0.0) {
+          EXPECT_NEAR(wb, want, 1e-12);
+        } else {
+          EXPECT_EQ(wb, want);
+        }
+        EXPECT_EQ(tb, bits[j]);
+      }
+    }
+  }
+}
+
 /// The input nearest `from` whose difference with `margin` meets `done`,
 /// stepping one ulp at a time towards `to`; NaN if 64 steps do not reach it.
 template <typename Done>

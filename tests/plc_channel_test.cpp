@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/grid/appliance.hpp"
 
 namespace efd::plc {
@@ -109,6 +112,59 @@ TEST_F(ChannelFixture, RoboHasLowerErrorThanAggressiveMap) {
 
 TEST_F(ChannelFixture, CableDistanceMatchesGrid) {
   EXPECT_DOUBLE_EQ(channel.cable_distance(0, 1), 25.0);
+}
+
+TEST(PlcChannel, FastOffsetMemoMatchesGrid) {
+  grid::PowerGrid grid;
+  const int a = grid.add_node("a");
+  const int j = grid.add_node("j");
+  const int b = grid.add_node("b");
+  grid.add_cable(a, j, 10.0);
+  grid.add_cable(j, b, 15.0);
+  grid.add_appliance(grid::make_appliance(grid::ApplianceType::kFridge, j, 5));
+  grid.add_appliance(grid::make_appliance(grid::ApplianceType::kMicrowave, b, 9));
+  PlcChannel channel{grid, PhyParams::hpav()};
+  channel.attach_station(0, a);
+  channel.attach_station(1, b);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto expect_offset = [&](net::StationId s, sim::Time t) {
+    EXPECT_EQ(bits(channel.fast_offset_db(s, t)),
+              bits(grid.fast_noise_offset_db(channel.outlet(s), t)))
+        << "station " << s << " at " << t.ns() << " ns";
+  };
+
+  const sim::Time t0 = sim::days(1) + sim::hours(12);
+  const ToneMap robo = ToneMap::robo(channel.phy());
+  // Repeated, alternating and revisited instants, both link directions,
+  // with the SNR and PBerr paths (which read the offset themselves) in
+  // between.
+  const double ms[] = {0.0, 0.0, 1.0, 0.0, 10.0, 10.0, 3.3, 1.0, 250.0, 0.0};
+  for (int i = 0; i < 10; ++i) {
+    const sim::Time t = t0 + sim::milliseconds(ms[i]);
+    const net::StationId rx = i % 3 == 0 ? 0 : 1;
+    const net::StationId tx = 1 - rx;
+    const int slot = channel.slot_at(t);
+    expect_offset(rx, t);
+    expect_offset(tx, t);
+    (void)channel.pb_error_probability(robo, tx, rx, slot, t);
+    expect_offset(tx, t);
+    const auto snr = channel.snr_db(tx, rx, slot, t);
+    const auto& stat = channel.static_snr_db(tx, rx, slot, t);
+    const double off = grid.fast_noise_offset_db(channel.outlet(rx), t);
+    EXPECT_EQ(bits(snr[17]), bits(stat[17] - off)) << "step " << i;
+    expect_offset(rx, t);
+  }
+
+  // Re-attaching a station to another outlet at the same instant must not
+  // serve the old outlet's offset.
+  const sim::Time t = t0 + sim::milliseconds(10.0);
+  ASSERT_NE(bits(grid.fast_noise_offset_db(b, t)),
+            bits(grid.fast_noise_offset_db(j, t)));
+  expect_offset(1, t);
+  channel.attach_station(1, j);
+  expect_offset(1, t);
+  channel.attach_station(1, b);
+  expect_offset(1, t);
 }
 
 }  // namespace

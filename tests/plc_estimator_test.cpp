@@ -4,13 +4,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <span>
 #include <vector>
 
 #include "src/grid/appliance.hpp"
 #include "src/grid/simd.hpp"
+#include "src/obs/obs.hpp"
 #include "tests/alloc_count.hpp"
 
 namespace efd::grid::simd {
@@ -271,6 +274,24 @@ ToneMap candidate_map_ladder(std::span<const double> measured,
   return out;
 }
 
+/// Runs run_margin_ladder into `fast` and checks it against the oracle bit
+/// for bit: carriers, expected PBerr, BLE and id.
+void expect_matches_oracle(std::span<const double> measured,
+                           std::span<const double> true_snr, double margin,
+                           double depth, const PhyParams& phy, std::uint32_t id,
+                           const grid::simd::CarrierKernels& k, ToneMap& fast) {
+  const ToneMap oracle =
+      candidate_map_ladder(measured, true_snr, margin, depth, phy, id, k);
+  ChannelEstimator::run_margin_ladder(measured, true_snr, margin, depth, phy, id,
+                                      k, fast);
+  ASSERT_EQ(fast.carriers(), oracle.carriers());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.expected_pberr()),
+            std::bit_cast<std::uint64_t>(oracle.expected_pberr()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.ble_mbps()),
+            std::bit_cast<std::uint64_t>(oracle.ble_mbps()));
+  EXPECT_EQ(fast.id(), oracle.id());
+}
+
 class LadderEquivalence
     : public ::testing::TestWithParam<const grid::simd::CarrierKernels*> {};
 
@@ -296,22 +317,95 @@ TEST_P(LadderEquivalence, MatchesCandidateMapOracleBitForBit) {
       }
       const double margin = rng.uniform(-2.0, 14.0);
       for (double depth : {0.0, 0.5, 1.0}) {
-        const auto id = static_cast<std::uint32_t>(trial + 1);
-        const ToneMap oracle = candidate_map_ladder(measured, true_snr, margin,
-                                                    depth, phy, id, k);
-        ChannelEstimator::run_margin_ladder(measured, true_snr, margin, depth,
-                                            phy, id, k, fast);
-        ASSERT_EQ(fast.carriers(), oracle.carriers())
-            << k.name << " trial " << trial << " depth " << depth;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.expected_pberr()),
-                  std::bit_cast<std::uint64_t>(oracle.expected_pberr()))
-            << k.name << " trial " << trial << " depth " << depth;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.ble_mbps()),
-                  std::bit_cast<std::uint64_t>(oracle.ble_mbps()))
-            << k.name << " trial " << trial << " depth " << depth;
-        EXPECT_EQ(fast.id(), oracle.id());
+        SCOPED_TRACE(::testing::Message()
+                     << k.name << " trial " << trial << " depth " << depth);
+        expect_matches_oracle(measured, true_snr, margin, depth, phy,
+                              static_cast<std::uint32_t>(trial + 1), k, fast);
       }
     }
+  }
+}
+
+/// Rungs the ladder's bound has skipped so far in this process.
+std::uint64_t rungs_bounded() {
+  return obs::MetricsRegistry::instance().snapshot().counter(
+      "plc.est.ladder_rungs_bounded");
+}
+
+TEST_P(LadderEquivalence, CraftedEdgeCasesMatchOracle) {
+  const grid::simd::CarrierKernels& k = *GetParam();
+  const PhyParams phy = PhyParams::hpav();
+  const auto n = static_cast<std::size_t>(phy.band.n_carriers);
+  const bool counting = EFD_OBS_ENABLED && obs::enabled();
+  ToneMap fast;
+  std::uint32_t id = 0;
+  const auto check = [&](const char* what, const std::vector<double>& measured,
+                         const std::vector<double>& true_snr, double margin,
+                         double depth) {
+    SCOPED_TRACE(::testing::Message() << k.name << ": " << what);
+    expect_matches_oracle(measured, true_snr, margin, depth, phy, ++id, k, fast);
+  };
+  // The carriers one rung loads on its own.
+  const auto rung_carriers = [&](const std::vector<double>& measured,
+                                 double m) -> std::vector<Modulation> {
+    return ToneMap::from_snr(measured, m, phy, 0.0, 0).carriers();
+  };
+
+  // Every carrier above the top threshold at every rung: four equal
+  // loadings tie, and the one map they share must come out.
+  const std::vector<double> high(n, 60.0);
+  check("all above top threshold", high, high, 2.0, 1.0);
+
+  // Every carrier below the lowest threshold: nothing loads, every rung
+  // scores 0 and rung 0 wins with an all-off map.
+  const std::vector<double> low(n, -20.0);
+  check("all below lowest threshold", low, low, 2.0, 1.0);
+  EXPECT_EQ(fast.phy_rate_mbps(), 0.0);
+
+  // NaN measurements load nothing; NaN true SNRs read the LUT's first cell.
+  std::vector<double> nan_measured(n, 20.0);
+  std::vector<double> nan_true(n, 20.0);
+  for (std::size_t i = 0; i < n; i += 3) nan_measured[i] = NAN;
+  for (std::size_t i = 1; i < n; i += 7) nan_true[i] = NAN;
+  check("some NaN measured", nan_measured, high, 1.0, 1.0);
+  check("some NaN measured and true", nan_measured, nan_true, 1.0, 1.0);
+  check("all NaN measured", std::vector<double>(n, NAN), high, 1.0, 1.0);
+
+  // A depth so small that the four margins differ by single ulps, with
+  // measurements straddling every threshold by a few ulps of the margin.
+  const double tiny_margin = 3.0;
+  const double tiny_depth = std::numeric_limits<double>::epsilon();
+  ASSERT_NE(tiny_margin - 1.5 * tiny_depth, tiny_margin);
+  std::vector<double> straddle(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = kRequiredSnrDb[1 + i % (kRequiredSnrDb.size() - 1)];
+    double s = t + tiny_margin;
+    for (std::size_t step = 0; step < (i / 7) % 7; ++step) {
+      s = std::nextafter(s, i % 2 == 0 ? -INFINITY : INFINITY);
+    }
+    straddle[i] = s;
+  }
+  check("one-ulp margins", straddle, straddle, tiny_margin, tiny_depth);
+
+  // The aggressive rung wins on a clean channel (PBerr ~ 0): rungs 0-2
+  // load QAM-256 everywhere, rung 3 QAM-1024, and the bound skips the rest.
+  const std::vector<double> aggressive(n, 25.5);
+  const std::uint64_t bounded_before = rungs_bounded();
+  check("aggressive rung wins", aggressive, high, 0.0, 1.0);
+  EXPECT_EQ(fast.carriers(), rung_carriers(aggressive, -4.5));
+  EXPECT_LT(fast.expected_pberr(), 1e-6);
+  if (counting) {
+    EXPECT_EQ(rungs_bounded() - bounded_before, 3u);
+  }
+
+  // The safe rung wins: QAM-1024 on a 26 dB channel errs too often, so
+  // each safer rung out-scores it and the bound never fires.
+  const std::vector<double> safe(n, 26.0);
+  const std::uint64_t before_safe = rungs_bounded();
+  check("safe rung wins", safe, safe, 0.0, 1.0);
+  EXPECT_EQ(fast.carriers(), rung_carriers(safe, 0.0));
+  if (counting) {
+    EXPECT_EQ(rungs_bounded() - before_safe, 0u);
   }
 }
 
