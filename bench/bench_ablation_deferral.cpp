@@ -10,6 +10,11 @@ using namespace efd;
 
 namespace {
 
+constexpr bench::Figure kFigure{
+    "ablation_deferral", "Ablation: 1901 deferral counter", "vs plain 802.11 backoff",
+    "the deferral counter trades a little short-term fairness for "
+    "fewer collisions under load (the paper's [19]/[21] analyses)"};
+
 struct Result {
   double aggregate_mbps = 0.0;
   double collision_rate = 0.0;
@@ -63,24 +68,25 @@ Result run(int n_flows, bool disable_deferral) {
   return r;
 }
 
-}  // namespace
-
-int main() {
-  bench::header("Ablation: 1901 deferral counter", "vs plain 802.11 backoff",
-                "the deferral counter trades a little short-term fairness for "
-                "fewer collisions under load (the paper's [19]/[21] analyses)");
-
+void experiment(bench::JsonReporter& json) {
   std::printf("%-8s | %28s | %28s\n", "", "IEEE 1901 (deferral)", "802.11-style");
   std::printf("%-8s | %9s %9s %8s | %9s %9s %8s\n", "flows", "Mb/s", "coll/frm",
               "jit ms", "Mb/s", "coll/frm", "jit ms");
   for (int flows : {1, 2, 4, 8}) {
     const Result d = run(flows, false);
     const Result n = run(flows, true);
+    const std::string tag = "_" + std::to_string(flows) + "flows";
     std::printf("%-8d | %9.1f %9.3f %8.2f | %9.1f %9.3f %8.2f\n", flows,
-                d.aggregate_mbps, d.collision_rate, d.jitter_ms, n.aggregate_mbps,
-                n.collision_rate, n.jitter_ms);
+                json.add("mbps_1901" + tag, d.aggregate_mbps, "Mb/s"),
+                json.add("collisions_1901" + tag, d.collision_rate, "ratio"),
+                d.jitter_ms, json.add("mbps_80211" + tag, n.aggregate_mbps, "Mb/s"),
+                json.add("collisions_80211" + tag, n.collision_rate, "ratio"),
+                n.jitter_ms);
   }
   std::printf("\n(collision rate grows faster without the deferral counter as "
               "the number of saturated stations rises)\n");
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

@@ -8,6 +8,12 @@ using namespace efd;
 
 namespace {
 
+constexpr bench::Figure kFigure{
+    "ablation_estimator", "Ablation: estimator design",
+    "uncertainty penalty / offset tracking",
+    "without the sample-count uncertainty there is no Fig. 16 "
+    "convergence; trusting instantaneous SNR makes BLE noisy"};
+
 /// 1 pkt/s probing after reset; returns (estimate at t=100 s, final).
 std::pair<double, double> probe_run(const plc::ChannelEstimator::Config& cfg) {
   grid::PowerGrid grid;
@@ -60,13 +66,7 @@ double jitter_run(const plc::ChannelEstimator::Config& cfg) {
   return stats.stddev();
 }
 
-}  // namespace
-
-int main() {
-  bench::header("Ablation: estimator design", "uncertainty penalty / offset tracking",
-                "without the sample-count uncertainty there is no Fig. 16 "
-                "convergence; trusting instantaneous SNR makes BLE noisy");
-
+void experiment(bench::JsonReporter& json) {
   bench::section("uncertainty penalty (10 pkt/s probing after reset)");
   plc::ChannelEstimator::Config with_unc;
   plc::ChannelEstimator::Config no_unc;
@@ -74,9 +74,10 @@ int main() {
   const auto [u100, ufinal] = probe_run(with_unc);
   const auto [n100, nfinal] = probe_run(no_unc);
   std::printf("%-28s estimate@100s %8.1f   final %8.1f\n",
-              "with uncertainty (default):", u100, ufinal);
-  std::printf("%-28s estimate@100s %8.1f   final %8.1f\n",
-              "without uncertainty:", n100, nfinal);
+              "with uncertainty (default):",
+              json.add("estimate_100s_with_uncertainty", u100, "Mb/s"), ufinal);
+  std::printf("%-28s estimate@100s %8.1f   final %8.1f\n", "without uncertainty:",
+              json.add("estimate_100s_without_uncertainty", n100, "Mb/s"), nfinal);
   std::printf("(without the penalty the estimate starts at its final value — "
               "the convergence the paper measures in Fig. 16 disappears)\n");
 
@@ -84,9 +85,12 @@ int main() {
   plc::ChannelEstimator::Config averaged;  // default: offset_tracking = 0
   plc::ChannelEstimator::Config naive;
   naive.offset_tracking = 1.0;
-  std::printf("%-34s BLE std %6.2f Mb/s\n",
-              "SNR averaged over frames (default):", jitter_run(averaged));
-  std::printf("%-34s BLE std %6.2f Mb/s\n",
-              "instantaneous SNR baked into maps:", jitter_run(naive));
-  return 0;
+  std::printf("%-34s BLE std %6.2f Mb/s\n", "SNR averaged over frames (default):",
+              json.add("ble_std_averaged_snr", jitter_run(averaged), "Mb/s"));
+  std::printf("%-34s BLE std %6.2f Mb/s\n", "instantaneous SNR baked into maps:",
+              json.add("ble_std_instantaneous_snr", jitter_run(naive), "Mb/s"));
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

@@ -6,17 +6,22 @@
 
 using namespace efd;
 
-int main() {
-  bench::header("Ablation: tone-map slots", "L=1 vs L=6 tone maps per half cycle",
-                "per-slot adaptation recovers the rate the invariance-scale "
-                "noise structure would otherwise cost");
+namespace {
 
-  sim::Simulator sim;
+constexpr bench::Figure kFigure{
+    "ablation_tonemap_slots", "Ablation: tone-map slots",
+    "L=1 vs L=6 tone maps per half cycle",
+    "per-slot adaptation recovers the rate the invariance-scale "
+    "noise structure would otherwise cost"};
+
+void experiment(bench::JsonReporter& json) {
   grid::PowerGrid grid;
   const int a = grid.add_node("a");
   const int j = grid.add_node("j");
   const int b = grid.add_node("b");
-  grid.add_cable(a, j, 12.0, 10.0);
+  // 20 dB of insertion loss keeps the link below the 150 Mb/s BLE cap; on
+  // the cap every slot count reads the same rate.
+  grid.add_cable(a, j, 12.0, 20.0);
   grid.add_cable(j, b, 8.0);
   // Strong mains-synchronous noise sources near the receiver.
   for (std::uint64_t s = 1; s <= 3; ++s) {
@@ -45,9 +50,13 @@ int main() {
     }
     std::printf("%-8d %14.1f %14.1f %12.1f\n", slots, est.average_ble_mbps(),
                 worst, best);
+    json.add("avg_ble_L" + std::to_string(slots), est.average_ble_mbps(), "Mb/s");
   }
   std::printf("\n(with one tone map the whole half cycle runs at a compromise "
               "rate; six slots track the noise trough and crest — the paper's "
               "Fig. 9 motivation for averaging BLE over the mains cycle)\n");
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

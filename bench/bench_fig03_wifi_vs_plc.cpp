@@ -9,6 +9,13 @@ using namespace efd;
 
 namespace {
 
+constexpr bench::Figure kFigure{
+    "fig03", "Fig. 3",
+    "WiFi vs PLC spatial comparison (all pairs, back-to-back saturation)",
+    "PLC connects 100% of WiFi-connected pairs; WiFi misses ~19% of PLC pairs; "
+    "~52% of pairs faster on PLC; sigma_W up to ~19 Mb/s vs sigma_P < 4 Mb/s; "
+    "no WiFi connectivity beyond ~35 m while PLC still delivers"};
+
 struct PairResult {
   int a = 0, b = 0;
   double dist_m = 0.0;
@@ -29,42 +36,24 @@ PairResult measure_pair(testbed::Testbed& tb, int a, int b, sim::Time duration) 
   return r;
 }
 
-}  // namespace
-
-int main() {
-  bench::header(
-      "Fig. 3", "WiFi vs PLC spatial comparison (all pairs, back-to-back saturation)",
-      "PLC connects 100% of WiFi-connected pairs; WiFi misses ~19% of PLC pairs; "
-      "~52% of pairs faster on PLC; sigma_W up to ~19 Mb/s vs sigma_P < 4 Mb/s; "
-      "no WiFi connectivity beyond ~35 m while PLC still delivers");
-  bench::JsonReporter json("fig03");
-
-  // Bench phases nest under the reporter's root "bench" scope; the folded
+void experiment(sim::Simulator&, testbed::Testbed& fig2, bench::JsonReporter& json) {
+  // Bench phases nest under the harness's root "bench" scope; the folded
   // tree in BENCH_fig03.json then attributes the run to setup/sweep/report.
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  sim::Simulator topology_sim;
-  std::unique_ptr<testbed::Testbed> tb;
-  {
-    EFD_PROF_SCOPE("phase.setup");
-    tb = std::make_unique<testbed::Testbed>(topology_sim, cfg);
-  }
-
-  const auto pairs = tb->all_pairs();
-  const auto duration = sim::seconds(8.0 * bench::duration_scale());
+  const auto pairs = fig2.all_pairs();
+  const auto duration = sim::seconds(bench::scaled(8.0, 0.0625));
   // One WiFi measurement per pair, preceded by a PLC one where both
   // stations share a PLC network.
   std::vector<sim::Time> spans;
   for (const auto& [a, b] : pairs) {
     spans.push_back(testbed::measurement_span(duration) *
-                    (tb->same_plc_network(a, b) ? 2 : 1));
+                    (fig2.same_plc_network(a, b) ? 2 : 1));
   }
   std::vector<PairResult> results;
   {
     EFD_PROF_SCOPE("phase.sweep");
     results = bench::sweep<PairResult>(
-        "pair", cfg, spans, [&](testbed::Testbed& task_tb, std::size_t i) {
-          return measure_pair(task_tb, pairs[i].first, pairs[i].second, duration);
+        "pair", bench::fig2_config(), spans, [&](testbed::Testbed& tb, std::size_t i) {
+          return measure_pair(tb, pairs[i].first, pairs[i].second, duration);
         });
   }
 
@@ -109,7 +98,7 @@ int main() {
 
   bench::section("connectivity");
   std::printf("pairs total: %zu (PLC possible on %zu same-network pairs)\n",
-              results.size(), tb->plc_links().size());
+              results.size(), fig2.plc_links().size());
   std::printf("PLC connected:  %d   WiFi connected: %d\n", plc_conn, wifi_conn);
   std::printf("WiFi-connected pairs also on PLC: %.0f%%  (paper: 100%%)\n",
               both + wifi_only == 0
@@ -121,8 +110,10 @@ int main() {
   bench::section("average performance");
   std::printf("pairs faster on PLC: %.0f%%  (paper: 52%%)\n",
               100.0 * plc_faster / std::max(1, comparable_pairs));
-  std::printf("max PLC/WiFi gain: %.1fx  (paper: 18x)\n", max_plc_gain);
-  std::printf("max WiFi/PLC gain: %.1fx  (paper: 12x)\n", max_wifi_gain);
+  std::printf("max PLC/WiFi gain: %.1fx  (paper: 18x)\n",
+              json.add("max_plc_gain", max_plc_gain, "x"));
+  std::printf("max WiFi/PLC gain: %.1fx  (paper: 12x)\n",
+              json.add("max_wifi_gain", max_wifi_gain, "x"));
 
   bench::section("variability");
   std::printf("sigma_W: mean %.1f  max %.1f Mb/s  (paper max ~19.2)\n",
@@ -160,5 +151,8 @@ int main() {
                 r.dist_m, r.wifi.mean_mbps, r.plc.mean_mbps);
   }
   std::printf("(paper: PLC delivers up to 41 Mb/s where WiFi is blind)\n");
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

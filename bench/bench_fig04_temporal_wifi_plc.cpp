@@ -7,30 +7,28 @@ using namespace efd;
 
 namespace {
 
+constexpr bench::Figure kFigure{
+    "fig04", "Fig. 4", "temporal variation of capacity, WiFi vs PLC, working hours",
+    "good link: WiFi varies strongly, PLC nearly flat (even at the "
+    "18:00 office exodus); average link: both vary, WiFi more"};
+
 struct Series {
   sim::RunningStats stats;
   std::vector<double> samples;
+  void add(double v) {
+    stats.add(v);
+    samples.push_back(v);
+  }
 };
 
-void run_link(testbed::Testbed& tb, int a, int b, double hours,
-              Series& plc_out, Series& wifi_out) {
-  auto& est = tb.plc_network_of(b).estimator(b, a);
-  core::LinkTraceSampler::Config scfg;
-  scfg.step = sim::seconds(1);
-  scfg.pbs_per_step = 26000;  // saturated traffic between 1 s samples
-  core::LinkTraceSampler sampler(tb.plc_channel(), est, a, b,
-                                 sim::Rng{tb.seed() ^ 0x44ULL}, scfg);
-  const sim::Time start = tb.simulator().now();
-  for (double s = 0.0; s < hours * 3600.0; s += 1.0) {
-    const sim::Time t = start + sim::seconds(s);
-    const double ble = sampler.step(t);
+void run_link(testbed::Testbed& tb, int a, int b, Series& plc_out,
+              Series& wifi_out) {
+  const auto sample = [&](sim::Time t, double ble) {
     // WiFi capacity: MCS of the current channel state (frame control).
-    const double mcs = tb.wifi().mcs_capacity_mbps(a, b, t);
-    plc_out.stats.add(ble);
-    plc_out.samples.push_back(ble);
-    wifi_out.stats.add(mcs);
-    wifi_out.samples.push_back(mcs);
-  }
+    wifi_out.add(tb.wifi().mcs_capacity_mbps(a, b, t));
+    plc_out.add(ble);
+  };
+  bench::trace(tb, a, b, 0x44, sim::hours(2), sim::seconds(1), sample);
 }
 
 void print_series(const char* name, const Series& plc, const Series& wifi) {
@@ -44,18 +42,7 @@ void print_series(const char* name, const Series& plc, const Series& wifi) {
   }
 }
 
-}  // namespace
-
-int main() {
-  bench::header("Fig. 4",
-                "temporal variation of capacity, WiFi vs PLC, working hours",
-                "good link: WiFi varies strongly, PLC nearly flat (even at the "
-                "18:00 office exodus); average link: both vary, WiFi more");
-
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   // Start 16:30 on a weekday, as in the paper's link 3-8 run (4:30 pm).
   sim.run_until(sim::days(1) + sim::hours(16.5));
 
@@ -86,16 +73,22 @@ int main() {
   bench::warm_link(tb, avg_a, avg_b, testbed::PlcGeneration::kHpav, 30.0);
 
   Series plc_good, wifi_good, plc_avg, wifi_avg;
-  run_link(tb, good_a, good_b, 2.0, plc_good, wifi_good);
-  run_link(tb, avg_a, avg_b, 2.0, plc_avg, wifi_avg);
+  run_link(tb, good_a, good_b, plc_good, wifi_good);
+  run_link(tb, avg_a, avg_b, plc_avg, wifi_avg);
 
   print_series("good link (paper: link 3-8, 4:30 pm)", plc_good, wifi_good);
   print_series("average link (paper: link 4-0, 11:30 am)", plc_avg, wifi_avg);
 
   bench::section("variability ratio");
+  const auto ratio = [](const Series& wifi, const Series& plc) {
+    return wifi.stats.stddev() / std::max(0.1, plc.stats.stddev());
+  };
   std::printf("good link: std_W / std_P = %.1f (paper: WiFi clearly higher)\n",
-              wifi_good.stats.stddev() / std::max(0.1, plc_good.stats.stddev()));
+              json.add("good_std_ratio", ratio(wifi_good, plc_good), "x"));
   std::printf("avg  link: std_W / std_P = %.1f\n",
-              wifi_avg.stats.stddev() / std::max(0.1, plc_avg.stats.stddev()));
-  return 0;
+              json.add("avg_std_ratio", ratio(wifi_avg, plc_avg), "x"));
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

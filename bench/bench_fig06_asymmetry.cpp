@@ -10,6 +10,11 @@ using namespace efd;
 
 namespace {
 
+constexpr bench::Figure kFigure{
+    "fig06", "Fig. 6", "PLC throughput asymmetry",
+    "~30% of station pairs show >1.5x asymmetry; examples where "
+    "one direction is <60% of the other"};
+
 struct PairResult {
   int a = 0, b = 0;
   double fwd = 0.0, rev = 0.0;
@@ -28,29 +33,19 @@ PairResult measure_pair(testbed::Testbed& tb, int a, int b, sim::Time duration) 
   return r;
 }
 
-}  // namespace
-
-int main() {
-  bench::header("Fig. 6", "PLC throughput asymmetry",
-                "~30% of station pairs show >1.5x asymmetry; examples where one "
-                "direction is <60% of the other");
-  bench::JsonReporter json("fig06");
-
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
+void experiment(sim::Simulator&, testbed::Testbed& fig2, bench::JsonReporter& json) {
   std::vector<std::pair<int, int>> links;
-  sim::Simulator topology_sim;
-  for (const auto& [a, b] : testbed::Testbed(topology_sim, cfg).plc_links()) {
+  for (const auto& [a, b] : fig2.plc_links()) {
     if (a > b) continue;  // one entry per undirected pair
     links.emplace_back(a, b);
   }
 
-  const auto duration = sim::seconds(8.0 * bench::duration_scale());
+  const auto duration = sim::seconds(bench::scaled(8.0, 0.0625));
   // Two measurements per pair: forward, then reverse.
   const std::vector<sim::Time> spans(
       links.size(), testbed::measurement_span(duration) * 2);
   const auto measured = bench::sweep<PairResult>(
-      "pair", cfg, spans, [&](testbed::Testbed& tb, std::size_t i) {
+      "pair", bench::fig2_config(), spans, [&](testbed::Testbed& tb, std::size_t i) {
         return measure_pair(tb, links[i].first, links[i].second, duration);
       });
 
@@ -83,5 +78,8 @@ int main() {
   json.add("pairs_measured", static_cast<double>(pairs.size()), "pairs");
   json.add("pct_above_1.5x",
            100.0 * above_15 / std::max<std::size_t>(1, pairs.size()), "%");
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

@@ -8,6 +8,12 @@ using namespace efd;
 
 namespace {
 
+constexpr bench::Figure kFigure{
+    "fig07", "Fig. 7", "throughput vs cable distance (AV and AV500); PBerr vs T",
+    "clear degradation with distance; <30 m guarantees good links, "
+    "30-100 m can be good or bad; AV500 revives some dead AV links "
+    "(with severe asymmetry); PBerr decreases as throughput rises"};
+
 struct Row {
   int a = 0, b = 0;
   double dist = 0.0;
@@ -29,19 +35,10 @@ Row measure_link(testbed::Testbed& tb, int a, int b, sim::Time duration) {
   return r;
 }
 
-}  // namespace
-
-int main() {
-  bench::header("Fig. 7", "throughput vs cable distance (AV and AV500); PBerr vs T",
-                "clear degradation with distance; <30 m guarantees good links, "
-                "30-100 m can be good or bad; AV500 revives some dead AV links "
-                "(with severe asymmetry); PBerr decreases as throughput rises");
-  bench::JsonReporter json("fig07");
-
+void experiment(sim::Simulator&, testbed::Testbed& fig2, bench::JsonReporter& json) {
   const testbed::Testbed::Config cfg{};  // both generations
-  sim::Simulator topology_sim;
-  const auto links = testbed::Testbed(topology_sim, cfg).plc_links();
-  const auto duration = sim::seconds(8.0 * bench::duration_scale());
+  const auto links = fig2.plc_links();
+  const auto duration = sim::seconds(bench::scaled(8.0, 0.0625));
   // Two measurements per link: AV, then AV500.
   const std::vector<sim::Time> spans(
       links.size(), testbed::measurement_span(duration) * 2);
@@ -97,5 +94,8 @@ int main() {
                 p.mean(), p.count());
   }
   std::printf("(paper: PBerr falls with throughput, up to ~0.4 on bad links)\n");
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

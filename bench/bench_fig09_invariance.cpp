@@ -11,6 +11,12 @@ using namespace efd;
 
 namespace {
 
+constexpr bench::Figure kFigure{
+    "fig09", "Fig. 9", "invariance-scale variation of BLEs (tone-map slots)",
+    "BLEs changes periodically with period 10 ms (half mains cycle); "
+    "each frame uses the tone map of the slot it lands in; visible "
+    "slot-to-slot differences on both good and average links"};
+
 struct CaptureResult {
   struct Frame {
     double t_ms;  // relative to the first frame in the 80 ms window
@@ -75,18 +81,7 @@ double print_capture(const CaptureResult& c, const char* label) {
   return hi - lo;
 }
 
-}  // namespace
-
-int main() {
-  bench::header("Fig. 9", "invariance-scale variation of BLEs (tone-map slots)",
-                "BLEs changes periodically with period 10 ms (half mains cycle); "
-                "each frame uses the tone map of the slot it lands in; visible "
-                "slot-to-slot differences on both good and average links");
-  bench::JsonReporter json("fig09");
-
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-
+void experiment(bench::JsonReporter& json) {
   struct Link {
     int a, b;
     const char* label;
@@ -97,7 +92,8 @@ int main() {
   const std::vector<sim::Time> spans(
       std::size(links), testbed::measurement_span(kCaptureDuration));
   const auto captures = bench::sweep<CaptureResult>(
-      "link", cfg, spans, [&links](testbed::Testbed& tb, std::size_t i) {
+      "link", bench::fig2_config(), spans,
+      [&links](testbed::Testbed& tb, std::size_t i) {
         return capture_link(tb, links[i].a, links[i].b);
       });
 
@@ -107,5 +103,8 @@ int main() {
                  std::to_string(links[i].b),
              swing, "Mb/s");
   }
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

@@ -7,16 +7,15 @@
 
 using namespace efd;
 
-int main() {
-  bench::header("Fig. 10", "cycle-scale BLE traces by link quality (night)",
-                "bad links retune often with large BLE std; average links keep "
-                "tone maps for seconds; good links stay flat for tens of "
-                "seconds with <1% wiggles or small impulsive drops");
+namespace {
 
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+constexpr bench::Figure kFigure{
+    "fig10", "Fig. 10", "cycle-scale BLE traces by link quality (night)",
+    "bad links retune often with large BLE std; average links keep "
+    "tone maps for seconds; good links stay flat for tens of "
+    "seconds with <1% wiggles or small impulsive drops"};
+
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(testbed::weekend_night());
 
   // Pick two links of each quality class from the live floor.
@@ -38,20 +37,18 @@ int main() {
 
   const auto trace_link = [&](const Pick& p, const char* klass) {
     auto& est = tb.plc_network_of(p.b).estimator(p.b, p.a);
-    core::LinkTraceSampler sampler(tb.plc_channel(), est, p.a, p.b,
-                                   sim::Rng{tb.seed() ^ 0x10aULL});
-    const sim::Time start = tb.simulator().now();
     const auto updates_before = est.update_count();
-    const auto trace = sampler.run(start, start + sim::seconds(200));
+    const auto trace = bench::cycle_trace(tb, p.a, p.b, 0x10a, sim::seconds(200));
     sim::RunningStats stats;
     for (const auto& s : trace) stats.add(s.ble_mbps);
     const auto updates = est.update_count() - updates_before;
-    bench::section(std::string(klass) + " link " + std::to_string(p.a) + "-" +
-                   std::to_string(p.b));
+    const std::string link = std::to_string(p.a) + "-" + std::to_string(p.b);
+    bench::section(std::string(klass) + " link " + link);
     std::printf("BLE mean %.1f, std %.2f, min %.1f, max %.1f Mb/s; "
                 "tone-map updates in 200 s: %llu (alpha ~ %.0f ms)\n",
-                stats.mean(), stats.stddev(), stats.min(), stats.max(),
-                static_cast<unsigned long long>(updates),
+                stats.mean(), json.add(std::string(klass) + "_std_" + link,
+                                       stats.stddev(), "Mb/s"),
+                stats.min(), stats.max(), static_cast<unsigned long long>(updates),
                 updates > 0 ? 200000.0 / static_cast<double>(updates) : 1e9);
     std::printf("trace every 10 s: ");
     for (std::size_t i = 0; i < trace.size(); i += 200) {
@@ -71,5 +68,8 @@ int main() {
     trace_link(fwd, "forward");
     trace_link(rev, "reverse");
   }
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

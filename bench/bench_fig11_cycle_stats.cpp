@@ -7,17 +7,17 @@
 
 using namespace efd;
 
-int main() {
-  bench::header("Fig. 11", "alpha and std(BLE) vs link quality, all links (night)",
-                "good links update tone maps orders of magnitude less often "
-                "(alpha up to ~10 s vs ~100 ms) and show smaller BLE std (0-6 "
-                "Mb/s range, falling with quality)");
+namespace {
 
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+constexpr bench::Figure kFigure{
+    "fig11", "Fig. 11", "alpha and std(BLE) vs link quality, all links (night)",
+    "good links update tone maps orders of magnitude less often "
+    "(alpha up to ~10 s vs ~100 ms) and show smaller BLE std (0-6 "
+    "Mb/s range, falling with quality)"};
+
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(testbed::weekend_night());
+  const double span_ms = bench::scaled(120'000.0, 0.25);
 
   struct Row {
     int a, b;
@@ -30,16 +30,13 @@ int main() {
     if (tb.plc_channel().mean_snr_db(a, b, 0, sim.now()) < 5.0) continue;
     bench::warm_link(tb, a, b);
     auto& est = tb.plc_network_of(b).estimator(b, a);
-    core::LinkTraceSampler sampler(tb.plc_channel(), est, a, b,
-                                   sim::Rng{tb.seed() ^ 0x11bULL});
-    const sim::Time start = tb.simulator().now();
     const auto updates_before = est.update_count();
-    const auto trace = sampler.run(start, start + sim::seconds(120));
+    const auto trace = bench::cycle_trace(tb, a, b, 0x11b, sim::milliseconds(span_ms));
     sim::RunningStats stats;
     for (const auto& s : trace) stats.add(s.ble_mbps);
     const auto updates = est.update_count() - updates_before;
     rows.push_back({a, b, stats.mean(),
-                    updates > 0 ? 120000.0 / static_cast<double>(updates) : 120000.0,
+                    updates > 0 ? span_ms / static_cast<double>(updates) : span_ms,
                     stats.stddev()});
   }
 
@@ -64,10 +61,10 @@ int main() {
   }
   std::printf("corr(BLE, log alpha) = %+.2f  (paper: positive — good links "
               "update less)\n",
-              sim::pearson(ble, alpha));
+              json.add("corr_ble_log_alpha", sim::pearson(ble, alpha), "r"));
   std::printf("corr(BLE, std BLE)   = %+.2f  (paper: negative — good links "
               "vary less)\n",
-              sim::pearson(ble, stddev));
+              json.add("corr_ble_std", sim::pearson(ble, stddev), "r"));
 
   sim::RunningStats std_good, std_bad;
   for (const Row& r : rows) {
@@ -75,6 +72,10 @@ int main() {
   }
   std::printf("mean std(BLE): links >100 Mb/s: %.2f; links <=100: %.2f "
               "(paper: 0-6 Mb/s range)\n",
-              std_good.mean(), std_bad.mean());
-  return 0;
+              json.add("std_ble_good", std_good.mean(), "Mb/s"),
+              json.add("std_ble_rest", std_bad.mean(), "Mb/s"));
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

@@ -8,60 +8,12 @@ using namespace efd;
 
 namespace {
 
-struct HourProfile {
-  sim::RunningStats weekday[24];
-  sim::RunningStats weekend[24];
-};
+constexpr bench::Figure kFigure{
+    "fig13", "Fig. 13", "good link over 2 weeks: hour-of-day BLE profile",
+    "a good link's BLE spans only a few Mb/s (paper: 88-96) with "
+    "tiny error bars; weekends are flatter than weekdays"};
 
-HourProfile profile_link(testbed::Testbed& tb, int a, int b, int days) {
-  auto& est = tb.plc_network_of(b).estimator(b, a);
-  core::LinkTraceSampler::Config scfg;
-  scfg.step = sim::seconds(5);
-  scfg.pbs_per_step = 130000;
-  core::LinkTraceSampler sampler(tb.plc_channel(), est, a, b,
-                                 sim::Rng{tb.seed() ^ 0x13dULL}, scfg);
-  HourProfile profile;
-  const sim::Time start = tb.simulator().now();
-  for (int s = 0; s < days * 24 * 3600; s += 5) {
-    const sim::Time t = start + sim::seconds(s);
-    const double ble = sampler.step(t);
-    const int hour = static_cast<int>(grid::Calendar::hour_of_day(t));
-    auto& bucket = grid::Calendar::is_weekend(t) ? profile.weekend[hour]
-                                                 : profile.weekday[hour];
-    bucket.add(ble);
-  }
-  return profile;
-}
-
-void print_profile(const HourProfile& p) {
-  std::printf("%6s %14s %14s %12s %12s\n", "hour", "weekday BLE", "weekend BLE",
-              "wd std", "we std");
-  for (int h = 0; h < 24; h += 2) {
-    std::printf("%5d: %14.1f %14.1f %12.2f %12.2f\n", h, p.weekday[h].mean(),
-                p.weekend[h].mean(), p.weekday[h].stddev(),
-                p.weekend[h].stddev());
-  }
-  sim::RunningStats all_wd, all_we;
-  for (int h = 0; h < 24; ++h) {
-    all_wd.add(p.weekday[h].mean());
-    all_we.add(p.weekend[h].mean());
-  }
-  std::printf("weekday span: %.1f Mb/s; weekend span: %.1f Mb/s\n",
-              all_wd.max() - all_wd.min(), all_we.max() - all_we.min());
-}
-
-}  // namespace
-
-int main() {
-  bench::header("Fig. 13", "good link over 2 weeks: hour-of-day BLE profile",
-                "a good link's BLE spans only a few Mb/s (paper: 88-96) with "
-                "tiny error bars; weekends are flatter than weekdays");
-
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
-
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   // A good link that sits just *below* the 150 Mb/s ceiling stands in for
   // the paper's link 1-8 (which rides at 88-96 Mb/s): at the cap the BLE
   // quantizes flat; just below it the daily load rhythm stays visible.
@@ -79,7 +31,25 @@ int main() {
   sim.run_until(sim::hours(0.1));
   best = bench::warmed_ble(tb, ga, gb);
   std::printf("good link: %d->%d (BLE %.0f Mb/s)\n", ga, gb, best);
-  const auto profile = profile_link(tb, ga, gb, 14);
-  print_profile(profile);
-  return 0;
+
+  // EFD_BENCH_SCALE coarsens the 5 s step, never the 14-day span.
+  bench::HourProfile p;
+  bench::trace(tb, ga, gb, 0x13d, sim::days(14),
+               sim::seconds(5.0 / bench::scaled(1.0, 1.0 / 64)),
+               [&p](sim::Time t, double ble) { p.add(t, ble); });
+
+  std::printf("%6s %14s %14s %12s %12s\n", "hour", "weekday BLE", "weekend BLE",
+              "wd std", "we std");
+  for (int h = 0; h < 24; h += 2) {
+    std::printf("%5d: %14.1f %14.1f %12.2f %12.2f\n", h, p.weekday[h].mean(),
+                p.weekend[h].mean(), p.weekday[h].stddev(),
+                p.weekend[h].stddev());
+  }
+  std::printf("weekday span: %.1f Mb/s; weekend span: %.1f Mb/s\n",
+              json.add("weekday_span", bench::swing(p.weekday), "Mb/s"),
+              json.add("weekend_span", bench::swing(p.weekend), "Mb/s"));
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

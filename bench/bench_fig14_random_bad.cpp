@@ -6,15 +6,14 @@
 
 using namespace efd;
 
-int main() {
-  bench::header("Fig. 14", "bad link over 2 weeks: hour-of-day BLE and daily trace",
-                "the bad link swings widely with the electrical load (paper: "
-                "25-50 Mb/s over the day) and weekends sit above weekdays");
+namespace {
 
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+constexpr bench::Figure kFigure{
+    "fig14", "Fig. 14", "bad link over 2 weeks: hour-of-day BLE and daily trace",
+    "the bad link swings widely with the electrical load (paper: "
+    "25-50 Mb/s over the day) and weekends sit above weekdays"};
+
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(sim::hours(0.1));
 
   // A weak-but-alive link stands in for the paper's link 2-11.
@@ -31,52 +30,44 @@ int main() {
   }
   std::printf("bad link: %d->%d (BLE %.0f Mb/s)\n", ba, bb, worst);
 
-  auto& est = tb.plc_network_of(bb).estimator(bb, ba);
-  core::LinkTraceSampler::Config scfg;
-  scfg.step = sim::seconds(5);
-  scfg.pbs_per_step = 130000;
-  core::LinkTraceSampler sampler(tb.plc_channel(), est, ba, bb,
-                                 sim::Rng{tb.seed() ^ 0x14eULL}, scfg);
-  core::BleCapacityEstimator capacity;
-
-  sim::RunningStats weekday[24], weekend[24];
+  // EFD_BENCH_SCALE coarsens the 5 s step, never the 14-day span.
+  const sim::Time step = sim::seconds(5.0 / bench::scaled(1.0, 1.0 / 64));
+  bench::HourProfile profile;
   std::vector<double> daily_mean;
   sim::RunningStats day_acc;
   const sim::Time start = sim.now();
-  for (int s = 0; s < 14 * 24 * 3600; s += 5) {
-    const sim::Time t = start + sim::seconds(s);
-    const double ble = sampler.step(t);
-    const int hour = static_cast<int>(grid::Calendar::hour_of_day(t));
-    (grid::Calendar::is_weekend(t) ? weekend[hour] : weekday[hour]).add(ble);
+  const auto sample = [&](sim::Time t, double ble) {
+    profile.add(t, ble);
     day_acc.add(ble);
-    if (s % (24 * 3600) == 24 * 3600 - 5) {
+    if ((t - start + step) / sim::days(1) != (t - start) / sim::days(1)) {
       daily_mean.push_back(day_acc.mean());
       day_acc = {};
     }
-  }
+  };
+  bench::trace(tb, ba, bb, 0x14e, sim::days(14), step, sample);
 
   bench::section("hour-of-day profile (weekdays vs weekends)");
   std::printf("%6s %14s %12s %14s\n", "hour", "weekday BLE", "wd std",
               "weekend BLE");
   for (int h = 0; h < 24; h += 2) {
-    std::printf("%5d: %14.1f %12.2f %14.1f\n", h, weekday[h].mean(),
-                weekday[h].stddev(), weekend[h].mean());
+    std::printf("%5d: %14.1f %12.2f %14.1f\n", h, profile.weekday[h].mean(),
+                profile.weekday[h].stddev(), profile.weekend[h].mean());
   }
 
   bench::section("daily means across the fortnight (BLE and predicted T)");
   std::printf("%6s %10s %14s\n", "day", "BLE Mb/s", "pred. T Mb/s");
+  const core::BleCapacityEstimator capacity;
   for (std::size_t d = 0; d < daily_mean.size(); ++d) {
     std::printf("%6zu %10.1f %14.1f\n", d, daily_mean[d],
                 capacity.throughput_from_ble(daily_mean[d]));
   }
 
-  sim::RunningStats wd_span, we_span;
-  for (int h = 0; h < 24; ++h) {
-    wd_span.add(weekday[h].mean());
-    we_span.add(weekend[h].mean());
-  }
   std::printf("\nweekday daily swing: %.1f Mb/s (paper: ~25 Mb/s on link 2-11); "
               "weekend swing: %.1f\n",
-              wd_span.max() - wd_span.min(), we_span.max() - we_span.min());
-  return 0;
+              json.add("weekday_swing", bench::swing(profile.weekday), "Mb/s"),
+              json.add("weekend_swing", bench::swing(profile.weekend), "Mb/s"));
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

@@ -5,16 +5,16 @@
 
 using namespace efd;
 
-int main() {
-  bench::header("Fig. 15", "average BLE vs saturated throughput, all links",
-                "BLE is an exact linear predictor of application throughput: "
-                "BLE = 1.7*T - 0.65 with normally distributed residuals");
+namespace {
 
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+constexpr bench::Figure kFigure{
+    "fig15", "Fig. 15", "average BLE vs saturated throughput, all links",
+    "BLE is an exact linear predictor of application throughput: "
+    "BLE = 1.7*T - 0.65 with normally distributed residuals"};
+
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(testbed::weekday_afternoon());
+  const auto duration = sim::seconds(bench::scaled(12.0, 0.25));
 
   std::vector<double> throughput, ble;
   for (const auto& [a, b] : tb.plc_links()) {
@@ -29,7 +29,7 @@ int main() {
       poller = sim.after(sim::milliseconds(500), poll);
     };
     poller = sim.after(sim::milliseconds(500), poll);
-    const auto r = testbed::measure_plc_throughput(tb, a, b, sim::seconds(12));
+    const auto r = testbed::measure_plc_throughput(tb, a, b, duration);
     poller.cancel();
     if (r.mean_mbps < 1.0) continue;
     throughput.push_back(r.mean_mbps);
@@ -38,10 +38,13 @@ int main() {
 
   const auto fit = sim::fit_line(throughput, ble);
   bench::section("fit");
-  std::printf("links fitted: %zu\n", throughput.size());
+  std::printf("links fitted: %.0f\n",
+              json.add("links_fitted", throughput.size(), "links"));
   std::printf("BLE = %.2f * T %+.2f   (paper: BLE = 1.70 * T - 0.65)\n",
-              fit.slope, fit.intercept);
-  std::printf("R^2 = %.3f  (paper: residuals normally distributed)\n", fit.r2);
+              json.add("fit_slope", fit.slope, "ratio"),
+              json.add("fit_intercept", fit.intercept, "Mb/s"));
+  std::printf("R^2 = %.3f  (paper: residuals normally distributed)\n",
+              json.add("fit_r2", fit.r2, "ratio"));
 
   bench::section("sample points (T, BLE)");
   std::printf("%10s %10s %12s\n", "T (Mb/s)", "BLE (Mb/s)", "1.7*T-0.65");
@@ -57,5 +60,8 @@ int main() {
   }
   std::printf("\nresiduals: mean %+.2f, std %.2f Mb/s\n", residuals.mean(),
               residuals.stddev());
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

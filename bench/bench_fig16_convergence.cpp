@@ -6,16 +6,14 @@
 
 using namespace efd;
 
-int main() {
-  bench::header("Fig. 16", "capacity-estimation convergence vs probe rate",
-                "all rates converge to the same capacity; 200 pkt/s converges "
-                "within minutes while 1 pkt/s needs thousands of seconds");
-  bench::JsonReporter json("fig16");
+namespace {
 
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+constexpr bench::Figure kFigure{
+    "fig16", "Fig. 16", "capacity-estimation convergence vs probe rate",
+    "all rates converge to the same capacity; 200 pkt/s converges "
+    "within minutes while 1 pkt/s needs thousands of seconds"};
+
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(testbed::weekend_night());
 
   // One good and one average link, as in the paper (links 1-11 and 1-5).
@@ -41,13 +39,7 @@ int main() {
     std::printf("   converge@95%%\n");
     for (double rate : rates) {
       // Device reset before each run (§7.1).
-      auto& est = tb.plc_network_of(pick.b).estimator(pick.b, pick.a);
-      est.reset(sim.now());
-      core::ProbeTraceSampler::Config scfg;
-      scfg.packets_per_second = rate;
-      scfg.packet_bytes = 1300;
-      core::ProbeTraceSampler sampler(tb.plc_channel(), est, pick.a, pick.b,
-                                      sim::Rng{tb.seed() ^ 0x16fULL}, scfg);
+      auto sampler = bench::probe_after_reset(tb, pick.a, pick.b, 0x16f, rate, 1300);
       const sim::Time start = sim.now();
       const auto trace = sampler.run(start, start + sim::seconds(8000),
                                      sim::seconds(10));
@@ -76,5 +68,8 @@ int main() {
   std::printf("\n(the convergence time falls with probe rate because per-"
               "carrier statistics need PB samples; the final value does not "
               "depend on the rate)\n");
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

@@ -5,15 +5,14 @@
 
 using namespace efd;
 
-int main() {
-  bench::header("Fig. 17", "estimation across a probing pause (20 pkt/s)",
-                "after a reset the estimate climbs; pausing probes for 7 min at "
-                "t=2300 s changes nothing — the estimate resumes where it was");
+namespace {
 
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+constexpr bench::Figure kFigure{
+    "fig17", "Fig. 17", "estimation across a probing pause (20 pkt/s)",
+    "after a reset the estimate climbs; pausing probes for 7 min at "
+    "t=2300 s changes nothing — the estimate resumes where it was"};
+
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(testbed::weekend_night());
 
   // Four links of different qualities, as in the paper (1-0, 1-6, 1-10, 1-5).
@@ -30,20 +29,14 @@ int main() {
   }
 
   for (const auto& [a, b] : links) {
-    auto& est = tb.plc_network_of(b).estimator(b, a);
-    est.reset(sim.now());
-    core::ProbeTraceSampler::Config scfg;
-    scfg.packets_per_second = 20.0;
-    scfg.packet_bytes = 1300;
-    core::ProbeTraceSampler sampler(tb.plc_channel(), est, a, b,
-                                    sim::Rng{tb.seed() ^ 0x17aULL}, scfg);
+    auto sampler = bench::probe_after_reset(tb, a, b, 0x17a, 20.0, 1300);
     const sim::Time start = sim.now();
     // Probe until t=2300 s.
     auto trace = sampler.run(start, start + sim::seconds(2300), sim::seconds(10));
     const double before_pause = trace.back().ble_mbps;
     // Pause ~7 minutes: no probes at all.
     const sim::Time resume = start + sim::seconds(2300) + sim::minutes(7);
-    const double at_resume = est.average_ble_mbps();
+    const double at_resume = tb.plc_network_of(b).estimator(b, a).average_ble_mbps();
     // Resume probing to t=5000 s.
     auto tail = sampler.run(resume, start + sim::seconds(5000), sim::seconds(10));
     const double after_resume = tail.front().ble_mbps;
@@ -56,7 +49,11 @@ int main() {
                 "t=5000 s: %.1f Mb/s\n",
                 at_resume, after_resume, end_value);
     std::printf("pause penalty: %+.1f Mb/s (paper: none — statistics persist)\n",
-                after_resume - before_pause);
+                json.add("pause_penalty_" + std::to_string(a) + "_" + std::to_string(b),
+                         after_resume - before_pause, "Mb/s"));
   }
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

@@ -6,15 +6,14 @@
 
 using namespace efd;
 
-int main() {
-  bench::header("Fig. 18", "estimated capacity vs probe size (1 pkt/s)",
-                "200 B and 520 B probes converge to ~89.4 Mb/s and stay there; "
-                "521 B and 1300 B probes converge to the true capacity");
+namespace {
 
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+constexpr bench::Figure kFigure{
+    "fig18", "Fig. 18", "estimated capacity vs probe size (1 pkt/s)",
+    "200 B and 520 B probes converge to ~89.4 Mb/s and stay there; "
+    "521 B and 1300 B probes converge to the true capacity"};
+
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(testbed::weekend_night());
 
   // A high-capacity link, like the paper's 11-6 (true capacity ~120+).
@@ -36,29 +35,29 @@ int main() {
   for (double cp : checkpoints_s) std::printf(" %9.0f", cp);
   std::printf("\n");
   for (std::size_t size : sizes) {
-    auto& est = tb.plc_network_of(lb).estimator(lb, la);
-    est.reset(sim.now());
-    core::ProbeTraceSampler::Config scfg;
-    scfg.packets_per_second = 1.0;
-    scfg.packet_bytes = size;
-    core::ProbeTraceSampler sampler(tb.plc_channel(), est, la, lb,
-                                    sim::Rng{tb.seed() ^ 0x18bULL}, scfg);
+    auto sampler = bench::probe_after_reset(tb, la, lb, 0x18b, 1.0, size);
     const sim::Time start = sim.now();
     const auto trace =
         sampler.run(start, start + sim::seconds(10000), sim::seconds(20));
     std::printf("%7zuB", size);
     std::size_t ci = 0;
+    double last = 0.0;
     for (const auto& s : trace) {
       if (ci < std::size(checkpoints_s) &&
           (s.t - start).seconds() >= checkpoints_s[ci]) {
         std::printf(" %9.1f", s.ble_mbps);
+        last = s.ble_mbps;
         ++ci;
       }
     }
     std::printf("\n");
+    json.add("ble_" + std::to_string(size) + "B", last, "Mb/s");
   }
   std::printf("\n(520 B fits one PB: with single-PB, single-symbol frames the "
               "rate adaptation has no airtime gradient above R1sym and "
               "converges there; 521 B needs a second PB and escapes)\n");
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

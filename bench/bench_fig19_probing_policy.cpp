@@ -7,28 +7,24 @@
 
 using namespace efd;
 
-int main() {
-  bench::header("Fig. 19", "estimation-error CDF for probing policies",
-                "the adaptive method matches the 5 s-everywhere accuracy while "
-                "cutting probe overhead ~32%; 80 s-everywhere is cheap but "
-                "inaccurate on bad links");
+namespace {
 
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+constexpr bench::Figure kFigure{
+    "fig19", "Fig. 19", "estimation-error CDF for probing policies",
+    "the adaptive method matches the 5 s-everywhere accuracy while "
+    "cutting probe overhead ~32%; 80 s-everywhere is cheap but "
+    "inaccurate on bad links"};
+
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(testbed::weekend_night());
 
   // Collect a 200 s, 50 ms-resolution BLE trace per live link (§6.2 data).
+  const auto span = sim::seconds(bench::scaled(200.0, 0.5));
   std::vector<std::vector<core::BleSample>> traces;
   for (const auto& [a, b] : tb.plc_links()) {
     if (tb.plc_channel().mean_snr_db(a, b, 0, sim.now()) < 5.0) continue;
     bench::warm_link(tb, a, b);
-    auto& est = tb.plc_network_of(b).estimator(b, a);
-    core::LinkTraceSampler sampler(tb.plc_channel(), est, a, b,
-                                   sim::Rng{tb.seed() ^ 0x19cULL});
-    const sim::Time start = sim.now();
-    traces.push_back(sampler.run(start, start + sim::seconds(200)));
+    traces.push_back(bench::cycle_trace(tb, a, b, 0x19c, span));
   }
   std::printf("links traced: %zu\n", traces.size());
 
@@ -72,10 +68,14 @@ int main() {
   const double reduction = 100.0 * (1.0 - static_cast<double>(runs[2].probes) /
                                               static_cast<double>(runs[0].probes));
   std::printf("adaptive vs 5 s-everywhere: %.0f%% fewer probes (paper: 32%%)\n",
-              reduction);
+              json.add("adaptive_probe_reduction", reduction, "%"));
+  const auto median = [&](int i) { return sim::Cdf{runs[i].errors}.quantile(0.5); };
   std::printf("mean error: 5 s %.2f | 80 s %.2f | adaptive %.2f Mb/s\n",
-              sim::Cdf{runs[0].errors}.quantile(0.5),
-              sim::Cdf{runs[1].errors}.quantile(0.5),
-              sim::Cdf{runs[2].errors}.quantile(0.5));
-  return 0;
+              json.add("median_error_5s", median(0), "Mb/s"),
+              json.add("median_error_80s", median(1), "Mb/s"),
+              json.add("median_error_adaptive", median(2), "Mb/s"));
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

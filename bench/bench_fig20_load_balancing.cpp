@@ -9,11 +9,22 @@ using namespace efd;
 
 namespace {
 
+constexpr bench::Figure kFigure{
+    "fig20", "Fig. 20", "hybrid WiFi+PLC bandwidth aggregation",
+    "hybrid ~ sum of the two mediums; round-robin bottlenecks at "
+    "~2x the slower medium; hybrid cuts 600 MB download times "
+    "drastically vs WiFi alone"};
+
 struct HybridRun {
   double throughput_mbps = 0.0;
   double jitter_ms = 0.0;
   std::uint64_t plc_share = 0, wifi_share = 0;
 };
+
+/// Station `s`'s two interfaces, PLC first: the members of its hybrid device.
+std::vector<net::Interface*> members(testbed::Testbed& tb, int s) {
+  return {&tb.plc_station(s).mac(), &tb.wifi_station(s)};
+}
 
 HybridRun run_hybrid(testbed::Testbed& tb, int src, int dst, double seconds,
                      bool round_robin, double plc_cap, double wifi_cap) {
@@ -24,21 +35,16 @@ HybridRun run_hybrid(testbed::Testbed& tb, int src, int dst, double seconds,
   std::unique_ptr<net::Interface> tx_if;
   hybrid::HybridDevice* tx_dev = nullptr;
   if (round_robin) {
-    tx_if = std::make_unique<hybrid::RoundRobinSplitter>(
-        sim,
-        std::vector<net::Interface*>{&tb.plc_station(src).mac(),
-                                     &tb.wifi_station(src)});
+    tx_if = std::make_unique<hybrid::RoundRobinSplitter>(sim, members(tb, src));
   } else {
     auto dev = std::make_unique<hybrid::HybridDevice>(
-        sim,
-        std::vector<net::Interface*>{&tb.plc_station(src).mac(),
-                                     &tb.wifi_station(src)},
+        sim, members(tb, src),
         std::make_unique<hybrid::CapacityScheduler>(sim::Rng{7}));
     dev->set_capacities({plc_cap, wifi_cap});
     tx_dev = dev.get();
     tx_if = std::move(dev);
   }
-  hybrid::HybridDevice rx(sim, {&tb.plc_station(dst).mac(), &tb.wifi_station(dst)},
+  hybrid::HybridDevice rx(sim, members(tb, dst),
                           std::make_unique<hybrid::RoundRobinScheduler>(2));
   net::ThroughputMeter meter;
   net::JitterMeter jitter;
@@ -72,7 +78,7 @@ HybridRun run_hybrid(testbed::Testbed& tb, int src, int dst, double seconds,
 }
 
 /// Time to deliver `megabytes` over an interface pair (saturated source
-/// until the sink has the bytes).
+/// until the sink has the bytes); -1 when 3000 s do not suffice.
 double completion_time_s(testbed::Testbed& tb, net::Interface& tx, net::Interface& rx,
                          int src, int dst, double megabytes) {
   sim::Simulator& sim = tb.simulator();
@@ -101,19 +107,10 @@ double completion_time_s(testbed::Testbed& tb, net::Interface& tx, net::Interfac
   return (done - start).seconds();
 }
 
-}  // namespace
-
-int main() {
-  bench::header("Fig. 20", "hybrid WiFi+PLC bandwidth aggregation",
-                "hybrid ~ sum of the two mediums; round-robin bottlenecks at "
-                "~2x the slower medium; hybrid cuts 600 MB download times "
-                "drastically vs WiFi alone");
-
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(testbed::weekday_afternoon());
+  const double seconds = bench::scaled(20.0, 0.25);
+  const double megabytes = bench::scaled(150.0, 0.25);
 
   // A pair where both mediums work but differ (the paper's link 0-4).
   int src = -1, dst = -1;
@@ -129,21 +126,25 @@ int main() {
   std::printf("pair %d->%d\n", src, dst);
   bench::warm_link(tb, src, dst);
 
-  const auto plc = testbed::measure_plc_throughput(tb, src, dst, sim::seconds(20));
-  const auto wifi = testbed::measure_wifi_throughput(tb, src, dst, sim::seconds(20));
-  const auto hyb = run_hybrid(tb, src, dst, 20.0, false, plc.mean_mbps,
+  const auto plc =
+      testbed::measure_plc_throughput(tb, src, dst, sim::seconds(seconds));
+  const auto wifi =
+      testbed::measure_wifi_throughput(tb, src, dst, sim::seconds(seconds));
+  const auto hyb = run_hybrid(tb, src, dst, seconds, false, plc.mean_mbps,
                               wifi.mean_mbps);
-  const auto rr = run_hybrid(tb, src, dst, 20.0, true, plc.mean_mbps,
+  const auto rr = run_hybrid(tb, src, dst, seconds, true, plc.mean_mbps,
                              wifi.mean_mbps);
 
   bench::section("throughput on one pair (paper: link 0-4)");
   std::printf("%-22s %10s %12s\n", "mode", "T (Mb/s)", "jitter (ms)");
-  std::printf("%-22s %10.1f %12s\n", "PLC only", plc.mean_mbps, "-");
-  std::printf("%-22s %10.1f %12s\n", "WiFi only", wifi.mean_mbps, "-");
-  std::printf("%-22s %10.1f %12.2f\n", "Hybrid (capacity)", hyb.throughput_mbps,
-              hyb.jitter_ms);
-  std::printf("%-22s %10.1f %12.2f\n", "Round-robin", rr.throughput_mbps,
-              rr.jitter_ms);
+  std::printf("%-22s %10.1f %12s\n", "PLC only",
+              json.add("plc_mbps", plc.mean_mbps, "Mb/s"), "-");
+  std::printf("%-22s %10.1f %12s\n", "WiFi only",
+              json.add("wifi_mbps", wifi.mean_mbps, "Mb/s"), "-");
+  std::printf("%-22s %10.1f %12.2f\n", "Hybrid (capacity)",
+              json.add("hybrid_mbps", hyb.throughput_mbps, "Mb/s"), hyb.jitter_ms);
+  std::printf("%-22s %10.1f %12.2f\n", "Round-robin",
+              json.add("round_robin_mbps", rr.throughput_mbps, "Mb/s"), rr.jitter_ms);
   std::printf("sum of mediums: %.1f;  2x min: %.1f Mb/s\n",
               plc.mean_mbps + wifi.mean_mbps,
               2.0 * std::min(plc.mean_mbps, wifi.mean_mbps));
@@ -151,7 +152,8 @@ int main() {
               static_cast<unsigned long long>(hyb.plc_share),
               static_cast<unsigned long long>(hyb.wifi_share));
 
-  bench::section("150 MB completion times, WiFi vs hybrid (paper: 600 MB)");
+  bench::section(std::to_string(static_cast<int>(megabytes)) +
+                 " MB completion times, WiFi vs hybrid (paper: 600 MB)");
   std::printf("%-8s %12s %12s %10s\n", "link", "WiFi (s)", "Hybrid (s)", "gain");
   int printed = 0;
   for (const auto& [a, b] : tb.plc_links()) {
@@ -164,41 +166,25 @@ int main() {
     const auto w = testbed::measure_wifi_throughput(tb, a, b, sim::seconds(5));
     if (w.mean_mbps < 2.0) continue;
     const double wifi_time = completion_time_s(tb, tb.wifi_station(a),
-                                               tb.wifi_station(b), a, b, 150.0);
+                                               tb.wifi_station(b), a, b, megabytes);
 
-    hybrid::HybridDevice tx(sim, {&tb.plc_station(a).mac(), &tb.wifi_station(a)},
+    hybrid::HybridDevice tx(sim, members(tb, a),
                             std::make_unique<hybrid::CapacityScheduler>(sim::Rng{9}));
-    hybrid::HybridDevice rx(sim, {&tb.plc_station(b).mac(), &tb.wifi_station(b)},
+    hybrid::HybridDevice rx(sim, members(tb, b),
                             std::make_unique<hybrid::RoundRobinScheduler>(2));
-    std::uint64_t received = 0;
-    const auto target = static_cast<std::uint64_t>(150.0 * 1e6);
-    sim::Time done{};
-    rx.set_rx_handler([&](const net::Packet& p2, sim::Time t) {
-      if (received < target) {
-        received += p2.size_bytes;
-        if (received >= target) done = t;
-      }
-    });
-    rx.start_receiving();
     tx.set_capacities({p.mean_mbps, w.mean_mbps});
-    net::UdpSource::Config scfg;
-    scfg.src = a;
-    scfg.dst = b;
-    scfg.rate_bps = 400e6;
-    net::UdpSource source(sim, tx, scfg);
-    const sim::Time start = sim.now();
-    source.run(start, start + sim::seconds(3000));
-    while (received < target && sim.now() < start + sim::seconds(3000)) {
-      sim.run_until(sim.now() + sim::seconds(5));
-    }
-    source.stop();
-    sim.run_until(sim.now() + sim::milliseconds(500));
-    const double hybrid_time = received >= target ? (done - start).seconds() : -1.0;
+    // Wire rx to its members; completion_time_s then installs its sink.
+    rx.set_rx_handler([](const net::Packet&, sim::Time) {});
+    rx.start_receiving();
+    const double hybrid_time = completion_time_s(tb, tx, rx, a, b, megabytes);
 
     std::printf("%2d-%-5d %12.0f %12.0f %9.1fx\n", a, b, wifi_time, hybrid_time,
                 wifi_time > 0 && hybrid_time > 0 ? wifi_time / hybrid_time : 0.0);
     ++printed;
   }
   std::printf("(paper: drastic decrease in completion times with both mediums)\n");
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

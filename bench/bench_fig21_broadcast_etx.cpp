@@ -8,6 +8,12 @@ using namespace efd;
 
 namespace {
 
+constexpr bench::Figure kFigure{
+    "fig21", "Fig. 21", "broadcast probe loss vs throughput and PBerr",
+    "a wide range of link qualities shows ~1e-4 (or zero) broadcast "
+    "loss; only the worst links lose >1e-1; day and night are "
+    "barely distinguishable — broadcast ETX says nothing useful"};
+
 struct LinkLoss {
   int src, dst;
   double loss_day, loss_night;
@@ -53,26 +59,16 @@ void broadcast_round(testbed::Testbed& tb, double seconds, bool day,
   }
 }
 
-}  // namespace
-
-int main() {
-  bench::header("Fig. 21", "broadcast probe loss vs throughput and PBerr",
-                "a wide range of link qualities shows ~1e-4 (or zero) broadcast "
-                "loss; only the worst links lose >1e-1; day and night are "
-                "barely distinguishable — broadcast ETX says nothing useful");
-
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
-
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
+  const double seconds = bench::scaled(60.0, 0.25);
+  const auto saturation = sim::seconds(bench::scaled(4.0, 0.25));
   std::vector<LinkLoss> links;
   // Night round.
   sim.run_until(testbed::weekend_night());
-  broadcast_round(tb, 60.0, /*day=*/false, links);
+  broadcast_round(tb, seconds, /*day=*/false, links);
   // Day round.
   sim.run_until(sim::days(8) + sim::hours(14));
-  broadcast_round(tb, 60.0, /*day=*/true, links);
+  broadcast_round(tb, seconds, /*day=*/true, links);
 
   // Unicast quality context: throughput + PBerr per link (night).
   sim.run_until(sim.now() + sim::hours(1));
@@ -80,7 +76,7 @@ int main() {
     if (tb.plc_channel().mean_snr_db(l.src, l.dst, 0, sim.now()) < 2.0) continue;
     bench::warm_link(tb, l.src, l.dst);
     l.throughput =
-        testbed::measure_plc_throughput(tb, l.src, l.dst, sim::seconds(4)).mean_mbps;
+        testbed::measure_plc_throughput(tb, l.src, l.dst, saturation).mean_mbps;
     l.pberr = tb.plc_network_of(l.dst).mm_pberr(l.src, l.dst);
   }
 
@@ -109,10 +105,15 @@ int main() {
     }
     if (l.throughput <= 1.0 && l.loss_night > 0.1) ++dead_links;
   }
-  std::printf("healthy links (>10 Mb/s) with <1%% broadcast loss: %d/%d\n",
-              healthy_low_loss, healthy);
-  std::printf("only effectively dead links show >10%% loss: %d\n", dead_links);
+  std::printf("healthy links (>10 Mb/s) with <1%% broadcast loss: %.0f/%.0f\n",
+              json.add("healthy_low_loss_links", healthy_low_loss, "links"),
+              json.add("healthy_links", healthy, "links"));
+  std::printf("only effectively dead links show >10%% loss: %.0f\n",
+              json.add("dead_lossy_links", dead_links, "links"));
   std::printf("(paper: low loss rates carry no information about quality; high "
               "loss only flags the worst links)\n");
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

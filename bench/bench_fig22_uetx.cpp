@@ -9,16 +9,15 @@
 
 using namespace efd;
 
-int main() {
-  bench::header("Fig. 22", "U-ETX vs BLE and vs PBerr (150 kb/s unicast probes)",
-                "U-ETX falls with BLE and rises almost linearly with PBerr; "
-                "high-BLE links also have a small std of the transmission "
-                "count (quality and variability are negatively correlated)");
+namespace {
 
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+constexpr bench::Figure kFigure{
+    "fig22", "Fig. 22", "U-ETX vs BLE and vs PBerr (150 kb/s unicast probes)",
+    "U-ETX falls with BLE and rises almost linearly with PBerr; "
+    "high-BLE links also have a small std of the transmission "
+    "count (quality and variability are negatively correlated)"};
+
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(testbed::weekday_afternoon());
 
   struct Row {
@@ -87,13 +86,16 @@ int main() {
     txstd.push_back(r.tx_std);
   }
   std::printf("corr(U-ETX, BLE)   = %+.2f (paper: negative)\n",
-              sim::pearson(uetx, ble));
+              json.add("corr_uetx_ble", sim::pearson(uetx, ble), "r"));
   std::printf("corr(U-ETX, PBerr) = %+.2f (paper: ~linear positive)\n",
-              sim::pearson(uetx, pberr));
+              json.add("corr_uetx_pberr", sim::pearson(uetx, pberr), "r"));
   std::printf("corr(U-ETX, std)   = %+.2f (paper: higher U-ETX, higher std)\n",
-              sim::pearson(uetx, txstd));
+              json.add("corr_uetx_std", sim::pearson(uetx, txstd), "r"));
   const auto fit = sim::fit_line(pberr, uetx);
-  std::printf("U-ETX = %.2f * PBerr + %.2f (R^2 %.2f)\n", fit.slope,
-              fit.intercept, fit.r2);
-  return 0;
+  std::printf("U-ETX = %.2f * PBerr + %.2f (R^2 %.2f)\n",
+              json.add("fit_slope", fit.slope, "ratio"), fit.intercept, fit.r2);
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

@@ -9,130 +9,60 @@ using namespace efd;
 
 namespace {
 
-struct Phase {
-  sim::RunningStats ble;
-  sim::RunningStats pberr;
-};
+constexpr bench::Figure kFigure{
+    "fig23", "Fig. 23", "link-metric sensitivity to background traffic",
+    "BLE is insensitive to low-rate background traffic everywhere; "
+    "saturated background collapses BLE (and explodes PBerr) on "
+    "capture-prone pairs only"};
 
-/// Probe link (a->b) with background (c->d) activating at t=200 s.
-/// Returns BLE/PBerr of a->b before and during the background traffic.
-std::pair<Phase, Phase> run_pair(testbed::Testbed& tb, int a, int b, int c, int d,
-                                 double bg_rate_bps, int probe_burst) {
-  sim::Simulator& sim = tb.simulator();
-  bench::warm_link(tb, a, b);
-  auto& net_ab = tb.plc_network_of(a);
-
-  net::ProbeSource::Config pcfg;
-  pcfg.src = a;
-  pcfg.dst = b;
-  pcfg.packet_bytes = 1500;
-  pcfg.burst_count = probe_burst;
-  // Keep the probing *rate* constant: bursts stretch the interval.
-  pcfg.interval = sim::milliseconds(75.0 * probe_burst);
-  net::ProbeSource probes(sim, tb.plc_station(a).mac(), pcfg);
-
-  net::UdpSource::Config bcfg;
-  bcfg.src = c;
-  bcfg.dst = d;
-  bcfg.rate_bps = bg_rate_bps;
-  net::UdpSource background(sim, tb.plc_station(c).mac(), bcfg);
-
-  const sim::Time start = sim.now();
-  probes.run(start, start + sim::seconds(400));
-  background.run(start + sim::seconds(200), start + sim::seconds(400));
-
-  Phase before, during;
-  for (int s = 5; s < 400; s += 5) {
-    sim.run_until(start + sim::seconds(s));
-    Phase& phase = s < 200 ? before : during;
-    phase.ble.add(net_ab.mm_average_ble(a, b));
-    phase.pberr.add(net_ab.mm_pberr(a, b));
+/// Probe link p[0]->p[1] under low-rate, then saturated, background
+/// p[2]->p[3]; the saturated readings go to the JSON under `tag`.
+void run_pair(testbed::Testbed& tb, const std::array<int, 4>& p,
+              const std::string& tag, bench::JsonReporter& json) {
+  for (const double bg_rate : {150e3, 400e6}) {
+    const auto [before, during] =
+        bench::run_contention(tb, p[0], p[1], p[2], p[3], bg_rate, 1);
+    std::printf("%-34s BLE %6.1f -> %6.1f Mb/s   PBerr %.3f -> %.3f\n",
+                bg_rate < 1e6 ? "150 kb/s background:" : "saturated background:",
+                before.ble.mean(), during.ble.mean(), before.pberr.mean(),
+                during.pberr.mean());
+    if (bg_rate < 1e6) continue;
+    json.add(tag + "_ble_before", before.ble.mean(), "Mb/s");
+    json.add(tag + "_ble_during", during.ble.mean(), "Mb/s");
+    json.add(tag + "_pberr_during", during.pberr.mean(), "ratio");
   }
-  background.stop();
-  probes.stop();
-  sim.run_until(sim.now() + sim::seconds(1));
-  return {before, during};
 }
 
-void report(const char* label, const Phase& before, const Phase& during) {
-  std::printf("%-34s BLE %6.1f -> %6.1f Mb/s   PBerr %.3f -> %.3f\n", label,
-              before.ble.mean(), during.ble.mean(), before.pberr.mean(),
-              during.pberr.mean());
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
+  // Phases nest under the harness's root "bench" scope: pair selection is
+  // "phase.setup", the four run_contention sweeps are "phase.sweep".
+  std::array<int, 4> sensitive{}, insensitive{};
+  {
+    EFD_PROF_SCOPE("phase.setup");
+    sim.run_until(testbed::weekend_night());
+    // A capture-prone pair: background transmitter electrically close to
+    // the probe receiver (large SNR advantage of probe at its receiver),
+    // and an insensitive pair (comparable strengths -> full-frame
+    // collisions).
+    sensitive = bench::contention_pair(tb, [](double adv) { return adv > 12.0; });
+    insensitive = bench::contention_pair(
+        tb, [](double adv) { return adv < 6.0 && adv > -6.0; });
+  }
+  std::printf("sensitive pair: probe %d->%d, background %d->%d\n", sensitive[0],
+              sensitive[1], sensitive[2], sensitive[3]);
+  std::printf("insensitive pair: probe %d->%d, background %d->%d\n\n", insensitive[0],
+              insensitive[1], insensitive[2], insensitive[3]);
+
+  EFD_PROF_SCOPE("phase.sweep");
+  bench::section("sensitive pair (paper: 6-11 with 1-0 background)");
+  run_pair(tb, sensitive, "sensitive", json);
+  bench::section("insensitive pair (paper: 0-11 with 1-6 background)");
+  run_pair(tb, insensitive, "insensitive", json);
+  std::printf("\n(the sensitive receiver captures colliding frames and decodes "
+              "them with errored PBs; the estimator cannot distinguish those "
+              "from channel errors and lowers BLE)\n");
 }
 
 }  // namespace
 
-int main() {
-  bench::header("Fig. 23", "link-metric sensitivity to background traffic",
-                "BLE is insensitive to low-rate background traffic everywhere; "
-                "saturated background collapses BLE (and explodes PBerr) on "
-                "capture-prone pairs only");
-  bench::JsonReporter json("fig23");
-
-  // Phases nest under the reporter's root "bench" scope: pair selection is
-  // "phase.setup", the four run_pair sweeps are "phase.sweep".
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
-  int sa = -1, sb = -1, sc = -1, sd = -1;  // sensitive
-  int ia = -1, ib = -1, ic = -1, id = -1;  // insensitive
-  {
-    EFD_PROF_SCOPE("phase.setup");
-    sim.run_until(testbed::weekend_night());
-
-    // Find a capture-prone pair: background transmitter electrically close
-    // to the probe receiver (large SNR advantage of probe at its receiver),
-    // and an insensitive pair (comparable strengths -> full-frame
-    // collisions).
-    auto& ch = tb.plc_channel();
-    for (const auto& [a, b] : tb.plc_links()) {
-      if (ch.mean_snr_db(a, b, 0, sim.now()) < 20.0) continue;
-      for (const auto& [c, d] : tb.plc_links()) {
-        if (c == a || c == b || d == a || d == b) continue;
-        if (!tb.same_plc_network(a, c)) continue;
-        if (ch.mean_snr_db(c, d, 0, sim.now()) < 12.0) continue;
-        const double adv = ch.mean_snr_db(a, b, 0, sim.now()) -
-                           ch.mean_snr_db(c, b, 0, sim.now());
-        if (sa < 0 && adv > 12.0) {
-          sa = a; sb = b; sc = c; sd = d;
-        }
-        if (ia < 0 && adv < 6.0 && adv > -6.0) {
-          ia = a; ib = b; ic = c; id = d;
-        }
-        if (sa >= 0 && ia >= 0) break;
-      }
-      if (sa >= 0 && ia >= 0) break;
-    }
-  }
-  std::printf("sensitive pair: probe %d->%d, background %d->%d\n", sa, sb, sc, sd);
-  std::printf("insensitive pair: probe %d->%d, background %d->%d\n\n", ia, ib, ic,
-              id);
-
-  EFD_PROF_SCOPE("phase.sweep");
-  bench::section("sensitive pair (paper: 6-11 with 1-0 background)");
-  {
-    const auto [b1, d1] = run_pair(tb, sa, sb, sc, sd, 150e3, 1);
-    report("150 kb/s background:", b1, d1);
-    const auto [b2, d2] = run_pair(tb, sa, sb, sc, sd, 400e6, 1);
-    report("saturated background:", b2, d2);
-    json.add("sensitive_ble_before", b2.ble.mean(), "Mb/s");
-    json.add("sensitive_ble_during", d2.ble.mean(), "Mb/s");
-    json.add("sensitive_pberr_during", d2.pberr.mean(), "ratio");
-  }
-
-  bench::section("insensitive pair (paper: 0-11 with 1-6 background)");
-  {
-    const auto [b1, d1] = run_pair(tb, ia, ib, ic, id, 150e3, 1);
-    report("150 kb/s background:", b1, d1);
-    const auto [b2, d2] = run_pair(tb, ia, ib, ic, id, 400e6, 1);
-    report("saturated background:", b2, d2);
-    json.add("insensitive_ble_before", b2.ble.mean(), "Mb/s");
-    json.add("insensitive_ble_during", d2.ble.mean(), "Mb/s");
-    json.add("insensitive_pberr_during", d2.pberr.mean(), "ratio");
-  }
-  std::printf("\n(the sensitive receiver captures colliding frames and decodes "
-              "them with errored PBs; the estimator cannot distinguish those "
-              "from channel errors and lowers BLE)\n");
-  return 0;
-}
+int main() { return bench::run(kFigure, experiment); }

@@ -8,83 +8,21 @@ using namespace efd;
 
 namespace {
 
-struct Phase {
-  sim::RunningStats ble;
-  sim::RunningStats pberr;
-};
+constexpr bench::Figure kFigure{
+    "fig24", "Fig. 24", "burst probing under saturated background traffic",
+    "single-packet probes: BLE collapses when the background "
+    "activates; 20-packet bursts at the same rate: BLE unaffected"};
 
-std::pair<Phase, Phase> run(testbed::Testbed& tb, int a, int b, int c, int d,
-                            int burst) {
-  sim::Simulator& sim = tb.simulator();
-  bench::warm_link(tb, a, b);
-  auto& net_ab = tb.plc_network_of(a);
-
-  net::ProbeSource::Config pcfg;
-  pcfg.src = a;
-  pcfg.dst = b;
-  pcfg.packet_bytes = 1500;
-  pcfg.burst_count = burst;
-  pcfg.interval = sim::milliseconds(75.0 * burst);  // same offered rate
-  net::ProbeSource probes(sim, tb.plc_station(a).mac(), pcfg);
-
-  net::UdpSource::Config bcfg;
-  bcfg.src = c;
-  bcfg.dst = d;
-  bcfg.rate_bps = 400e6;  // saturated background
-  net::UdpSource background(sim, tb.plc_station(c).mac(), bcfg);
-
-  const sim::Time start = sim.now();
-  probes.run(start, start + sim::seconds(400));
-  background.run(start + sim::seconds(200), start + sim::seconds(400));
-
-  Phase before, during;
-  for (int s = 5; s < 400; s += 5) {
-    sim.run_until(start + sim::seconds(s));
-    Phase& phase = s < 200 ? before : during;
-    phase.ble.add(net_ab.mm_average_ble(a, b));
-    phase.pberr.add(net_ab.mm_pberr(a, b));
-  }
-  background.stop();
-  probes.stop();
-  sim.run_until(sim.now() + sim::seconds(1));
-  return {before, during};
-}
-
-}  // namespace
-
-int main() {
-  bench::header("Fig. 24", "burst probing under saturated background traffic",
-                "single-packet probes: BLE collapses when the background "
-                "activates; 20-packet bursts at the same rate: BLE unaffected");
-
-  sim::Simulator sim;
-  testbed::Testbed::Config cfg;
-  cfg.with_hpav500 = false;
-  testbed::Testbed tb(sim, cfg);
+void experiment(sim::Simulator& sim, testbed::Testbed& tb, bench::JsonReporter& json) {
   sim.run_until(testbed::weekend_night());
-
-  // Same capture-prone pair search as Fig. 23.
-  auto& ch = tb.plc_channel();
-  int a = -1, b = -1, c = -1, d = -1;
-  for (const auto& [pa, pb] : tb.plc_links()) {
-    if (ch.mean_snr_db(pa, pb, 0, sim.now()) < 20.0) continue;
-    for (const auto& [pc, pd] : tb.plc_links()) {
-      if (pc == pa || pc == pb || pd == pa || pd == pb) continue;
-      if (!tb.same_plc_network(pa, pc)) continue;
-      if (ch.mean_snr_db(pc, pd, 0, sim.now()) < 12.0) continue;
-      const double adv = ch.mean_snr_db(pa, pb, 0, sim.now()) -
-                         ch.mean_snr_db(pc, pb, 0, sim.now());
-      if (adv > 12.0) {
-        a = pa; b = pb; c = pc; d = pd;
-        break;
-      }
-    }
-    if (a >= 0) break;
-  }
+  // Fig. 23's capture-prone pair.
+  const auto [a, b, c, d] =
+      bench::contention_pair(tb, [](double adv) { return adv > 12.0; });
   std::printf("probe %d->%d, saturated background %d->%d\n\n", a, b, c, d);
 
-  const auto [s1_before, s1_during] = run(tb, a, b, c, d, 1);
-  const auto [s20_before, s20_during] = run(tb, a, b, c, d, 20);
+  const auto [s1_before, s1_during] = bench::run_contention(tb, a, b, c, d, 400e6, 1);
+  const auto [s20_before, s20_during] =
+      bench::run_contention(tb, a, b, c, d, 400e6, 20);
 
   bench::section("BLE of the probed link before -> during background");
   std::printf("%-28s %8.1f -> %8.1f Mb/s  (PBerr %.3f -> %.3f)\n",
@@ -94,12 +32,14 @@ int main() {
               "20-packet bursts:", s20_before.ble.mean(), s20_during.ble.mean(),
               s20_before.pberr.mean(), s20_during.pberr.mean());
 
-  const double drop_single =
-      s1_before.ble.mean() - s1_during.ble.mean();
-  const double drop_burst =
-      s20_before.ble.mean() - s20_during.ble.mean();
   std::printf("\nBLE drop: single %.1f vs bursts %.1f Mb/s (paper: bursts "
               "remove the sensitivity)\n",
-              drop_single, drop_burst);
-  return 0;
+              json.add("ble_drop_single", s1_before.ble.mean() - s1_during.ble.mean(),
+                       "Mb/s"),
+              json.add("ble_drop_burst", s20_before.ble.mean() - s20_during.ble.mean(),
+                       "Mb/s"));
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

@@ -7,16 +7,22 @@
 // EFD_SHARDS=1|4 or EFD_SIMD=scalar and diff the JSON.
 #include "bench_util.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 #include "src/fault/fault.hpp"
-#include "src/sim/sharded.hpp"
 #include "src/testbed/nan.hpp"
 
 using namespace efd;
 
 namespace {
+
+constexpr bench::Figure kFigure{
+    "nan_diversity", "NAN diversity",
+    "per-packet duplication vs load balancing, clean and under a fault storm",
+    "under the storm diversity delivers more than PLC alone, as in Sung & "
+    "Evans' PLC+wireless diversity testbed; the price is duplicate bytes"};
+
+constexpr double kFloor = 0.25;  // below it no mode delivers a packet
 
 testbed::NanRunConfig base_config(int shards) {
   testbed::NanRunConfig cfg;
@@ -26,7 +32,7 @@ testbed::NanRunConfig base_config(int shards) {
   cfg.nan.stations_per_transformer = 6;
   cfg.nan.seed = 7;
   cfg.n_shards = shards;
-  cfg.duration = sim::milliseconds(200.0 * bench::duration_scale());
+  cfg.duration = sim::milliseconds(bench::scaled(200.0, kFloor));
   cfg.report_interval = sim::milliseconds(2);
   cfg.p_remote = 0.25;
   return cfg;
@@ -35,7 +41,7 @@ testbed::NanRunConfig base_config(int shards) {
 /// Storm covering both media and a crossing, with onsets scaled so the
 /// whole arc fits any EFD_BENCH_SCALE.
 fault::FaultPlan storm_plan() {
-  const double s = bench::duration_scale();
+  const double s = bench::scaled(1.0, kFloor);
   fault::FaultPlan plan;
   plan.blackout(sim::milliseconds(30.0 * s), sim::milliseconds(60.0 * s), 1, 1.0)
       .wifi_jam(sim::milliseconds(50.0 * s), sim::milliseconds(70.0 * s), 3, 200.0)
@@ -44,15 +50,8 @@ fault::FaultPlan storm_plan() {
   return plan;
 }
 
-}  // namespace
-
-int main() {
-  const int shards = sim::ShardedSimulator::env_shards(1);
-  bench::JsonReporter json("nan_diversity");
-  json.add("n_shards", shards, "shards");
-
-  std::printf("NAN diversity workloads  (EFD_SHARDS=%d, duration scale %.2f)\n",
-              shards, bench::duration_scale());
+void experiment(bench::JsonReporter& json) {
+  const int shards = bench::env_shards(json, "NAN diversity workloads", kFloor);
   std::printf("%-12s %-6s %9s %9s %8s %10s %10s %8s %8s  %s\n", "mode", "env",
               "offered", "delivered", "remote", "dup_bytes", "suppressed",
               "wins_plc", "wins_wifi", "digest");
@@ -66,11 +65,8 @@ int main() {
       cfg.mode = mode;
       if (storm) cfg.faults = storm_plan();
 
-      const auto t0 = std::chrono::steady_clock::now();
-      const testbed::NanResult r = testbed::run_nan(cfg);
-      const double wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
+      testbed::NanResult r;
+      const double wall_s = bench::wall_seconds([&] { r = testbed::run_nan(cfg); });
 
       const char* env = storm ? "storm" : "clean";
       std::printf("%-12s %-6s %9llu %9llu %8llu %10llu %10llu %8llu %8llu  %016llx  (%.2fs)\n",
@@ -97,5 +93,8 @@ int main() {
       json.add("wins_wifi_" + tag, static_cast<double>(r.wins_wifi), "packets");
     }
   }
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

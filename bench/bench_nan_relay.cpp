@@ -6,21 +6,23 @@
 // costs. Shape metrics are byte-identical across EFD_SHARDS and EFD_SIMD.
 #include "bench_util.hpp"
 
-#include <chrono>
 #include <cstdio>
 
-#include "src/sim/sharded.hpp"
 #include "src/testbed/nan.hpp"
 
 using namespace efd;
 
-int main() {
-  const int shards = sim::ShardedSimulator::env_shards(1);
-  bench::JsonReporter json("nan_relay");
-  json.add("n_shards", shards, "shards");
+namespace {
 
-  std::printf("NAN multi-hop PLC relay  (EFD_SHARDS=%d, duration scale %.2f)\n",
-              shards, bench::duration_scale());
+constexpr bench::Figure kFigure{
+    "nan_relay", "NAN relay", "delivery vs hop budget for multi-hop PLC relaying",
+    "delivery rises as the hop budget grows, as in Pignolet et al.'s "
+    "multi-interface relaying; each extra hop costs store-and-forward traffic"};
+
+constexpr double kFloor = 0.25;  // below it no hop budget delivers a packet
+
+void experiment(bench::JsonReporter& json) {
+  const int shards = bench::env_shards(json, "NAN multi-hop PLC relay", kFloor);
   std::printf("%8s %9s %9s %8s %12s %12s %9s  %s\n", "max_hops", "offered",
               "delivered", "ratio", "relay_meters", "forwards", "hops_max",
               "digest");
@@ -33,7 +35,7 @@ int main() {
     cfg.nan.stations_per_transformer = 8;
     cfg.nan.seed = 19;
     cfg.n_shards = shards;
-    cfg.duration = sim::milliseconds(200.0 * bench::duration_scale());
+    cfg.duration = sim::milliseconds(bench::scaled(200.0, kFloor));
     cfg.report_interval = sim::milliseconds(2);
     cfg.p_remote = 0.15;
     cfg.mode = testbed::DiversityMode::kPlcOnly;
@@ -41,11 +43,8 @@ int main() {
     cfg.relay.connect_etx = 1.8;  // force marginal meters onto relay paths
     cfg.relay.max_hops = max_hops;
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const testbed::NanResult r = testbed::run_nan(cfg);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    testbed::NanResult r;
+    const double wall_s = bench::wall_seconds([&] { r = testbed::run_nan(cfg); });
 
     const double ratio =
         r.offered > 0 ? static_cast<double>(r.delivered + r.delivered_remote) /
@@ -72,5 +71,8 @@ int main() {
     json.add("hops_max_h" + tag, static_cast<double>(r.relay_hops_max),
              "hops");
   }
-  return 0;
 }
+
+}  // namespace
+
+int main() { return bench::run(kFigure, experiment); }

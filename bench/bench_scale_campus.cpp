@@ -6,29 +6,22 @@
 // and diff the JSON.
 #include "bench_util.hpp"
 
-#include <chrono>
 #include <cstring>
 
 #include "src/sim/fnv1a.hpp"
-#include "src/sim/sharded.hpp"
 #include "src/testbed/campus.hpp"
 
 using namespace efd;
 
-int main(int argc, char** argv) {
-  int max_outlets = 10'000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-outlets") == 0 && i + 1 < argc) {
-      max_outlets = std::atoi(argv[++i]);
-    }
-  }
+namespace {
 
-  const int shards = sim::ShardedSimulator::env_shards(1);
-  bench::JsonReporter json("scale_campus");
-  json.add("n_shards", shards, "shards");
+constexpr bench::Figure kFigure{
+    "scale_campus", "Campus scale", "sharded engine, 10 -> 10,000 outlets",
+    "every digest is byte-identical for any EFD_SHARDS; events/s holds up as "
+    "the campus grows 1000x"};
 
-  std::printf("campus scale sweep  (EFD_SHARDS=%d, duration scale %.2f)\n",
-              shards, bench::duration_scale());
+void experiment(bench::JsonReporter& json, int max_outlets) {
+  const int shards = bench::env_shards(json, "campus scale sweep", 0.0625);
   std::printf("%8s %7s %7s %10s %12s %9s %8s %8s  %s\n", "outlets", "boards",
               "shards", "events", "events/s", "delivered", "remote",
               "balance", "digest");
@@ -43,14 +36,10 @@ int main(int argc, char** argv) {
     cfg.campus.stations_per_board = 4;
     cfg.campus.seed = 7;
     cfg.n_shards = shards;
-    cfg.duration = sim::milliseconds(200.0 * bench::duration_scale());
+    cfg.duration = sim::milliseconds(bench::scaled(200.0, 0.0625));
 
     testbed::CampusWorld world(cfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    world.run();
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double wall_s = bench::wall_seconds([&] { world.run(); });
     const testbed::CampusResult r = world.result();
 
     const double eps =
@@ -80,5 +69,18 @@ int main(int argc, char** argv) {
   std::printf("sweep digest6 %llu   worst load balance %.2f\n",
               static_cast<unsigned long long>(bench::digest6(sweep.h)),
               worst_balance);
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  int max_outlets = 10'000;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--max-outlets") == 0 && i + 1 < argc) {
+      max_outlets = std::atoi(argv[++i]);
+    }
+  }
+  return bench::run(kFigure, [max_outlets](bench::JsonReporter& json) {
+    experiment(json, max_outlets);
+  });
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/sim/fnv1a.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/testbed/parallel_runner.hpp"
 #include "src/testkit/world.hpp"
@@ -84,12 +85,9 @@ ProptestReport run_proptest(std::uint64_t seed, int n, const ProptestOptions& op
           });
 
   // Fold in index order: identical for any worker count.
-  std::uint64_t combined = 0xcbf29ce484222325ULL;
-  for (const ScenarioVerdict& v : verdicts) {
-    combined ^= v.digest;
-    combined *= 0x100000001b3ULL;
-  }
-  report.combined_digest = combined;
+  sim::Fnv1a64 combined;
+  for (const ScenarioVerdict& v : verdicts) combined.mix(v.digest);
+  report.combined_digest = combined.h;
 
   for (const ScenarioVerdict& v : verdicts) {
     if (!v.ok()) report.failures.push_back(v);

@@ -124,6 +124,17 @@ class BenchCompareTest(CompareTestBase):
         self.assertEqual(
             self.run_compare(cur_p, base_p, "--skip-perf").returncode, 0)
 
+    def test_event_count_is_an_exact_shape_metric(self):
+        # sim_events_dispatched is deterministic: one event more or fewer
+        # than the baseline is drift, not throughput noise.
+        base = doc([metric("sim_events_dispatched", 13888900)])
+        for events in (13888899, 13888901):
+            cur = doc([metric("sim_events_dispatched", events)])
+            r = self.run_compare(self.write("cur.json", cur),
+                                 self.write("base.json", base))
+            self.assertEqual(r.returncode, 1, r.stdout)
+            self.assertIn("sim_events_dispatched", r.stderr)
+
     def test_perf_improvement_passes(self):
         base = doc([metric("sim_events_per_sec", 1.0e6)], wall_clock_s=2.0)
         cur = doc([metric("sim_events_per_sec", 2.0e6)], wall_clock_s=1.0)
