@@ -25,11 +25,14 @@ struct PlcFrame {
   net::StationId dst = 0;  ///< net::kBroadcast for broadcast
   std::vector<PbUnit> pbs;
   int slot = 0;                ///< tone-map slot at transmission start
-  std::uint32_t tone_map_id = 0;
   double ble_mbps = 0.0;       ///< the BLEs advertised in the SoF delimiter
-  /// Snapshot of the tone map in force at transmission time (the estimator
-  /// may retune while the frame is in flight).
-  ToneMap tone_map;
+  /// Tone map the PBs were modulated with; valid until
+  /// `PlcMedium::finish_round` returns. The medium reads it once, in
+  /// `receive_at`, in the same event as `build_frame`. Each frame in a round
+  /// has a different sender, and a receiver retunes only the (rx, frame.src)
+  /// estimator, so no map is rewritten before its frame is read. Broadcast
+  /// frames point at a static ROBO map.
+  const ToneMap* tone_map = nullptr;
   bool robo = false;           ///< sent with the default/ROBO tone map
   bool sound = false;          ///< triggers channel estimation at receiver
   int n_symbols = 1;

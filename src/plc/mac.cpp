@@ -150,9 +150,8 @@ PlcFrame PlcMac::build_frame(sim::Time now) {
       tm = &est.tone_maps().slots[static_cast<std::size_t>(frame.slot)];
     }
   }
-  frame.tone_map_id = tm->id();
   frame.ble_mbps = tm->ble_mbps();
-  frame.tone_map = *tm;
+  frame.tone_map = tm;
 
   // Bits one OFDM symbol carries under this tone map (post-FEC payload),
   // discounted by MAC framing / AES alignment / per-PB CRC overhead.
@@ -186,16 +185,16 @@ PlcFrame PlcMac::build_frame(sim::Time now) {
   return frame;
 }
 
-void PlcMac::on_sack(const PlcFrame& frame, const std::vector<int>& errored_pbs) {
+void PlcMac::on_sack(const std::vector<PbUnit>& errored) {
   EFD_COUNTER_INC("plc.mac.sacks_rx");
-  EFD_COUNTER_ADD("plc.mac.pb_errors", errored_pbs.size());
+  EFD_COUNTER_ADD("plc.mac.pb_errors", errored.size());
   stage_ = 0;
   backoff_ = -1;
   dc_ = cfg_.dc[0];
   // Selective retransmission: only corrupted PBs go back, to the queue
   // front, unless they exhausted their retry budget.
-  for (auto it = errored_pbs.rbegin(); it != errored_pbs.rend(); ++it) {
-    PbUnit pb = frame.pbs[static_cast<std::size_t>(*it)];
+  for (auto it = errored.rbegin(); it != errored.rend(); ++it) {
+    PbUnit pb = *it;
     if (pb.retries >= cfg_.max_pb_retries) continue;
     ++pb.retries;
     ++pb_retx_;
@@ -206,8 +205,8 @@ void PlcMac::on_sack(const PlcFrame& frame, const std::vector<int>& errored_pbs)
   if (!pb_queue_.empty()) medium_.notify_ready(*this);
 }
 
-void PlcMac::on_no_sack(const PlcFrame& frame) {
-  if (frame.dst == net::kBroadcast) {
+void PlcMac::on_no_sack(const std::vector<PbUnit>& pbs, bool broadcast) {
+  if (broadcast) {
     // Broadcast is never SACKed; nothing to retransmit.
     stage_ = 0;
     backoff_ = -1;
@@ -217,7 +216,7 @@ void PlcMac::on_no_sack(const PlcFrame& frame) {
   }
   // Collision inferred: whole frame returns to the queue, stage escalates.
   EFD_COUNTER_INC("plc.mac.collisions");
-  for (auto it = frame.pbs.rbegin(); it != frame.pbs.rend(); ++it) {
+  for (auto it = pbs.rbegin(); it != pbs.rend(); ++it) {
     PbUnit pb = *it;
     if (pb.retries >= cfg_.max_pb_retries) continue;
     ++pb.retries;

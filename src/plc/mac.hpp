@@ -106,10 +106,11 @@ class PlcMac final : public net::Interface {
   /// Build the frame to transmit now (the station won contention).
   [[nodiscard]] PlcFrame build_frame(sim::Time now);
 
-  /// Outcome of a transmission: SACK arrived with `errored` PB indices
-  /// (positions within the frame), or no SACK at all (collision inferred).
-  void on_sack(const PlcFrame& frame, const std::vector<int>& errored_pbs);
-  void on_no_sack(const PlcFrame& frame);
+  /// Outcome of a transmission: a SACK arrived naming the `errored` PBs (in
+  /// frame order), or no SACK came for the frame's `pbs` at all (collision
+  /// inferred; a broadcast is never SACKed and requeues nothing).
+  void on_sack(const std::vector<PbUnit>& errored);
+  void on_no_sack(const std::vector<PbUnit>& pbs, bool broadcast);
 
   /// A frame addressed to this station (or broadcast) was decodable;
   /// `errored_pbs` lists corrupted PB positions. Feeds reassembly, delivery

@@ -178,9 +178,11 @@ void PlcMedium::finish_round(std::vector<PlcFrame> frames,
   sim::Time payload_end = frames[0].end;
   for (const PlcFrame& f : frames) payload_end = std::max(payload_end, f.end);
 
+  const sim::Time sack_end = payload_end + kRifs + channel_.phy().delimiter;
   for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-    const PlcFrame& f = frames[fi];
+    PlcFrame& f = frames[fi];
     PlcMac* sender = senders[fi];
+    const bool broadcast = f.dst == net::kBroadcast;
 
     // SACK collision: frames of (nearly) equal length end together and so
     // do their receivers' SACKs — neither sender learns anything, both
@@ -220,12 +222,14 @@ void PlcMedium::finish_round(std::vector<PlcFrame> frames,
     }
 
     // Decode attempt at one receiver; returns false when the SoF is lost
-    // or the frame exchange cannot complete (SACK collision).
+    // or the frame exchange cannot complete (SACK collision). On success
+    // `errored` holds the corrupted PB positions.
+    std::vector<int> errored;
     const auto receive_at = [&](PlcMac& rx_mac) -> bool {
-      if (sack_collides && f.dst != net::kBroadcast) return false;
+      if (sack_collides && !broadcast) return false;
       const double adv = advantage_db(rx_mac.id());
       if (collision && adv < kCaptureThresholdDb) return false;
-      double p = channel_.pb_error_probability(f.tone_map, f.src, rx_mac.id(),
+      double p = channel_.pb_error_probability(*f.tone_map, f.src, rx_mac.id(),
                                                f.slot, f.start);
       if (fault_pberr_ > 0.0) {
         // Injected impulsive noise rides on top of the channel's own error
@@ -240,45 +244,49 @@ void PlcMedium::finish_round(std::vector<PlcFrame> frames,
             0.85 * max_overlap * std::exp(-(adv - kCaptureThresholdDb) / 8.0);
         p = 1.0 - (1.0 - p) * (1.0 - p_extra);
       }
-      std::vector<int> errored;
+      errored.clear();
       for (std::size_t i = 0; i < f.pbs.size(); ++i) {
         if (rng_.bernoulli(p)) errored.push_back(static_cast<int>(i));
       }
       rx_mac.on_frame_received(f, errored, payload_end);
-      if (f.dst != net::kBroadcast) {
-        const sim::Time sack_end = payload_end + kRifs + channel_.phy().delimiter;
-        sim_.at(sack_end, [sender, f, errored] { sender->on_sack(f, errored); });
-      }
       return true;
     };
 
     bool decodable = false;
-    if (f.dst == net::kBroadcast) {
+    if (broadcast) {
       for (PlcMac* m : macs_) {
         if (m != sender && receive_at(*m)) decodable = true;
       }
-      sim_.at(payload_end, [sender, f] { sender->on_no_sack(f); });
     } else {
-      PlcMac* rx_mac = nullptr;
       for (PlcMac* m : macs_) {
         if (m->id() == f.dst) {
-          rx_mac = m;
+          decodable = receive_at(*m);
           break;
         }
       }
-      if (rx_mac != nullptr) decodable = receive_at(*rx_mac);
-      if (!decodable) {
-        // No SACK will come: the sender times out and infers a collision.
-        const sim::Time timeout = payload_end + kRifs + channel_.phy().delimiter;
-        sim_.at(timeout, [sender, f] { sender->on_no_sack(f); });
-      }
     }
     if (decodable || !collision) emit_sof(f);
+
+    // Exactly one completion per frame, and it takes only the PBs it may
+    // requeue: the SACK's corrupted ones, or the whole frame when no SACK
+    // comes (the sender times out and infers a collision). A broadcast is
+    // never SACKed and completes when its payload ends.
+    if (decodable && !broadcast) {
+      std::vector<PbUnit> bad;
+      bad.reserve(errored.size());
+      for (int i : errored) bad.push_back(f.pbs[static_cast<std::size_t>(i)]);
+      sim_.at_inline(sack_end,
+                     [sender, bad = std::move(bad)] { sender->on_sack(bad); });
+    } else {
+      sim_.at_inline(broadcast ? payload_end : sack_end,
+                     [sender, pbs = std::move(f.pbs), broadcast] {
+                       sender->on_no_sack(pbs, broadcast);
+                     });
+    }
   }
 
   // Medium idles after the longest payload plus the SACK exchange.
-  const sim::Time idle_at = payload_end + kRifs + channel_.phy().delimiter;
-  sim_.at_inline(idle_at, [this] {
+  sim_.at_inline(sack_end, [this] {
     busy_ = false;
     for (PlcMac* m : macs_) {
       if (m->has_pending()) {
