@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -48,8 +49,8 @@ inline double scaled(double value, double floor) {
   return value * std::max(scale, floor);
 }
 
-/// A digest cut to six decimal digits: JsonReporter formats metrics with
-/// %.6g, so only that much of a digest round-trips exactly.
+/// A digest cut to six decimal digits: a metric is a double, which holds a
+/// 64-bit digest only approximately, and the baselines pin six digits.
 inline std::uint64_t digest6(std::uint64_t h) { return h % 1'000'000; }
 
 /// Machine-readable bench results: collects (name, value, unit) metrics
@@ -102,8 +103,14 @@ class JsonReporter {
     std::fprintf(f, "  \"metrics\": [\n");
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       const Metric& m = metrics_[i];
-      std::fprintf(f, "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                   escaped(m.name).c_str(), m.value, escaped(m.unit).c_str(),
+      // Counts are written exactly (a double holds every integer below
+      // 2^53), so the comparator's exact-match gate sees every event;
+      // everything else keeps six significant digits.
+      const bool integral =
+          std::abs(m.value) < 0x1p53 && m.value == std::trunc(m.value);
+      std::fprintf(f, "    {\"name\": \"%s\", \"value\": ", escaped(m.name).c_str());
+      std::fprintf(f, integral ? "%.0f" : "%.6g", m.value);
+      std::fprintf(f, ", \"unit\": \"%s\"}%s\n", escaped(m.unit).c_str(),
                    i + 1 < metrics_.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");

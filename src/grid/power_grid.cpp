@@ -10,6 +10,7 @@
 #include "src/grid/simd.hpp"
 #include "src/grid/value_noise.hpp"
 #include "src/obs/obs.hpp"
+#include "src/sim/fnv1a.hpp"
 
 namespace efd::grid {
 
@@ -364,12 +365,9 @@ std::uint64_t PowerGrid::state_epoch(sim::Time t) const {
   // appliance schedules only move on second scales.
   const std::int64_t bucket = t.ns() / sim::seconds(1).ns();
   if (bucket == epoch_bucket_) return epoch_value_;
-  std::uint64_t epoch = 0xcbf29ce484222325ULL;  // FNV offset basis
-  for (std::size_t k = 0; k < appliances_.size(); ++k) {
-    const bool on = appliances_[k].schedule.is_on(t);
-    epoch ^= (static_cast<std::uint64_t>(on) << (k % 63)) + k * 0x100000001b3ULL;
-    epoch *= 0x100000001b3ULL;
-  }
+  sim::Fnv1a64 hash;
+  for (const Appliance& j : appliances_) hash.mix_byte(j.schedule.is_on(t) ? 1 : 0);
+  const std::uint64_t epoch = hash.h;
   EFD_COUNTER_INC("grid.epoch.recomputes");
   if (epoch_bucket_ >= 0 && epoch != epoch_value_) {
     EFD_COUNTER_INC("grid.epoch.advances");

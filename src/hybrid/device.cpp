@@ -7,19 +7,6 @@
 
 namespace efd::hybrid {
 
-namespace {
-/// Probe ids carry a tag plus the member index so they cannot collide with
-/// traffic-source packet ids inside a MAC queue, and the nonce in the low
-/// bits so the echo maps back onto the member's monitor.
-constexpr std::uint64_t kProbeIdTag = 0xFA17ull << 48;
-constexpr std::uint64_t kProbeNonceMask = (1ull << 40) - 1;
-
-std::uint64_t probe_id(std::size_t member, std::uint64_t nonce) {
-  return kProbeIdTag | (static_cast<std::uint64_t>(member) << 40) |
-         (nonce & kProbeNonceMask);
-}
-}  // namespace
-
 HybridDevice::HybridDevice(sim::Simulator& simulator,
                            std::vector<net::Interface*> interfaces,
                            std::unique_ptr<PacketScheduler> scheduler)
@@ -145,7 +132,8 @@ void HybridDevice::on_member_rx(std::size_t i, const net::Packet& p, sim::Time t
   }
   if (p.flow_id == kProbeEchoFlowId) {
     if (failover_) {
-      monitors_[i]->on_probe_result(p.id & kProbeNonceMask, /*ok=*/true);
+      // The echo is a copy of the probe, so `seq` still holds its nonce.
+      monitors_[i]->on_probe_result(p.seq, /*ok=*/true);
     }
     return;
   }
@@ -185,7 +173,6 @@ void HybridDevice::enable_failover(FailoverConfig config) {
 
 void HybridDevice::send_probe(std::size_t i, std::uint64_t nonce) {
   net::Packet p;
-  p.id = probe_id(i, nonce);
   p.flow_id = kProbeFlowId;
   p.seq = static_cast<std::uint32_t>(nonce);
   p.size_bytes = fcfg_.probe_bytes;

@@ -15,8 +15,11 @@ constexpr StationId kBroadcast = -1;
 /// An Ethernet-layer packet handed to a MAC. The simulation carries
 /// metadata, not payload bytes; `size_bytes` is the wire size used for
 /// segmentation and airtime computations.
+///
+/// A packet has no identity of its own: `(flow_id, seq)` names it to the
+/// endpoints, and a MAC that must tell its in-flight packets apart (PLC PB
+/// reassembly) keys on the copy it made at enqueue time.
 struct Packet {
-  std::uint64_t id = 0;        ///< globally unique (for tracing)
   int flow_id = 0;             ///< traffic-source identifier
   std::uint32_t seq = 0;       ///< sequence number within the flow
   std::size_t size_bytes = 1500;

@@ -1,19 +1,8 @@
 #include "src/net/sources.hpp"
 
-#include <atomic>
 #include <cassert>
 
 namespace efd::net {
-
-namespace {
-// Atomic because the parallel sweeps emit packets from several threads at
-// once: a plain counter could hand one thread an id it had already used,
-// and PLC reassembly keyed by that id would then drop a packet.
-std::uint64_t next_packet_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-}  // namespace
 
 UdpSource::UdpSource(sim::Simulator& simulator, Interface& interface, Config config)
     : sim_(simulator), interface_(interface), config_(config) {
@@ -30,7 +19,6 @@ void UdpSource::run(sim::Time at, sim::Time until) {
 void UdpSource::emit() {
   if (stopped_ || sim_.now() >= until_) return;
   Packet p;
-  p.id = next_packet_id();
   p.flow_id = config_.flow_id;
   p.seq = seq_++;
   p.size_bytes = config_.packet_bytes;
@@ -63,7 +51,6 @@ void ProbeSource::emit() {
   if (stopped_ || sim_.now() >= until_) return;
   for (int i = 0; i < config_.burst_count; ++i) {
     Packet p;
-    p.id = next_packet_id();
     p.flow_id = config_.flow_id;
     p.seq = seq_++;
     p.size_bytes = config_.packet_bytes;

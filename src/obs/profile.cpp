@@ -204,7 +204,7 @@ ProfileSnapshot ProfileRegistry::snapshot() const {
                     static_cast<std::size_t>(kMaxProfNodes), 0)};
     // Credit still-open frames with their elapsed-so-far: this is what makes
     // the bench root total track wall clock while the outermost scope is
-    // still alive at snapshot (the JsonReporter destructor), and what makes
+    // still alive at snapshot (bench::run's root scope), and what makes
     // unbalanced usage degrade gracefully instead of vanishing.
     const std::int32_t depth = s.depth.load(std::memory_order_acquire);
     for (std::int32_t j = 0; j < depth; ++j) {

@@ -71,9 +71,9 @@ std::size_t PlcMac::queue_length() const {
 
 std::vector<net::Packet> PlcMac::take_queue() {
   std::vector<net::Packet> out;
-  std::unordered_set<std::uint64_t> seen;
+  std::unordered_set<const net::Packet*> seen;
   for (const PbUnit& pb : pb_queue_) {
-    if (seen.insert(pb.packet->id).second) out.push_back(*pb.packet);
+    if (seen.insert(pb.packet.get()).second) out.push_back(*pb.packet);
   }
   pb_queue_.clear();
   queued_pbs_ = 0;
@@ -245,7 +245,7 @@ void PlcMac::on_frame_received(const PlcFrame& frame,
   for (std::size_t i = 0; i < frame.pbs.size(); ++i) {
     if (errored[i]) continue;
     const PbUnit& pb = frame.pbs[i];
-    Reassembly& r = reassembly_[pb.packet->id];
+    Reassembly& r = reassembly_[pb.packet.get()];
     if (r.total == 0) {
       r.packet = pb.packet;
       r.total = pb.total;
@@ -258,7 +258,7 @@ void PlcMac::on_frame_received(const PlcFrame& frame,
       ++delivered_;
       EFD_COUNTER_INC("plc.mac.packets_delivered");
       if (rx_) rx_(*r.packet, now);
-      reassembly_.erase(pb.packet->id);
+      reassembly_.erase(pb.packet.get());
     }
   }
   // Bound the reassembly table: abandoned entries (all-PB-dropped packets)

@@ -150,13 +150,16 @@ class PlcMac final : public net::Interface {
   int backoff_ = -1;  ///< -1: not drawn
   int dc_ = 0;
 
-  /// Receiver-side reassembly: packet id -> bitmap of received PBs.
+  /// Receiver-side reassembly: enqueued packet -> bitmap of received PBs.
+  /// All PBs of one enqueued packet share its `shared_ptr`, and the entry
+  /// holds a reference, so no other packet can take the key's address while
+  /// the entry exists.
   struct Reassembly {
     std::shared_ptr<const net::Packet> packet;
     std::uint64_t received_mask = 0;
     int total = 0;
   };
-  std::unordered_map<std::uint64_t, Reassembly> reassembly_;
+  std::unordered_map<const net::Packet*, Reassembly> reassembly_;
 
   std::uint64_t frames_tx_ = 0;
   std::uint64_t pb_retx_ = 0;

@@ -87,10 +87,10 @@ TEST(CellWorldGolden, CampusFaultFree) {
     CampusRunConfig cfg = campus_config();
     cfg.n_shards = shards;
     const CampusResult r = run_campus(cfg);
-    EXPECT_EQ(r.digest, 0x89c6301dd1a083eaULL) << "shards=" << shards;
+    EXPECT_EQ(r.digest, 0x6f7642ff97023bc8ULL) << "shards=" << shards;
     EXPECT_EQ(r.board_digests,
               (Digests{0x2ca5a4a0ad2d7d7eULL, 0x561dafcb696172bfULL,
-                       0xc61021318a6fbc4fULL, 0x73443c0ba3016372ULL,
+                       0x63294a2fd1aa4eb3ULL, 0x73443c0ba3016372ULL,
                        0x6683e0810fee2d11ULL}))
         << "shards=" << shards;
   }
@@ -102,10 +102,10 @@ TEST(CellWorldGolden, CampusStorm) {
     cfg.n_shards = shards;
     const CampusResult r = run_campus(cfg);
     ASSERT_GT(r.fault_events, 0u);
-    EXPECT_EQ(r.digest, 0x41873fb18599eb62ULL) << "shards=" << shards;
+    EXPECT_EQ(r.digest, 0xb80c0520f738dad7ULL) << "shards=" << shards;
     EXPECT_EQ(r.board_digests,
               (Digests{0xbed986534fc31cf4ULL, 0x6a680c935f32f35dULL,
-                       0xa87d0cff9c03f592ULL, 0xef6ad27972e0f131ULL,
+                       0xa87d0cff9c03f592ULL, 0xf0ea39887e196c0eULL,
                        0x6683e0810fee2d11ULL}))
         << "shards=" << shards;
   }
@@ -132,10 +132,10 @@ TEST(CellWorldGolden, NanDiversityRelayStorm) {
     ASSERT_GT(r.fault_events, 0u);
     ASSERT_GT(r.dup_copies, 0u);
     ASSERT_GT(r.relay_forwards, 0u);
-    EXPECT_EQ(r.digest, 0xc19a1f2dcd46d64bULL) << "shards=" << shards;
+    EXPECT_EQ(r.digest, 0x7f5d5c0309637c8bULL) << "shards=" << shards;
     EXPECT_EQ(r.transformer_digests,
               (Digests{0x714d15e67f287331ULL, 0x45736af8c8c391f1ULL,
-                       0x5f3a04c89b8ae904ULL, 0x5fb5f241c99f4d72ULL}))
+                       0x21b1fc59b04a97e7ULL, 0xe41558e4eb297599ULL}))
         << "shards=" << shards;
   }
 }

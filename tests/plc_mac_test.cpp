@@ -147,6 +147,34 @@ TEST_F(MacFixture, QueueOverflowDropsWholePackets) {
   EXPECT_EQ(mac.packets_dropped(), 1u);
 }
 
+TEST_F(MacFixture, LossyLinkDeliversEverySeqOnceWithoutPacketIds) {
+  // Packets built the way the cell worlds build them: a seq, no other
+  // identity. Reassembly must still keep each enqueued packet's PBs apart,
+  // so that PB errors and selective retransmission never splice PBs of
+  // different packets together or deliver one packet twice.
+  build(2);
+  network->medium().set_fault_pb_error(0.2);
+  constexpr int kPackets = 200;
+  std::vector<int> delivered(kPackets, 0);
+  network->station(1).mac().set_rx_handler([&](const net::Packet& p, sim::Time) {
+    ASSERT_LT(p.seq, static_cast<std::uint32_t>(kPackets));
+    ++delivered[p.seq];
+  });
+  auto& mac = network->station(0).mac();
+  for (int i = 0; i < kPackets; ++i) {
+    net::Packet p;
+    p.seq = static_cast<std::uint32_t>(i);
+    p.size_bytes = 1400;  // 3 PBs
+    p.src = 0;
+    p.dst = 1;
+    p.created = sim.now();
+    p.priority = 1;
+    ASSERT_TRUE(mac.enqueue(p));
+  }
+  sim.run_until(sim::seconds(2));
+  for (int i = 0; i < kPackets; ++i) EXPECT_EQ(delivered[i], 1) << "seq " << i;
+}
+
 TEST_F(MacFixture, SnifferSeesSofRecords) {
   build(2);
   std::vector<SofRecord> records;

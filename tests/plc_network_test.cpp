@@ -90,7 +90,7 @@ struct LossyLinkFixture : ::testing::Test {
   grid::PowerGrid grid;
   std::unique_ptr<PlcChannel> channel;
   std::unique_ptr<PlcNetwork> network;
-  std::uint64_t next_id = 1;
+  std::uint32_t next_seq = 1;
 
   void SetUp() override {
     const int a = grid.add_node("a");
@@ -116,8 +116,7 @@ struct LossyLinkFixture : ::testing::Test {
     p.size_bytes = 1400;
     for (int batch = 0; batch < batches; ++batch) {
       for (int i = 0; i < 5; ++i) {
-        p.id = next_id++;
-        p.seq = static_cast<std::uint32_t>(p.id);
+        p.seq = next_seq++;
         network->station(0).mac().enqueue(p);
       }
       sim.run_until(sim.now() + sim::microseconds(1700));

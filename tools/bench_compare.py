@@ -12,8 +12,8 @@ Two kinds of checks:
     deterministic for a fixed seed, so any drift is a correctness regression,
     not noise. That includes "sim_events_dispatched": the event count is a
     pure function of the bench's config, whatever the worker or shard count.
-    The benches write metrics with %.6g, so a count of a million or more is
-    compared to six significant digits.
+    The benches write integral metrics exactly (below 2^53) and the rest
+    with six significant digits.
   * Perf fields — "wall_clock_s" and the "sim_events_per_sec" metric — may
     drift with the machine; the check fails only on a relative regression
     beyond --max-regress (default 0.25, the ">25%" CI gate). Improvements
