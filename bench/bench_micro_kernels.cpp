@@ -136,7 +136,7 @@ void BM_EventEngineScheduleDispatch(benchmark::State& state) {
   std::int64_t t = 0;
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    sim.at_inline(sim::Time{t += 10}, [&sink] { ++sink; });
+    sim.at(sim::Time{t += 10}, [&sink] { ++sink; });
     if (t % 1024 == 0) sim.run_until(sim::Time{t});
   }
   sim.run();
@@ -150,7 +150,7 @@ void BM_EventEngineScheduleCancelDrain(benchmark::State& state) {
   sim::Simulator sim;
   std::int64_t t = 0;
   for (auto _ : state) {
-    sim::EventHandle h = sim.at_inline(sim::Time{t += 10}, [] {});
+    sim::EventHandle h = sim.at(sim::Time{t += 10}, [] {});
     h.cancel();
     if (t % 1024 == 0) sim.run_until(sim::Time{t});
   }
@@ -167,7 +167,7 @@ void BM_EventEngineTimerChurn(benchmark::State& state) {
     sim::Time period;
     std::uint64_t fires = 0;
     void arm() {
-      sim->after_inline(period, [this] {
+      sim->after(period, [this] {
         ++fires;
         arm();
       });
@@ -513,7 +513,7 @@ void BM_FaultInjectorIdleChurn(benchmark::State& state) {
     sim::Time period;
     std::uint64_t fires = 0;
     void arm() {
-      sim->after_inline(period, [this] {
+      sim->after(period, [this] {
         ++fires;
         arm();
       });

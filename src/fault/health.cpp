@@ -46,7 +46,7 @@ void HealthMonitor::stop() {
 
 void HealthMonitor::arm_next(sim::Time delay) {
   next_.cancel();
-  next_ = sim_.after_inline(delay, [this] { send_probe(); });
+  next_ = sim_.after(delay, [this] { send_probe(); });
 }
 
 void HealthMonitor::send_probe() {
@@ -57,7 +57,7 @@ void HealthMonitor::send_probe() {
   EFD_COUNTER_INC("fault.health.probes");
   // Arm the deadline before issuing the probe: a probe that completes
   // synchronously (loopback stubs) must find its timeout to cancel.
-  timeout_ = sim_.after_inline(cfg_.probe_timeout, [this] { on_probe_timeout(); });
+  timeout_ = sim_.after(cfg_.probe_timeout, [this] { on_probe_timeout(); });
   probe_(nonce_);
 }
 

@@ -22,10 +22,10 @@ void FaultInjector::install(const FaultPlan& plan) {
   for (const FaultSpec& spec : plan.specs()) {
     assert(spec.onset >= sim_.now() && "fault onset is in the simulator's past");
     pending_.push_back(
-        sim_.at_inline(spec.onset, [this, spec] { fire(spec, FaultPhase::kApply); }));
+        sim_.at(spec.onset, [this, spec] { fire(spec, FaultPhase::kApply); }));
     // Zero-duration faults (modem reset) are one-shot: no clear event.
     if (spec.duration > sim::Time{}) {
-      pending_.push_back(sim_.at_inline(spec.onset + spec.duration, [this, spec] {
+      pending_.push_back(sim_.at(spec.onset + spec.duration, [this, spec] {
         fire(spec, FaultPhase::kClear);
       }));
     }

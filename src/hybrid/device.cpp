@@ -291,7 +291,7 @@ void RoundRobinSplitter::pump() {
     if (target->queue_length() >= cfg_.watermark) {
       // Head-of-line stall: strict alternation waits for *this* interface.
       if (!retry_.pending()) {
-        retry_ = sim_.after_inline(cfg_.retry, [this] { pump(); });
+        retry_ = sim_.after(cfg_.retry, [this] { pump(); });
       }
       return;
     }

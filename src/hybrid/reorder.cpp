@@ -141,7 +141,7 @@ void ReorderBuffer::arm_timeout() {
   const sim::Time waited = sim_.now() - block_start_;
   const sim::Time remaining =
       waited < cfg_.hold_timeout ? cfg_.hold_timeout - waited : sim::Time{};
-  timeout_ = sim_.after_inline(remaining, [this] { on_timeout(); });
+  timeout_ = sim_.after(remaining, [this] { on_timeout(); });
 }
 
 void ReorderBuffer::on_timeout() {

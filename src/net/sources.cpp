@@ -13,7 +13,7 @@ UdpSource::UdpSource(sim::Simulator& simulator, Interface& interface, Config con
 void UdpSource::run(sim::Time at, sim::Time until) {
   until_ = until;
   stopped_ = false;
-  pending_ = sim_.at_inline(at, [this] { emit(); });
+  pending_ = sim_.at(at, [this] { emit(); });
 }
 
 void UdpSource::emit() {
@@ -30,7 +30,7 @@ void UdpSource::emit() {
   if (!interface_.enqueue(p)) ++dropped_;
   const double pkt_seconds =
       static_cast<double>(config_.packet_bytes) * 8.0 / config_.rate_bps;
-  pending_ = sim_.after_inline(sim::seconds(pkt_seconds), [this] { emit(); });
+  pending_ = sim_.after(sim::seconds(pkt_seconds), [this] { emit(); });
 }
 
 ProbeSource::ProbeSource(sim::Simulator& simulator, Interface& interface, Config config)
@@ -42,7 +42,7 @@ ProbeSource::ProbeSource(sim::Simulator& simulator, Interface& interface, Config
 void ProbeSource::run(sim::Time at, sim::Time until) {
   until_ = until;
   stopped_ = false;
-  pending_ = sim_.at_inline(at, [this] { emit(); });
+  pending_ = sim_.at(at, [this] { emit(); });
 }
 
 void ProbeSource::resume(sim::Time at, sim::Time until) { run(at, until); }
@@ -60,7 +60,7 @@ void ProbeSource::emit() {
     p.priority = config_.priority;
     if (interface_.enqueue(p)) ++sent_;
   }
-  pending_ = sim_.after_inline(config_.interval, [this] { emit(); });
+  pending_ = sim_.after(config_.interval, [this] { emit(); });
 }
 
 }  // namespace efd::net

@@ -20,7 +20,7 @@ void PlcMedium::enable_beacons(sim::Time period, sim::Time duration) {
   beacons_enabled_ = true;
   beacon_period_ = period;
   beacon_duration_ = duration;
-  sim_.after_inline(period, [this] { beacon_tick(); });
+  sim_.after(period, [this] { beacon_tick(); });
 }
 
 void PlcMedium::beacon_tick() {
@@ -32,17 +32,9 @@ void PlcMedium::beacon_tick() {
     pending_beacon_hold_ += beacon_duration_;
   } else {
     busy_ = true;
-    sim_.after_inline(beacon_duration_, [this] {
-      busy_ = false;
-      for (PlcMac* m : macs_) {
-        if (m->has_pending()) {
-          schedule_contention();
-          break;
-        }
-      }
-    });
+    sim_.after(beacon_duration_, [this] { go_idle(); });
   }
-  sim_.after_inline(beacon_period_, [this] { beacon_tick(); });
+  sim_.after(beacon_period_, [this] { beacon_tick(); });
 }
 
 PlcMedium::SnifferId PlcMedium::add_sniffer(
@@ -77,11 +69,21 @@ void PlcMedium::notify_ready(PlcMac&) {
   if (!busy_ && !contention_scheduled_) schedule_contention();
 }
 
+void PlcMedium::go_idle() {
+  busy_ = false;
+  for (PlcMac* m : macs_) {
+    if (m->has_pending()) {
+      schedule_contention();
+      return;
+    }
+  }
+}
+
 void PlcMedium::schedule_contention() {
   contention_scheduled_ = true;
   const sim::Time delay = kCifs + pending_beacon_hold_;
   pending_beacon_hold_ = sim::Time{};
-  sim_.after_inline(delay, [this] { resolve_contention(); });
+  sim_.after(delay, [this] { resolve_contention(); });
 }
 
 void PlcMedium::emit_sof(const PlcFrame& f) const {
@@ -141,7 +143,7 @@ void PlcMedium::resolve_contention() {
 
   busy_ = true;
   const sim::Time tx_start = sim_.now() + kPrs + (min_backoff + 1) * kSlot;
-  sim_.at_inline(tx_start, [this, winners] {
+  sim_.at(tx_start, [this, winners] {
     // A winner may have lost its backlog between contention resolution and
     // the preamble (modem-reset / queue-stall fault injection); it cannot
     // transmit. On the no-fault path every winner still has PBs pending.
@@ -155,13 +157,7 @@ void PlcMedium::resolve_contention() {
       frames.push_back(m->build_frame(sim_.now()));
     }
     if (frames.empty()) {
-      busy_ = false;
-      for (PlcMac* m : macs_) {
-        if (m->has_pending()) {
-          schedule_contention();
-          break;
-        }
-      }
+      go_idle();
       return;
     }
     finish_round(std::move(frames), std::move(senders));
@@ -275,26 +271,17 @@ void PlcMedium::finish_round(std::vector<PlcFrame> frames,
       std::vector<PbUnit> bad;
       bad.reserve(errored.size());
       for (int i : errored) bad.push_back(f.pbs[static_cast<std::size_t>(i)]);
-      sim_.at_inline(sack_end,
-                     [sender, bad = std::move(bad)] { sender->on_sack(bad); });
+      sim_.at(sack_end, [sender, bad = std::move(bad)] { sender->on_sack(bad); });
     } else {
-      sim_.at_inline(broadcast ? payload_end : sack_end,
-                     [sender, pbs = std::move(f.pbs), broadcast] {
-                       sender->on_no_sack(pbs, broadcast);
-                     });
+      sim_.at(broadcast ? payload_end : sack_end,
+              [sender, pbs = std::move(f.pbs), broadcast] {
+                sender->on_no_sack(pbs, broadcast);
+              });
     }
   }
 
   // Medium idles after the longest payload plus the SACK exchange.
-  sim_.at_inline(sack_end, [this] {
-    busy_ = false;
-    for (PlcMac* m : macs_) {
-      if (m->has_pending()) {
-        schedule_contention();
-        break;
-      }
-    }
-  });
+  sim_.at(sack_end, [this] { go_idle(); });
 }
 
 }  // namespace efd::plc

@@ -78,6 +78,8 @@ class PlcMedium {
   [[nodiscard]] std::uint64_t beacons_sent() const { return beacons_; }
 
  private:
+  /// Release the medium and, if any MAC has work pending, contend again.
+  void go_idle();
   void schedule_contention();
   void resolve_contention();
   void finish_round(std::vector<PlcFrame> frames, std::vector<PlcMac*> senders);

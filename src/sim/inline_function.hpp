@@ -9,13 +9,10 @@
 namespace efd::sim {
 
 /// Move-only type-erased callable with a fixed inline buffer. The event
-/// engine's replacement for `std::function<void()>`: a capture that fits the
-/// buffer (and is nothrow-move-constructible, so relocation cannot throw) is
-/// stored in place and scheduling it performs no heap allocation. Oversized
-/// captures fall back to a single heap box — still cheaper than
-/// `std::function` plus the old per-event control blocks, but hot call sites
-/// should pin themselves to the inline path via `Simulator::at_inline` /
-/// `after_inline` or `fits_inline<F>`.
+/// engine's replacement for `std::function<void()>`: the capture is stored in
+/// place, so constructing one never allocates. A callable that does not fit
+/// the buffer, or whose move can throw (relocation must not), is rejected at
+/// compile time: there is no heap fallback.
 template <typename Signature, std::size_t Capacity = 48>
 class InlineFunction;
 
@@ -25,7 +22,7 @@ class InlineFunction<R(Args...), Capacity> {
   static constexpr std::size_t kCapacity = Capacity;
   static_assert(Capacity >= sizeof(void*));
 
-  /// True when `F` takes the allocation-free inline path.
+  /// True when `F` fits the buffer and so can be stored at all.
   template <typename F>
   static constexpr bool stores_inline =
       sizeof(F) <= Capacity && alignof(F) <= alignof(std::max_align_t) &&
@@ -35,16 +32,11 @@ class InlineFunction<R(Args...), Capacity> {
 
   template <typename F>
     requires(!std::is_same_v<std::decay_t<F>, InlineFunction> &&
-             std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
-  InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (stores_inline<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::ops;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &BoxedOps<Fn>::ops;
-    }
+             std::is_invocable_r_v<R, std::decay_t<F>&, Args...> &&
+             stores_inline<std::decay_t<F>>)
+  InlineFunction(F&& f)  // NOLINT(google-explicit-constructor)
+      : ops_(&OpsFor<std::decay_t<F>>::ops) {
+    ::new (static_cast<void*>(buf_)) std::decay_t<F>(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { steal(other); }
@@ -78,7 +70,7 @@ class InlineFunction<R(Args...), Capacity> {
   };
 
   template <typename Fn>
-  struct InlineOps {
+  struct OpsFor {
     static R invoke(void* p, Args&&... args) {
       return (*static_cast<Fn*>(p))(std::forward<Args>(args)...);
     }
@@ -87,18 +79,6 @@ class InlineFunction<R(Args...), Capacity> {
       static_cast<Fn*>(src)->~Fn();
     }
     static void destroy(void* p) noexcept { static_cast<Fn*>(p)->~Fn(); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
-  };
-
-  template <typename Fn>
-  struct BoxedOps {
-    static R invoke(void* p, Args&&... args) {
-      return (**static_cast<Fn**>(p))(std::forward<Args>(args)...);
-    }
-    static void relocate(void* dst, void* src) noexcept {
-      ::new (dst) Fn*(*static_cast<Fn**>(src));
-    }
-    static void destroy(void* p) noexcept { delete *static_cast<Fn**>(p); }
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 

@@ -10,15 +10,13 @@ namespace efd::sim {
 
 class Simulator;
 
-/// The event engine's callback type: 48 bytes of inline capture, heap-boxed
-/// beyond that (see InlineFunction). 48 covers every MAC-timer shape in the
-/// codebase — `this` plus a few ids/Times, or a captured vector of winners.
+/// The event engine's callback type: 48 bytes of inline capture and no heap
+/// fallback (see InlineFunction). Storing an event never allocates, and a
+/// capture that outgrows the buffer fails to compile at its `at`/`after`
+/// call site. 48 covers every event shape in the
+/// codebase: `this` plus a few ids/Times, a captured vector of winners, or a
+/// sender plus the units its completion may requeue.
 using EventFn = InlineFunction<void(), 48>;
-
-/// True when scheduling a callable of type `F` performs no heap allocation.
-/// Hot call sites pin themselves to this via `at_inline`/`after_inline`.
-template <typename F>
-inline constexpr bool fits_inline = EventFn::stores_inline<F>;
 
 /// Handle to a scheduled event; allows cancellation. A handle is a
 /// {slab slot, generation} pair: copies refer to the same slot, so one can be
@@ -55,8 +53,8 @@ class EventHandle {
 /// Engine layout (DESIGN.md §9): event records live in a generation-counted
 /// slab with free-list reuse; the ready queue is a 4-ary min-heap of slim
 /// {time, seq, slot} nodes ordered by (time, seq). In steady state —
-/// slab and heap at capacity, inline-capture callbacks — schedule + dispatch
-/// performs zero heap allocations (pinned by sim_event_engine_test).
+/// slab and heap at capacity — schedule + dispatch performs zero heap
+/// allocations (pinned by sim_event_engine_test).
 class Simulator {
  public:
   Simulator() = default;
@@ -71,22 +69,6 @@ class Simulator {
   /// Schedule `fn` after a relative delay from now.
   EventHandle after(Time delay, EventFn fn) {
     return at(now_ + delay, std::move(fn));
-  }
-
-  /// `at`, statically guaranteed allocation-free: the capture must fit the
-  /// EventFn inline buffer. Hot per-symbol/per-slot call sites use this so a
-  /// capture that grows past the buffer fails to compile instead of silently
-  /// degrading to one heap allocation per event.
-  template <typename F>
-  EventHandle at_inline(Time t, F&& fn) {
-    static_assert(fits_inline<std::decay_t<F>>,
-                  "hot-path event capture spills out of the inline buffer");
-    return at(t, EventFn(std::forward<F>(fn)));
-  }
-
-  template <typename F>
-  EventHandle after_inline(Time delay, F&& fn) {
-    return at_inline<F>(now_ + delay, std::forward<F>(fn));
   }
 
   /// Run events until the queue drains or the clock would pass `end`.

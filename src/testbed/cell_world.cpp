@@ -163,7 +163,7 @@ void CellWorld::schedule_tick(Cell& c) {
   const auto jitter = static_cast<std::int64_t>(
       static_cast<double>(setup_.tick_interval.ns()) * c.rng.uniform(0.6, 1.4));
   Cell* w = &c;
-  engine_->cell_sim(c.index).after_inline(sim::Time{jitter}, [this, w] {
+  engine_->cell_sim(c.index).after(sim::Time{jitter}, [this, w] {
     schedule_tick(*w);
     tick(*w);
   });

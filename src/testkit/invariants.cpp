@@ -393,6 +393,18 @@ void check_frame_geometry(const ScenarioWorld& world, const RunTrace& trace,
 }
 
 // --- 13/14. hybrid: ReorderBuffer fuzz -------------------------------------
+
+/// Hands scheduled packet arrivals to a ReorderBuffer under one tag. An
+/// arrival event captures a pointer to this plus the packet, which fits
+/// EventFn's inline buffer.
+struct ReorderFeed {
+  sim::Simulator& sim;
+  hybrid::ReorderBuffer& buffer;
+  int tag = -1;  ///< < 0 feeds untagged, like the two-argument on_packet
+
+  void arrive(const net::Packet& p) const { buffer.on_packet(p, sim.now(), tag); }
+};
+
 void check_reorder(const Scenario& s, std::vector<Violation>& out) {
   const Scenario::HybridFuzz& fz = s.hybrid;
   sim::Simulator sim;
@@ -402,6 +414,7 @@ void check_reorder(const Scenario& s, std::vector<Violation>& out) {
   hybrid::ReorderBuffer buffer(
       sim, [&](const net::Packet& p, sim::Time) { delivered.push_back(p.seq); },
       cfg);
+  const ReorderFeed feed{sim, buffer};
 
   sim::Rng rng = sim::Rng{s.world_seed}.fork(0x4e04de4);
   std::set<std::uint32_t> fed_unique;
@@ -418,7 +431,7 @@ void check_reorder(const Scenario& s, std::vector<Violation>& out) {
       p.flow_id = 7;
       p.seq = static_cast<std::uint32_t>(i);
       p.created = sent;
-      sim.at(arrival, [&buffer, p, &sim] { buffer.on_packet(p, sim.now()); });
+      sim.at(arrival, [&feed, p] { feed.arrive(p); });
       fed_unique.insert(p.seq);
       ++fed_total;
       last_arrival = std::max(last_arrival, arrival);
@@ -538,6 +551,7 @@ void check_nan_diversity(const Scenario& s, const InvariantOptions& opts,
   buffer.set_win_listener([&](const net::Packet&, int tag) {
     if (tag >= 0 && tag < 2) ++wins[tag];
   });
+  const ReorderFeed feeds[2] = {{sim, buffer, 0}, {sim, buffer, 1}};
 
   sim::Rng rng = sim::Rng{s.world_seed}.fork(0xD177E);
   std::uint64_t fed_copies = 0;
@@ -555,9 +569,7 @@ void check_nan_diversity(const Scenario& s, const InvariantOptions& opts,
       p.seq = static_cast<std::uint32_t>(i);
       p.size_bytes = bytes;
       p.created = sent;
-      sim.at(arrival, [&buffer, p, tag, &sim] {
-        buffer.on_packet(p, sim.now(), tag);
-      });
+      sim.at(arrival, [feed = &feeds[tag], p] { feed->arrive(p); });
       ++fed_copies;
       if (tag == 1) fed_bytes_second_copy += bytes;
       last_arrival = std::max(last_arrival, arrival);

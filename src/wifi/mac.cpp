@@ -29,7 +29,7 @@ void WifiMedium::notify_ready(WifiMac&) {
 
 void WifiMedium::schedule_contention() {
   contention_scheduled_ = true;
-  sim_.after_inline(kDifs, [this] { resolve_contention(); });
+  sim_.after(kDifs, [this] { resolve_contention(); });
 }
 
 void WifiMedium::resolve_contention() {
@@ -55,7 +55,7 @@ void WifiMedium::resolve_contention() {
   }
   busy_ = true;
   const sim::Time tx_start = sim_.now() + (min_backoff + 1) * kSlot;
-  sim_.at_inline(tx_start, [this, winners] {
+  sim_.at(tx_start, [this, winners] {
     // Fault injection can empty a winner's queue (modem reset) or stall it
     // between the backoff win and the preamble; skip those senders. The
     // no-fault path never takes the branch.
@@ -69,13 +69,7 @@ void WifiMedium::resolve_contention() {
       frames.push_back(m->build_frame(sim_.now()));
     }
     if (frames.empty()) {
-      busy_ = false;
-      for (WifiMac* m : macs_) {
-        if (m->has_pending()) {
-          schedule_contention();
-          break;
-        }
-      }
+      go_idle();
       return;
     }
     finish_round(std::move(frames), std::move(senders));
@@ -94,7 +88,7 @@ void WifiMedium::finish_round(std::vector<WifiFrame> frames,
   for (const WifiFrame& f : frames) payload_end = std::max(payload_end, f.end);
 
   for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-    const WifiFrame& f = frames[fi];
+    WifiFrame& f = frames[fi];
     WifiMac* sender = senders[fi];
     for (const auto& fn : listeners_) {
       fn(McsRecord{f.start, f.src, f.dst, f.mcs, Mcs::rate_mbps(f.mcs)});
@@ -118,6 +112,10 @@ void WifiMedium::finish_round(std::vector<WifiFrame> frames,
       decodable = own - worst >= kCaptureThresholdDb;
     }
 
+    // Exactly one completion per frame, at the end of its BlockAck (or of
+    // the timeout waiting for it), and it takes only the MPDUs it may
+    // requeue: the failed ones, or the whole frame when nothing decoded.
+    const sim::Time ack_end = payload_end + kSifs + sender->config().blockack;
     if (decodable) {
       const double snr = channel_.snr_db(f.src, f.dst, f.start) - jam_db_;
       const double p = Mcs::mpdu_error_probability(f.mcs, snr);
@@ -126,25 +124,29 @@ void WifiMedium::finish_round(std::vector<WifiFrame> frames,
         if (rng_.bernoulli(p)) failed.push_back(static_cast<int>(i));
       }
       rx_mac->on_frame_received(f, failed, payload_end);
-      const sim::Time ack_end = payload_end + kSifs + sender->config().blockack;
-      sim_.at(ack_end, [sender, f, failed] { sender->on_block_ack(f, failed); });
+      std::vector<Mpdu> bad;
+      bad.reserve(failed.size());
+      for (int i : failed) bad.push_back(f.mpdus[static_cast<std::size_t>(i)]);
+      sim_.at(ack_end, [sender, bad = std::move(bad)] { sender->on_block_ack(bad); });
     } else {
-      const sim::Time timeout = payload_end + kSifs + sender->config().blockack;
-      sim_.at(timeout, [sender, f] { sender->on_no_ack(f); });
+      sim_.at(ack_end,
+              [sender, mpdus = std::move(f.mpdus)] { sender->on_no_ack(mpdus); });
     }
   }
 
   const sim::Time idle_at =
       payload_end + kSifs + senders[0]->config().blockack;
-  sim_.at_inline(idle_at, [this] {
-    busy_ = false;
-    for (WifiMac* m : macs_) {
-      if (m->has_pending()) {
-        schedule_contention();
-        break;
-      }
+  sim_.at(idle_at, [this] { go_idle(); });
+}
+
+void WifiMedium::go_idle() {
+  busy_ = false;
+  for (WifiMac* m : macs_) {
+    if (m->has_pending()) {
+      schedule_contention();
+      return;
     }
-  });
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -167,10 +169,17 @@ bool WifiMac::enqueue(const net::Packet& p) {
     ++drops_;
     return false;
   }
-  queue_.push_back(p);
-  retry_counts_.push_back(0);
+  queue_.push_back(Mpdu{p, 0});
   if (queue_.size() == 1) medium_.notify_ready(*this);
   return true;
+}
+
+std::vector<net::Packet> WifiMac::take_queue() {
+  std::vector<net::Packet> out;
+  out.reserve(queue_.size());
+  for (const Mpdu& m : queue_) out.push_back(m.packet);
+  queue_.clear();
+  return out;
 }
 
 void WifiMac::redraw_backoff() {
@@ -191,7 +200,7 @@ WifiFrame WifiMac::build_frame(sim::Time now) {
   assert(!queue_.empty());
   WifiFrame f;
   f.src = self_;
-  f.dst = queue_.front().dst;
+  f.dst = queue_.front().packet.dst;
   f.start = now;
 
   // Rate control: a stale, noisy view of the receiver SNR (the transmitter
@@ -209,15 +218,14 @@ WifiFrame WifiMac::build_frame(sim::Time now) {
   const double rate_mbps = Mcs::rate_mbps(mcs);
   sim::Time airtime = cfg_.preamble;
   while (!queue_.empty() && static_cast<int>(f.mpdus.size()) < cfg_.max_ampdu) {
-    if (queue_.front().dst != f.dst) break;
+    const net::Packet& next = queue_.front().packet;
+    if (next.dst != f.dst) break;
     const auto mpdu_air = sim::microseconds(
-        static_cast<double>(queue_.front().size_bytes + 40) * 8.0 / rate_mbps);
+        static_cast<double>(next.size_bytes + 40) * 8.0 / rate_mbps);
     if (!f.mpdus.empty() && airtime + mpdu_air > cfg_.max_airtime) break;
     airtime += mpdu_air;
     f.mpdus.push_back(queue_.front());
-    f.retries.push_back(retry_counts_.front());
     queue_.pop_front();
-    retry_counts_.pop_front();
   }
   f.end = now + airtime;
   EFD_COUNTER_INC("wifi.mac.frames_tx");
@@ -225,50 +233,45 @@ WifiFrame WifiMac::build_frame(sim::Time now) {
   return f;
 }
 
-void WifiMac::on_block_ack(const WifiFrame& frame, const std::vector<int>& failed) {
+void WifiMac::requeue(const std::vector<Mpdu>& mpdus) {
+  for (auto it = mpdus.rbegin(); it != mpdus.rend(); ++it) {
+    if (it->retries >= cfg_.max_retries) {
+      ++drops_;
+      EFD_COUNTER_INC("wifi.mac.drops");
+      continue;
+    }
+    EFD_COUNTER_INC("wifi.mac.retries");
+    queue_.push_front(Mpdu{it->packet, it->retries + 1});
+  }
+}
+
+void WifiMac::on_block_ack(const std::vector<Mpdu>& failed) {
   cw_ = cfg_.cw_min;
   backoff_ = -1;
   EFD_COUNTER_ADD("wifi.mac.mpdu_errors", failed.size());
-  for (auto it = failed.rbegin(); it != failed.rend(); ++it) {
-    const auto i = static_cast<std::size_t>(*it);
-    if (frame.retries[i] >= cfg_.max_retries) {
-      ++drops_;
-      EFD_COUNTER_INC("wifi.mac.drops");
-      continue;
-    }
-    EFD_COUNTER_INC("wifi.mac.retries");
-    queue_.push_front(frame.mpdus[i]);
-    retry_counts_.push_front(frame.retries[i] + 1);
-  }
+  requeue(failed);
   if (!queue_.empty()) medium_.notify_ready(*this);
 }
 
-void WifiMac::on_no_ack(const WifiFrame& frame) {
+void WifiMac::on_no_ack(const std::vector<Mpdu>& mpdus) {
   EFD_COUNTER_INC("wifi.mac.no_acks");
   cw_ = std::min(cw_ * 2, cfg_.cw_max);
-  for (auto i = frame.mpdus.size(); i-- > 0;) {
-    if (frame.retries[i] >= cfg_.max_retries) {
-      ++drops_;
-      EFD_COUNTER_INC("wifi.mac.drops");
-      continue;
-    }
-    EFD_COUNTER_INC("wifi.mac.retries");
-    queue_.push_front(frame.mpdus[i]);
-    retry_counts_.push_front(frame.retries[i] + 1);
-  }
+  requeue(mpdus);
   redraw_backoff();
   if (!queue_.empty()) medium_.notify_ready(*this);
 }
 
 void WifiMac::on_frame_received(const WifiFrame& frame, const std::vector<int>& failed,
                                 sim::Time now) {
-  std::vector<bool> bad(frame.mpdus.size(), false);
-  for (int i : failed) bad[static_cast<std::size_t>(i)] = true;
+  auto next_failed = failed.begin();
   for (std::size_t i = 0; i < frame.mpdus.size(); ++i) {
-    if (bad[i]) continue;
+    if (next_failed != failed.end() && static_cast<std::size_t>(*next_failed) == i) {
+      ++next_failed;
+      continue;
+    }
     ++delivered_;
     EFD_COUNTER_INC("wifi.mac.packets_delivered");
-    if (rx_) rx_(frame.mpdus[i], now);
+    if (rx_) rx_(frame.mpdus[i].packet, now);
   }
 }
 

@@ -15,12 +15,17 @@ namespace efd::wifi {
 
 class WifiMac;
 
+/// One MPDU, queued or on the air, with the number of times it was retried.
+struct Mpdu {
+  net::Packet packet;
+  int retries = 0;
+};
+
 /// An 802.11 A-MPDU on the air.
 struct WifiFrame {
   net::StationId src = 0;
   net::StationId dst = 0;
-  std::vector<net::Packet> mpdus;
-  std::vector<int> retries;  ///< per-MPDU retry count, parallel to mpdus
+  std::vector<Mpdu> mpdus;
   int mcs = 0;
   sim::Time start;
   sim::Time end;
@@ -66,6 +71,8 @@ class WifiMedium {
   [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
 
  private:
+  /// Release the medium and, if any MAC has work pending, contend again.
+  void go_idle();
   void schedule_contention();
   void resolve_contention();
   void finish_round(std::vector<WifiFrame> frames, std::vector<WifiMac*> senders);
@@ -109,19 +116,11 @@ class WifiMac final : public net::Interface {
   bool enqueue(const net::Packet& p) override;
   [[nodiscard]] std::size_t queue_length() const override { return queue_.size(); }
   void set_rx_handler(RxHandler handler) override { rx_ = std::move(handler); }
-  void clear_queue() override {
-    queue_.clear();
-    retry_counts_.clear();
-  }
+  void clear_queue() override { queue_.clear(); }
 
   /// Remove and return the queued packets; failover salvages a dead
   /// interface's backlog through this.
-  std::vector<net::Packet> take_queue() override {
-    std::vector<net::Packet> out(queue_.begin(), queue_.end());
-    queue_.clear();
-    retry_counts_.clear();
-    return out;
-  }
+  std::vector<net::Packet> take_queue() override;
 
   [[nodiscard]] net::StationId id() const { return self_; }
 
@@ -138,7 +137,6 @@ class WifiMac final : public net::Interface {
   /// Modem reset fault: flush the queue and restart the backoff machinery.
   void reset_modem() {
     queue_.clear();
-    retry_counts_.clear();
     cw_ = cfg_.cw_min;
     backoff_ = -1;
   }
@@ -148,8 +146,11 @@ class WifiMac final : public net::Interface {
   [[nodiscard]] int current_backoff();
   void on_medium_busy(int slots_elapsed);
   [[nodiscard]] WifiFrame build_frame(sim::Time now);
-  void on_block_ack(const WifiFrame& frame, const std::vector<int>& failed);
-  void on_no_ack(const WifiFrame& frame);
+  /// Frame completions. Each takes only the MPDUs it may requeue: the ones
+  /// the BlockAck reports failed, or the whole frame when no BlockAck comes.
+  void on_block_ack(const std::vector<Mpdu>& failed);
+  void on_no_ack(const std::vector<Mpdu>& mpdus);
+  /// `failed` lists the corrupted MPDU positions in ascending order.
   void on_frame_received(const WifiFrame& frame, const std::vector<int>& failed,
                          sim::Time now);
 
@@ -159,6 +160,9 @@ class WifiMac final : public net::Interface {
 
  private:
   void redraw_backoff();
+  /// Put `mpdus` back at the queue front in frame order, dropping those
+  /// that spent their retry budget.
+  void requeue(const std::vector<Mpdu>& mpdus);
 
   sim::Simulator& sim_;
   WifiMedium& medium_;
@@ -168,8 +172,7 @@ class WifiMac final : public net::Interface {
   Config cfg_;
   RxHandler rx_;
 
-  std::deque<net::Packet> queue_;
-  std::deque<int> retry_counts_;  ///< parallel to queue_
+  std::deque<Mpdu> queue_;
   bool stalled_ = false;
   int cw_ = 16;
   int backoff_ = -1;

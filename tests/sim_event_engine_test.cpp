@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "alloc_count.hpp"
@@ -20,27 +21,46 @@ namespace {
 TEST(InlineFunction, SmallCapturesAreStoredInline) {
   int x = 0;
   auto small = [&x] { ++x; };
-  static_assert(fits_inline<decltype(small)>);
+  static_assert(EventFn::stores_inline<decltype(small)>);
+  const testsupport::AllocationWindow window;
   EventFn fn(small);
+  EXPECT_EQ(window.count(), 0u);
   fn();
   fn();
   EXPECT_EQ(x, 2);
 }
 
-TEST(InlineFunction, OversizedCapturesFallBackToOneBox) {
+// There is no heap fallback: a callable that outgrows the buffer, or whose
+// move may throw, cannot become an EventFn, so scheduling it through
+// `at`/`after` fails to compile at the call site.
+template <typename F>
+concept Schedulable = requires(Simulator& sim, F f) {
+  sim.at(Time{}, std::move(f));
+  sim.after(Time{}, std::move(f));
+};
+
+struct ThrowingMove {
+  ThrowingMove() = default;
+  ThrowingMove(const ThrowingMove&) = default;
+  ThrowingMove(ThrowingMove&&) noexcept(false) {}
+  void operator()() const {}
+};
+
+TEST(InlineFunction, OversizedOrThrowingMoveCapturesDoNotCompile) {
   struct Big {
     char data[96];
   };
-  Big big{};
-  big.data[0] = 7;
-  int got = 0;
-  auto fat = [big, &got] { got = big.data[0]; };
-  static_assert(!fits_inline<decltype(fat)>);
-  const testsupport::AllocationWindow window;
-  EventFn fn(fat);
-  EXPECT_EQ(window.count(), 1u);  // exactly the one heap box
-  fn();
-  EXPECT_EQ(got, 7);
+  auto fat = [big = Big{}] { (void)big; };
+  static_assert(!EventFn::stores_inline<decltype(fat)>);
+  static_assert(!std::is_constructible_v<EventFn, decltype(fat)>);
+  static_assert(!Schedulable<decltype(fat)>);
+
+  static_assert(sizeof(ThrowingMove) <= EventFn::kCapacity);
+  static_assert(!std::is_constructible_v<EventFn, ThrowingMove>);
+  static_assert(!Schedulable<ThrowingMove>);
+
+  auto small = [] {};
+  static_assert(Schedulable<decltype(small)>);
 }
 
 TEST(InlineFunction, MoveTransfersTheCallable) {
@@ -277,14 +297,14 @@ TEST(EventEngine, SteadyStateInlineScheduleDispatchIsAllocationFree) {
   // Warm-up: grow the slab, heap vector, free list, and the obs shard /
   // metric-id statics outside the measured window.
   for (int i = 0; i < 256; ++i) {
-    sim.after_inline(nanoseconds(10 + i), [&ticks] { ++ticks; });
+    sim.after(nanoseconds(10 + i), [&ticks] { ++ticks; });
   }
   sim.run();
 
   const testsupport::AllocationWindow window;
   for (int round = 0; round < 100; ++round) {
     for (int i = 0; i < 64; ++i) {
-      sim.after_inline(nanoseconds(10 + i), [&ticks] { ++ticks; });
+      sim.after(nanoseconds(10 + i), [&ticks] { ++ticks; });
     }
     sim.run_until(sim.now() + nanoseconds(1000));
   }
@@ -296,13 +316,13 @@ TEST(EventEngine, SteadyStateCancelIsAllocationFree) {
   Simulator sim;
   // Warm-up covers the tombstone-reap path too, so the lazily registered
   // "sim.events_cancelled" metric id is resolved outside the window.
-  for (int i = 0; i < 64; ++i) sim.after_inline(nanoseconds(10), [] {});
-  sim.after_inline(nanoseconds(10), [] {}).cancel();
+  for (int i = 0; i < 64; ++i) sim.after(nanoseconds(10), [] {});
+  sim.after(nanoseconds(10), [] {}).cancel();
   sim.run();
 
   const testsupport::AllocationWindow window;
   for (int round = 0; round < 100; ++round) {
-    EventHandle h = sim.after_inline(nanoseconds(10), [] {});
+    EventHandle h = sim.after(nanoseconds(10), [] {});
     h.cancel();
     sim.run_until(sim.now() + nanoseconds(100));
   }

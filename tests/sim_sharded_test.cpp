@@ -91,7 +91,7 @@ TEST(EnvCount, ShardAndThreadKnobsAreHardened) {
 TEST(AdvanceTo, MovesClockWithoutDispatching) {
   Simulator sim;
   int fired = 0;
-  sim.after_inline(nanoseconds(100), [&fired] { ++fired; });
+  sim.after(nanoseconds(100), [&fired] { ++fired; });
   sim.advance_to(Time{50});
   EXPECT_EQ(sim.now().ns(), 50);
   EXPECT_EQ(fired, 0);
@@ -102,9 +102,9 @@ TEST(AdvanceTo, MovesClockWithoutDispatching) {
 
 TEST(AdvanceTo, ReapsTombstonesOnTheWay) {
   Simulator sim;
-  EventHandle h = sim.after_inline(nanoseconds(10), [] {});
+  EventHandle h = sim.after(nanoseconds(10), [] {});
   h.cancel();
-  sim.after_inline(nanoseconds(100), [] {});
+  sim.after(nanoseconds(100), [] {});
   sim.advance_to(Time{60});
   EXPECT_EQ(sim.now().ns(), 60);
   EXPECT_EQ(sim.pending_events(), 1u);  // the cancelled one was collected
@@ -113,7 +113,7 @@ TEST(AdvanceTo, ReapsTombstonesOnTheWay) {
 TEST(AdvanceTo, LandingExactlyOnAPendingEventIsAllowed) {
   Simulator sim;
   int fired = 0;
-  sim.after_inline(nanoseconds(100), [&fired] { ++fired; });
+  sim.after(nanoseconds(100), [&fired] { ++fired; });
   sim.advance_to(Time{100});
   EXPECT_EQ(sim.now().ns(), 100);
   EXPECT_EQ(fired, 0);
@@ -161,7 +161,7 @@ struct ToyRing {
   }
 
   void schedule_tick(int c) {
-    engine->cell_sim(c).after_inline(microseconds(500), [this, c] {
+    engine->cell_sim(c).after(microseconds(500), [this, c] {
       Simulator& sim = engine->cell_sim(c);
       const std::uint64_t v = ++counters[static_cast<std::size_t>(c)];
       logs[static_cast<std::size_t>(c)].push_back({sim.now().ns(), -1, v});
@@ -342,7 +342,7 @@ TEST(ShardedSimulator, WatchdogAbortsADeliberatelyStalledShard) {
     ShardedSimulator engine(std::move(cfg));
     engine.set_cell_handler(0, [](const BoundaryEvent&, Simulator&) {});
     engine.set_cell_handler(1, [](const BoundaryEvent&, Simulator&) {});
-    engine.cell_sim(0).after_inline(milliseconds(1), [&engine] {
+    engine.cell_sim(0).after(milliseconds(1), [&engine] {
       while (!engine.abort_requested()) std::this_thread::yield();
     });
     EXPECT_THROW(engine.run_until(milliseconds(10)), ShardStallError)
@@ -355,7 +355,7 @@ TEST(ShardedSimulator, RequestAbortStopsARunCooperatively) {
   cfg.n_cells = 1;
   cfg.n_shards = 1;
   ShardedSimulator engine(std::move(cfg));
-  engine.cell_sim(0).after_inline(milliseconds(1), [&engine] {
+  engine.cell_sim(0).after(milliseconds(1), [&engine] {
     engine.request_abort();
   });
   EXPECT_THROW(engine.run_until(milliseconds(10)), ShardStallError);
@@ -368,7 +368,7 @@ TEST(ShardedSimulator, RequestAbortStopsARunCooperatively) {
 
 TEST(ShardedSimulator, CellExceptionPropagatesWithoutHanging) {
   ToyRing ring(8, 4);
-  ring.engine->cell_sim(3).after_inline(milliseconds(5), [] {
+  ring.engine->cell_sim(3).after(milliseconds(5), [] {
     throw std::runtime_error("mid-storm cell failure");
   });
   // The throwing shard publishes a drain horizon, the other three finish

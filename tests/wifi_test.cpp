@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/net/meters.hpp"
 #include "src/net/sources.hpp"
+#include "src/obs/obs.hpp"
 
 namespace efd::wifi {
 namespace {
@@ -153,6 +157,102 @@ TEST_F(WifiNetFixture, McsCapacityTracksDistance) {
   const double near = net->mcs_capacity_mbps(0, 1, sim::seconds(1));
   const double far = net->mcs_capacity_mbps(0, 2, sim::seconds(1));
   EXPECT_GT(near, far);
+}
+
+/// Process-wide obs counter; the retry tests compare deltas around a burst.
+std::uint64_t counter(const char* name) {
+  return obs::MetricsRegistry::instance().snapshot().counter(name);
+}
+
+/// Two stations 1 m apart: the clean link is far above MCS 15's threshold,
+/// so every MPDU loss below comes from the injected jam or a missing
+/// receiver, and a clean burst is delivered without a retry.
+struct WifiRetryFixture : ::testing::Test {
+  static constexpr std::uint32_t kBurst = 24;
+  sim::Simulator sim;
+  WifiNetwork net{sim, sim::Rng{5}};
+  std::vector<std::uint32_t> delivered;
+  bool counting = EFD_OBS_ENABLED && obs::enabled();
+
+  WifiRetryFixture() {
+    net.add_station(0, 0.0, 0.0);
+    net.add_station(1, 1.0, 0.0);
+    net.station(1).set_rx_handler(
+        [this](const net::Packet& p, sim::Time) { delivered.push_back(p.seq); });
+  }
+
+  WifiMac& tx() { return net.station(0); }
+
+  /// Enqueue seqs 0..kBurst-1 at station 0 for `dst` and run until the
+  /// queue has drained (delivered or dropped).
+  void send_burst(net::StationId dst) {
+    for (std::uint32_t i = 0; i < kBurst; ++i) {
+      net::Packet p;
+      p.flow_id = 1;
+      p.seq = i;
+      p.src = 0;
+      p.dst = dst;
+      p.created = sim.now();
+      ASSERT_TRUE(tx().enqueue(p));
+    }
+    sim.run();
+    ASSERT_EQ(tx().queue_length(), 0u);
+  }
+
+  void expect_clean_burst_in_order() {
+    delivered.clear();
+    const std::uint64_t dropped = tx().packets_dropped();
+    const std::uint64_t retries = counter("wifi.mac.retries");
+    send_burst(1);
+    ASSERT_EQ(delivered.size(), kBurst);
+    for (std::uint32_t i = 0; i < kBurst; ++i) EXPECT_EQ(delivered[i], i);
+    EXPECT_EQ(tx().packets_dropped(), dropped);
+    EXPECT_EQ(counter("wifi.mac.retries"), retries);
+  }
+};
+
+TEST_F(WifiRetryFixture, JammedMpdusSpendTheRetryBudgetThenDrop) {
+  const auto max_retries = static_cast<std::uint64_t>(tx().config().max_retries);
+  const std::uint64_t retries = counter("wifi.mac.retries");
+  const std::uint64_t drops = counter("wifi.mac.drops");
+  const std::uint64_t errors = counter("wifi.mac.mpdu_errors");
+
+  // Every MPDU decodes with errors: each BlockAck reports the whole frame
+  // failed, and each MPDU goes back to the queue until its budget is spent.
+  net.medium().set_jamming_db(200.0);
+  send_burst(1);
+  EXPECT_TRUE(delivered.empty());
+  EXPECT_EQ(tx().packets_dropped(), kBurst);
+  EXPECT_EQ(tx().packets_delivered(), 0u);
+  if (counting) {
+    EXPECT_EQ(counter("wifi.mac.retries") - retries, kBurst * max_retries);
+    EXPECT_EQ(counter("wifi.mac.drops") - drops, kBurst);
+    EXPECT_EQ(counter("wifi.mac.mpdu_errors") - errors,
+              kBurst * (max_retries + 1));
+  }
+
+  net.medium().set_jamming_db(0.0);
+  expect_clean_burst_in_order();
+}
+
+TEST_F(WifiRetryFixture, UnacknowledgedFramesRequeueWholeUntilDropped) {
+  // Station 2 is on the channel but has no MAC: nothing decodes, no
+  // BlockAck comes back, and every frame times out whole.
+  net.channel().place_station(2, 1.0, 1.0);
+  const auto max_retries = static_cast<std::uint64_t>(tx().config().max_retries);
+  const std::uint64_t retries = counter("wifi.mac.retries");
+  const std::uint64_t no_acks = counter("wifi.mac.no_acks");
+  const std::uint64_t frames = counter("wifi.mac.frames_tx");
+
+  send_burst(2);
+  EXPECT_EQ(tx().packets_dropped(), kBurst);
+  if (counting) {
+    EXPECT_EQ(counter("wifi.mac.retries") - retries, kBurst * max_retries);
+    EXPECT_EQ(counter("wifi.mac.no_acks") - no_acks,
+              counter("wifi.mac.frames_tx") - frames);
+  }
+
+  expect_clean_burst_in_order();
 }
 
 }  // namespace
