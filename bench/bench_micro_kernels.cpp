@@ -15,7 +15,6 @@
 #include "src/fault/fault.hpp"
 #include "src/fault/injector.hpp"
 #include "src/grid/appliance.hpp"
-#include "src/grid/carrier_workspace.hpp"
 #include "src/grid/simd.hpp"
 #include "src/sim/rng.hpp"
 #include "src/hybrid/device.hpp"
@@ -199,17 +198,6 @@ void BM_GridAttenuation(benchmark::State& state) {
 }
 BENCHMARK(BM_GridAttenuation);
 
-void BM_GridAttenuationWorkspace(benchmark::State& state) {
-  Rig rig;
-  grid::CarrierWorkspace ws;
-  const auto t = sim::days(1) + sim::hours(12);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        rig.grid.attenuation_db(0, 2, rig.channel->phy().band, t, ws));
-  }
-}
-BENCHMARK(BM_GridAttenuationWorkspace);
-
 void BM_GridNoisePsd(benchmark::State& state) {
   Rig rig;
   const auto t = sim::days(1) + sim::hours(12);
@@ -219,17 +207,6 @@ void BM_GridNoisePsd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridNoisePsd);
-
-void BM_GridNoisePsdWorkspace(benchmark::State& state) {
-  Rig rig;
-  grid::CarrierWorkspace ws;
-  const auto t = sim::days(1) + sim::hours(12);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        rig.grid.noise_psd_db(2, rig.channel->phy().band, t, 2, 6, ws));
-  }
-}
-BENCHMARK(BM_GridNoisePsdWorkspace);
 
 void BM_ChannelSnrCached(benchmark::State& state) {
   Rig rig;
@@ -594,7 +571,7 @@ const bool kKernelBenchesRegistered = [] {
           });
       benchmark::RegisterBenchmark(
           name("noise_sum").c_str(), [&k, lin, out, n](benchmark::State& state) {
-            // Noise accumulation + dB conversion (the noise_psd_into pair).
+            // Noise accumulation + dB conversion (the noise_psd_db pair).
             for (auto _ : state) {
               k.accumulate_scaled_n(0.21, lin->data(), out->data(), n);
               k.linear_to_db_n(lin->data(), out->data(), n);

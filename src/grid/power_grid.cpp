@@ -181,31 +181,18 @@ std::vector<double> PowerGrid::attenuation_db(int a, int b, const CarrierBand& b
   return att;
 }
 
-std::span<const double> PowerGrid::attenuation_db(int a, int b, const CarrierBand& band,
-                                                  sim::Time t, CarrierWorkspace& ws) const {
-  CarrierWorkspace::Guard guard(ws);
-  ws.att_db.resize(static_cast<std::size_t>(band.n_carriers));
-  attenuation_into(a, b, band, t, ws.att_db.data());
-  return ws.att_db;
-}
-
 void PowerGrid::attenuation_db(int a, int b, const CarrierBand& band, sim::Time t,
                                std::vector<double>& out) const {
-  out.resize(static_cast<std::size_t>(band.n_carriers));
-  attenuation_into(a, b, band, t, out.data());
-}
-
-void PowerGrid::attenuation_into(int a, int b, const CarrierBand& band, sim::Time t,
-                                 double* out) const {
   EFD_COUNTER_INC("grid.atten.queries");
   EFD_PROF_SCOPE("grid.atten");
   ensure_distances();
   assert(a >= 0 && a < node_count() && b >= 0 && b < node_count());
   const simd::CarrierKernels& kernels = simd::active_kernels();
   const auto n = static_cast<std::size_t>(band.n_carriers);
+  out.resize(n);
   const double d = dist(a, b);
   if (d == kInf) {
-    std::fill(out, out + n, 200.0);  // no electrical path
+    std::fill(out.begin(), out.end(), 200.0);  // no electrical path
     return;
   }
   const BandProfiles& prof = ensure_profiles(band);
@@ -245,7 +232,7 @@ void PowerGrid::attenuation_into(int a, int b, const CarrierBand& band, sim::Tim
   // ("scalar"/"avx2"/"neon"), so the profile tree separates per-carrier
   // kernel time from the per-appliance scalar prologue above.
   EFD_PROF_SCOPE(kernels.name);
-  kernels.affine_n(base_db, kCableLossPerMMhz * d, prof.freq_mhz.data(), out, n);
+  kernels.affine_n(base_db, kCableLossPerMMhz * d, prof.freq_mhz.data(), out.data(), n);
 
   // Multipath notches from impedance mismatches of powered appliances near
   // the path. Each appliance's branch line creates frequency-periodic
@@ -259,31 +246,19 @@ void PowerGrid::attenuation_into(int a, int b, const CarrierBand& band, sim::Tim
     const double gamma = reflection(j.impedance_ohm);
     const double depth = j.notch_depth_db * gamma * w;
     const double broadband = 0.5 * gamma * w;
-    kernels.accumulate_notch_n(broadband, depth, &prof.notch_sin[k * n], out, n);
+    kernels.accumulate_notch_n(broadband, depth, &prof.notch_sin[k * n], out.data(), n);
   }
 }
 
 std::vector<double> PowerGrid::noise_psd_db(int b, const CarrierBand& band, sim::Time t,
                                             int slot, int n_slots) const {
-  CarrierWorkspace ws;
-  const auto span = noise_psd_db(b, band, t, slot, n_slots, ws);
-  return {span.begin(), span.end()};
+  std::vector<double> noise;
+  noise_psd_db(b, band, t, slot, n_slots, noise);
+  return noise;
 }
 
-std::span<const double> PowerGrid::noise_psd_db(int b, const CarrierBand& band,
-                                                sim::Time t, int slot, int n_slots,
-                                                CarrierWorkspace& ws) const {
-  CarrierWorkspace::Guard guard(ws);
-  const auto n = static_cast<std::size_t>(band.n_carriers);
-  ws.power.resize(n);
-  ws.noise_db.resize(n);
-  noise_psd_into(b, band, t, slot, n_slots, ws.power.data(), ws.noise_db.data());
-  return ws.noise_db;
-}
-
-void PowerGrid::noise_psd_into(int b, const CarrierBand& band, sim::Time t,
-                               int slot, int n_slots, double* power,
-                               double* out) const {
+void PowerGrid::noise_psd_db(int b, const CarrierBand& band, sim::Time t, int slot,
+                             int n_slots, std::vector<double>& out) const {
   EFD_COUNTER_INC("grid.noise.queries");
   EFD_PROF_SCOPE("grid.noise");
   ensure_distances();
@@ -301,7 +276,7 @@ void PowerGrid::noise_psd_into(int b, const CarrierBand& band, sim::Time t,
   // Accumulate appliance contributions in the power domain over the floor.
   // Each appliance factors into (per-query scalar) x (precomputed spectral
   // profile), so the inner loop carries no transcendentals.
-  std::fill(power, power + n, 1.0 + db_to_linear(bg_db));
+  out.assign(n, 1.0 + db_to_linear(bg_db));
   EFD_PROF_SCOPE(kernels.name);
   for (int k : noise_neighbors_[static_cast<std::size_t>(b)]) {
     const Appliance& j = appliances_[static_cast<std::size_t>(k)];
@@ -314,9 +289,9 @@ void PowerGrid::noise_psd_into(int b, const CarrierBand& band, sim::Time t,
     const double sync_db = j.noise.sync_db * slot_weight(j, slot, n_slots);
     const double scale = db_to_linear(sync_db + coupling_db);
     kernels.accumulate_scaled_n(scale, &prof.color_lin[static_cast<std::size_t>(k) * n],
-                                power, n);
+                                out.data(), n);
   }
-  kernels.linear_to_db_n(power, out, n);
+  kernels.linear_to_db_n(out.data(), out.data(), n);
 }
 
 double PowerGrid::fast_noise_offset_db(int b, sim::Time t) const {

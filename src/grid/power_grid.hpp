@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "src/grid/appliance.hpp"
-#include "src/grid/carrier_workspace.hpp"
 #include "src/sim/time.hpp"
 
 namespace efd::grid {
@@ -73,17 +71,13 @@ class PowerGrid {
   [[nodiscard]] std::vector<double> attenuation_db(int a, int b, const CarrierBand& band,
                                                    sim::Time t) const;
 
-  /// Allocation-free variant: writes the per-carrier attenuation into `out`
+  /// Allocation-free form: writes the per-carrier attenuation into `out`
   /// (resized to the band's carrier count, no reallocation once warm). The
   /// per-carrier work runs off profile tables precomputed per (appliance,
   /// band) — the notch phase and spectral shape are time-invariant; only the
   /// on/off schedule and the scalar coupling terms are evaluated per query.
   void attenuation_db(int a, int b, const CarrierBand& band, sim::Time t,
                       std::vector<double>& out) const;
-
-  /// Workspace variant: writes into `ws.att_db` and returns a span over it.
-  std::span<const double> attenuation_db(int a, int b, const CarrierBand& band,
-                                         sim::Time t, CarrierWorkspace& ws) const;
 
   /// Noise PSD per carrier, in dB above the receiver floor, at outlet `b`
   /// for tone-map slot `slot` of `n_slots`. Captures the static shape and
@@ -93,14 +87,13 @@ class PowerGrid {
   [[nodiscard]] std::vector<double> noise_psd_db(int b, const CarrierBand& band, sim::Time t,
                                                  int slot, int n_slots) const;
 
-  /// Allocation-free variant: accumulates in `ws.power`, writes the dB
-  /// result into `ws.noise_db` and returns a span over it. Each powered
-  /// neighboring appliance contributes scalar x precomputed-spectral-profile
-  /// in the linear power domain, so the per-carrier loop is multiply-add
-  /// only (no pow/log per carrier).
-  std::span<const double> noise_psd_db(int b, const CarrierBand& band, sim::Time t,
-                                       int slot, int n_slots,
-                                       CarrierWorkspace& ws) const;
+  /// Allocation-free form: accumulates the linear power spectrum in `out`
+  /// (resized to the band's carrier count) and converts it to dB in place.
+  /// Each powered neighboring appliance contributes scalar x precomputed-
+  /// spectral-profile in the linear power domain, so the per-carrier loop is
+  /// multiply-add only (no pow/log per carrier).
+  void noise_psd_db(int b, const CarrierBand& band, sim::Time t, int slot, int n_slots,
+                    std::vector<double>& out) const;
 
   /// Cycle-scale scalar noise offset at outlet `b` (dB): appliance jitter
   /// plus switching impulses, varying over tens of milliseconds.
@@ -139,18 +132,6 @@ class PowerGrid {
   /// Weight in [0,1] of appliance `j`'s impedance mismatch on path a->b:
   /// 1 when the appliance sits on the path, decaying with detour distance.
   [[nodiscard]] double path_weight(const Appliance& j, int a, int b) const;
-
-  /// Batch core of attenuation_db: writes band.n_carriers values into `out`
-  /// through the active carrier kernels (grid/simd.hpp). Both public
-  /// variants delegate here, so vector- and workspace-callers run the exact
-  /// same arithmetic.
-  void attenuation_into(int a, int b, const CarrierBand& band, sim::Time t,
-                        double* out) const;
-
-  /// Batch core of noise_psd_db: accumulates the linear power spectrum in
-  /// `power` and writes the dB result into `out` (both band.n_carriers).
-  void noise_psd_into(int b, const CarrierBand& band, sim::Time t, int slot,
-                      int n_slots, double* power, double* out) const;
 
   std::vector<std::string> names_;
   struct Cable { int a; int b; double length_m; double extra_loss_db; };

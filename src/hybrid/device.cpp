@@ -79,10 +79,10 @@ std::size_t HybridDevice::queue_length() const {
   return total;
 }
 
-void HybridDevice::rebuild_reorder() {
+void HybridDevice::set_rx_handler(RxHandler handler) {
+  rx_ = std::move(handler);
   reorder_ = std::make_unique<ReorderBuffer>(
-      sim_, [this](const net::Packet& p, sim::Time t) { rx_(p, t); },
-      reorder_cfg_);
+      sim_, [this](const net::Packet& p, sim::Time t) { rx_(p, t); });
   // First-wins attribution: the member whose copy the resequencer actually
   // delivered gets the win; losing copies show up as duplicates_dropped().
   reorder_->set_win_listener([this](const net::Packet&, int tag) {
@@ -91,16 +91,6 @@ void HybridDevice::rebuild_reorder() {
       EFD_COUNTER_INC("hybrid.diversity.wins");
     }
   });
-}
-
-void HybridDevice::set_rx_handler(RxHandler handler) {
-  rx_ = std::move(handler);
-  rebuild_reorder();
-}
-
-void HybridDevice::set_reorder_config(ReorderBuffer::Config config) {
-  reorder_cfg_ = config;
-  if (reorder_) rebuild_reorder();
 }
 
 void HybridDevice::clear_queue() {

@@ -106,10 +106,6 @@ class HybridDevice final : public net::Interface {
     return it == flow_modes_.end() ? default_mode_ : it->second;
   }
 
-  /// Configure the receive-side reorder buffer (gap timeout etc.). Call
-  /// before `set_rx_handler`; later calls rebuild the buffer empty.
-  void set_reorder_config(ReorderBuffer::Config config);
-
   /// Wire this device to receive from its member interfaces (call once on
   /// the destination-side device). Also answers the peer's liveness probes.
   void start_receiving();
@@ -117,7 +113,6 @@ class HybridDevice final : public net::Interface {
   /// Start per-member health monitoring and failover (sending side).
   void enable_failover(FailoverConfig config);
 
-  [[nodiscard]] bool failover_enabled() const { return failover_; }
   /// Member liveness under failover; always true when failover is off.
   [[nodiscard]] bool member_live(int i) const {
     return live_.empty() || live_[static_cast<std::size_t>(i)] != 0;
@@ -154,7 +149,6 @@ class HybridDevice final : public net::Interface {
 
  private:
   bool enqueue_diverse(const net::Packet& p);
-  void rebuild_reorder();
   void install_member_handlers();
   void on_member_rx(std::size_t i, const net::Packet& p, sim::Time t);
   void on_member_state(std::size_t i, fault::HealthMonitor::State s, sim::Time t);
@@ -166,7 +160,6 @@ class HybridDevice final : public net::Interface {
   std::vector<net::Interface*> interfaces_;
   std::unique_ptr<PacketScheduler> scheduler_;
   std::unique_ptr<ReorderBuffer> reorder_;
-  ReorderBuffer::Config reorder_cfg_;
   RxHandler rx_;
   std::vector<std::uint64_t> sent_;
   SplitMode default_mode_ = SplitMode::kLoadBalance;

@@ -79,7 +79,6 @@ class ProbeSource {
   void resume(sim::Time at, sim::Time until);
 
   [[nodiscard]] std::uint64_t sent() const { return sent_; }
-  [[nodiscard]] std::uint32_t last_seq() const { return seq_; }
 
  private:
   void emit();

@@ -8,16 +8,6 @@
 
 namespace efd::plc {
 
-namespace {
-/// Per-thread scratch for cache-miss rebuilds and offset-shifted SNR
-/// copies: keeps the hot path allocation-free without threading a
-/// workspace through every caller.
-grid::CarrierWorkspace& scratch() {
-  thread_local grid::CarrierWorkspace ws;
-  return ws;
-}
-}  // namespace
-
 void PlcChannel::attach_station(net::StationId id, int outlet) {
   assert(outlet >= 0 && outlet < grid_.node_count());
   outlets_[id] = outlet;
@@ -63,12 +53,12 @@ PlcChannel::SnrEntry& PlcChannel::entry(net::StationId a, net::StationId b, int 
     ae.epoch = epoch;
   }
   const auto& att = ae.att_db;
-  const auto noise =
-      grid_.noise_psd_db(ob, phy_.band, t, slot, phy_.tone_map_slots, scratch());
-  e.snr_db.resize(att.size());
-  grid::simd::active_kernels().assemble_snr_n(phy_.tx_psd_db, att.data(),
-                                              noise.data(), e.snr_db.data(),
-                                              att.size());
+  // The noise lands in the entry's own vector; the SNR is assembled over it
+  // in place.
+  auto& snr = e.snr_db;
+  grid_.noise_psd_db(ob, phy_.band, t, slot, phy_.tone_map_slots, snr);
+  grid::simd::active_kernels().assemble_snr_n(phy_.tx_psd_db, att.data(), snr.data(),
+                                              snr.data(), att.size());
   e.epoch = epoch;
   e.pberr.clear();
   return e;
@@ -97,18 +87,6 @@ std::vector<double> PlcChannel::snr_db(net::StationId a, net::StationId b, int s
   return snr;
 }
 
-std::span<const double> PlcChannel::snr_db(net::StationId a, net::StationId b, int slot,
-                                           sim::Time t,
-                                           grid::CarrierWorkspace& ws) const {
-  const auto& snr = entry(a, b, slot, t).snr_db;
-  const double offset = fast_offset_db(b, t);
-  grid::CarrierWorkspace::Guard guard(ws);
-  ws.snr_db.resize(snr.size());
-  grid::simd::active_kernels().shift_n(snr.data(), offset, ws.snr_db.data(),
-                                       snr.size());
-  return ws.snr_db;
-}
-
 double PlcChannel::pb_error_probability(const ToneMap& tm, net::StationId a,
                                         net::StationId b, int slot, sim::Time t) const {
   SnrEntry& e = entry(a, b, slot, t);
@@ -125,14 +103,13 @@ double PlcChannel::pb_error_probability(const ToneMap& tm, net::StationId a,
   }
   EFD_COUNTER_INC("plc.channel.pberr_memo_misses");
 
-  // Shift into per-thread scratch instead of copying the 917-entry vector.
-  grid::CarrierWorkspace& ws = scratch();
-  grid::CarrierWorkspace::Guard guard(ws);
+  // Shift into per-thread scratch instead of allocating a fresh vector.
+  thread_local std::vector<double> shifted;
   const double off = static_cast<double>(bucket) / 4.0;
-  ws.snr_db.resize(e.snr_db.size());
-  grid::simd::active_kernels().shift_n(e.snr_db.data(), off, ws.snr_db.data(),
+  shifted.resize(e.snr_db.size());
+  grid::simd::active_kernels().shift_n(e.snr_db.data(), off, shifted.data(),
                                        e.snr_db.size());
-  const double p = tm.pb_error_probability(ws.snr_db, phy_);
+  const double p = tm.pb_error_probability(shifted, phy_);
   // Bound the memo: tone maps churn on bad links, so evict wholesale.
   if (e.pberr.size() > 4096) e.pberr.clear();
   e.pberr[key] = p;

@@ -1,10 +1,8 @@
 #pragma once
 
-#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "src/grid/carrier_workspace.hpp"
 #include "src/grid/mains.hpp"
 #include "src/grid/power_grid.hpp"
 #include "src/net/packet.hpp"
@@ -28,10 +26,11 @@ namespace efd::plc {
 /// offset), which keeps saturated frame-level simulation cheap. The fast
 /// offset itself is a pure function of (outlet, time) and is memoized in
 /// one entry: a trace step asks for the same instant once per slot and once
-/// per retuned slot map. Internal per-carrier scratch lives in a
-/// thread_local grid::CarrierWorkspace, so cache-miss rebuilds allocate
-/// nothing once warm; the channel itself is not thread-safe — parallel
-/// experiments use one channel per thread.
+/// per retuned slot map. A cache miss writes the noise and then the SNR
+/// straight into the entry's own vector, and a pberr memo miss shifts into
+/// one thread_local vector, so neither allocates once warm; the channel
+/// itself is not thread-safe — parallel experiments use one channel per
+/// thread.
 class PlcChannel {
  public:
   PlcChannel(const grid::PowerGrid& grid, PhyParams phy)
@@ -52,11 +51,6 @@ class PlcChannel {
   /// including the cycle-scale noise offset at time `t`.
   [[nodiscard]] std::vector<double> snr_db(net::StationId a, net::StationId b, int slot,
                                            sim::Time t) const;
-
-  /// Allocation-free variant: writes into `ws.snr_db` and returns a span
-  /// over it (valid until the workspace is next used).
-  std::span<const double> snr_db(net::StationId a, net::StationId b, int slot,
-                                 sim::Time t, grid::CarrierWorkspace& ws) const;
 
   /// Static per-carrier SNR without the fast offset (cached); the offset to
   /// subtract is `fast_offset_db`.

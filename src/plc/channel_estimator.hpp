@@ -110,7 +110,6 @@ class ChannelEstimator {
   /// Number of tone-map updates so far (alpha statistic of Fig. 11 counts
   /// update inter-arrival times).
   [[nodiscard]] std::uint64_t update_count() const { return update_count_; }
-  [[nodiscard]] sim::Time last_update() const { return last_update_; }
 
   /// One slot's bit-loading pass: perturbed-SNR measurement plus the
   /// goodput-maximizing margin ladder, written into `out` in place. The

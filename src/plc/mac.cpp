@@ -178,7 +178,6 @@ PlcFrame PlcMac::build_frame(sim::Time now) {
   frame.n_symbols = std::max(
       1, static_cast<int>(std::ceil(n_pbs * PhyParams::pb_bits() / bits_per_symbol)));
   frame.end = now + phy.delimiter + frame.n_symbols * phy.symbol;
-  ++frames_tx_;
   EFD_COUNTER_INC("plc.mac.frames_tx");
   EFD_COUNTER_ADD("plc.mac.pbs_tx", n_pbs);
   EFD_HISTO_OBSERVE("plc.mac.frame_pbs", n_pbs);
@@ -197,7 +196,6 @@ void PlcMac::on_sack(const std::vector<PbUnit>& errored) {
     PbUnit pb = *it;
     if (pb.retries >= cfg_.max_pb_retries) continue;
     ++pb.retries;
-    ++pb_retx_;
     EFD_COUNTER_INC("plc.mac.pb_retx");
     pb_queue_.push_front(pb);
     ++queued_pbs_;
@@ -240,10 +238,13 @@ void PlcMac::on_frame_received(const PlcFrame& frame,
   }
 
   // Reassemble packets from clean PBs.
-  std::vector<bool> errored(frame.pbs.size(), false);
-  for (int i : errored_pbs) errored[static_cast<std::size_t>(i)] = true;
+  auto next_errored = errored_pbs.begin();
   for (std::size_t i = 0; i < frame.pbs.size(); ++i) {
-    if (errored[i]) continue;
+    if (next_errored != errored_pbs.end() &&
+        static_cast<std::size_t>(*next_errored) == i) {
+      ++next_errored;
+      continue;
+    }
     const PbUnit& pb = frame.pbs[i];
     Reassembly& r = reassembly_[pb.packet.get()];
     if (r.total == 0) {

@@ -113,8 +113,8 @@ class PlcMac final : public net::Interface {
   void on_no_sack(const std::vector<PbUnit>& pbs, bool broadcast);
 
   /// A frame addressed to this station (or broadcast) was decodable;
-  /// `errored_pbs` lists corrupted PB positions. Feeds reassembly, delivery
-  /// and the receiver-side channel estimator.
+  /// `errored_pbs` lists the corrupted PB positions in ascending order.
+  /// Feeds reassembly, delivery and the receiver-side channel estimator.
   void on_frame_received(const PlcFrame& frame, const std::vector<int>& errored_pbs,
                          sim::Time now);
 
@@ -124,8 +124,6 @@ class PlcMac final : public net::Interface {
   /// positive (zero escalates the stage instead), so an observable value
   /// below zero means the accounting is broken.
   [[nodiscard]] int deferral_counter() const { return dc_; }
-  [[nodiscard]] std::uint64_t frames_transmitted() const { return frames_tx_; }
-  [[nodiscard]] std::uint64_t pb_retransmissions() const { return pb_retx_; }
   [[nodiscard]] std::uint64_t packets_dropped() const { return drops_; }
   [[nodiscard]] std::uint64_t packets_delivered() const { return delivered_; }
 
@@ -161,8 +159,6 @@ class PlcMac final : public net::Interface {
   };
   std::unordered_map<const net::Packet*, Reassembly> reassembly_;
 
-  std::uint64_t frames_tx_ = 0;
-  std::uint64_t pb_retx_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t delivered_ = 0;
 };

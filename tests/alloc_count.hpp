@@ -1,30 +1,25 @@
 #pragma once
 
-// Shared counting-allocator fixture for allocation-regression tests: replaces
-// the global operator new/delete with versions that count every heap
+// Shared counting-allocator fixture for allocation-regression tests:
+// tests/alloc_count.cpp replaces the global operator new/delete (the
+// over-aligned forms included) with versions that count every heap
 // allocation in the process, so a test can pin a code path to zero (or N)
-// allocations. Include from exactly ONE translation unit per test binary —
-// replacement allocation functions must not be inline, so a second including
-// TU in the same binary would violate the one-definition rule at link time.
-//
-// Used by obs_disabled_test (the EFD_* macros leave zero residue when
-// compiled out) and sim_event_engine_test (steady-state schedule+dispatch of
-// inline-capture events performs no heap allocation).
+// allocations. Register a test that includes this header with
+// `efd_test(<name> ALLOC_COUNT)`; that links the replacement, and the
+// counters below, into its binary. Without it the counters are undefined
+// and the test does not link.
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 namespace efd::testsupport {
 
 /// Heap allocations since process start (every operator new, any thread).
-inline std::atomic<std::uint64_t> g_allocations{0};
+extern std::atomic<std::uint64_t> g_allocations;
 
 /// Bytes requested from operator new since process start (requested, not
 /// rounded-up — enough to pin "how much" as well as "how often").
-inline std::atomic<std::uint64_t> g_allocated_bytes{0};
+extern std::atomic<std::uint64_t> g_allocated_bytes;
 
 /// Allocations performed while an instance is alive. Construct, run the code
 /// under test, then read `count()` / `bytes()`.
@@ -45,18 +40,3 @@ class AllocationWindow {
 };
 
 }  // namespace efd::testsupport
-
-void* operator new(std::size_t size) {
-  efd::testsupport::g_allocations.fetch_add(1, std::memory_order_relaxed);
-  efd::testsupport::g_allocated_bytes.fetch_add(size,
-                                                std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }

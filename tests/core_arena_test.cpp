@@ -1,11 +1,11 @@
 // efd::core::Arena + ArenaAllocator: bump semantics, chunk growth, reset()
 // reuse, the heap-escape rules containers rely on, and the zero-alloc pin on
 // arena-backed scenario churn (the property the proptest sweep's per-task
-// arenas exist for). Includes alloc_count.hpp, so this binary owns the
-// process-wide counting operator new.
+// arenas exist for). The counting operator new comes from alloc_count.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -86,6 +86,21 @@ TEST(ArenaAllocatorTest, DefaultConstructedFallsBackToHeap) {
   for (int i = 0; i < 100; ++i) v.push_back(i);
   EXPECT_GT(window.count(), 0u);
   EXPECT_EQ(v.get_allocator().arena(), nullptr);
+}
+
+TEST(AllocationWindow, CountsOverAlignedAllocations) {
+  // Over-aligned types go through operator new(size_t, align_val_t); the
+  // counting fixture must see those too.
+  struct alignas(64) Line {
+    double v[8];
+  };
+  const testsupport::AllocationWindow window;
+  const auto one = std::make_unique<Line>();
+  const auto many = std::make_unique<Line[]>(3);
+  EXPECT_EQ(window.count(), 2u);
+  EXPECT_GE(window.bytes(), 4 * sizeof(Line));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(one.get()) % alignof(Line), 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(many.get()) % alignof(Line), 0u);
 }
 
 TEST(ArenaAllocatorTest, CopiesEscapeToHeapAndSurviveReset) {

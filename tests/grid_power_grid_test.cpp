@@ -175,6 +175,9 @@ TEST(PowerGrid, NoiseVariesAcrossToneMapSlots) {
   EXPECT_GT(hi - lo, 0.3);
 }
 
+// The "workspace" of these three tests is the caller-owned `out` vector the
+// allocation-free forms write into.
+
 TEST(PowerGrid, WorkspaceAttenuationIsBitIdenticalToVectorApi) {
   SmallGrid g;
   Appliance fridge = make_appliance(ApplianceType::kFridge, g.j, 81);
@@ -183,11 +186,6 @@ TEST(PowerGrid, WorkspaceAttenuationIsBitIdenticalToVectorApi) {
   const CarrierBand band{};
   const auto t = weekday_noon();
   const auto ref = g.grid.attenuation_db(g.a, g.b, band, t);
-
-  CarrierWorkspace ws;
-  const auto span = g.grid.attenuation_db(g.a, g.b, band, t, ws);
-  ASSERT_EQ(span.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(span[i], ref[i]);
 
   std::vector<double> out;
   g.grid.attenuation_db(g.a, g.b, band, t, out);
@@ -202,28 +200,41 @@ TEST(PowerGrid, WorkspaceNoisePsdMatchesVectorApi) {
   g.grid.add_appliance(lights);
   const CarrierBand band{};
   const auto t = weekday_noon();
+  std::vector<double> out;
   for (int slot = 0; slot < 6; ++slot) {
     const auto ref = g.grid.noise_psd_db(g.b, band, t, slot, 6);
-    CarrierWorkspace ws;
-    const auto span = g.grid.noise_psd_db(g.b, band, t, slot, 6, ws);
-    ASSERT_EQ(span.size(), ref.size());
+    g.grid.noise_psd_db(g.b, band, t, slot, 6, out);
+    ASSERT_EQ(out.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_NEAR(span[i], ref[i], 1e-12) << "slot " << slot << " carrier " << i;
+      EXPECT_EQ(out[i], ref[i]) << "slot " << slot << " carrier " << i;
     }
   }
 }
 
 TEST(PowerGrid, WorkspaceReuseAcrossLinksStaysCorrect) {
-  // Scratch reuse must not leak one link's carriers into the next query.
+  // One reused `out` must not leak the previous query's carriers, nor its
+  // length, into the next: each query first fills it from another link on a
+  // wider band.
   SmallGrid g;
+  Appliance lights = make_appliance(ApplianceType::kLightBank, g.a, 95);
+  lights.schedule = ActivitySchedule::always_on();
+  g.grid.add_appliance(lights);
   const CarrierBand band{};
+  const CarrierBand wide{1.8, 68.0, 2232};
   const auto t = weekday_noon();
-  CarrierWorkspace ws;
-  (void)g.grid.attenuation_db(g.a, g.b, band, t, ws);
-  const auto ref = g.grid.attenuation_db(g.j, g.b, band, t);
-  const auto span = g.grid.attenuation_db(g.j, g.b, band, t, ws);
-  ASSERT_EQ(span.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(span[i], ref[i]);
+  std::vector<double> out;
+
+  g.grid.attenuation_db(g.a, g.b, wide, t, out);
+  const auto att_ref = g.grid.attenuation_db(g.j, g.b, band, t);
+  g.grid.attenuation_db(g.j, g.b, band, t, out);
+  ASSERT_EQ(out.size(), att_ref.size());
+  for (std::size_t i = 0; i < att_ref.size(); ++i) EXPECT_EQ(out[i], att_ref[i]);
+
+  g.grid.noise_psd_db(g.a, wide, t, 2, 6, out);
+  const auto noise_ref = g.grid.noise_psd_db(g.b, band, t, 2, 6);
+  g.grid.noise_psd_db(g.b, band, t, 2, 6, out);
+  ASSERT_EQ(out.size(), noise_ref.size());
+  for (std::size_t i = 0; i < noise_ref.size(); ++i) EXPECT_EQ(out[i], noise_ref[i]);
 }
 
 TEST(PowerGrid, StateEpochChangesWithApplianceToggles) {

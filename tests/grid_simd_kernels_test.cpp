@@ -7,6 +7,7 @@
 // bit for bit (the EFD_SIMD=scalar byte-stability contract).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -81,6 +82,14 @@ TEST_P(KernelSweep, DbConversionsMatchNaiveReference) {
       EXPECT_NEAR(back.buf[i], ref, 1e-12 * std::max(std::abs(ref), 1e-9))
           << k.name << " n=" << n << " i=" << i;
     }
+    // lin == out (the noise body converts its accumulator in place): bitwise
+    // the out-of-place result.
+    Padded in_place(n);
+    std::copy_n(out.buf.begin(), n, in_place.buf.begin());
+    k.linear_to_db_n(in_place.data(), in_place.data(), n);
+    in_place.expect_no_overrun(n, "linear_to_db_n in place");
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(in_place.buf[i], back.buf[i]) << k.name << " n=" << n << " i=" << i;
   }
 }
 
@@ -126,6 +135,14 @@ TEST_P(KernelSweep, ElementwiseKernelsAreBitIdenticalToScalar) {
     a.expect_no_overrun(n, "assemble_snr_n");
     for (std::size_t i = 0; i < n; ++i)
       ASSERT_EQ(a.buf[i], b.buf[i]) << k.name << " snr n=" << n << " i=" << i;
+
+    // assemble_snr_n with b == out (channel.cpp assembles over the noise).
+    Padded c(n);
+    std::copy(y.begin(), y.end(), c.buf.begin());
+    k.assemble_snr_n(55.0, x.data(), c.data(), c.data(), n);
+    c.expect_no_overrun(n, "assemble_snr_n in place");
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(c.buf[i], b.buf[i]) << k.name << " snr in place n=" << n << " i=" << i;
 
     // shift_n with in == out (the in-place contract channel.cpp relies on).
     k.shift_n(a.data(), 2.125, a.data(), n);
@@ -355,50 +372,6 @@ TEST(KernelSelection, AvailableListStartsWithScalar) {
     EXPECT_GE(grid::simd::impl_index(*k), 0);
     EXPECT_LE(grid::simd::impl_index(*k), 2);
   }
-}
-
-TEST(AlignedWorkspace, BuffersAre64ByteAlignedAndGrowPreservingContents) {
-  grid::AlignedVec v;
-  v.resize(7);
-  for (std::size_t i = 0; i < 7; ++i) v[i] = static_cast<double>(i) * 1.5;
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % grid::AlignedVec::kAlign,
-            0u);
-  const std::size_t big = 2232;
-  v.reserve(big);
-  ASSERT_EQ(v.size(), 7u);
-  for (std::size_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(v[i], static_cast<double>(i) * 1.5) << "grow lost element " << i;
-  }
-  v.resize(big);
-  EXPECT_EQ(v.size(), big);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % grid::AlignedVec::kAlign,
-            0u);
-  v.assign(917, 3.25);
-  EXPECT_EQ(v.size(), 917u);
-  for (std::size_t i = 0; i < 917; ++i) ASSERT_EQ(v[i], 3.25);
-}
-
-TEST(AlignedWorkspace, ReserveCarriersFrontLoadsAllocations) {
-  grid::CarrierWorkspace ws;
-  ws.reserve_carriers(917);
-  ws.att_db.resize(917);
-  const double* before = ws.att_db.data();
-  ws.att_db.resize(917);  // no growth, no reallocation
-  EXPECT_EQ(ws.att_db.data(), before);
-  EXPECT_EQ(ws.noise_db.size(), 0u) << "reserve must not change logical sizes";
-  ws.noise_db.resize(917);
-  EXPECT_EQ(ws.noise_db.size(), 917u);
-}
-
-TEST(AlignedWorkspace, GuardIsSequentiallyReusable) {
-  grid::CarrierWorkspace ws;
-  {
-    grid::CarrierWorkspace::Guard g1(ws);
-  }
-  {
-    grid::CarrierWorkspace::Guard g2(ws);  // released guard can be retaken
-  }
-  SUCCEED();
 }
 
 TEST(KernelSelection, ActiveKernelsRecordsImplGauge) {

@@ -1,9 +1,8 @@
 // Diversity-combining tests: first-wins dedup at the tagged ReorderBuffer,
 // its interplay with the gap timeout (a duplicate is not a straggler, and
 // neither may leak to the app layer), per-flow mode selection on the
-// HybridDevice, and allocation pins on the steady-state duplication path.
-// Includes alloc_count.hpp, so this binary owns the global operator
-// new/delete replacement (one TU per binary).
+// HybridDevice, and allocation pins on the steady-state duplication path
+// (via the counting operator new in alloc_count.cpp).
 #include <gtest/gtest.h>
 
 #include <memory>

@@ -2,7 +2,7 @@
 // generations across slot reuse, lazy-tombstone cancellation, FIFO
 // tie-breaks at scale, run_until boundary semantics, reset() sequencing, and
 // the zero-steady-state-allocation contract (via the counting operator new
-// in alloc_count.hpp).
+// in alloc_count.cpp).
 #include <gtest/gtest.h>
 
 #include <memory>

@@ -3,7 +3,7 @@
 // FIFO and grouping-invariant delivery order on toy cells, campus digest
 // equality across shard counts, reset-replay, and the per-shard
 // zero-steady-state-allocation pin (via the counting operator new in
-// alloc_count.hpp).
+// alloc_count.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
