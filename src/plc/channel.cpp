@@ -122,9 +122,12 @@ double PlcChannel::cable_distance(net::StationId a, net::StationId b) const {
 
 double PlcChannel::mean_snr_db(net::StationId a, net::StationId b, int slot,
                                sim::Time t) const {
-  const auto snr = snr_db(a, b, slot, t);
+  // Same sum, in the same order, as averaging `snr_db`: each shifted entry
+  // is the exact difference `v - offset`, without the copy.
+  const auto& snr = entry(a, b, slot, t).snr_db;
+  const double offset = fast_offset_db(b, t);
   double sum = 0.0;
-  for (double v : snr) sum += v;
+  for (double v : snr) sum += v - offset;
   return snr.empty() ? 0.0 : sum / static_cast<double>(snr.size());
 }
 

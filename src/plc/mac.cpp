@@ -60,7 +60,7 @@ bool PlcMac::enqueue(const net::Packet& p) {
   }
   queued_pbs_ += static_cast<std::size_t>(n);
   if (queued_pbs_ == static_cast<std::size_t>(n)) {
-    medium_.notify_ready(*this);
+    medium_.notify_ready();
   }
   return true;
 }
@@ -82,13 +82,17 @@ std::vector<net::Packet> PlcMac::take_queue() {
 
 void PlcMac::set_stalled(bool stalled) {
   stalled_ = stalled;
-  if (!stalled_ && !pb_queue_.empty()) medium_.notify_ready(*this);
+  if (!stalled_ && !pb_queue_.empty()) medium_.notify_ready();
 }
 
 void PlcMac::reset_modem() {
   pb_queue_.clear();
   queued_pbs_ = 0;
   reassembly_.clear();
+  reset_backoff();
+}
+
+void PlcMac::reset_backoff() {
   stage_ = 0;
   backoff_ = -1;
   dc_ = cfg_.dc[0];
@@ -184,45 +188,42 @@ PlcFrame PlcMac::build_frame(sim::Time now) {
   return frame;
 }
 
-void PlcMac::on_sack(const std::vector<PbUnit>& errored) {
-  EFD_COUNTER_INC("plc.mac.sacks_rx");
-  EFD_COUNTER_ADD("plc.mac.pb_errors", errored.size());
-  stage_ = 0;
-  backoff_ = -1;
-  dc_ = cfg_.dc[0];
-  // Selective retransmission: only corrupted PBs go back, to the queue
-  // front, unless they exhausted their retry budget.
-  for (auto it = errored.rbegin(); it != errored.rend(); ++it) {
+std::size_t PlcMac::requeue(const std::vector<PbUnit>& pbs) {
+  std::size_t requeued = 0;
+  for (auto it = pbs.rbegin(); it != pbs.rend(); ++it) {
     PbUnit pb = *it;
     if (pb.retries >= cfg_.max_pb_retries) continue;
     ++pb.retries;
-    EFD_COUNTER_INC("plc.mac.pb_retx");
-    pb_queue_.push_front(pb);
+    pb_queue_.push_front(std::move(pb));
     ++queued_pbs_;
+    ++requeued;
   }
-  if (!pb_queue_.empty()) medium_.notify_ready(*this);
+  return requeued;
+}
+
+void PlcMac::on_sack(const std::vector<PbUnit>& errored) {
+  EFD_COUNTER_INC("plc.mac.sacks_rx");
+  EFD_COUNTER_ADD("plc.mac.pb_errors", errored.size());
+  reset_backoff();
+  // Selective retransmission: only corrupted PBs go back. (EFD_COUNTER_ADD
+  // does not evaluate its arguments when observability is compiled out.)
+  [[maybe_unused]] const std::size_t retx = requeue(errored);
+  EFD_COUNTER_ADD("plc.mac.pb_retx", retx);
+  if (!pb_queue_.empty()) medium_.notify_ready();
 }
 
 void PlcMac::on_no_sack(const std::vector<PbUnit>& pbs, bool broadcast) {
   if (broadcast) {
     // Broadcast is never SACKed; nothing to retransmit.
-    stage_ = 0;
-    backoff_ = -1;
-    dc_ = cfg_.dc[0];
-    if (!pb_queue_.empty()) medium_.notify_ready(*this);
+    reset_backoff();
+    if (!pb_queue_.empty()) medium_.notify_ready();
     return;
   }
   // Collision inferred: whole frame returns to the queue, stage escalates.
   EFD_COUNTER_INC("plc.mac.collisions");
-  for (auto it = pbs.rbegin(); it != pbs.rend(); ++it) {
-    PbUnit pb = *it;
-    if (pb.retries >= cfg_.max_pb_retries) continue;
-    ++pb.retries;
-    pb_queue_.push_front(pb);
-    ++queued_pbs_;
-  }
+  requeue(pbs);
   enter_next_stage();
-  if (!pb_queue_.empty()) medium_.notify_ready(*this);
+  if (!pb_queue_.empty()) medium_.notify_ready();
 }
 
 void PlcMac::on_frame_received(const PlcFrame& frame,

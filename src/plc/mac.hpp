@@ -130,6 +130,11 @@ class PlcMac final : public net::Interface {
  private:
   void redraw_backoff();
   void enter_next_stage();
+  /// Back to stage 0 with a fresh draw due (a frame exchange completed).
+  void reset_backoff();
+  /// Put `pbs` back at the queue front in frame order, skipping those that
+  /// spent their retry budget; returns how many went back.
+  std::size_t requeue(const std::vector<PbUnit>& pbs);
 
   sim::Simulator& sim_;
   PlcMedium& medium_;

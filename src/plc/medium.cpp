@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "src/plc/mac.hpp"
 
 namespace efd::plc {
 
 PlcMedium::PlcMedium(sim::Simulator& simulator, const PlcChannel& channel, sim::Rng rng)
-    : sim_(simulator), channel_(channel), rng_(rng) {}
-
-void PlcMedium::register_mac(PlcMac& mac) { macs_.push_back(&mac); }
+    : ContentionRound(simulator, kSlot, kPrs), channel_(channel), rng_(rng) {}
 
 void PlcMedium::enable_beacons(sim::Time period, sim::Time duration) {
   assert(!beacons_enabled_ && "beacons already enabled");
@@ -65,25 +62,10 @@ void PlcMedium::remove_sniffer(SnifferId id) {
   --sniffer_count_;
 }
 
-void PlcMedium::notify_ready(PlcMac&) {
-  if (!busy_ && !contention_scheduled_) schedule_contention();
-}
-
-void PlcMedium::go_idle() {
-  busy_ = false;
-  for (PlcMac* m : macs_) {
-    if (m->has_pending()) {
-      schedule_contention();
-      return;
-    }
-  }
-}
-
-void PlcMedium::schedule_contention() {
-  contention_scheduled_ = true;
-  const sim::Time delay = kCifs + pending_beacon_hold_;
+sim::Time PlcMedium::ifs() {
+  const sim::Time ifs = kCifs + pending_beacon_hold_;
   pending_beacon_hold_ = sim::Time{};
-  sim_.after(delay, [this] { resolve_contention(); });
+  return ifs;
 }
 
 void PlcMedium::emit_sof(const PlcFrame& f) const {
@@ -104,72 +86,11 @@ void PlcMedium::emit_sof(const PlcFrame& f) const {
   }
 }
 
-void PlcMedium::resolve_contention() {
-  contention_scheduled_ = false;
-  if (busy_) return;
-
-  std::vector<PlcMac*> contenders;
-  for (PlcMac* m : macs_) {
-    if (m->has_pending()) contenders.push_back(m);
-  }
-  if (contenders.empty()) return;
-
-  // Priority resolution (the PRS0/PRS1 symbols of IEEE 1901): stations
-  // signal their CA class and only the highest class proceeds to backoff.
-  // Lower-priority stations defer without consuming backoff slots.
-  int top_priority = 0;
-  for (PlcMac* m : contenders) {
-    top_priority = std::max(top_priority, m->current_priority());
-  }
-  std::erase_if(contenders, [&](PlcMac* m) {
-    return m->current_priority() < top_priority;
-  });
-
-  // Then slotted backoff: the smallest counter transmits; equal minima
-  // collide. Losers sensed `min_backoff` idle slots followed by a busy
-  // medium (deferral-counter bookkeeping in the MAC).
-  int min_backoff = std::numeric_limits<int>::max();
-  for (PlcMac* m : contenders) {
-    min_backoff = std::min(min_backoff, m->current_backoff());
-  }
-  std::vector<PlcMac*> winners;
-  for (PlcMac* m : contenders) {
-    if (m->current_backoff() == min_backoff) {
-      winners.push_back(m);
-    } else {
-      m->on_medium_busy(min_backoff);
-    }
-  }
-
-  busy_ = true;
-  const sim::Time tx_start = sim_.now() + kPrs + (min_backoff + 1) * kSlot;
-  sim_.at(tx_start, [this, winners] {
-    // A winner may have lost its backlog between contention resolution and
-    // the preamble (modem-reset / queue-stall fault injection); it cannot
-    // transmit. On the no-fault path every winner still has PBs pending.
-    std::vector<PlcFrame> frames;
-    std::vector<PlcMac*> senders;
-    frames.reserve(winners.size());
-    senders.reserve(winners.size());
-    for (PlcMac* m : winners) {
-      if (!m->has_pending()) continue;
-      senders.push_back(m);
-      frames.push_back(m->build_frame(sim_.now()));
-    }
-    if (frames.empty()) {
-      go_idle();
-      return;
-    }
-    finish_round(std::move(frames), std::move(senders));
-  });
-}
-
-void PlcMedium::finish_round(std::vector<PlcFrame> frames,
-                             std::vector<PlcMac*> senders) {
+sim::Time PlcMedium::finish_round(std::vector<PlcFrame>& frames,
+                                  const std::vector<PlcMac*>& senders) {
   assert(!frames.empty() && frames.size() == senders.size());
   const bool collision = frames.size() > 1;
-  if (collision) ++collisions_;
-  frames_ += frames.size();
+  frames_sent_ += frames.size();
 
   sim::Time payload_end = frames[0].end;
   for (const PlcFrame& f : frames) payload_end = std::max(payload_end, f.end);
@@ -281,7 +202,7 @@ void PlcMedium::finish_round(std::vector<PlcFrame> frames,
   }
 
   // Medium idles after the longest payload plus the SACK exchange.
-  sim_.at(sack_end, [this] { go_idle(); });
+  return sack_end;
 }
 
 }  // namespace efd::plc

@@ -3,6 +3,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/net/contention.hpp"
 #include "src/plc/channel.hpp"
 #include "src/plc/frame.hpp"
 #include "src/sim/rng.hpp"
@@ -17,14 +18,15 @@ class PlcMac;
 /// terminals; the two logical networks of Fig. 2 are modelled as two
 /// mediums, isolated by the ~200 m inter-board attenuation).
 ///
-/// Contention is resolved in rounds: whenever the medium goes idle, every
-/// MAC with pending PBs participates with its current backoff counter. The
-/// smallest counter transmits; ties collide. Losing stations "sense the
-/// medium busy", which drives the IEEE 1901 deferral-counter rule that
-/// distinguishes 1901 from 802.11 (§2.2, [19]): a station whose deferral
-/// counter is exhausted jumps to the next backoff stage *without* a
-/// collision.
-class PlcMedium {
+/// Contention runs the tournament shared with 802.11 (net::ContentionRound):
+/// priority resolution in the PRS slots, then the smallest backoff counter
+/// transmits and ties collide. Losing stations "sense the medium busy",
+/// which drives the IEEE 1901 deferral-counter rule that distinguishes 1901
+/// from 802.11 (§2.2, [19]): a station whose deferral counter is exhausted
+/// jumps to the next backoff stage *without* a collision. This class keeps
+/// the 1901 PHY: the CIFS plus any owed beacon hold, the PRS gap, and the
+/// round's outcome (capture, SACK collision, the fault PB floor, sniffers).
+class PlcMedium : public net::ContentionRound<PlcMedium, PlcMac, PlcFrame> {
  public:
   /// IEEE 1901 CA1 timing.
   static constexpr sim::Time kSlot = sim::microseconds(35.84);
@@ -47,8 +49,6 @@ class PlcMedium {
   void enable_beacons(sim::Time period = sim::milliseconds(40),
                       sim::Time duration = sim::microseconds(600));
 
-  void register_mac(PlcMac& mac);
-
   /// Subscribe a sniffer callback, invoked for every decodable SoF.
   /// Returns a token for `remove_sniffer` — a subscriber whose lifetime is
   /// shorter than the medium's MUST unregister before it dies. The token is
@@ -58,9 +58,6 @@ class PlcMedium {
   using SnifferId = std::uint64_t;
   SnifferId add_sniffer(std::function<void(const SofRecord&)> sniffer);
   void remove_sniffer(SnifferId id);
-
-  /// A MAC signals that it has PBs pending (queue went non-empty).
-  void notify_ready(PlcMac& mac);
 
   /// Fault injection (fault::FaultKind::kPlcBlackout / kPacketCorruption):
   /// every PB decode additionally fails with probability `p` — an appliance
@@ -72,17 +69,16 @@ class PlcMedium {
   void set_fault_pb_error(double p) { fault_pberr_ = p; }
   [[nodiscard]] double fault_pb_error() const { return fault_pberr_; }
 
-  [[nodiscard]] bool busy() const { return busy_; }
-  [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
-  [[nodiscard]] std::uint64_t frames_sent() const { return frames_; }
+  [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
   [[nodiscard]] std::uint64_t beacons_sent() const { return beacons_; }
 
  private:
-  /// Release the medium and, if any MAC has work pending, contend again.
-  void go_idle();
-  void schedule_contention();
-  void resolve_contention();
-  void finish_round(std::vector<PlcFrame> frames, std::vector<PlcMac*> senders);
+  friend net::ContentionRound<PlcMedium, PlcMac, PlcFrame>;
+
+  /// CIFS plus the beacon airtime owed by this round.
+  sim::Time ifs();
+  sim::Time finish_round(std::vector<PlcFrame>& frames,
+                         const std::vector<PlcMac*>& senders);
   void emit_sof(const PlcFrame& frame) const;
   void beacon_tick();
 
@@ -93,18 +89,13 @@ class PlcMedium {
     std::uint32_t gen = 0;
   };
 
-  sim::Simulator& sim_;
   const PlcChannel& channel_;
   mutable sim::Rng rng_;
-  std::vector<PlcMac*> macs_;
   std::vector<SnifferSlot> sniffers_;
   std::vector<std::uint32_t> sniffer_free_;
   std::size_t sniffer_count_ = 0;
-  bool busy_ = false;
-  bool contention_scheduled_ = false;
   double fault_pberr_ = 0.0;  ///< injected impulsive-noise PB error floor
-  std::uint64_t collisions_ = 0;
-  std::uint64_t frames_ = 0;
+  std::uint64_t frames_sent_ = 0;
   bool beacons_enabled_ = false;
   sim::Time beacon_period_{};
   sim::Time beacon_duration_{};

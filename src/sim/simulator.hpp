@@ -14,8 +14,8 @@ class Simulator;
 /// fallback (see InlineFunction). Storing an event never allocates, and a
 /// capture that outgrows the buffer fails to compile at its `at`/`after`
 /// call site. 48 covers every event shape in the
-/// codebase: `this` plus a few ids/Times, a captured vector of winners, or a
-/// sender plus the units its completion may requeue.
+/// codebase: `this` plus a few ids/Times, or a sender plus the units its
+/// completion may requeue.
 using EventFn = InlineFunction<void(), 48>;
 
 /// Handle to a scheduled event; allows cancellation. A handle is a

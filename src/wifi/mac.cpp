@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "src/obs/obs.hpp"
 
@@ -15,74 +14,16 @@ namespace efd::wifi {
 
 WifiMedium::WifiMedium(sim::Simulator& simulator, const WifiChannel& channel,
                        sim::Rng rng)
-    : sim_(simulator), channel_(channel), rng_(rng) {}
-
-void WifiMedium::register_mac(WifiMac& mac) { macs_.push_back(&mac); }
+    : ContentionRound(simulator, kSlot, sim::Time{}), channel_(channel), rng_(rng) {}
 
 void WifiMedium::add_mcs_listener(std::function<void(const McsRecord&)> fn) {
   listeners_.push_back(std::move(fn));
 }
 
-void WifiMedium::notify_ready(WifiMac&) {
-  if (!busy_ && !contention_scheduled_) schedule_contention();
-}
-
-void WifiMedium::schedule_contention() {
-  contention_scheduled_ = true;
-  sim_.after(kDifs, [this] { resolve_contention(); });
-}
-
-void WifiMedium::resolve_contention() {
-  contention_scheduled_ = false;
-  if (busy_) return;
-  std::vector<WifiMac*> contenders;
-  for (WifiMac* m : macs_) {
-    if (m->has_pending()) contenders.push_back(m);
-  }
-  if (contenders.empty()) return;
-
-  int min_backoff = std::numeric_limits<int>::max();
-  for (WifiMac* m : contenders) {
-    min_backoff = std::min(min_backoff, m->current_backoff());
-  }
-  std::vector<WifiMac*> winners;
-  for (WifiMac* m : contenders) {
-    if (m->current_backoff() == min_backoff) {
-      winners.push_back(m);
-    } else {
-      m->on_medium_busy(min_backoff);
-    }
-  }
-  busy_ = true;
-  const sim::Time tx_start = sim_.now() + (min_backoff + 1) * kSlot;
-  sim_.at(tx_start, [this, winners] {
-    // Fault injection can empty a winner's queue (modem reset) or stall it
-    // between the backoff win and the preamble; skip those senders. The
-    // no-fault path never takes the branch.
-    std::vector<WifiFrame> frames;
-    std::vector<WifiMac*> senders;
-    frames.reserve(winners.size());
-    senders.reserve(winners.size());
-    for (WifiMac* m : winners) {
-      if (!m->has_pending()) continue;
-      senders.push_back(m);
-      frames.push_back(m->build_frame(sim_.now()));
-    }
-    if (frames.empty()) {
-      go_idle();
-      return;
-    }
-    finish_round(std::move(frames), std::move(senders));
-  });
-}
-
-void WifiMedium::finish_round(std::vector<WifiFrame> frames,
-                              std::vector<WifiMac*> senders) {
+sim::Time WifiMedium::finish_round(std::vector<WifiFrame>& frames,
+                                   const std::vector<WifiMac*>& senders) {
   const bool collision = frames.size() > 1;
-  if (collision) {
-    ++collisions_;
-    EFD_COUNTER_INC("wifi.medium.collisions");
-  }
+  if (collision) EFD_COUNTER_INC("wifi.medium.collisions");
 
   sim::Time payload_end = frames[0].end;
   for (const WifiFrame& f : frames) payload_end = std::max(payload_end, f.end);
@@ -134,19 +75,7 @@ void WifiMedium::finish_round(std::vector<WifiFrame> frames,
     }
   }
 
-  const sim::Time idle_at =
-      payload_end + kSifs + senders[0]->config().blockack;
-  sim_.at(idle_at, [this] { go_idle(); });
-}
-
-void WifiMedium::go_idle() {
-  busy_ = false;
-  for (WifiMac* m : macs_) {
-    if (m->has_pending()) {
-      schedule_contention();
-      return;
-    }
-  }
+  return payload_end + kSifs + senders[0]->config().blockack;
 }
 
 // --------------------------------------------------------------------------
@@ -170,7 +99,7 @@ bool WifiMac::enqueue(const net::Packet& p) {
     return false;
   }
   queue_.push_back(Mpdu{p, 0});
-  if (queue_.size() == 1) medium_.notify_ready(*this);
+  if (queue_.size() == 1) medium_.notify_ready();
   return true;
 }
 
@@ -250,7 +179,7 @@ void WifiMac::on_block_ack(const std::vector<Mpdu>& failed) {
   backoff_ = -1;
   EFD_COUNTER_ADD("wifi.mac.mpdu_errors", failed.size());
   requeue(failed);
-  if (!queue_.empty()) medium_.notify_ready(*this);
+  if (!queue_.empty()) medium_.notify_ready();
 }
 
 void WifiMac::on_no_ack(const std::vector<Mpdu>& mpdus) {
@@ -258,7 +187,7 @@ void WifiMac::on_no_ack(const std::vector<Mpdu>& mpdus) {
   cw_ = std::min(cw_ * 2, cfg_.cw_max);
   requeue(mpdus);
   redraw_backoff();
-  if (!queue_.empty()) medium_.notify_ready(*this);
+  if (!queue_.empty()) medium_.notify_ready();
 }
 
 void WifiMac::on_frame_received(const WifiFrame& frame, const std::vector<int>& failed,

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/net/contention.hpp"
 #include "src/net/interface.hpp"
 #include "src/sim/rng.hpp"
 #include "src/sim/simulator.hpp"
@@ -42,11 +43,13 @@ struct McsRecord {
   double phy_rate_mbps = 0.0;
 };
 
-/// 802.11 DCF contention domain (one BSS channel). Same tournament
-/// arbitration as the PLC medium, but with the plain binary-exponential
-/// backoff of 802.11: sensing the medium busy never escalates the stage —
-/// the key MAC difference from IEEE 1901 (§2.2).
-class WifiMedium {
+/// 802.11 DCF contention domain (one BSS channel). Contention is the round
+/// shared with the PLC medium (net::ContentionRound) after a DIFS, with no
+/// priority-resolution gap; the MACs bring the plain binary-exponential
+/// backoff of 802.11, where sensing the medium busy never escalates the
+/// stage — the key MAC difference from IEEE 1901 (§2.2). This class keeps
+/// the round's outcome: capture, jamming, BlockAck and the MCS listeners.
+class WifiMedium : public net::ContentionRound<WifiMedium, WifiMac, WifiFrame> {
  public:
   static constexpr sim::Time kSlot = sim::microseconds(9.0);
   static constexpr sim::Time kDifs = sim::microseconds(34.0);
@@ -55,8 +58,6 @@ class WifiMedium {
 
   WifiMedium(sim::Simulator& simulator, const WifiChannel& channel, sim::Rng rng);
 
-  void register_mac(WifiMac& mac);
-  void notify_ready(WifiMac& mac);
   void add_mcs_listener(std::function<void(const McsRecord&)> fn);
 
   /// Fault injection (fault::FaultKind::kWifiJam): an interferer burst
@@ -68,24 +69,17 @@ class WifiMedium {
   void set_jamming_db(double db) { jam_db_ = db; }
   [[nodiscard]] double jamming_db() const { return jam_db_; }
 
-  [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
-
  private:
-  /// Release the medium and, if any MAC has work pending, contend again.
-  void go_idle();
-  void schedule_contention();
-  void resolve_contention();
-  void finish_round(std::vector<WifiFrame> frames, std::vector<WifiMac*> senders);
+  friend net::ContentionRound<WifiMedium, WifiMac, WifiFrame>;
 
-  sim::Simulator& sim_;
+  [[nodiscard]] static sim::Time ifs() { return kDifs; }
+  sim::Time finish_round(std::vector<WifiFrame>& frames,
+                         const std::vector<WifiMac*>& senders);
+
   const WifiChannel& channel_;
   mutable sim::Rng rng_;
-  std::vector<WifiMac*> macs_;
   std::vector<std::function<void(const McsRecord&)>> listeners_;
-  bool busy_ = false;
-  bool contention_scheduled_ = false;
   double jam_db_ = 0.0;  ///< injected interferer SNR penalty at receivers
-  std::uint64_t collisions_ = 0;
 };
 
 /// 802.11n MAC for one station: DCF backoff, A-MPDU aggregation with
@@ -130,7 +124,7 @@ class WifiMac final : public net::Interface {
   /// until the stall clears.
   void set_stalled(bool stalled) {
     stalled_ = stalled;
-    if (!stalled_ && !queue_.empty()) medium_.notify_ready(*this);
+    if (!stalled_ && !queue_.empty()) medium_.notify_ready();
   }
   [[nodiscard]] bool stalled() const { return stalled_; }
 
@@ -143,6 +137,8 @@ class WifiMac final : public net::Interface {
 
   // Medium hooks.
   [[nodiscard]] bool has_pending() const { return !stalled_ && !queue_.empty(); }
+  /// 802.11 DCF without EDCA has a single access class.
+  [[nodiscard]] static int current_priority() { return 0; }
   [[nodiscard]] int current_backoff();
   void on_medium_busy(int slots_elapsed);
   [[nodiscard]] WifiFrame build_frame(sim::Time now);

@@ -4,7 +4,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 
+#include "alloc_count.hpp"
 #include "src/grid/appliance.hpp"
 
 namespace efd::plc {
@@ -112,6 +114,40 @@ TEST_F(ChannelFixture, RoboHasLowerErrorThanAggressiveMap) {
 
 TEST_F(ChannelFixture, CableDistanceMatchesGrid) {
   EXPECT_DOUBLE_EQ(channel.cable_distance(0, 1), 25.0);
+}
+
+TEST_F(ChannelFixture, MeanSnrIsTheMeanOfSnrDbOnBothBands) {
+  PlcChannel av500{grid, PhyParams::hpav500()};
+  av500.attach_station(0, na);
+  av500.attach_station(1, nb);
+  for (const PlcChannel* ch : {&channel, &av500}) {
+    for (int slot = 0; slot < ch->phy().tone_map_slots; ++slot) {
+      for (const double ms : {0.0, 3.3, 250.0}) {
+        const sim::Time t = noon() + sim::milliseconds(ms);
+        for (const auto& [tx, rx] : {std::pair{0, 1}, std::pair{1, 0}}) {
+          const auto snr = ch->snr_db(tx, rx, slot, t);
+          double sum = 0.0;
+          for (const double v : snr) sum += v;
+          EXPECT_EQ(ch->mean_snr_db(tx, rx, slot, t),
+                    sum / static_cast<double>(snr.size()))
+              << ch->phy().band.n_carriers << " carriers, slot " << slot << ", "
+              << ms << " ms, " << tx << "->" << rx;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ChannelFixture, WarmMeanSnrAllocatesNothing) {
+  const auto t = noon();
+  // The first call fills the cache entry, the second registers the
+  // cache-hit counter.
+  const double first = channel.mean_snr_db(0, 1, 2, t);
+  (void)channel.mean_snr_db(0, 1, 2, t);
+  efd::testsupport::AllocationWindow window;
+  const double warm = channel.mean_snr_db(0, 1, 2, t);
+  EXPECT_EQ(window.count(), 0u) << window.bytes() << " bytes allocated";
+  EXPECT_EQ(warm, first);
 }
 
 TEST(PlcChannel, FastOffsetMemoMatchesGrid) {
