@@ -238,7 +238,7 @@ void BM_PbErrorCold(benchmark::State& state) {
   const auto snr = rig.channel->snr_db(0, 1, 0, t);
   const auto tm = plc::ToneMap::from_snr(snr, 1.5, rig.channel->phy(), 0.01, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tm.pb_error_probability(snr, rig.channel->phy()));
+    benchmark::DoNotOptimize(tm.pb_error_probability(snr));
   }
 }
 BENCHMARK(BM_PbErrorCold);
@@ -591,24 +591,18 @@ const bool kKernelBenchesRegistered = [] {
               benchmark::DoNotOptimize(k.sum_db_to_linear_n(db->data(), n));
             }
           });
-      auto rows = std::make_shared<std::vector<std::int32_t>>(n);
-      auto bits = std::make_shared<std::vector<double>>(n);
-      const grid::simd::InterpTableView lut = plc::ber_lut_view();
-      for (std::size_t i = 0; i < n; ++i) {
-        const int m = rng.uniform_int(0, plc::kModulationCount - 1);
-        (*rows)[i] = m * lut.size;
-        (*bits)[i] =
-            static_cast<double>(plc::kBitsPerSymbol[static_cast<std::size_t>(m)]);
+      auto levels = std::make_shared<std::vector<std::uint8_t>>(n);
+      for (std::uint8_t& level : *levels) {
+        level =
+            static_cast<std::uint8_t>(rng.uniform_int(0, plc::kModulationCount - 1));
       }
       benchmark::RegisterBenchmark(
-          name("ber_reduce").c_str(),
-          [&k, rows, bits, db, lut, n](benchmark::State& state) {
-            double wb = 0.0, tb = 0.0;
+          name("ber_reduce").c_str(), [&k, levels, db, n](benchmark::State& state) {
+            const grid::simd::InterpTableView lut = plc::ber_lut_view();
+            const grid::simd::BitLoadingTable& table = plc::bit_loading_table();
             for (auto _ : state) {
-              k.ber_weighted_sum_n(lut, rows->data(), bits->data(), db->data(),
-                                   7.0, n, &wb, &tb);
-              benchmark::DoNotOptimize(wb);
-              benchmark::DoNotOptimize(tb);
+              benchmark::DoNotOptimize(
+                  k.ber_weighted_sum_n(lut, table, levels->data(), db->data(), 7.0, n));
             }
           });
       benchmark::RegisterBenchmark(
@@ -621,16 +615,14 @@ const bool kKernelBenchesRegistered = [] {
               benchmark::ClobberMemory();
             }
           });
-      auto levels = std::make_shared<std::vector<std::int32_t>>(n);
+      auto loaded = std::make_shared<std::vector<std::uint8_t>>(n);
       benchmark::RegisterBenchmark(
-          name("load_bits").c_str(),
-          [&k, db, levels, rows, bits, n](benchmark::State& state) {
+          name("load_bits").c_str(), [&k, db, loaded, n](benchmark::State& state) {
             // One ladder rung's bit loading.
             const grid::simd::BitLoadingTable& table = plc::bit_loading_table();
             for (auto _ : state) {
-              benchmark::DoNotOptimize(k.load_bits_n(table, db->data(), 3.0, n,
-                                                     levels->data(), rows->data(),
-                                                     bits->data()));
+              benchmark::DoNotOptimize(
+                  k.load_bits_n(table, db->data(), 3.0, n, loaded->data()));
               benchmark::ClobberMemory();
             }
           });

@@ -42,7 +42,7 @@ double LinkTraceSampler::step(sim::Time now) {
   const int pbs_per_slot = std::max(1, cfg_.pbs_per_step / slots);
   for (int s = 0; s < slots; ++s) {
     const plc::ToneMap& tm =
-        estimator_.tone_maps().slots[static_cast<std::size_t>(s)];
+        estimator_.tone_maps()[static_cast<std::size_t>(s)];
     const double p = channel_.pb_error_probability(tm, tx_, rx_, s, now);
     // Batch the slot's traffic into a handful of statistically equivalent
     // frame reports — the estimator consumes PB counts, so a long step need
@@ -99,7 +99,7 @@ double ProbeTraceSampler::step(sim::Time now) {
     // Probes land at an arbitrary point of the mains cycle.
     const int slot = static_cast<int>(rng_.uniform_int(0, phy.tone_map_slots - 1));
     const plc::ToneMap& tm =
-        estimator_.tone_maps().slots[static_cast<std::size_t>(slot)];
+        estimator_.tone_maps()[static_cast<std::size_t>(slot)];
     const double bits_per_symbol = std::max(
         1.0, tm.phy_rate_mbps() * phy.symbol.us() * phy.pb_wire_efficiency);
     const int n_symbols = std::max(

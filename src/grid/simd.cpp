@@ -58,14 +58,13 @@ double s_sum_db_to_linear_n(const double* db, std::size_t n) {
   return sum;
 }
 
-void s_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_off,
-                          const double* bits, const double* snr_db, double gain_db,
-                          std::size_t n, double* weighted_ber, double* total_bits) {
+double s_ber_weighted_sum_n(const InterpTableView& lut, const BitLoadingTable& t,
+                            const std::uint8_t* level, const double* snr_db,
+                            double gain_db, std::size_t n) {
   const double last = static_cast<double>(lut.size - 1);
   double wb = 0.0;
-  double tb = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double* row = lut.table + row_off[i];
+    const double* row = lut.table + level[i] * lut.size;
     const double pos = (snr_db[i] + gain_db - lut.min_db) / lut.step_db;
     double v;
     // NaN lands on row[0], as the vector entries' max against 0 puts it.
@@ -78,11 +77,9 @@ void s_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
       const double frac = pos - static_cast<double>(idx);
       v = row[idx] + frac * (row[idx + 1] - row[idx]);
     }
-    wb += v * bits[i];
-    tb += bits[i];
+    wb += v * static_cast<double>(t.bits[level[i]]);
   }
-  *weighted_ber = wb;
-  *total_bits = tb;
+  return wb;
 }
 
 }  // namespace
@@ -90,21 +87,16 @@ void s_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
 namespace detail {
 std::int64_t load_bits_scalar(const BitLoadingTable& t, const double* snr_db,
                               double margin_db, std::size_t n,
-                              std::int32_t* level, std::int32_t* row_off,
-                              double* bits) {
+                              std::uint8_t* level) {
   static_assert(kBitLevels == 8, "one compare per non-off level");
   const auto& r = t.required_db;
   std::int64_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const double s = snr_db[i] - margin_db;
-    const std::int32_t met = (s >= r[1]) + (s >= r[2]) + (s >= r[3]) +
-                             (s >= r[4]) + (s >= r[5]) + (s >= r[6]) +
-                             (s >= r[7]);
-    const std::int32_t b = t.bits[static_cast<std::size_t>(met)];
-    level[i] = met;
-    row_off[i] = met * t.row_len;
-    bits[i] = static_cast<double>(b);
-    total += b;
+    const int met = (s >= r[1]) + (s >= r[2]) + (s >= r[3]) + (s >= r[4]) +
+                    (s >= r[5]) + (s >= r[6]) + (s >= r[7]);
+    level[i] = static_cast<std::uint8_t>(met);
+    total += t.bits[static_cast<std::size_t>(met)];
   }
   return total;
 }

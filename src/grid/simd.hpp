@@ -22,15 +22,14 @@ struct InterpTableView {
   double step_db = 1.0;
 };
 
-/// Bit-loading table of plc/modulation for `load_bits_n`, indexed by
-/// constellation level (0 is off): the SNR a level needs (dB, strictly
-/// increasing from level 1; level 0's entry never binds), the bits it
-/// carries per symbol, and the BER-LUT row length its row offset scales.
+/// Per-level table of plc/modulation for `load_bits_n` and
+/// `ber_weighted_sum_n`, indexed by constellation level (0 is off): the SNR
+/// a level needs (dB, strictly increasing from level 1; level 0's entry
+/// never binds) and the bits it carries per symbol.
 inline constexpr std::size_t kBitLevels = 8;
 struct BitLoadingTable {
   std::array<double, kBitLevels> required_db{};
   std::array<std::int32_t, kBitLevels> bits{};
-  std::int32_t row_len = 0;
 };
 
 /// One interchangeable set of *batch* carrier-domain kernels — the
@@ -54,14 +53,14 @@ struct BitLoadingTable {
 ///  - assemble_snr_n:   out[i] = c - a[i] - b[i]
 ///  - shift_n:          out[i] = in[i] - offset   (in == out allowed)
 ///  - sum_db_to_linear_n: returns sum_i 10^(db[i]/10)  (ROBO combining)
-///  - ber_weighted_sum_n: per element, row = row_off[i] (premultiplied row
-///    index * lut.size), clamped-lerp lookup of lut at snr[i] + gain_db,
-///    then *weighted_ber += value * bits[i], *total_bits += bits[i].
+///  - ber_weighted_sum_n: per element, clamped-lerp lookup of row level[i]
+///    of lut (level[i] < lut.rows) at snr[i] + gain_db; returns the sum of
+///    value * t.bits[level[i]].
 ///  - polar_block:      sim::PolarBlockFn, the polar method over a block of
 ///    untempered engine words (Rng::normal_fill's transform).
 ///  - load_bits_n:      level[i] = number of levels k >= 1 with
-///    snr[i] - margin >= required_db[k] (NaN meets none), row_off[i] =
-///    level * row_len, bits[i] = t.bits[level]; returns the sum of bits.
+///    snr[i] - margin >= required_db[k] (NaN meets none); returns the sum
+///    of t.bits[level[i]].
 ///
 /// The scalar entry reproduces the PR 1 fast-path loops operation for
 /// operation (bit-identical figures under EFD_SIMD=scalar). polar_block and
@@ -84,15 +83,14 @@ struct CarrierKernels {
                          std::size_t n);
   void (*shift_n)(const double* in, double offset, double* out, std::size_t n);
   double (*sum_db_to_linear_n)(const double* db, std::size_t n);
-  void (*ber_weighted_sum_n)(const InterpTableView& lut,
-                             const std::int32_t* row_off, const double* bits,
-                             const double* snr_db, double gain_db, std::size_t n,
-                             double* weighted_ber, double* total_bits);
+  double (*ber_weighted_sum_n)(const InterpTableView& lut,
+                               const BitLoadingTable& t,
+                               const std::uint8_t* level, const double* snr_db,
+                               double gain_db, std::size_t n);
   sim::PolarBlockFn polar_block;
   std::int64_t (*load_bits_n)(const BitLoadingTable& t, const double* snr_db,
                               double margin_db, std::size_t n,
-                              std::int32_t* level, std::int32_t* row_off,
-                              double* bits);
+                              std::uint8_t* level);
 };
 
 namespace detail {
@@ -100,8 +98,7 @@ namespace detail {
 /// entry finishes its partial block with it.
 std::int64_t load_bits_scalar(const BitLoadingTable& t, const double* snr_db,
                               double margin_db, std::size_t n,
-                              std::int32_t* level, std::int32_t* row_off,
-                              double* bits);
+                              std::uint8_t* level);
 }  // namespace detail
 
 /// The portable scalar entry (always available).

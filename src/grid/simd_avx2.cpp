@@ -274,9 +274,9 @@ double a_sum_db_to_linear_n(const double* db, std::size_t n) {
   return hsum(acc) + tail;
 }
 
-void a_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_off,
-                          const double* bits, const double* snr_db, double gain_db,
-                          std::size_t n, double* weighted_ber, double* total_bits) {
+double a_ber_weighted_sum_n(const InterpTableView& lut, const BitLoadingTable& t,
+                            const std::uint8_t* level, const double* snr_db,
+                            double gain_db, std::size_t n) {
   const __m256d vgain = _mm256_set1_pd(gain_db);
   const __m256d vmin = _mm256_set1_pd(lut.min_db);
   // Multiplying by the reciprocal step instead of dividing can move pos by
@@ -288,11 +288,12 @@ void a_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
   // Clamping the cell index to size-2 makes the pos >= last case read the
   // last cell with frac 1.0 instead of gathering one past the row's end.
   const __m256d vmaxcell = _mm256_set1_pd(static_cast<double>(lut.size - 2));
+  const __m128i vrow_len = _mm_set1_epi32(lut.size);
+  const __m256i bits_by_level =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t.bits.data()));
   __m256d wb = _mm256_setzero_pd();
-  __m256d tb = _mm256_setzero_pd();
 
-  const auto block = [&](const double* snr4, const std::int32_t* row4,
-                         const double* bits4) {
+  const auto block = [&](const double* snr4, const std::uint8_t* level4) {
     const __m256d eff = _mm256_add_pd(_mm256_loadu_pd(snr4), vgain);
     __m256d pos = _mm256_mul_pd(_mm256_sub_pd(eff, vmin), vinvstep);
     pos = _mm256_max_pd(pos, vzero);
@@ -301,9 +302,14 @@ void a_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
     cell = _mm256_min_pd(cell, vmaxcell);
     const __m256d frac = _mm256_sub_pd(pos, cell);
     const __m128i idx = _mm256_cvtpd_epi32(cell);
-    const __m128i rows =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row4));
-    const __m128i base = _mm_add_epi32(rows, idx);
+    // Four levels widened to 32-bit lanes: the row is level * row length,
+    // the bit weight bits[level].
+    std::int32_t packed;
+    std::memcpy(&packed, level4, sizeof(packed));
+    const __m128i lv = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(packed));
+    const __m128i base = _mm_add_epi32(_mm_mullo_epi32(lv, vrow_len), idx);
+    const __m256d b = _mm256_cvtepi32_pd(_mm256_castsi256_si128(
+        _mm256_permutevar8x32_epi32(bits_by_level, _mm256_castsi128_si256(lv))));
     // Each lane needs the adjacent pair table[k], table[k+1] (k <= row end
     // minus one after the size-2 clamp), so four 128-bit pair loads plus
     // unpacks are cheaper than two hardware gathers on every AVX2 core.
@@ -319,26 +325,21 @@ void a_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
                                         _mm_unpackhi_pd(p0, p1));
     const __m256d v =
         _mm256_add_pd(v0, _mm256_mul_pd(frac, _mm256_sub_pd(v1, v0)));
-    const __m256d b = _mm256_loadu_pd(bits4);
     wb = _mm256_add_pd(wb, _mm256_mul_pd(v, b));
-    tb = _mm256_add_pd(tb, b);
   };
 
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) block(snr_db + i, row_off + i, bits + i);
+  for (; i + 4 <= n; i += 4) block(snr_db + i, level + i);
   if (i < n) {
-    // Padded final block: pad lanes carry bits 0, so they contribute an
-    // exact +0.0 to both accumulators.
+    // Padded final block: pad lanes are level 0 (off, bit weight 0), so
+    // they contribute an exact +0.0.
     alignas(32) double snr4[4] = {0.0, 0.0, 0.0, 0.0};
-    alignas(16) std::int32_t row4[4] = {0, 0, 0, 0};
-    alignas(32) double bits4[4] = {0.0, 0.0, 0.0, 0.0};
+    std::uint8_t level4[4] = {0, 0, 0, 0};
     std::memcpy(snr4, snr_db + i, (n - i) * sizeof(double));
-    std::memcpy(row4, row_off + i, (n - i) * sizeof(std::int32_t));
-    std::memcpy(bits4, bits + i, (n - i) * sizeof(double));
-    block(snr4, row4, bits4);
+    std::memcpy(level4, level + i, n - i);
+    block(snr4, level4);
   }
-  *weighted_ber = hsum(wb);
-  *total_bits = hsum(tb);
+  return hsum(wb);
 }
 
 // --- exact kernels ---------------------------------------------------------
@@ -476,8 +477,7 @@ std::size_t a_polar_block(const std::uint64_t* words, std::size_t n_words,
 }
 
 std::int64_t a_load_bits_n(const BitLoadingTable& t, const double* snr_db,
-                           double margin_db, std::size_t n, std::int32_t* level,
-                           std::int32_t* row_off, double* bits) {
+                           double margin_db, std::size_t n, std::uint8_t* level) {
   const __m256d vmargin = _mm256_set1_pd(margin_db);
   __m256d req[kBitLevels - 1];
   for (std::size_t k = 1; k < kBitLevels; ++k) {
@@ -487,7 +487,9 @@ std::int64_t a_load_bits_n(const BitLoadingTable& t, const double* snr_db,
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t.bits.data()));
   // The low 32 bits of each 64-bit count, gathered into the low half.
   const __m256i low_words = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  const __m128i vrow = _mm_set1_epi32(t.row_len);
+  // Byte 0 of each 32-bit lane, gathered into the low 4 bytes.
+  const __m128i low_bytes =
+      _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
   __m256i total = _mm256_setzero_si256();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -504,20 +506,17 @@ std::int64_t a_load_bits_n(const BitLoadingTable& t, const double* snr_db,
         _mm256_add_epi64(_mm256_add_epi64(ge(4), ge(5)), ge(6)));
     const __m256i met = _mm256_sub_epi64(_mm256_setzero_si256(), minus_met);
     const __m256i lv = _mm256_permutevar8x32_epi32(met, low_words);
-    const __m128i lv4 = _mm256_castsi256_si128(lv);
     const __m128i b4 =
         _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(bits_by_level, lv));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(level + i), lv4);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(row_off + i),
-                     _mm_mullo_epi32(lv4, vrow));
-    _mm256_storeu_pd(bits + i, _mm256_cvtepi32_pd(b4));
+    const std::int32_t packed = _mm_cvtsi128_si32(
+        _mm_shuffle_epi8(_mm256_castsi256_si128(lv), low_bytes));
+    std::memcpy(level + i, &packed, sizeof(packed));
     total = _mm256_add_epi64(total, _mm256_cvtepi32_epi64(b4));
   }
   alignas(32) std::int64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), total);
   return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
-         detail::load_bits_scalar(t, snr_db + i, margin_db, n - i, level + i,
-                                  row_off + i, bits + i);
+         detail::load_bits_scalar(t, snr_db + i, margin_db, n - i, level + i);
 }
 
 constexpr CarrierKernels kAvx2 = {

@@ -190,9 +190,9 @@ double n_sum_db_to_linear_n(const double* db, std::size_t n) {
   return hsum(acc) + tail;
 }
 
-void n_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_off,
-                          const double* bits, const double* snr_db, double gain_db,
-                          std::size_t n, double* weighted_ber, double* total_bits) {
+double n_ber_weighted_sum_n(const InterpTableView& lut, const BitLoadingTable& t,
+                            const std::uint8_t* level, const double* snr_db,
+                            double gain_db, std::size_t n) {
   const float64x2_t vgain = vdupq_n_f64(gain_db);
   const float64x2_t vmin = vdupq_n_f64(lut.min_db);
   const float64x2_t vstep = vdupq_n_f64(lut.step_db);
@@ -200,10 +200,8 @@ void n_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
   const float64x2_t vlast = vdupq_n_f64(static_cast<double>(lut.size - 1));
   const float64x2_t vmaxcell = vdupq_n_f64(static_cast<double>(lut.size - 2));
   float64x2_t wb = vdupq_n_f64(0.0);
-  float64x2_t tb = vdupq_n_f64(0.0);
 
-  const auto block = [&](const double* snr2, const std::int32_t* row2,
-                         const double* bits2) {
+  const auto block = [&](const double* snr2, const std::uint8_t* level2) {
     const float64x2_t eff = vaddq_f64(vld1q_f64(snr2), vgain);
     float64x2_t pos = vdivq_f64(vsubq_f64(eff, vmin), vstep);
     pos = vmaxnmq_f64(pos, vzero);  // NaN -> 0, like AVX2's max_pd
@@ -214,31 +212,29 @@ void n_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
     // NEON has no gather: extract lane indices and load the cell pairs.
     const auto c0 = static_cast<std::int32_t>(vgetq_lane_f64(cell, 0));
     const auto c1 = static_cast<std::int32_t>(vgetq_lane_f64(cell, 1));
-    const double* p0 = lut.table + row2[0] + c0;
-    const double* p1 = lut.table + row2[1] + c1;
+    const double* p0 = lut.table + level2[0] * lut.size + c0;
+    const double* p1 = lut.table + level2[1] * lut.size + c1;
     const double lo[2] = {p0[0], p1[0]};
     const double hi[2] = {p0[1], p1[1]};
     const float64x2_t v0 = vld1q_f64(lo);
     const float64x2_t v1 = vld1q_f64(hi);
     const float64x2_t v =
         vaddq_f64(v0, vmulq_f64(frac, vsubq_f64(v1, v0)));
-    const float64x2_t b = vld1q_f64(bits2);
-    wb = vaddq_f64(wb, vmulq_f64(v, b));
-    tb = vaddq_f64(tb, b);
+    const double bits2[2] = {static_cast<double>(t.bits[level2[0]]),
+                             static_cast<double>(t.bits[level2[1]])};
+    wb = vaddq_f64(wb, vmulq_f64(v, vld1q_f64(bits2)));
   };
 
   std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) block(snr_db + i, row_off + i, bits + i);
+  for (; i + 2 <= n; i += 2) block(snr_db + i, level + i);
   if (i < n) {
-    // Padded final element: the pad lane carries bits 0 and row 0 (the all-
-    // zero kOff row), contributing an exact +0.0 to both accumulators.
+    // Padded final element: the pad lane is level 0 (the all-zero kOff row,
+    // bit weight 0), contributing an exact +0.0.
     const double snr2[2] = {snr_db[i], 0.0};
-    const std::int32_t row2[2] = {row_off[i], 0};
-    const double bits2[2] = {bits[i], 0.0};
-    block(snr2, row2, bits2);
+    const std::uint8_t level2[2] = {level[i], 0};
+    block(snr2, level2);
   }
-  *weighted_ber = hsum(wb);
-  *total_bits = hsum(tb);
+  return hsum(wb);
 }
 
 constexpr CarrierKernels kNeon = {

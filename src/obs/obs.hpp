@@ -48,17 +48,22 @@
 
 #else  // !EFD_OBS_ENABLED — every macro compiles to nothing.
 
+// A value argument is consumed unevaluated (sizeof), so no code runs for it
+// and a variable computed only to be recorded does not read as unused.
 #define EFD_COUNTER_ADD(name, v) \
   do {                           \
+    (void)sizeof(v);             \
   } while (0)
 #define EFD_COUNTER_INC(name) \
   do {                        \
   } while (0)
 #define EFD_GAUGE_SET(name, v) \
   do {                         \
+    (void)sizeof(v);           \
   } while (0)
 #define EFD_HISTO_OBSERVE(name, v) \
   do {                             \
+    (void)sizeof(v);               \
   } while (0)
 #define EFD_PROF_SCOPE(name) \
   do {                       \

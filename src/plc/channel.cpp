@@ -109,7 +109,7 @@ double PlcChannel::pb_error_probability(const ToneMap& tm, net::StationId a,
   shifted.resize(e.snr_db.size());
   grid::simd::active_kernels().shift_n(e.snr_db.data(), off, shifted.data(),
                                        e.snr_db.size());
-  const double p = tm.pb_error_probability(shifted, phy_);
+  const double p = tm.pb_error_probability(shifted);
   // Bound the memo: tone maps churn on bad links, so evict wholesale.
   if (e.pberr.size() > 4096) e.pberr.clear();
   e.pberr[key] = p;

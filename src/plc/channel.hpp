@@ -34,7 +34,7 @@ namespace efd::plc {
 class PlcChannel {
  public:
   PlcChannel(const grid::PowerGrid& grid, PhyParams phy)
-      : grid_(grid), phy_(std::move(phy)) {}
+      : grid_(grid), phy_(std::move(phy)), robo_(ToneMap::robo(phy_)) {}
 
   /// Attach station `id` to grid outlet node `outlet`.
   void attach_station(net::StationId id, int outlet);
@@ -42,6 +42,9 @@ class PlcChannel {
   [[nodiscard]] int outlet(net::StationId id) const;
   [[nodiscard]] const PhyParams& phy() const { return phy_; }
   [[nodiscard]] const grid::PowerGrid& grid() const { return grid_; }
+  /// The band's ROBO map (§2.1), shared by every sound and broadcast frame
+  /// on this channel.
+  [[nodiscard]] const ToneMap& robo() const { return robo_; }
 
   /// Tone-map slot index active at simulated time `t` (position within the
   /// AC half cycle, paper §6.1).
@@ -96,6 +99,7 @@ class PlcChannel {
 
   const grid::PowerGrid& grid_;
   PhyParams phy_;
+  ToneMap robo_;
   std::unordered_map<net::StationId, int> outlets_;
   mutable std::unordered_map<std::uint64_t, SnrEntry> cache_;
   mutable std::unordered_map<std::uint64_t, AttenEntry> atten_cache_;

@@ -16,19 +16,14 @@ namespace efd::plc {
 namespace {
 
 /// Per-thread ladder scratch: the perturbed SNR, one rung's bit loading
-/// (constellation levels, plus the BER-LUT row offsets and bit weights
-/// ToneMap scores them by), the best rung's levels so far, and the carriers
-/// of the winning map and of clamp_to_rate's demotion. One set per thread
-/// rather than per estimator keeps thousands of mostly idle links from each
-/// holding carrier-sized buffers; like PlcChannel's workspace, the scratch
-/// is not reentrant.
+/// and the best rung's so far (clamp_to_rate demotes in `levels` once the
+/// ladder is done). One set per thread rather than per estimator keeps
+/// thousands of mostly idle links from each holding carrier-sized buffers;
+/// the scratch is not reentrant.
 struct LadderScratch {
   std::vector<double> snr;
-  std::vector<std::int32_t> levels;
-  std::vector<std::int32_t> best_levels;
-  std::vector<std::int32_t> lut_rows;
-  std::vector<double> bits;
-  std::vector<Modulation> carriers;
+  std::vector<Modulation> levels;
+  std::vector<Modulation> best_levels;
 };
 
 LadderScratch& ladder_scratch() {
@@ -52,9 +47,7 @@ Modulation demote(Modulation m) {
 
 ChannelEstimator::ChannelEstimator(const PlcChannel& channel, net::StationId tx,
                                    net::StationId rx, sim::Rng rng, Config config)
-    : channel_(channel), tx_(tx), rx_(rx), rng_(rng), cfg_(config) {
-  maps_.robo = ToneMap::robo(channel_.phy());
-}
+    : channel_(channel), tx_(tx), rx_(rx), rng_(rng), cfg_(config) {}
 
 double ChannelEstimator::current_uncertainty_db() const {
   return cfg_.uncertainty_db /
@@ -108,8 +101,6 @@ void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db
   const std::size_t n = measured_snr_db.size();
   scratch.levels.resize(n);
   scratch.best_levels.resize(n);
-  scratch.lut_rows.resize(n);
-  scratch.bits.resize(n);
   // False until a rung scores; only a NaN score leaves it so (an empty map).
   bool have_winner = false;
   double best_score = -1.0;
@@ -128,9 +119,9 @@ void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db
     if (r > 0 && m == ladder[r - 1]) continue;
     // pick_modulation(measured - m) per carrier; the integer bit total is
     // exact, so it equals ToneMap::recompute's sum.
-    const std::int64_t total_bits = kernels.load_bits_n(
-        bit_loading_table(), measured_snr_db.data(), m, n, scratch.levels.data(),
-        scratch.lut_rows.data(), scratch.bits.data());
+    const std::int64_t total_bits =
+        kernels.load_bits_n(bit_loading_table(), measured_snr_db.data(), m, n,
+                            as_levels(scratch.levels.data()));
     // phy_rate_mbps() of the candidate map, in ToneMap::recompute's order.
     const double phy_rate =
         static_cast<double>(total_bits) * phy.fec_rate / phy.symbol.us();
@@ -140,8 +131,8 @@ void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db
     }
     EFD_COUNTER_INC("plc.est.ladder_rungs_scored");
     const double expected = std::min(
-        ToneMap::pb_error_probability(scratch.lut_rows, scratch.bits,
-                                      true_snr_db, kernels),
+        ToneMap::pb_error_probability(scratch.levels, total_bits, true_snr_db,
+                                      kernels),
         0.45);
     const double score = phy_rate * (1.0 - expected);
     if (score >= best_score) {
@@ -153,11 +144,9 @@ void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db
     }
   }
   // Only the winner's levels become carriers.
-  scratch.carriers.resize(have_winner ? n : 0);
-  for (std::size_t i = 0; i < scratch.carriers.size(); ++i) {
-    scratch.carriers[i] = static_cast<Modulation>(scratch.best_levels[i]);
-  }
-  out.assign_carriers(scratch.carriers, phy, best_expected, id);
+  out.assign_carriers(have_winner ? std::span<const Modulation>(scratch.best_levels)
+                                  : std::span<const Modulation>(),
+                      phy, best_expected, id);
 }
 
 void ChannelEstimator::clamp_to_rate(ToneMap& map, double rate_mbps,
@@ -166,7 +155,7 @@ void ChannelEstimator::clamp_to_rate(ToneMap& map, double rate_mbps,
   // With single-PB, single-symbol frames, spare rate buys no airtime — only
   // errors. Demote carriers one constellation step at a time (round-robin
   // passes) until the BLE lands at the single-symbol rate.
-  std::vector<Modulation>& carriers = ladder_scratch().carriers;
+  std::vector<Modulation>& carriers = ladder_scratch().levels;
   carriers.assign(map.carriers().begin(), map.carriers().end());
   const double bits_target = rate_mbps * phy.symbol.us() /
                              (phy.fec_rate * (1.0 - map.expected_pberr()));
@@ -206,12 +195,12 @@ void ChannelEstimator::retune(sim::Time now, bool error_triggered) {
   margin_at_last_retune_ = margin;
 
   // Rebuild the slot maps in place: a warm retune reuses their buffers.
-  maps_.slots.resize(static_cast<std::size_t>(phy.tone_map_slots));
+  maps_.resize(static_cast<std::size_t>(phy.tone_map_slots));
   const bool clamp =
       pbs_per_frame_ewma_ <= cfg_.clamp_pb_threshold && pb_samples_ > 50;
   double expected_sum = 0.0;
   for (int s = 0; s < phy.tone_map_slots; ++s) {
-    ToneMap& tm = maps_.slots[static_cast<std::size_t>(s)];
+    ToneMap& tm = maps_[static_cast<std::size_t>(s)];
     build_slot_map(s, now, margin, next_id_++, tm);
     if (clamp) {
       clamp_to_rate(tm, phy.single_pb_symbol_rate_mbps(), phy, next_id_++);
@@ -283,8 +272,7 @@ void ChannelEstimator::maybe_expire(sim::Time now) {
 }
 
 void ChannelEstimator::reset(sim::Time now) {
-  maps_.slots.clear();
-  maps_.robo = ToneMap::robo(channel_.phy());
+  maps_.clear();
   has_maps_ = false;
   created_ = now;
   last_update_ = now;
@@ -299,7 +287,7 @@ void ChannelEstimator::reset(sim::Time now) {
 }
 
 void ChannelEstimator::invalidate_tone_maps(sim::Time now) {
-  maps_.slots.clear();
+  maps_.clear();
   has_maps_ = false;
   created_ = now;
   // Relax the trigger EWMAs: the error burst that killed the maps should
@@ -308,10 +296,17 @@ void ChannelEstimator::invalidate_tone_maps(sim::Time now) {
   pberr_ewma_slow_ = 0.0;
 }
 
-double ChannelEstimator::ble_mbps(int slot) const {
-  if (!has_maps_) return maps_.robo.ble_mbps();
-  assert(slot >= 0 && slot < static_cast<int>(maps_.slots.size()));
-  return maps_.slots[static_cast<std::size_t>(slot)].ble_mbps();
+const ToneMap& ChannelEstimator::tone_map(int slot) const {
+  if (!has_maps_) return channel_.robo();
+  assert(slot >= 0 && slot < static_cast<int>(maps_.size()));
+  return maps_[static_cast<std::size_t>(slot)];
+}
+
+double ChannelEstimator::average_ble_mbps() const {
+  if (!has_maps_) return channel_.robo().ble_mbps();
+  double sum = 0.0;
+  for (const ToneMap& tm : maps_) sum += tm.ble_mbps();
+  return sum / static_cast<double>(maps_.size());
 }
 
 }  // namespace efd::plc

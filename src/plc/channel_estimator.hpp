@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "src/plc/channel.hpp"
 #include "src/plc/tone_map.hpp"
@@ -89,13 +90,20 @@ class ChannelEstimator {
   /// statistics, so re-estimation after the fault clears is fast.
   void invalidate_tone_maps(sim::Time now);
 
-  [[nodiscard]] const ToneMapSet& tone_maps() const { return maps_; }
+  /// The link direction's tone maps, one per tone-map slot of the AC half
+  /// cycle (§2.1); empty until the first retune.
+  [[nodiscard]] const std::vector<ToneMap>& tone_maps() const { return maps_; }
   [[nodiscard]] bool has_tone_maps() const { return has_maps_; }
 
+  /// The map a frame on this link uses in `slot`: the slot's map, or the
+  /// channel's ROBO default while there are none.
+  [[nodiscard]] const ToneMap& tone_map(int slot) const;
+
   /// BLE of one slot / averaged over slots (Mb/s), as reported in SoF
-  /// delimiters and by `int6krate`-style MMs.
-  [[nodiscard]] double ble_mbps(int slot) const;
-  [[nodiscard]] double average_ble_mbps() const { return maps_.average_ble_mbps(); }
+  /// delimiters and by `int6krate`-style MMs (the paper's "average BLE",
+  /// Table 2, §6). Without maps both are the ROBO BLE.
+  [[nodiscard]] double ble_mbps(int slot) const { return tone_map(slot).ble_mbps(); }
+  [[nodiscard]] double average_ble_mbps() const;
 
   /// Smoothed measured PB error rate (`ampstat`-style MM). Unlike the
   /// internal trigger EWMA, this one is never relaxed at retunes: it is the
@@ -145,7 +153,7 @@ class ChannelEstimator {
   mutable sim::Rng rng_;
   Config cfg_;
 
-  ToneMapSet maps_;
+  std::vector<ToneMap> maps_;
   bool has_maps_ = false;
   sim::Time created_{};         ///< when current maps were generated
   sim::Time last_update_{};

@@ -138,21 +138,13 @@ PlcFrame PlcMac::build_frame(sim::Time now) {
   frame.slot = channel_.slot_at(now);
   frame.start = now;
 
-  const bool broadcast = frame.dst == net::kBroadcast;
-  const ToneMap* tm = nullptr;
-  if (broadcast) {
+  const ToneMap* tm = &channel_.robo();
+  if (frame.dst == net::kBroadcast) {
     frame.robo = true;
-    static const ToneMap kRobo = ToneMap::robo(phy);
-    tm = &kRobo;
   } else {
-    ChannelEstimator& est = directory_.estimator(frame.dst, self_);
-    if (!est.has_tone_maps()) {
-      frame.robo = true;
-      frame.sound = true;
-      tm = &est.tone_maps().robo;
-    } else {
-      tm = &est.tone_maps().slots[static_cast<std::size_t>(frame.slot)];
-    }
+    const ChannelEstimator& est = directory_.estimator(frame.dst, self_);
+    frame.robo = frame.sound = !est.has_tone_maps();
+    tm = &est.tone_map(frame.slot);
   }
   frame.ble_mbps = tm->ble_mbps();
   frame.tone_map = tm;
@@ -205,9 +197,8 @@ void PlcMac::on_sack(const std::vector<PbUnit>& errored) {
   EFD_COUNTER_INC("plc.mac.sacks_rx");
   EFD_COUNTER_ADD("plc.mac.pb_errors", errored.size());
   reset_backoff();
-  // Selective retransmission: only corrupted PBs go back. (EFD_COUNTER_ADD
-  // does not evaluate its arguments when observability is compiled out.)
-  [[maybe_unused]] const std::size_t retx = requeue(errored);
+  // Selective retransmission: only corrupted PBs go back.
+  const std::size_t retx = requeue(errored);
   EFD_COUNTER_ADD("plc.mac.pb_retx", retx);
   if (!pb_queue_.empty()) medium_.notify_ready();
 }

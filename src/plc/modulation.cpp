@@ -61,7 +61,6 @@ const grid::simd::BitLoadingTable& bit_loading_table() {
       t.required_db[m] = kRequiredSnrDb[m];
       t.bits[m] = kBitsPerSymbol[m];
     }
-    t.row_len = static_cast<std::int32_t>(kLutSize);
     return t;
   }();
   return kTable;

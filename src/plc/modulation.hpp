@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "src/grid/simd.hpp"
@@ -10,7 +11,9 @@ namespace efd::plc {
 
 /// Per-carrier constellations of HomePlug AV / IEEE 1901 (§2.1 of the
 /// paper). Unlike 802.11, every OFDM carrier picks its own constellation.
-enum class Modulation {
+/// One byte: a tone map stores nothing else per carrier, and the batch
+/// kernels read its carriers as grid::simd levels.
+enum class Modulation : std::uint8_t {
   kOff,      ///< carrier not used (notched or hopeless SNR)
   kBpsk,
   kQpsk,
@@ -22,10 +25,19 @@ enum class Modulation {
 };
 
 inline constexpr int kModulationCount = 8;
+static_assert(sizeof(Modulation) == 1);
 
-/// Bits carried per OFDM symbol on one carrier, indexed by Modulation. The
-/// tone-map layer builds structure-of-arrays bit vectors straight from this
-/// table; `bits_per_symbol` is a thin wrapper over it.
+/// Modulations as the batch kernels' constellation levels (grid::simd):
+/// each level is its Modulation's index.
+[[nodiscard]] inline const std::uint8_t* as_levels(const Modulation* m) {
+  return reinterpret_cast<const std::uint8_t*>(m);
+}
+[[nodiscard]] inline std::uint8_t* as_levels(Modulation* m) {
+  return reinterpret_cast<std::uint8_t*>(m);
+}
+
+/// Bits carried per OFDM symbol on one carrier, indexed by Modulation; the
+/// batch kernels read it through bit_loading_table().
 inline constexpr std::array<int, kModulationCount> kBitsPerSymbol = {
     0,   // kOff
     1,   // kBpsk
@@ -44,9 +56,10 @@ inline constexpr std::array<int, kModulationCount> kBitsPerSymbol = {
 
 /// View of the uncoded-BER lookup table for the batch carrier kernels
 /// (grid::simd::CarrierKernels::ber_weighted_sum_n): kModulationCount rows of
-/// samples every 0.1 dB. Row offsets are `modulation_index * view.size`; the
-/// kOff row is all-zero, so off carriers gather 0.0 and (with bit weight 0)
-/// contribute nothing to the reduction — no branch needed.
+/// samples every 0.1 dB, one per Modulation in index order. The kernel finds
+/// a carrier's row from its modulation; the kOff row is all-zero, so off
+/// carriers gather 0.0 and (with bit weight 0) contribute nothing to the
+/// reduction — no branch needed.
 [[nodiscard]] grid::simd::InterpTableView ber_lut_view();
 
 /// Bit-loading thresholds indexed by Modulation: net carrier SNRs (dB)
@@ -84,10 +97,9 @@ inline constexpr std::array<double, kModulationCount> kRequiredSnrDb = {
   return static_cast<Modulation>(met);
 }
 
-/// The bit loader's table for the batch kernel
-/// grid::simd::CarrierKernels::load_bits_n: kRequiredSnrDb, kBitsPerSymbol
-/// and ber_lut_view()'s row length. A level it writes is a Modulation index,
-/// so its counts equal pick_modulation's.
+/// The per-level table of the batch kernels load_bits_n and
+/// ber_weighted_sum_n: kRequiredSnrDb and kBitsPerSymbol. A level is a
+/// Modulation index, so load_bits_n's counts equal pick_modulation's.
 [[nodiscard]] const grid::simd::BitLoadingTable& bit_loading_table();
 
 /// Approximate uncoded bit-error rate of `m` at the given carrier SNR.

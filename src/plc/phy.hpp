@@ -50,17 +50,9 @@ struct PhyParams {
   [[nodiscard]] static double pb_bits() { return kPbTotalBytes * 8.0; }
 };
 
-/// Robust OFDM (ROBO) mode: QPSK on all carriers with heavy repetition.
-/// Used for broadcast/multicast and initial channel estimation (§2.1), which
-/// is why broadcast probing cannot reflect link quality (§8.1).
-struct RoboMode {
-  int repetitions = 4;
-  /// Effective PHY rate in Mb/s for the given parameters.
-  [[nodiscard]] double rate_mbps(const PhyParams& p) const {
-    const double bits =
-        2.0 * p.band.n_carriers * p.fec_rate / repetitions;  // per symbol
-    return bits / p.symbol.us();
-  }
-};
+/// Robust OFDM (ROBO) mode: QPSK on all carriers, each bit repeated this
+/// many times. Used for broadcast/multicast and initial channel estimation
+/// (§2.1), which is why broadcast probing cannot reflect link quality (§8.1).
+inline constexpr int kRoboRepetitions = 4;
 
 }  // namespace efd::plc

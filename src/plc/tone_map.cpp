@@ -29,18 +29,9 @@ double fec_waterfall(double mean_ber) {
 
 void ToneMap::recompute() {
   EFD_PROF_SCOPE("plc.tonemap_recompute");
-  const std::size_t n = carriers_.size();
-  const std::int32_t row_len = ber_lut_view().size;
-  lut_rows_.resize(n);
-  bits_.resize(n);
   // Integer total: exact, and free of a serial floating-point add chain.
   int total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int b = efd::plc::bits_per_symbol(carriers_[i]);
-    total += b;
-    bits_[i] = static_cast<double>(b);
-    lut_rows_[i] = static_cast<std::int32_t>(carriers_[i]) * row_len;
-  }
+  for (Modulation m : carriers_) total += efd::plc::bits_per_symbol(m);
   const double bits = static_cast<double>(total) / robo_repetitions_;
   bits_per_symbol_ = bits;
   phy_rate_mbps_ = bits * fec_rate_ / symbol_us_;
@@ -77,28 +68,26 @@ void ToneMap::assign_carriers(std::span<const Modulation> carriers,
   recompute();
 }
 
-ToneMap ToneMap::robo(const PhyParams& phy, const RoboMode& robo) {
+ToneMap ToneMap::robo(const PhyParams& phy) {
   ToneMap tm;
   tm.fec_rate_ = 0.5;  // ROBO uses the robust rate-1/2 code
   tm.symbol_us_ = phy.symbol.us();
   tm.expected_pberr_ = 0.0;
   tm.id_ = 0;
-  tm.robo_repetitions_ = robo.repetitions;
+  tm.robo_repetitions_ = kRoboRepetitions;
   tm.carriers_.assign(static_cast<std::size_t>(phy.band.n_carriers),
                       Modulation::kQpsk);
   tm.recompute();
   return tm;
 }
 
-double ToneMap::pb_error_probability(std::span<const double> actual_snr_db,
-                                     const PhyParams& phy) const {
-  return pb_error_probability(actual_snr_db, phy, grid::simd::active_kernels());
+double ToneMap::pb_error_probability(std::span<const double> actual_snr_db) const {
+  return pb_error_probability(actual_snr_db, grid::simd::active_kernels());
 }
 
 double ToneMap::pb_error_probability(
-    std::span<const double> actual_snr_db, const PhyParams& phy,
+    std::span<const double> actual_snr_db,
     const grid::simd::CarrierKernels& kernels) const {
-  (void)phy;
   assert(actual_snr_db.size() == carriers_.size());
   if (robo_repetitions_ > 1) {
     EFD_PROF_SCOPE("plc.pberr");
@@ -117,31 +106,24 @@ double ToneMap::pb_error_probability(
         uncoded_ber(Modulation::kQpsk, combined_db + kCodingGainDb);
     return fec_waterfall(ber);
   }
-  return pb_error_probability(lut_rows_, bits_, actual_snr_db, kernels);
+  // Without repetitions, B is the carriers' exact integer bit total.
+  return pb_error_probability(carriers_,
+                              static_cast<std::int64_t>(bits_per_symbol_),
+                              actual_snr_db, kernels);
 }
 
-double ToneMap::pb_error_probability(std::span<const std::int32_t> lut_rows,
-                                     std::span<const double> bits,
+double ToneMap::pb_error_probability(std::span<const Modulation> carriers,
+                                     std::int64_t total_bits,
                                      std::span<const double> actual_snr_db,
                                      const grid::simd::CarrierKernels& kernels) {
   EFD_PROF_SCOPE("plc.pberr");
   EFD_PROF_SCOPE(kernels.name);  // nests under plc.pberr
-  assert(lut_rows.size() == actual_snr_db.size() &&
-         bits.size() == actual_snr_db.size());
-  double weighted_ber = 0.0;
-  double total_bits = 0.0;
-  kernels.ber_weighted_sum_n(ber_lut_view(), lut_rows.data(), bits.data(),
-                             actual_snr_db.data(), kCodingGainDb,
-                             actual_snr_db.size(), &weighted_ber, &total_bits);
-  if (total_bits == 0.0) return 1.0;  // nothing loaded: undecodable
-  return fec_waterfall(weighted_ber / total_bits);
-}
-
-double ToneMapSet::average_ble_mbps() const {
-  if (slots.empty()) return robo.ble_mbps();
-  double sum = 0.0;
-  for (const ToneMap& tm : slots) sum += tm.ble_mbps();
-  return sum / static_cast<double>(slots.size());
+  assert(carriers.size() == actual_snr_db.size());
+  if (total_bits == 0) return 1.0;  // nothing loaded: undecodable
+  const double weighted_ber = kernels.ber_weighted_sum_n(
+      ber_lut_view(), bit_loading_table(), as_levels(carriers.data()),
+      actual_snr_db.data(), kCodingGainDb, actual_snr_db.size());
+  return fec_waterfall(weighted_ber / static_cast<double>(total_bits));
 }
 
 }  // namespace efd::plc

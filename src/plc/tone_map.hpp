@@ -32,8 +32,10 @@ class ToneMap {
   void assign_carriers(std::span<const Modulation> carriers, const PhyParams& phy,
                        double expected_pberr, std::uint32_t id);
 
-  /// The default/ROBO tone map used for sound frames and broadcast (§2.1).
-  static ToneMap robo(const PhyParams& phy, const RoboMode& robo = {});
+  /// The default/ROBO tone map used for sound frames and broadcast (§2.1):
+  /// QPSK on every carrier, each bit repeated kRoboRepetitions times. It
+  /// depends only on the band, so each PlcChannel builds one (robo()).
+  static ToneMap robo(const PhyParams& phy);
 
   /// Eq. (1), in Mb/s.
   [[nodiscard]] double ble_mbps() const { return ble_mbps_; }
@@ -55,34 +57,26 @@ class ToneMap {
   /// actually provides `actual_snr_db` per carrier: mean uncoded BER over
   /// loaded carriers pushed through the turbo-FEC waterfall. Runs on the
   /// process-wide carrier kernels (grid::simd::active_kernels()).
-  [[nodiscard]] double pb_error_probability(std::span<const double> actual_snr_db,
-                                            const PhyParams& phy) const;
+  [[nodiscard]] double pb_error_probability(
+      std::span<const double> actual_snr_db) const;
 
   /// Same, on an explicit kernel entry — lets the differential tests and the
   /// odd-tail sweeps pin every compiled-in implementation.
   [[nodiscard]] double pb_error_probability(
-      std::span<const double> actual_snr_db, const PhyParams& phy,
+      std::span<const double> actual_snr_db,
       const grid::simd::CarrierKernels& kernels) const;
 
-  /// The structure-of-arrays form every non-ROBO map is scored by (the
-  /// member forms delegate here): per carrier, the BER-LUT row offset
-  /// (modulation * row length) and the bit weight. Lets the estimator's
-  /// margin ladder score a candidate bit loading without building a
-  /// ToneMap for it.
+  /// The form every non-ROBO map is scored by (the member forms delegate
+  /// here): one modulation per carrier and their bit sum `total_bits`. Lets
+  /// the estimator's margin ladder score a candidate bit loading without
+  /// building a ToneMap for it.
   [[nodiscard]] static double pb_error_probability(
-      std::span<const std::int32_t> lut_rows, std::span<const double> bits,
+      std::span<const Modulation> carriers, std::int64_t total_bits,
       std::span<const double> actual_snr_db,
       const grid::simd::CarrierKernels& kernels);
 
  private:
   std::vector<Modulation> carriers_;
-  // Structure-of-arrays mirrors of carriers_, rebuilt by recompute(): the
-  // BER-LUT row offset (modulation * row length) and the bit weight of each
-  // carrier, in the exact layout ber_weighted_sum_n consumes. kOff carriers
-  // keep row 0 (all-zero) and weight 0.0, so the batch reduction needs no
-  // "carrier off" branch.
-  std::vector<std::int32_t> lut_rows_;
-  std::vector<double> bits_;
   double fec_rate_ = 16.0 / 21.0;
   double symbol_us_ = 46.52;
   double expected_pberr_ = 0.0;
@@ -95,17 +89,6 @@ class ToneMap {
 
   void set_header(const PhyParams& phy, double expected_pberr, std::uint32_t id);
   void recompute();
-};
-
-/// The up-to-7 tone maps of a link direction: one per tone-map slot of the
-/// AC half cycle plus the ROBO default (§2.1).
-struct ToneMapSet {
-  std::vector<ToneMap> slots;  ///< size = PhyParams::tone_map_slots
-  ToneMap robo;
-
-  /// Average BLE over the slots — what `int6krate` reports and what the
-  /// paper calls "average BLE" (Table 2, §6).
-  [[nodiscard]] double average_ble_mbps() const;
 };
 
 }  // namespace efd::plc

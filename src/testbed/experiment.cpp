@@ -45,9 +45,7 @@ ThroughputResult measure(net::Interface& tx, net::Interface& rx,
   // Wall-clock per simulated second: the hot-path health number every
   // scaling PR watches (lower is faster; ratio < 1 means faster than
   // real time).
-  // [[maybe_unused]]: EFD_GAUGE_SET does not evaluate its arguments when
-  // the observability layer is compiled out (EFD_OBS_ENABLED=0).
-  [[maybe_unused]] const double wall_s =
+  const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();

@@ -145,7 +145,7 @@ DiffResult diff_pberr(ScenarioWorld& world, const DiffTolerances& tol) {
     const double offset = ch.fast_offset_db(l.rx, now);
     const double off = std::lround(offset * 4.0) / 4.0;
     int slot = 0;
-    for (const plc::ToneMap& tm : maps.slots) {
+    for (const plc::ToneMap& tm : maps) {
       const double fast = ch.pb_error_probability(tm, l.tx, l.rx, slot, now);
       std::vector<double> snr = ch.static_snr_db(l.tx, l.rx, slot, now);
       for (double& v : snr) v -= off;
@@ -165,16 +165,18 @@ DiffResult diff_ble(ScenarioWorld& world, const DiffTolerances& tol) {
   DiffAccum acc("ble-eq1", tol.ble_rel);
   const plc::PhyParams& phy = world.channel().phy();
   for (const Link& l : run_links(world)) {
-    auto compare = [&](const plc::ToneMap& tm, const char* kind) {
+    for (const plc::ToneMap& tm : l.est->tone_maps()) {
       const double fast = tm.ble_mbps();
       const double ref = ref::ble_mbps(tm, phy);
       acc.sample(std::abs(fast - ref) / std::max(std::abs(ref), 1e-12),
-                 "link %d->%d %s map %u: cached %.12f recomputed %.12f", l.tx,
-                 l.rx, kind, tm.id(), fast, ref);
-    };
-    for (const plc::ToneMap& tm : l.est->tone_maps().slots) compare(tm, "slot");
-    compare(l.est->tone_maps().robo, "robo");
+                 "link %d->%d slot map %u: cached %.12f recomputed %.12f", l.tx,
+                 l.rx, tm.id(), fast, ref);
+    }
   }
+  const plc::ToneMap& robo = world.channel().robo();
+  const double robo_ref = ref::ble_mbps(robo, phy);
+  acc.sample(std::abs(robo.ble_mbps() - robo_ref) / robo_ref,
+             "robo map: cached %.12f recomputed %.12f", robo.ble_mbps(), robo_ref);
   return acc.finish();
 }
 
@@ -258,13 +260,13 @@ DiffResult diff_kernels_pberr(ScenarioWorld& world, const DiffTolerances& tol,
     for (double& v : snr) v = rng.uniform(-20.0, 45.0);
     const plc::ToneMap tm =
         plc::ToneMap::from_snr(snr, 2.0, phy, 0.0, static_cast<std::uint32_t>(trial));
-    const double fast = tm.pb_error_probability(snr, phy, k);
+    const double fast = tm.pb_error_probability(snr, k);
     const double refp =
         ref::pb_error_probability(tm.carriers(), snr, 1, reference_impl());
     acc.sample(std::abs(fast - refp), "%s trial %d: fast %.8f ref %.8f", k.name,
                trial, fast, refp);
-    const plc::ToneMap robo = plc::ToneMap::robo(phy);
-    const double fast_robo = robo.pb_error_probability(snr, phy, k);
+    const plc::ToneMap& robo = world.channel().robo();
+    const double fast_robo = robo.pb_error_probability(snr, k);
     const double ref_robo = ref::pb_error_probability(
         robo.carriers(), snr, robo.robo_repetitions(), reference_impl());
     acc.sample(std::abs(fast_robo - ref_robo),

@@ -140,7 +140,7 @@ std::vector<LinkEstimator> link_estimators(ScenarioWorld& world) {
 void check_carrier_bits(ScenarioWorld& world, std::vector<Violation>& out) {
   const plc::PhyParams& phy = world.channel().phy();
   for (const LinkEstimator& l : link_estimators(world)) {
-    for (const plc::ToneMap& tm : l.est->tone_maps().slots) {
+    for (const plc::ToneMap& tm : l.est->tone_maps()) {
       if (static_cast<int>(tm.carriers().size()) != phy.band.n_carriers) {
         report(out, "carrier-bits-bounds",
                "link %d->%d map %u: %zu carriers, band has %d", l.tx, l.rx,
@@ -165,19 +165,18 @@ void check_carrier_bits(ScenarioWorld& world, std::vector<Violation>& out) {
 void check_ble_eq1(ScenarioWorld& world, const InvariantOptions& opts,
                    std::vector<Violation>& out) {
   const plc::PhyParams& phy = world.channel().phy();
+  // The channel's ROBO map is invariant 8's.
   for (const LinkEstimator& l : link_estimators(world)) {
-    auto check_map = [&](const plc::ToneMap& tm, const char* kind) {
+    for (const plc::ToneMap& tm : l.est->tone_maps()) {
       const double want = ref::ble_mbps(tm, phy) * opts.inject_ble_scale;
       const double got = tm.ble_mbps();
       if (std::abs(got - want) > 1e-9 * std::max(1.0, std::abs(want))) {
         report(out, "ble-eq1",
-               "link %d->%d %s map %u: ble_mbps %.9f but Eq.(1) recompute "
+               "link %d->%d slot map %u: ble_mbps %.9f but Eq.(1) recompute "
                "gives %.9f",
-               l.tx, l.rx, kind, tm.id(), got, want);
+               l.tx, l.rx, tm.id(), got, want);
       }
-    };
-    for (const plc::ToneMap& tm : l.est->tone_maps().slots) check_map(tm, "slot");
-    check_map(l.est->tone_maps().robo, "robo");
+    }
   }
 }
 
@@ -196,7 +195,7 @@ void check_pberr_range(ScenarioWorld& world, const InvariantOptions& opts,
   for (const LinkEstimator& l : link_estimators(world)) {
     in_range(l.est->measured_pberr(), "measured_pberr", l.tx, l.rx);
     int slot = 0;
-    for (const plc::ToneMap& tm : l.est->tone_maps().slots) {
+    for (const plc::ToneMap& tm : l.est->tone_maps()) {
       in_range(tm.expected_pberr(), "expected_pberr", l.tx, l.rx);
       in_range(world.channel().pb_error_probability(tm, l.tx, l.rx, slot, now),
                "channel pberr", l.tx, l.rx);
@@ -220,11 +219,11 @@ void check_estimator_capacity(ScenarioWorld& world, std::vector<Violation>& out)
       10.0 * phy.band.n_carriers * phy.fec_rate / phy.symbol.us();
   for (const LinkEstimator& l : link_estimators(world)) {
     for (int slot = 0;
-         slot < static_cast<int>(l.est->tone_maps().slots.size()); ++slot) {
+         slot < static_cast<int>(l.est->tone_maps().size()); ++slot) {
       const auto& snr = world.channel().static_snr_db(l.tx, l.rx, slot, now);
       const double reference_rate =
           plc::ToneMap::from_snr(snr, -15.0, phy, 0.0, 0).phy_rate_mbps();
-      const double ble = l.est->tone_maps().slots[static_cast<std::size_t>(slot)].ble_mbps();
+      const double ble = l.est->tone_maps()[static_cast<std::size_t>(slot)].ble_mbps();
       const double bound = std::min(1.0001 * reference_rate + 1e-6, hw_ceiling + 1e-6);
       if (ble > bound) {
         report(out, "estimator-capacity",
@@ -239,7 +238,7 @@ void check_estimator_capacity(ScenarioWorld& world, std::vector<Violation>& out)
 // --- 8. plc: the ROBO map is the robust default it claims to be ------------
 void check_robo_map(ScenarioWorld& world, std::vector<Violation>& out) {
   const plc::PhyParams& phy = world.channel().phy();
-  const plc::ToneMap robo = plc::ToneMap::robo(phy);
+  const plc::ToneMap& robo = world.channel().robo();
   if (!robo.is_robo() || robo.robo_repetitions() < 2) {
     report(out, "robo-map", "ROBO map reports %d repetitions",
            robo.robo_repetitions());
@@ -254,7 +253,6 @@ void check_robo_map(ScenarioWorld& world, std::vector<Violation>& out) {
     report(out, "robo-map", "ROBO BLE %.6f != Eq.(1) recompute %.6f",
            robo.ble_mbps(), want);
   }
-  (void)world;
 }
 
 // --- 9. mac: delivery conservation (no SACK-completed undelivered PBs) -----

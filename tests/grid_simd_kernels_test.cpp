@@ -160,25 +160,21 @@ TEST_P(KernelSweep, BerWeightedSumMatchesNaiveLutWalk) {
   for (const std::size_t n : kSizes) {
     // SNR range pushes through both clamp edges of the LUT domain.
     const std::vector<double> snr = random_db(rng, n, -95.0, 70.0);
-    std::vector<std::int32_t> rows(n);
-    std::vector<double> bits(n);
+    std::vector<std::uint8_t> levels(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const int m = rng.uniform_int(0, plc::kModulationCount - 1);
-      rows[i] = m * lut.size;
-      bits[i] = static_cast<double>(plc::kBitsPerSymbol[static_cast<std::size_t>(m)]);
+      levels[i] =
+          static_cast<std::uint8_t>(rng.uniform_int(0, plc::kModulationCount - 1));
     }
-    double wb = -1.0, tb = -1.0;
-    k.ber_weighted_sum_n(lut, rows.data(), bits.data(), snr.data(), 7.0, n, &wb,
-                         &tb);
-    double ref_wb = 0.0, ref_tb = 0.0;
+    const double wb = k.ber_weighted_sum_n(lut, plc::bit_loading_table(),
+                                           levels.data(), snr.data(), 7.0, n);
+    double ref_wb = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (bits[i] == 0.0) continue;
-      const auto m = static_cast<plc::Modulation>(rows[i] / lut.size);
-      ref_wb += plc::uncoded_ber(m, snr[i] + 7.0) * bits[i];
-      ref_tb += bits[i];
+      const double bits = plc::kBitsPerSymbol[levels[i]];
+      if (bits == 0.0) continue;
+      const auto m = static_cast<plc::Modulation>(levels[i]);
+      ref_wb += plc::uncoded_ber(m, snr[i] + 7.0) * bits;
     }
     EXPECT_NEAR(wb, ref_wb, 1e-9 * std::max(ref_wb, 1.0)) << k.name << " n=" << n;
-    EXPECT_EQ(tb, ref_tb) << k.name << " n=" << n;
   }
 }
 
@@ -196,34 +192,26 @@ TEST_P(KernelSweep, BerLookupsMapNonFiniteSnrToTheLutEdges) {
     EXPECT_EQ(plc::uncoded_ber(mod, INFINITY), last) << m;
   }
   // One loaded carrier per call, in every lane of a vector block and the
-  // tail; the other carriers carry bits 0, so the sum is that carrier's BER
-  // times its bits with no rounding from the reduction order.
+  // tail; the other carriers are off (bits 0), so the sum is that carrier's
+  // BER times its bits with no rounding from the reduction order.
   const std::size_t n = 9;
-  sim::Rng rng{0x4a4u};
   for (const double x : {NAN, -INFINITY, INFINITY}) {
     const std::vector<double> snr(n, x);
     for (std::size_t j = 0; j < n; ++j) {
       for (std::size_t m = 1; m < plc::kModulationCount; ++m) {
         SCOPED_TRACE(::testing::Message() << k.name << " snr " << x << " lane "
                                           << j << " modulation " << m);
-        std::vector<std::int32_t> rows(n);
-        std::vector<double> bits(n, 0.0);
-        for (std::size_t i = 0; i < n; ++i) {
-          rows[i] = rng.uniform_int(0, plc::kModulationCount - 1) * lut.size;
-        }
-        rows[j] = static_cast<std::int32_t>(m) * lut.size;
-        bits[j] = static_cast<double>(plc::kBitsPerSymbol[m]);
-        double wb = -1.0, tb = -1.0;
-        k.ber_weighted_sum_n(lut, rows.data(), bits.data(), snr.data(), 7.0, n,
-                             &wb, &tb);
-        const double want =
-            plc::uncoded_ber(static_cast<plc::Modulation>(m), x + 7.0) * bits[j];
+        std::vector<std::uint8_t> levels(n, 0);
+        levels[j] = static_cast<std::uint8_t>(m);
+        const double wb = k.ber_weighted_sum_n(lut, plc::bit_loading_table(),
+                                               levels.data(), snr.data(), 7.0, n);
+        const double want = plc::uncoded_ber(static_cast<plc::Modulation>(m), x + 7.0) *
+                            static_cast<double>(plc::kBitsPerSymbol[m]);
         if (x > 0.0) {
           EXPECT_NEAR(wb, want, 1e-12);
         } else {
           EXPECT_EQ(wb, want);
         }
-        EXPECT_EQ(tb, bits[j]);
       }
     }
   }
@@ -243,7 +231,6 @@ double step_input(double from, double to, double margin, Done done) {
 TEST_P(KernelSweep, LoadBitsMatchesPickModulation) {
   const CarrierKernels& k = *GetParam();
   const grid::simd::BitLoadingTable& table = plc::bit_loading_table();
-  const std::int32_t row_len = plc::ber_lut_view().size;
   sim::Rng rng{0xb175u};
   for (const double margin : {0.0, 1.5, -4.5}) {
     // The special values, and for every threshold the input that lands on
@@ -275,25 +262,19 @@ TEST_P(KernelSweep, LoadBitsMatchesPickModulation) {
         snr[i] = i % 3 < 2 ? edges[(i + n) % edges.size()]
                            : rng.uniform(-10.0, 45.0);
       }
-      std::vector<std::int32_t> level(n + 4, -7);
-      std::vector<std::int32_t> row_off(n + 4, -7);
-      Padded bits(n);
-      const std::int64_t total = k.load_bits_n(
-          table, snr.data(), margin, n, level.data(), row_off.data(), bits.data());
+      constexpr std::uint8_t kUnwritten = 0xA5;
+      std::vector<std::uint8_t> level(n + 4, kUnwritten);
+      const std::int64_t total =
+          k.load_bits_n(table, snr.data(), margin, n, level.data());
       std::int64_t want_total = 0;
       for (std::size_t i = 0; i < n; ++i) {
         const plc::Modulation mod = plc::pick_modulation(snr[i] - margin);
-        const int b = plc::kBitsPerSymbol[static_cast<std::size_t>(mod)];
-        want_total += b;
-        ASSERT_EQ(level[i], static_cast<std::int32_t>(mod)) << "i " << i;
-        ASSERT_EQ(row_off[i], static_cast<std::int32_t>(mod) * row_len) << "i " << i;
-        ASSERT_EQ(bits.buf[i], static_cast<double>(b)) << "i " << i;
+        want_total += plc::kBitsPerSymbol[static_cast<std::size_t>(mod)];
+        ASSERT_EQ(level[i], static_cast<std::uint8_t>(mod)) << "i " << i;
       }
       EXPECT_EQ(total, want_total);
-      bits.expect_no_overrun(n, "load_bits_n");
       for (std::size_t i = n; i < n + 4; ++i) {
-        ASSERT_EQ(level[i], -7) << "level written past " << n;
-        ASSERT_EQ(row_off[i], -7) << "row_off written past " << n;
+        ASSERT_EQ(level[i], kUnwritten) << "level written past " << n;
       }
     }
   }
@@ -306,9 +287,9 @@ TEST_P(KernelSweep, ToneMapPbErrorMatchesDefaultPath) {
   const auto n = static_cast<std::size_t>(phy.band.n_carriers);
   const std::vector<double> snr = random_db(rng, n, -15.0, 40.0);
   const plc::ToneMap tm = plc::ToneMap::from_snr(snr, 2.0, phy, 0.0, 1);
-  const double via_kernel = tm.pb_error_probability(snr, phy, k);
+  const double via_kernel = tm.pb_error_probability(snr, k);
   const double via_scalar =
-      tm.pb_error_probability(snr, phy, grid::simd::scalar_kernels());
+      tm.pb_error_probability(snr, grid::simd::scalar_kernels());
   EXPECT_NEAR(via_kernel, via_scalar, 5e-3) << k.name;
 }
 
@@ -320,16 +301,16 @@ TEST_P(KernelSweep, RoboMeanLinearSnrClampBoundary) {
   // Deep in the clamp region: mean linear SNR far below the 1e-6 floor, so
   // every implementation must land on the identical clamped combined SNR.
   const std::vector<double> abyss(n, -200.0);
-  const double p_k = robo.pb_error_probability(abyss, phy, k);
+  const double p_k = robo.pb_error_probability(abyss, k);
   const double p_s =
-      robo.pb_error_probability(abyss, phy, grid::simd::scalar_kernels());
+      robo.pb_error_probability(abyss, grid::simd::scalar_kernels());
   EXPECT_EQ(p_k, p_s) << k.name << " below clamp";
   // Just above the floor: mean linear = 10^(-59/10) ~ 1.26e-6 > 1e-6, the
   // clamp must NOT engage and the combining math must agree within the
   // PB-error tolerance.
   const std::vector<double> edge(n, -59.0);
-  EXPECT_NEAR(robo.pb_error_probability(edge, phy, k),
-              robo.pb_error_probability(edge, phy, grid::simd::scalar_kernels()),
+  EXPECT_NEAR(robo.pb_error_probability(edge, k),
+              robo.pb_error_probability(edge, grid::simd::scalar_kernels()),
               5e-3)
       << k.name << " above clamp";
 }

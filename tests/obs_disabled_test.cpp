@@ -49,7 +49,7 @@ TEST(ObsDisabledTest, MacrosRegisterNothing) {
 TEST(ObsDisabledTest, MacroArgumentsAreNotEvaluated) {
   int evaluations = 0;
   const auto count = [&evaluations] { return ++evaluations; };
-  (void)count;  // referenced only inside macros that expand to nothing
+  (void)count;  // referenced only as the macros' unevaluated arguments
   EFD_COUNTER_ADD("disabled.arg", count());
   EFD_GAUGE_SET("disabled.arg", count());
   EFD_HISTO_OBSERVE("disabled.arg", count());

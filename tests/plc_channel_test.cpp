@@ -107,7 +107,7 @@ TEST_F(ChannelFixture, RoboHasLowerErrorThanAggressiveMap) {
   const auto t = noon();
   const auto snr = channel.snr_db(0, 1, 0, t);
   const ToneMap aggressive = ToneMap::from_snr(snr, -6.0, channel.phy(), 0.0, 8);
-  const ToneMap robo = ToneMap::robo(channel.phy());
+  const ToneMap& robo = channel.robo();
   EXPECT_LE(channel.pb_error_probability(robo, 0, 1, 0, t),
             channel.pb_error_probability(aggressive, 0, 1, 0, t));
 }
@@ -170,7 +170,7 @@ TEST(PlcChannel, FastOffsetMemoMatchesGrid) {
   };
 
   const sim::Time t0 = sim::days(1) + sim::hours(12);
-  const ToneMap robo = ToneMap::robo(channel.phy());
+  const ToneMap& robo = channel.robo();
   // Repeated, alternating and revisited instants, both link directions,
   // with the SNR and PBerr paths (which read the offset themselves) in
   // between.

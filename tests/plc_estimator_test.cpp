@@ -56,10 +56,7 @@ struct EstimatorFixture : ::testing::Test {
     for (double s = 0.0; s < seconds; s += 0.01) {
       const sim::Time now = start + sim::seconds(s);
       const int slot = ch.slot_at(now);
-      const ToneMap& tm = est.has_tone_maps()
-                              ? est.tone_maps().slots[static_cast<std::size_t>(slot)]
-                              : est.tone_maps().robo;
-      const double p = ch.pb_error_probability(tm, 0, 1, slot, now);
+      const double p = ch.pb_error_probability(est.tone_map(slot), 0, 1, slot, now);
       int errors = 0;
       for (int i = 0; i < pbs_per_frame; ++i) errors += rng.bernoulli(p) ? 1 : 0;
       est.on_frame_received(slot, pbs_per_frame, errors, symbols, now);
@@ -78,7 +75,7 @@ TEST_F(EstimatorFixture, SoundFrameBootstraps) {
   auto est = make();
   est.on_sound_frame(t0());
   EXPECT_TRUE(est.has_tone_maps());
-  EXPECT_EQ(static_cast<int>(est.tone_maps().slots.size()),
+  EXPECT_EQ(static_cast<int>(est.tone_maps().size()),
             channel.phy().tone_map_slots);
   EXPECT_GT(est.average_ble_mbps(), 10.0);
 }
@@ -200,9 +197,71 @@ TEST_F(EstimatorFixture, MultiPbProbesDoNotClamp) {
 TEST_F(EstimatorFixture, BleSlotAccessorMatchesSet) {
   auto est = make();
   est.on_sound_frame(t0());
+  ASSERT_EQ(static_cast<int>(est.tone_maps().size()), channel.phy().tone_map_slots);
   double sum = 0.0;
-  for (int s = 0; s < channel.phy().tone_map_slots; ++s) sum += est.ble_mbps(s);
+  for (int s = 0; s < channel.phy().tone_map_slots; ++s) {
+    EXPECT_EQ(&est.tone_map(s), &est.tone_maps()[static_cast<std::size_t>(s)]);
+    sum += est.ble_mbps(s);
+  }
   EXPECT_NEAR(est.average_ble_mbps(), sum / channel.phy().tone_map_slots, 1e-9);
+}
+
+/// A link direction's set of per-slot tone maps over a line whose
+/// mains-synchronous noise (a light bank and a workstation at the receiver)
+/// differs across the tone-map slots, so the slot maps differ too.
+struct ToneMapSet : ::testing::Test {
+  grid::PowerGrid grid;
+  PlcChannel channel{grid, PhyParams::hpav()};
+
+  void SetUp() override {
+    const int a = grid.add_node("a");
+    const int b = grid.add_node("b");
+    grid.add_cable(a, b, 10.0, 22.0);
+    grid.add_appliance(grid::make_appliance(grid::ApplianceType::kLightBank, b, 3));
+    grid.add_appliance(grid::make_appliance(grid::ApplianceType::kWorkstation, b, 4));
+    channel.attach_station(0, a);
+    channel.attach_station(1, b);
+  }
+};
+
+TEST_F(ToneMapSet, AverageBleOverSlots) {
+  ChannelEstimator est(channel, 0, 1, sim::Rng{1}, {});
+  est.on_sound_frame(sim::days(1) + sim::hours(12));
+  ASSERT_EQ(static_cast<int>(est.tone_maps().size()), channel.phy().tone_map_slots);
+  double sum = 0.0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (const ToneMap& tm : est.tone_maps()) {
+    sum += tm.ble_mbps();
+    lo = std::min(lo, tm.ble_mbps());
+    hi = std::max(hi, tm.ble_mbps());
+  }
+  // The slots really differ, so a single slot's BLE is not the average.
+  EXPECT_GT(hi - lo, 1.0);
+  EXPECT_NEAR(est.average_ble_mbps(), sum / static_cast<double>(est.tone_maps().size()), 1e-9);
+}
+
+TEST_F(EstimatorFixture, WithoutMapsEveryBleIsTheChannelRobo) {
+  // Before the first retune, after a reset and after a fault drops the
+  // maps, every slot uses the channel's one ROBO map.
+  auto est = make();
+  const auto expect_robo = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_FALSE(est.has_tone_maps());
+    EXPECT_TRUE(est.tone_maps().empty());
+    EXPECT_DOUBLE_EQ(est.average_ble_mbps(), channel.robo().ble_mbps());
+    for (int s = 0; s < channel.phy().tone_map_slots; ++s) {
+      EXPECT_EQ(&est.tone_map(s), &channel.robo());
+      EXPECT_DOUBLE_EQ(est.ble_mbps(s), channel.robo().ble_mbps());
+    }
+  };
+  expect_robo("fresh");
+  est.on_sound_frame(t0());
+  est.invalidate_tone_maps(t0() + sim::seconds(1));
+  expect_robo("invalidated");
+  est.on_sound_frame(t0() + sim::seconds(2));
+  est.reset(t0() + sim::seconds(3));
+  expect_robo("reset");
 }
 
 /// Drives one retune with tone maps already present and the ladder at
@@ -261,7 +320,7 @@ ToneMap candidate_map_ladder(std::span<const double> measured,
                    margin - 4.5 * depth}) {
     ToneMap candidate = ToneMap::from_snr(measured, m, phy, 0.0, id);
     const double expected =
-        std::min(candidate.pb_error_probability(true_snr, phy, kernels), 0.45);
+        std::min(candidate.pb_error_probability(true_snr, kernels), 0.45);
     const double score = candidate.phy_rate_mbps() * (1.0 - expected);
     if (score > best_score) {
       best_score = score;

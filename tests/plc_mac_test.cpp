@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/net/meters.hpp"
 #include "src/net/sources.hpp"
 #include "src/plc/network.hpp"
@@ -101,6 +105,55 @@ TEST_F(MacFixture, BroadcastReachesAllStations) {
   for (int i = 1; i < 4; ++i) {
     // ~50 probes; the strip is clean so virtually all arrive.
     EXPECT_GE(received[i], 48) << "station " << i;
+  }
+}
+
+/// The broadcast SoF delimiters of a few probes from station 0 over a
+/// two-station strip on `phy`'s band.
+std::vector<SofRecord> broadcast_sofs(const PhyParams& phy) {
+  sim::Simulator sim;
+  grid::PowerGrid grid;
+  const int strip = grid.add_node("strip");
+  PlcChannel channel(grid, phy);
+  PlcNetwork network(sim, channel, sim::Rng{9}, PlcNetwork::Config{});
+  for (int i = 0; i < 2; ++i) {
+    const int outlet = grid.add_node("s" + std::to_string(i));
+    grid.add_cable(strip, outlet, 2.0 + i);
+    channel.attach_station(i, outlet);
+    network.add_station(i, outlet);
+  }
+  std::vector<SofRecord> records;
+  network.medium().add_sniffer([&](const SofRecord& r) {
+    if (r.broadcast) records.push_back(r);
+  });
+  net::ProbeSource::Config cfg;
+  cfg.src = 0;
+  cfg.dst = net::kBroadcast;
+  cfg.interval = sim::milliseconds(100);
+  cfg.packet_bytes = 1500;
+  net::ProbeSource probes(sim, network.station(0).mac(), cfg);
+  probes.run(sim::Time{}, sim::milliseconds(300));
+  sim.run_until(sim::milliseconds(400));
+  return records;
+}
+
+TEST(PlcBroadcast, EachBandBroadcastsAtItsOwnRoboBle) {
+  // One process broadcasts on HPAV and then on AV500: each band's SoFs must
+  // advertise that band's ROBO BLE (QPSK on 917 vs 2232 carriers, four
+  // repetitions, rate 1/2), not whichever band broadcast first.
+  const double hpav_robo = ToneMap::robo(PhyParams::hpav()).ble_mbps();
+  const double av500_robo = ToneMap::robo(PhyParams::hpav500()).ble_mbps();
+  EXPECT_NEAR(hpav_robo, 4.9, 0.1);
+  EXPECT_NEAR(av500_robo, 12.0, 0.1);
+  for (const auto& [phy, want] : {std::pair{PhyParams::hpav(), hpav_robo},
+                                  std::pair{PhyParams::hpav500(), av500_robo}}) {
+    SCOPED_TRACE(::testing::Message() << phy.band.n_carriers << " carriers");
+    const std::vector<SofRecord> sofs = broadcast_sofs(phy);
+    ASSERT_FALSE(sofs.empty());
+    for (const SofRecord& r : sofs) {
+      EXPECT_TRUE(r.robo);
+      EXPECT_EQ(r.ble_mbps, want);
+    }
   }
 }
 

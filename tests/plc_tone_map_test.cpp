@@ -69,17 +69,17 @@ TEST(ToneMap, RoboIsSlowAndRobust) {
   EXPECT_GT(robo.ble_mbps(), 2.0);
   // Decodable at SNR levels where even BPSK data would struggle.
   const auto poor = flat_snr(phy.band.n_carriers, 1.0);
-  EXPECT_LT(robo.pb_error_probability(poor, phy), 0.05);
+  EXPECT_LT(robo.pb_error_probability(poor), 0.05);
 }
 
 TEST(ToneMap, PbErrorZeroWithBigMarginOneWithNone) {
   const PhyParams phy = PhyParams::hpav();
   const auto snr = flat_snr(phy.band.n_carriers, 25.0);
   const ToneMap tm = ToneMap::from_snr(snr, 3.0, phy, 0.0, 1);
-  EXPECT_LT(tm.pb_error_probability(snr, phy), 0.01);
+  EXPECT_LT(tm.pb_error_probability(snr), 0.01);
   // Channel collapses by 12 dB: the map is now hopeless.
   const auto collapsed = flat_snr(phy.band.n_carriers, 13.0);
-  EXPECT_GT(tm.pb_error_probability(collapsed, phy), 0.5);
+  EXPECT_GT(tm.pb_error_probability(collapsed), 0.5);
 }
 
 TEST(ToneMap, PbErrorMonotoneInChannelQuality) {
@@ -88,7 +88,7 @@ TEST(ToneMap, PbErrorMonotoneInChannelQuality) {
   const ToneMap tm = ToneMap::from_snr(design, 2.0, phy, 0.0, 1);
   double prev = 1.0;
   for (double snr = 10.0; snr <= 30.0; snr += 1.0) {
-    const double p = tm.pb_error_probability(flat_snr(phy.band.n_carriers, snr), phy);
+    const double p = tm.pb_error_probability(flat_snr(phy.band.n_carriers, snr));
     EXPECT_LE(p, prev + 1e-12);
     prev = p;
   }
@@ -99,27 +99,7 @@ TEST(ToneMap, AllCarriersOffIsUndecodable) {
   const auto dead = flat_snr(phy.band.n_carriers, -30.0);
   const ToneMap tm = ToneMap::from_snr(dead, 0.0, phy, 0.0, 1);
   EXPECT_DOUBLE_EQ(tm.ble_mbps(), 0.0);
-  EXPECT_DOUBLE_EQ(tm.pb_error_probability(dead, phy), 1.0);
-}
-
-TEST(ToneMapSet, AverageBleOverSlots) {
-  const PhyParams phy = PhyParams::hpav();
-  ToneMapSet set;
-  set.robo = ToneMap::robo(phy);
-  for (int s = 0; s < 6; ++s) {
-    const auto snr = flat_snr(phy.band.n_carriers, 20.0 + s);
-    set.slots.push_back(ToneMap::from_snr(snr, 0.0, phy, 0.0, s + 1));
-  }
-  double sum = 0;
-  for (const auto& tm : set.slots) sum += tm.ble_mbps();
-  EXPECT_NEAR(set.average_ble_mbps(), sum / 6.0, 1e-9);
-}
-
-TEST(ToneMapSet, EmptySlotsFallBackToRobo) {
-  const PhyParams phy = PhyParams::hpav();
-  ToneMapSet set;
-  set.robo = ToneMap::robo(phy);
-  EXPECT_DOUBLE_EQ(set.average_ble_mbps(), set.robo.ble_mbps());
+  EXPECT_DOUBLE_EQ(tm.pb_error_probability(dead), 1.0);
 }
 
 TEST(ToneMap, Hpav500BandIsWider) {
@@ -138,7 +118,7 @@ TEST_P(WaterfallSweep, PbErrorIsAProbability) {
   const ToneMap tm = ToneMap::from_snr(design, 1.0, phy, 0.0, 1);
   for (double offset = -10.0; offset <= 10.0; offset += 2.5) {
     const double p = tm.pb_error_probability(
-        flat_snr(phy.band.n_carriers, GetParam() + offset), phy);
+        flat_snr(phy.band.n_carriers, GetParam() + offset));
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
   }
