@@ -13,14 +13,12 @@ HybridDevice::HybridDevice(sim::Simulator& simulator,
     : sim_(simulator),
       interfaces_(std::move(interfaces)),
       scheduler_(std::move(scheduler)),
-      sent_(interfaces_.size(), 0),
-      wins_(interfaces_.size(), 0) {
+      sent_(interfaces_.size(), 0) {
   assert(!interfaces_.empty());
 }
 
 bool HybridDevice::enqueue(const net::Packet& p) {
   EFD_PROF_SCOPE("hybrid.enqueue");
-  if (mode_for(p.flow_id) == SplitMode::kDiversity) return enqueue_diverse(p);
   int i = scheduler_->pick(p);
   assert(i >= 0 && i < static_cast<int>(interfaces_.size()));
   if (failover_ && !live_[static_cast<std::size_t>(i)]) {
@@ -43,36 +41,6 @@ bool HybridDevice::enqueue(const net::Packet& p) {
   return interfaces_[static_cast<std::size_t>(i)]->enqueue(p);
 }
 
-bool HybridDevice::enqueue_diverse(const net::Packet& p) {
-  // Per-packet duplication: one copy on every live member. The first
-  // accepted copy is the packet proper; every further accepted copy is
-  // redundancy spend, tracked so the bench figures can price diversity
-  // against load balancing.
-  bool accepted = false;
-  for (std::size_t j = 0; j < interfaces_.size(); ++j) {
-    if (failover_ && !live_[j]) continue;
-    if (!interfaces_[j]->enqueue(p)) continue;
-    ++sent_[j];
-    if (accepted) {
-      ++dup_tx_packets_;
-      dup_tx_bytes_ += p.size_bytes;
-      EFD_COUNTER_INC("hybrid.diversity.dup_packets");
-      EFD_COUNTER_ADD("hybrid.diversity.dup_bytes", p.size_bytes);
-    }
-    accepted = true;
-  }
-  if (!accepted) {
-    // Every live member refused (or all are dead): behave like the
-    // load-balance path and let the scheduler's pick queue it, so the
-    // packet is salvaged or replaced on recovery instead of vanishing.
-    const int i = scheduler_->pick(p);
-    assert(i >= 0 && i < static_cast<int>(interfaces_.size()));
-    ++sent_[static_cast<std::size_t>(i)];
-    return interfaces_[static_cast<std::size_t>(i)]->enqueue(p);
-  }
-  return true;
-}
-
 std::size_t HybridDevice::queue_length() const {
   std::size_t total = 0;
   for (const net::Interface* ifc : interfaces_) total += ifc->queue_length();
@@ -83,14 +51,6 @@ void HybridDevice::set_rx_handler(RxHandler handler) {
   rx_ = std::move(handler);
   reorder_ = std::make_unique<ReorderBuffer>(
       sim_, [this](const net::Packet& p, sim::Time t) { rx_(p, t); });
-  // First-wins attribution: the member whose copy the resequencer actually
-  // delivered gets the win; losing copies show up as duplicates_dropped().
-  reorder_->set_win_listener([this](const net::Packet&, int tag) {
-    if (tag >= 0 && tag < static_cast<int>(wins_.size())) {
-      ++wins_[static_cast<std::size_t>(tag)];
-      EFD_COUNTER_INC("hybrid.diversity.wins");
-    }
-  });
 }
 
 void HybridDevice::clear_queue() {
@@ -128,7 +88,7 @@ void HybridDevice::on_member_rx(std::size_t i, const net::Packet& p, sim::Time t
     return;
   }
   if (receiving_ && reorder_) {
-    reorder_->on_packet(p, t, static_cast<int>(i));
+    reorder_->on_packet(p, t);
   }
 }
 

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -16,25 +15,16 @@
 
 namespace efd::hybrid {
 
-/// How the sending side maps a flow's packets onto the member interfaces.
-enum class SplitMode {
-  /// Scheduler-picked single copy per packet — the paper's §7.4
-  /// capacity-proportional aggregation (throughput-first).
-  kLoadBalance,
-  /// Per-packet duplication: one copy on every live member, first copy to
-  /// arrive wins at the receiver, later copies are suppressed by the
-  /// sequence-keyed dedup (reliability-first diversity combining in the
-  /// sense of Sung & Evans' smart-grid testbed).
-  kDiversity,
-};
-
 /// A hybrid WiFi/PLC endpoint: one logical interface that fans packets out
 /// over the member interfaces according to a scheduler, with a matching
 /// re-sequencer at the destination device. This is the paper's Click-based
 /// bandwidth-aggregation shim (§7.4), sitting between IP and the MACs.
 ///
-/// A `HybridDevice` acts as the *sending* half; attach the destination
-/// device's `receiver()` as the rx handler path by calling `bind_peer`.
+/// The same class serves both ends of a link. The sending device splits
+/// packets by the scheduler's pick (`enqueue`); the destination device
+/// delivers through its `ReorderBuffer` once `set_rx_handler` has installed
+/// the upper-layer callback and `start_receiving` has hooked the member
+/// interfaces' rx handlers.
 ///
 /// Failover (`enable_failover`): each member interface gets a
 /// `fault::HealthMonitor` circuit breaker driven by liveness probes that
@@ -95,17 +85,6 @@ class HybridDevice final : public net::Interface {
   /// members are masked to zero before the scheduler sees them.
   void set_capacities(std::vector<double> capacities_mbps);
 
-  /// Split mode for flows without a per-flow override (kLoadBalance keeps
-  /// the historical behaviour).
-  void set_default_mode(SplitMode mode) { default_mode_ = mode; }
-  /// Per-flow override: duplication and load balancing coexist on one
-  /// device, selected by flow id (probes always bypass both paths).
-  void set_flow_mode(int flow_id, SplitMode mode) { flow_modes_[flow_id] = mode; }
-  [[nodiscard]] SplitMode mode_for(int flow_id) const {
-    const auto it = flow_modes_.find(flow_id);
-    return it == flow_modes_.end() ? default_mode_ : it->second;
-  }
-
   /// Wire this device to receive from its member interfaces (call once on
   /// the destination-side device). Also answers the peer's liveness probes.
   void start_receiving();
@@ -129,26 +108,12 @@ class HybridDevice final : public net::Interface {
     return sent_[static_cast<std::size_t>(i)];
   }
 
-  // Redundancy-vs-throughput accounting for diversity mode. The redundant
-  // copies (beyond the first accepted one) are the price paid for first-wins
-  // latency/reliability; `wins` counts which member delivered each winning
-  // copy at the receive side, and `suppressed_copies` the late losers the
-  // dedup dropped before the app layer.
-  [[nodiscard]] std::uint64_t diversity_dup_packets() const { return dup_tx_packets_; }
-  [[nodiscard]] std::uint64_t diversity_dup_bytes() const { return dup_tx_bytes_; }
-  [[nodiscard]] std::uint64_t wins(int i) const {
-    return wins_[static_cast<std::size_t>(i)];
-  }
-  [[nodiscard]] std::uint64_t suppressed_copies() const {
-    return reorder_ ? reorder_->duplicates_dropped() : 0;
-  }
   /// Packets rescued from tripped members' queues onto survivors / dropped
   /// because the salvage budget or the survivors' queues were exhausted.
   [[nodiscard]] std::uint64_t salvaged_packets() const { return salvaged_; }
   [[nodiscard]] std::uint64_t salvage_drops() const { return salvage_drops_; }
 
  private:
-  bool enqueue_diverse(const net::Packet& p);
   void install_member_handlers();
   void on_member_rx(std::size_t i, const net::Packet& p, sim::Time t);
   void on_member_state(std::size_t i, fault::HealthMonitor::State s, sim::Time t);
@@ -162,11 +127,6 @@ class HybridDevice final : public net::Interface {
   std::unique_ptr<ReorderBuffer> reorder_;
   RxHandler rx_;
   std::vector<std::uint64_t> sent_;
-  SplitMode default_mode_ = SplitMode::kLoadBalance;
-  std::map<int, SplitMode> flow_modes_;
-  std::vector<std::uint64_t> wins_;
-  std::uint64_t dup_tx_packets_ = 0;
-  std::uint64_t dup_tx_bytes_ = 0;
   bool receiving_ = false;
   bool handlers_installed_ = false;
 

@@ -9,9 +9,7 @@
 // FIFO-order digest of undelivered boundary events. Restore is
 // reset-and-replay: rebuild the world, replay deterministically to the
 // checkpoint time, then verify the replayed engine produces the *same*
-// fingerprint. The byte form (to_bytes/from_bytes) carries a trailing
-// digest of its own payload, so a truncated or corrupted checkpoint is
-// rejected instead of silently "verifying".
+// fingerprint.
 
 #include <cstdint>
 #include <vector>
@@ -54,16 +52,6 @@ struct EngineCheckpoint {
   /// Order-exact FNV-1a fold of every field; two engines with equal
   /// digest() are byte-identical at the fingerprint granularity.
   [[nodiscard]] std::uint64_t digest() const;
-
-  /// Serialize as little-endian u64 words: magic, header, shard records,
-  /// mailbox records, then an FNV-1a digest of all preceding bytes.
-  [[nodiscard]] std::vector<std::uint8_t> to_bytes() const;
-
-  /// Parse and verify bytes produced by to_bytes(). Returns false (leaving
-  /// `out` untouched) on bad magic, short/oversized payload, or digest
-  /// mismatch.
-  [[nodiscard]] static bool from_bytes(const std::vector<std::uint8_t>& bytes,
-                                       EngineCheckpoint& out);
 };
 
 }  // namespace efd::sim

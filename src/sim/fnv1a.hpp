@@ -5,7 +5,6 @@
 // bench sweep. Words are folded as little-endian bytes, so a digest is the
 // same on every host.
 
-#include <cstddef>
 #include <cstdint>
 
 namespace efd::sim {
@@ -16,9 +15,6 @@ struct Fnv1a64 {
   void mix_byte(std::uint8_t b) {
     h ^= b;
     h *= 0x100000001b3ULL;
-  }
-  void mix_bytes(const std::uint8_t* p, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) mix_byte(p[i]);
   }
   void mix(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) mix_byte(static_cast<std::uint8_t>(v >> (8 * i)));

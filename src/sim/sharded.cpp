@@ -463,7 +463,7 @@ void ShardedSimulator::reset() {
 }
 
 int ShardedSimulator::env_shards(int fallback) {
-  return core::env_count("EFD_SHARDS", fallback, 1024);
+  return core::env_count("EFD_SHARDS", fallback, kMaxShards);
 }
 
 }  // namespace efd::sim

@@ -178,8 +178,13 @@ class ShardedSimulator {
   /// expects a byte-identical digest.
   void reset();
 
+  /// Largest shard count a user may ask for (EFD_SHARDS clamps to it, the
+  /// CLI's --shards rejects above it): one worker thread per shard.
+  static constexpr int kMaxShards = 1024;
+
   /// EFD_SHARDS from the environment, hardened (core::env_count): unset,
-  /// empty, zero, negative or non-numeric values return `fallback`.
+  /// empty, zero, negative or non-numeric values return `fallback`, values
+  /// above kMaxShards clamp to it.
   [[nodiscard]] static int env_shards(int fallback = 1);
 
  private:

@@ -18,17 +18,15 @@ ParallelRunner::ParallelRunner(int n_threads) : n_threads_(n_threads) {
   }
 }
 
-namespace {
-
-/// The one worker loop. `workers` jthreads each own a default-constructed
-/// `State` for their lifetime and claim task indices from a shared counter
-/// in ascending order, so one worker runs the tasks serially in index
-/// order. A throwing task is recorded and the sweep goes on; the first
-/// exception is rethrown once every worker has drained.
-template <typename State, typename Task>
-void run_pool(int n_tasks, int n_threads, const Task& task) {
+/// `workers` jthreads each own one Simulator for their lifetime and claim
+/// task indices from a shared counter in ascending order, so one worker
+/// runs the tasks serially in index order. A throwing task is recorded and
+/// the sweep goes on; the first exception is rethrown once every worker has
+/// drained.
+void ParallelRunner::run_pool(
+    int n_tasks, const std::function<void(int, sim::Simulator&)>& task) const {
   if (n_tasks <= 0) return;
-  const int workers = std::min(n_threads, n_tasks);
+  const int workers = std::min(n_threads_, n_tasks);
   EFD_GAUGE_SET("testbed.workers", workers);
   EFD_PROF_SCOPE("testbed.parallel_run");
   std::atomic<int> next{0};
@@ -39,13 +37,15 @@ void run_pool(int n_tasks, int n_threads, const Task& task) {
     pool.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
       pool.emplace_back([&] {
-        State state;
+        sim::Simulator sim;
         for (;;) {
           const int i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= n_tasks) return;
           try {
             EFD_PROF_SCOPE("testbed.task");
-            task(i, state);
+            sim.reset();
+            task(i, sim);
+            EFD_COUNTER_INC("testbed.sim_reuses");
             EFD_COUNTER_INC("testbed.tasks_run");
           } catch (...) {
             const std::scoped_lock lock(error_mutex);
@@ -56,38 +56,6 @@ void run_pool(int n_tasks, int n_threads, const Task& task) {
     }
   }  // jthreads join here
   if (first_error) std::rethrow_exception(first_error);
-}
-
-struct NoState {};
-
-/// Worker-lifetime engine and scenario storage, reset between tasks.
-struct SimState {
-  sim::Simulator sim;
-  core::Arena arena;
-};
-
-}  // namespace
-
-void ParallelRunner::run(int n_tasks, const std::function<void(int)>& fn) const {
-  run_pool<NoState>(n_tasks, n_threads_, [&fn](int i, NoState&) { fn(i); });
-}
-
-void ParallelRunner::run_with_sim(
-    int n_tasks, const std::function<void(int, sim::Simulator&)>& fn) const {
-  run_with_sim(n_tasks, [&fn](int i, sim::Simulator& sim, core::Arena&) {
-    fn(i, sim);
-  });
-}
-
-void ParallelRunner::run_with_sim(
-    int n_tasks,
-    const std::function<void(int, sim::Simulator&, core::Arena&)>& fn) const {
-  run_pool<SimState>(n_tasks, n_threads_, [&fn](int i, SimState& s) {
-    s.sim.reset();
-    s.arena.reset();
-    fn(i, s.sim, s.arena);
-    EFD_COUNTER_INC("testbed.sim_reuses");
-  });
 }
 
 int ParallelRunner::env_threads() {

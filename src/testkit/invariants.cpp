@@ -478,10 +478,7 @@ void check_scheduler_load(const Scenario& s, std::vector<Violation>& out) {
   const int n = fz.n_interfaces;
   constexpr int kPicks = 2000;
   hybrid::CapacityScheduler sched(sim::Rng{s.world_seed}.fork(0x5c4ed));
-  // The fuzz spec may be arena-backed; the scheduler owns its copy on the
-  // heap.
-  sched.set_capacities(
-      {fz.capacities_mbps.begin(), fz.capacities_mbps.end()});
+  sched.set_capacities(fz.capacities_mbps);
   std::vector<int> counts(static_cast<std::size_t>(n), 0);
   net::Packet p;
   for (int i = 0; i < kPicks; ++i) {

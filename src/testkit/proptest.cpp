@@ -72,16 +72,11 @@ ProptestReport run_proptest(std::uint64_t seed, int n, const ProptestOptions& op
   ScenarioGen gen(seed);
   testbed::ParallelRunner runner(
       opts.threads > 0 ? opts.threads : testbed::ParallelRunner::env_threads());
-  // Per-task storage discipline: the scenario's lists live on the worker's
-  // arena (reset before every task), so after each worker has warmed up its
-  // chunk the whole generate/check/teardown cycle is heap-free. The
-  // ScenarioVerdict result is plain value data and owns no arena storage.
   const std::vector<ScenarioVerdict> verdicts =
       runner.map_with_sim<ScenarioVerdict>(
-          n, [&gen, &opts](int i, sim::Simulator& sim, core::Arena& arena) {
-            Scenario s(arena);
-            gen.generate_into(static_cast<std::uint64_t>(i), s);
-            return check_scenario_with(s, sim, opts);
+          n, [&gen, &opts](int i, sim::Simulator& sim) {
+            return check_scenario_with(gen.generate(static_cast<std::uint64_t>(i)),
+                                       sim, opts);
           });
 
   // Fold in index order: identical for any worker count.

@@ -80,20 +80,10 @@ std::string Scenario::describe() const {
 }
 
 Scenario ScenarioGen::generate(std::uint64_t index) const {
-  Scenario s;
-  generate_into(index, s);
-  return s;
-}
-
-void ScenarioGen::generate_into(std::uint64_t index, Scenario& s) const {
   // One substream per scenario index: scenario i is a pure function of
   // (seed, i), independent of how many scenarios were drawn before it.
   sim::Rng rng = sim::Rng{seed_}.fork(index + 1);
-  // Restore default field values while keeping s's allocators: vector move
-  // assignment does not propagate ArenaAllocator (POCMA is false), so an
-  // arena-backed Scenario stays arena-backed, and the empty temporary
-  // touches no heap.
-  s = Scenario{};
+  Scenario s;
   s.gen_seed = seed_;
   s.index = index;
   s.world_seed = seed_ ^ (0x9e3779b97f4a7c15ULL * (index + 1));
@@ -195,6 +185,7 @@ void ScenarioGen::generate_into(std::uint64_t index, Scenario& s) const {
   s.nan.max_hops = static_cast<int>(rng.uniform_int(1, 4));
   s.nan.relay_nodes = static_cast<int>(rng.uniform_int(4, 10));
   s.nan.relay_edge_prob = rng.uniform(0.3, 0.9);
+  return s;
 }
 
 namespace {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/arena.hpp"
 #include "src/grid/appliance.hpp"
 #include "src/net/packet.hpp"
 #include "src/sim/time.hpp"
@@ -17,18 +16,7 @@ namespace efd::testkit {
 /// mutated by the shrinker, or rebuilt bit-identically from the struct
 /// alone. `ScenarioGen` draws these from a seed; `ScenarioWorld`
 /// materializes them; the invariant/diff/determinism layers consume them.
-///
-/// Storage is allocator-parameterized: a default-constructed Scenario lives
-/// on the heap as before, while Scenario(core::Arena&) puts every list on
-/// the arena so the proptest sweep's per-task churn is heap-free after
-/// warm-up (ParallelRunner hands each worker an arena, reset() per task).
-/// Copies always escape to the heap (ArenaAllocator's
-/// select_on_container_copy_construction), so shrink candidates and stored
-/// reproducers never dangle into a reset arena; moving an arena-backed
-/// Scenario keeps the arena binding and must not outlive the task.
 struct Scenario {
-  template <class T>
-  using Vec = std::vector<T, core::ArenaAllocator<T>>;
   struct Cable {
     int a = 0;
     int b = 0;
@@ -63,12 +51,8 @@ struct Scenario {
   /// capacity scheduler are fuzzed directly; they do not need the PLC
   /// world).
   struct HybridFuzz {
-    HybridFuzz() = default;
-    explicit HybridFuzz(core::Arena& arena)
-        : capacities_mbps(core::ArenaAllocator<double>(arena)) {}
-
     int n_interfaces = 2;
-    Vec<double> capacities_mbps;  ///< size n_interfaces
+    std::vector<double> capacities_mbps;  ///< size n_interfaces
     int n_packets = 200;
     double loss_prob = 0.0;
     double dup_prob = 0.0;
@@ -96,21 +80,13 @@ struct Scenario {
     double relay_edge_prob = 0.6;
   };
 
-  Scenario() = default;
-  explicit Scenario(core::Arena& arena)
-      : cables(core::ArenaAllocator<Cable>(arena)),
-        appliances(core::ArenaAllocator<ApplianceSpec>(arena)),
-        stations(core::ArenaAllocator<StationSpec>(arena)),
-        traffic(core::ArenaAllocator<TrafficSpec>(arena)),
-        hybrid(arena) {}
-
   std::uint64_t gen_seed = 0;  ///< seed of the generator that produced this
   std::uint64_t index = 0;     ///< scenario index within the generator
 
   // --- Grid -----------------------------------------------------------------
   int n_outlets = 2;
-  Vec<Cable> cables;
-  Vec<ApplianceSpec> appliances;
+  std::vector<Cable> cables;
+  std::vector<ApplianceSpec> appliances;
 
   // --- PHY / network --------------------------------------------------------
   bool hpav500 = false;
@@ -120,8 +96,8 @@ struct Scenario {
   std::uint64_t world_seed = 1;
 
   // --- Stations / traffic ---------------------------------------------------
-  Vec<StationSpec> stations;
-  Vec<TrafficSpec> traffic;
+  std::vector<StationSpec> stations;
+  std::vector<TrafficSpec> traffic;
   double start_hours = 12.0;    ///< simulated start, hours since Monday 00:00
   double duration_s = 0.25;     ///< traffic duration
 
@@ -147,13 +123,6 @@ class ScenarioGen {
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] Scenario generate(std::uint64_t index) const;
-
-  /// Allocator-preserving variant: resets `out` to the default-constructed
-  /// field values (keeping whatever allocator its lists were built with —
-  /// the arena path) and fills it with scenario `index`. `generate(i)` is
-  /// exactly `Scenario s; generate_into(i, s); return s;`, so both
-  /// formulations yield byte-identical scenarios.
-  void generate_into(std::uint64_t index, Scenario& out) const;
 
  private:
   std::uint64_t seed_;

@@ -11,7 +11,6 @@
 
 #include "src/fault/fault.hpp"
 #include "src/grid/campus.hpp"
-#include "src/sim/checkpoint.hpp"
 #include "src/sim/rng.hpp"
 #include "src/testbed/campus.hpp"
 #include "tests/cell_world_checkpoint_suite.hpp"
@@ -145,35 +144,6 @@ TEST(ChaosCampus, RandomCampusStormIsSeedDeterministic) {
 // --- Checkpoint / restore ---------------------------------------------------
 // The restore round trip itself is the shared suite in
 // tests/cell_world_checkpoint_suite.hpp, called at the bottom of this file.
-
-TEST(ChaosCampus, EngineCheckpointBytesRoundTripAndRejectCorruption) {
-  CampusWorld world(stormy_campus(2));
-  world.run_until(sim::milliseconds(40));
-  const sim::EngineCheckpoint cp = world.checkpoint().engine;
-  ASSERT_FALSE(cp.shards.empty());
-  ASSERT_FALSE(cp.mailboxes.empty());
-
-  const std::vector<std::uint8_t> bytes = cp.to_bytes();
-  sim::EngineCheckpoint parsed;
-  ASSERT_TRUE(sim::EngineCheckpoint::from_bytes(bytes, parsed));
-  EXPECT_EQ(parsed, cp);
-  EXPECT_EQ(parsed.digest(), cp.digest());
-
-  // Any single flipped byte breaks the trailing payload digest.
-  for (const std::size_t at : {std::size_t{0}, bytes.size() / 2, bytes.size() - 1}) {
-    std::vector<std::uint8_t> corrupt = bytes;
-    corrupt[at] ^= 0x40;
-    sim::EngineCheckpoint out;
-    EXPECT_FALSE(sim::EngineCheckpoint::from_bytes(corrupt, out)) << "at=" << at;
-  }
-  // Truncation, misalignment, and empty input are rejected too.
-  std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 8);
-  sim::EngineCheckpoint out;
-  EXPECT_FALSE(sim::EngineCheckpoint::from_bytes(truncated, out));
-  std::vector<std::uint8_t> ragged(bytes.begin(), bytes.end() - 3);
-  EXPECT_FALSE(sim::EngineCheckpoint::from_bytes(ragged, out));
-  EXPECT_FALSE(sim::EngineCheckpoint::from_bytes({}, out));
-}
 
 // --- Backpressure under faults ----------------------------------------------
 

@@ -1,60 +1,21 @@
-// Diversity-combining tests: first-wins dedup at the tagged ReorderBuffer,
-// its interplay with the gap timeout (a duplicate is not a straggler, and
-// neither may leak to the app layer), per-flow mode selection on the
-// HybridDevice, and allocation pins on the steady-state duplication path
-// (via the counting operator new in alloc_count.cpp).
+// Diversity-combining tests: first-wins dedup at the tagged ReorderBuffer
+// (the per-meter dedup testbed::NanWorld runs at each concentrator), its
+// interplay with the gap timeout (a duplicate is not a straggler, and
+// neither may leak to the app layer), and an allocation pin on the
+// steady-state dedup path (via the counting operator new in
+// alloc_count.cpp).
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "alloc_count.hpp"
-#include "src/hybrid/device.hpp"
-#include "src/net/meters.hpp"
+#include "src/hybrid/reorder.hpp"
 
 namespace efd::hybrid {
 namespace {
 
 using efd::testsupport::AllocationWindow;
-
-/// Interface stub delivering packets after a fixed latency — two of these
-/// with different latencies make a deterministic fast/slow medium pair.
-class PipeInterface final : public net::Interface {
- public:
-  PipeInterface(sim::Simulator& sim, sim::Time latency) : sim_(sim), latency_(latency) {}
-
-  bool enqueue(const net::Packet& p) override {
-    ++enqueued_;
-    sim_.after(latency_, [this, p] {
-      if (rx_) rx_(p, sim_.now());
-    });
-    return true;
-  }
-  [[nodiscard]] std::size_t queue_length() const override { return 0; }
-  void set_rx_handler(RxHandler handler) override { rx_ = std::move(handler); }
-
-  std::uint64_t enqueued_ = 0;
-
- private:
-  sim::Simulator& sim_;
-  sim::Time latency_;
-  RxHandler rx_;
-};
-
-/// Sink stub that accepts (and counts) everything without scheduling or
-/// allocating — for pinning the tx-side duplication path.
-class SinkInterface final : public net::Interface {
- public:
-  bool enqueue(const net::Packet&) override {
-    ++enqueued_;
-    return true;
-  }
-  [[nodiscard]] std::size_t queue_length() const override { return 0; }
-  void set_rx_handler(RxHandler) override {}
-
-  std::uint64_t enqueued_ = 0;
-};
 
 /// Tagged-feed harness around one ReorderBuffer: records delivered
 /// sequences and the winning tag of each delivery.
@@ -173,108 +134,6 @@ TEST(DiversityDedup, ClearMidDuplicateForgetsDedupStateKeepsCounters) {
   h.expect_conservation();
 }
 
-TEST(HybridDevice, DiversityDuplicatesEveryPacketAndFastMediumWins) {
-  sim::Simulator sim;
-  PipeInterface fast(sim, sim::milliseconds(2));
-  PipeInterface slow(sim, sim::milliseconds(8));
-  HybridDevice tx(sim, {&fast, &slow},
-                  std::make_unique<CapacityScheduler>(sim::Rng{7}));
-  tx.set_capacities({80.0, 20.0});
-  tx.set_default_mode(SplitMode::kDiversity);
-
-  HybridDevice rx(sim, {&fast, &slow}, std::make_unique<RoundRobinScheduler>(2));
-  net::OrderMeter order;
-  std::uint64_t delivered = 0;
-  rx.set_rx_handler([&](const net::Packet& p, sim::Time t) {
-    order.on_packet(p, t);
-    ++delivered;
-  });
-  rx.start_receiving();
-
-  constexpr std::uint32_t kPackets = 300;
-  constexpr std::uint32_t kBytes = 400;
-  net::Packet p;
-  p.size_bytes = kBytes;
-  for (std::uint32_t s = 0; s < kPackets; ++s) {
-    p.seq = s;
-    p.created = sim.now();
-    tx.enqueue(p);
-    sim.run_until(sim.now() + sim::microseconds(100.0));
-  }
-  sim.run_until(sim.now() + sim::seconds(1));
-
-  // Exactly one app-layer delivery per sequence, in order.
-  EXPECT_EQ(delivered, kPackets);
-  EXPECT_EQ(order.out_of_order(), 0u);
-  // Both members carried the full flow; everything past the first copy is
-  // accounted as redundancy spend.
-  EXPECT_EQ(tx.sent_per_interface(0), kPackets);
-  EXPECT_EQ(tx.sent_per_interface(1), kPackets);
-  EXPECT_EQ(tx.diversity_dup_packets(), kPackets);
-  EXPECT_EQ(tx.diversity_dup_bytes(), std::uint64_t{kPackets} * kBytes);
-  // The 2 ms pipe wins every race against the 8 ms pipe; each losing copy
-  // is suppressed before the app layer.
-  EXPECT_EQ(rx.wins(0), kPackets);
-  EXPECT_EQ(rx.wins(1), 0u);
-  EXPECT_EQ(rx.suppressed_copies(), kPackets);
-}
-
-TEST(HybridDevice, SlowMediumWinCountedWhenFastCopyLoses) {
-  // Flip the latencies mid-flow cheaply: send one packet where only the
-  // "slow" member gets it first by making interface 1 the faster pipe.
-  sim::Simulator sim;
-  PipeInterface a(sim, sim::milliseconds(9));
-  PipeInterface b(sim, sim::milliseconds(1));
-  HybridDevice tx(sim, {&a, &b}, std::make_unique<RoundRobinScheduler>(2));
-  tx.set_default_mode(SplitMode::kDiversity);
-  HybridDevice rx(sim, {&a, &b}, std::make_unique<RoundRobinScheduler>(2));
-  std::uint64_t delivered = 0;
-  rx.set_rx_handler([&](const net::Packet&, sim::Time) { ++delivered; });
-  rx.start_receiving();
-
-  net::Packet p;
-  for (std::uint32_t s = 0; s < 50; ++s) {
-    p.seq = s;
-    tx.enqueue(p);
-    sim.run_until(sim.now() + sim::milliseconds(20));
-  }
-  sim.run_until(sim.now() + sim::seconds(1));
-  EXPECT_EQ(delivered, 50u);
-  EXPECT_EQ(rx.wins(0), 0u);
-  EXPECT_EQ(rx.wins(1), 50u);
-  EXPECT_EQ(rx.suppressed_copies(), 50u);
-}
-
-TEST(HybridDevice, PerFlowModeSelectsDuplicationAgainstLoadBalance) {
-  // Duplication and load balancing coexist on one device, selected by flow
-  // id: flow 7 is reliability-first (duplicated), everything else rides the
-  // capacity split with a single copy.
-  sim::Simulator sim;
-  SinkInterface s0;
-  SinkInterface s1;
-  HybridDevice tx(sim, {&s0, &s1}, std::make_unique<RoundRobinScheduler>(2));
-  tx.set_flow_mode(7, SplitMode::kDiversity);
-  EXPECT_EQ(tx.mode_for(7), SplitMode::kDiversity);
-  EXPECT_EQ(tx.mode_for(3), SplitMode::kLoadBalance);
-
-  net::Packet p;
-  p.size_bytes = 100;
-  std::uint32_t seq = 0;
-  for (int i = 0; i < 40; ++i) {
-    p.flow_id = (i % 2 == 0) ? 7 : 3;
-    p.seq = seq++;
-    tx.enqueue(p);
-  }
-  // 20 duplicated packets (2 copies each) + 20 single copies.
-  EXPECT_EQ(s0.enqueued_ + s1.enqueued_, 20u * 2 + 20u);
-  EXPECT_EQ(tx.diversity_dup_packets(), 20u);
-  EXPECT_EQ(tx.diversity_dup_bytes(), 20u * 100u);
-  // The load-balance half alternated round-robin: 10 per member, plus the
-  // 20 duplicated copies each member always gets.
-  EXPECT_EQ(s0.enqueued_, 30u);
-  EXPECT_EQ(s1.enqueued_, 30u);
-}
-
 TEST(AllocationPins, SteadyStateDedupIsAllocationFree) {
   // The receive-side hot path under duplication: in-order winner delivered
   // through the fast path, losing copy suppressed by counter bump — no heap
@@ -305,30 +164,6 @@ TEST(AllocationPins, SteadyStateDedupIsAllocationFree) {
   EXPECT_EQ(delivered, 513u);
   EXPECT_EQ(wins, 513u);
   EXPECT_EQ(rb.duplicates_dropped(), 513u);
-}
-
-TEST(AllocationPins, SteadyStateDuplicationTxIsAllocationFree) {
-  // The send-side hot path: per-packet fan-out to every member plus the
-  // redundancy accounting must not touch the heap.
-  sim::Simulator sim;
-  SinkInterface s0;
-  SinkInterface s1;
-  HybridDevice tx(sim, {&s0, &s1}, std::make_unique<RoundRobinScheduler>(2));
-  tx.set_default_mode(SplitMode::kDiversity);
-  net::Packet p;
-  p.size_bytes = 256;
-  p.seq = 0;
-  tx.enqueue(p);  // warm any lazy init outside the window
-
-  AllocationWindow window;
-  for (std::uint32_t s = 1; s <= 512; ++s) {
-    p.seq = s;
-    tx.enqueue(p);
-  }
-  EXPECT_EQ(window.count(), 0u) << window.bytes() << " bytes allocated";
-  EXPECT_EQ(tx.diversity_dup_packets(), 513u);
-  EXPECT_EQ(s0.enqueued_, 513u);
-  EXPECT_EQ(s1.enqueued_, 513u);
 }
 
 }  // namespace

@@ -38,10 +38,11 @@ TEST_F(ObsMetricsTest, CountersSumAcrossParallelWorkers) {
   constexpr int kTasks = 64;
   constexpr int kIncrementsPerTask = 1000;
   const testbed::ParallelRunner pool(4);
-  pool.run(kTasks, [](int) {
+  (void)pool.map_with_sim<int>(kTasks, [](int, sim::Simulator&) {
     for (int k = 0; k < kIncrementsPerTask; ++k) {
       EFD_COUNTER_INC("test.obs.fanout_counter");
     }
+    return 0;
   });
   const auto snap = obs::MetricsRegistry::instance().snapshot();
   EXPECT_EQ(snap.counter("test.obs.fanout_counter"),
@@ -51,10 +52,11 @@ TEST_F(ObsMetricsTest, CountersSumAcrossParallelWorkers) {
 TEST_F(ObsMetricsTest, HistogramsMergeAcrossParallelWorkers) {
   constexpr int kTasks = 32;
   const testbed::ParallelRunner pool(4);
-  pool.run(kTasks, [](int i) {
+  (void)pool.map_with_sim<int>(kTasks, [](int i, sim::Simulator&) {
     // Every task observes its own index: the merged histogram must hold
     // exactly one observation per task regardless of which worker ran it.
     EFD_HISTO_OBSERVE("test.obs.fanout_histo", i);
+    return 0;
   });
   const auto snap = obs::MetricsRegistry::instance().snapshot();
   const obs::HistogramData* h = snap.histogram("test.obs.fanout_histo");
@@ -76,9 +78,10 @@ TEST_F(ObsMetricsTest, MergeIsIndependentOfWorkerCount) {
   const auto workload = [](int workers) {
     obs::MetricsRegistry::instance().reset();
     const testbed::ParallelRunner pool(workers);
-    pool.run(40, [](int i) {
+    (void)pool.map_with_sim<int>(40, [](int i, sim::Simulator&) {
       EFD_COUNTER_ADD("test.obs.indep_counter", i);
       EFD_HISTO_OBSERVE("test.obs.indep_histo", i % 7);
+      return 0;
     });
     const auto snap = obs::MetricsRegistry::instance().snapshot();
     const obs::HistogramData* h = snap.histogram("test.obs.indep_histo");

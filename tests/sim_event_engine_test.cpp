@@ -2,9 +2,10 @@
 // generations across slot reuse, lazy-tombstone cancellation, FIFO
 // tie-breaks at scale, run_until boundary semantics, reset() sequencing, and
 // the zero-steady-state-allocation contract (via the counting operator new
-// in alloc_count.cpp).
+// in alloc_count.cpp, whose own over-aligned path is checked at the end).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -327,6 +328,23 @@ TEST(EventEngine, SteadyStateCancelIsAllocationFree) {
     sim.run_until(sim.now() + nanoseconds(100));
   }
   EXPECT_EQ(window.count(), 0u);
+}
+
+// --- The counting fixture itself ---------------------------------------------
+
+TEST(AllocationWindow, CountsOverAlignedAllocations) {
+  // Over-aligned types go through operator new(size_t, align_val_t); the
+  // counting fixture must see those too.
+  struct alignas(64) Line {
+    double v[8];
+  };
+  const testsupport::AllocationWindow window;
+  const auto one = std::make_unique<Line>();
+  const auto many = std::make_unique<Line[]>(3);
+  EXPECT_EQ(window.count(), 2u);
+  EXPECT_GE(window.bytes(), 4 * sizeof(Line));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(one.get()) % alignof(Line), 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(many.get()) % alignof(Line), 0u);
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/core/capacity.hpp"
+#include "src/core/env.hpp"
 #include "src/core/etx.hpp"
 #include "src/core/guidelines.hpp"
 #include "src/core/sampler.hpp"
@@ -65,6 +66,13 @@ int usage() {
                "stations: 0-18 (0-11 on network B1, 12-18 on B2)\n"
                "--metrics: dump the efd::obs snapshot as JSON to stderr\n");
   return 2;
+}
+
+/// A count flag's value under core::parse_count's rules; 0 (rejected) when
+/// it is not a decimal count in [1, max_value].
+int count_arg(const char* raw, int max_value) {
+  const long v = core::parse_count(raw);
+  return v <= max_value ? static_cast<int>(v) : 0;
 }
 
 struct World {
@@ -222,13 +230,13 @@ int cmd_campus(int argc, char** argv) {
   std::uint64_t storm_seed = 0;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--outlets") == 0 && i + 1 < argc) {
-      cfg.campus.n_outlets = std::atoi(argv[++i]);
+      cfg.campus.n_outlets = count_arg(argv[++i], 1'000'000);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      cfg.n_shards = std::atoi(argv[++i]);
+      cfg.n_shards = count_arg(argv[++i], sim::ShardedSimulator::kMaxShards);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       cfg.campus.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--ms") == 0 && i + 1 < argc) {
-      ms = std::atoll(argv[++i]);
+      ms = count_arg(argv[++i], 600'000);
     } else if (std::strcmp(argv[i], "--storm") == 0 && i + 1 < argc) {
       storm = true;
       storm_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
@@ -236,10 +244,7 @@ int cmd_campus(int argc, char** argv) {
       return usage();
     }
   }
-  if (cfg.campus.n_outlets < 1 || cfg.campus.n_outlets > 1'000'000 ||
-      cfg.n_shards < 1 || ms < 1 || ms > 600'000) {
-    return usage();
-  }
+  if (cfg.campus.n_outlets < 1 || cfg.n_shards < 1 || ms < 1) return usage();
   cfg.duration = sim::milliseconds(ms);
   const grid::CampusTopology topo = grid::CampusTopology::generate(cfg.campus);
   if (storm) {
@@ -300,8 +305,8 @@ int dispatch(int argc, char** argv) {
   if (cmd == "--proptest" || cmd == "proptest") {
     if (argc < 4) return usage();
     const long long seed = std::atoll(argv[2]);
-    const int n = std::atoi(argv[3]);
-    if (seed < 0 || n <= 0 || n > 1000000) return usage();
+    const int n = count_arg(argv[3], 1'000'000);
+    if (seed < 0 || n < 1) return usage();
     return cmd_proptest(static_cast<std::uint64_t>(seed), n);
   }
   const auto station_args = [&](int needed) {
@@ -318,18 +323,16 @@ int dispatch(int argc, char** argv) {
     int shards = sim::ShardedSimulator::env_shards(1);
     for (int i = 2; i < argc; ++i) {
       if (std::strcmp(argv[i], "--outlets") == 0 && i + 1 < argc) {
-        cfg.n_outlets = std::atoi(argv[++i]);
+        cfg.n_outlets = count_arg(argv[++i], 1'000'000);
       } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-        shards = std::atoi(argv[++i]);
+        shards = count_arg(argv[++i], sim::ShardedSimulator::kMaxShards);
       } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
         cfg.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
       } else {
         return usage();
       }
     }
-    if (cfg.n_outlets < 1 || cfg.n_outlets > 1'000'000 || shards < 1) {
-      return usage();
-    }
+    if (cfg.n_outlets < 1 || shards < 1) return usage();
     const grid::CampusTopology topo = grid::CampusTopology::generate(cfg);
     std::fputs(topo.to_json(shards).c_str(), stdout);
     return 0;
