@@ -84,8 +84,8 @@ class JsonReporter {
     // but the comparator surfaces the mismatch instead of hiding it.
     metrics_.push_back({"carrier_math_impl", "index",
                         static_cast<double>(grid::simd::active_impl_index())});
-    // Fault/backpressure machine metrics (DESIGN.md §15), present in every
-    // BENCH_*.json so the comparator can surface chaos-profile drift
+    // Fault and mailbox machine metrics (DESIGN.md §14.3, §15), present in
+    // every BENCH_*.json so the comparator can surface chaos-profile drift
     // (warn-only: both depend on the bench's fault plan and scheduling).
     const auto fault_events =
         static_cast<double>(snap.counter("fault.injector.applied") +

@@ -4,13 +4,20 @@
 
 namespace efd::core {
 
+namespace {
+constexpr sim::Time kBase = sim::seconds(5);  ///< bad links
+constexpr int kAverageFactor = 8;             ///< average links probe 8x slower
+constexpr int kGoodFactor = 16;               ///< good links probe 16x slower
+constexpr LinkQualityClassifier kClassifier{};
+}  // namespace
+
 sim::Time QualityAdaptivePolicy::interval(double average_ble_mbps) const {
-  switch (cfg_.classifier.classify(average_ble_mbps)) {
-    case LinkQuality::kBad: return cfg_.base;
-    case LinkQuality::kAverage: return cfg_.base * cfg_.average_factor;
-    case LinkQuality::kGood: return cfg_.base * cfg_.good_factor;
+  switch (kClassifier.classify(average_ble_mbps)) {
+    case LinkQuality::kBad: return kBase;
+    case LinkQuality::kAverage: return kBase * kAverageFactor;
+    case LinkQuality::kGood: return kBase * kGoodFactor;
   }
-  return cfg_.base;
+  return kBase;
 }
 
 double ProbingEvaluation::mean_error() const {

@@ -36,20 +36,7 @@ class FixedIntervalPolicy final : public ProbingPolicy {
 
 class QualityAdaptivePolicy final : public ProbingPolicy {
  public:
-  struct Config {
-    sim::Time base = sim::seconds(5);  ///< bad links
-    int average_factor = 8;            ///< average links probe 8x slower
-    int good_factor = 16;              ///< good links probe 16x slower
-    LinkQualityClassifier classifier;
-  };
-
-  QualityAdaptivePolicy() : QualityAdaptivePolicy(Config{}) {}
-  explicit QualityAdaptivePolicy(Config config) : cfg_(config) {}
-
   [[nodiscard]] sim::Time interval(double average_ble_mbps) const override;
-
- private:
-  Config cfg_;
 };
 
 /// Replays a BLE trace under a probing policy and scores it the way the

@@ -7,6 +7,9 @@ namespace efd::core {
 
 namespace {
 
+/// OFDM symbols per emulated frame (saturated frames are long).
+constexpr int kSymbolsPerFrame = 40;
+
 /// Binomial draw for PB errors: exact sampling is wasteful for thousands of
 /// PBs per step; use a normal approximation above a small-n cutoff.
 int draw_errors(sim::Rng& rng, int n, double p) {
@@ -48,12 +51,12 @@ double LinkTraceSampler::step(sim::Time now) {
     // frame reports — the estimator consumes PB counts, so a long step need
     // not be replayed frame by frame.
     const int frames = std::clamp(
-        pbs_per_slot * 8 / (cfg_.symbols_per_frame * 10), 1, 6);
+        pbs_per_slot * 8 / (kSymbolsPerFrame * 10), 1, 6);
     const int pbs_per_frame = std::max(1, pbs_per_slot / frames);
     for (int f = 0; f < frames; ++f) {
       const int errors = draw_errors(rng_, pbs_per_frame, p);
       estimator_.on_frame_received(s, pbs_per_frame, errors,
-                                   cfg_.symbols_per_frame, now);
+                                   kSymbolsPerFrame, now);
     }
   }
   return estimator_.average_ble_mbps();

@@ -21,8 +21,6 @@ class LinkTraceSampler {
     /// PBs of saturated traffic flowing between samples, spread over the
     /// tone-map slots. Saturated HPAV pushes roughly 2700 PBs per 100 ms.
     int pbs_per_step = 1300;
-    /// OFDM symbols per emulated frame (saturated frames are long).
-    int symbols_per_frame = 40;
   };
 
   LinkTraceSampler(const plc::PlcChannel& channel, plc::ChannelEstimator& estimator,

@@ -7,6 +7,16 @@
 
 namespace efd::hybrid {
 
+namespace {
+constexpr std::size_t kProbeBytes = 64;
+/// How many salvaged packets may be re-enqueued on survivors per trip;
+/// the rest of the backlog is dropped (and counted) — an unbounded
+/// retry burst would just re-congest the surviving medium.
+constexpr std::size_t kSalvageBudget = 256;
+constexpr std::size_t kWatermark = 40;  ///< per-interface queue high watermark
+constexpr sim::Time kRetry = sim::microseconds(500);
+}  // namespace
+
 HybridDevice::HybridDevice(sim::Simulator& simulator,
                            std::vector<net::Interface*> interfaces,
                            std::unique_ptr<PacketScheduler> scheduler)
@@ -125,7 +135,7 @@ void HybridDevice::send_probe(std::size_t i, std::uint64_t nonce) {
   net::Packet p;
   p.flow_id = kProbeFlowId;
   p.seq = static_cast<std::uint32_t>(nonce);
-  p.size_bytes = fcfg_.probe_bytes;
+  p.size_bytes = kProbeBytes;
   p.src = fcfg_.self;
   p.dst = fcfg_.peer;
   p.created = sim_.now();
@@ -177,7 +187,7 @@ void HybridDevice::push_masked_capacities() {
 
 void HybridDevice::salvage(std::size_t dead) {
   std::vector<net::Packet> orphans = interfaces_[dead]->take_queue();
-  std::size_t budget = fcfg_.salvage_budget;
+  std::size_t budget = kSalvageBudget;
   const std::size_t n = interfaces_.size();
   for (const net::Packet& p : orphans) {
     if (p.flow_id == kProbeFlowId || p.flow_id == kProbeEchoFlowId) continue;
@@ -238,10 +248,10 @@ void RoundRobinSplitter::set_rx_handler(RxHandler handler) {
 void RoundRobinSplitter::pump() {
   while (!staged_.empty()) {
     net::Interface* target = interfaces_[next_];
-    if (target->queue_length() >= cfg_.watermark) {
+    if (target->queue_length() >= kWatermark) {
       // Head-of-line stall: strict alternation waits for *this* interface.
       if (!retry_.pending()) {
-        retry_ = sim_.after(cfg_.retry, [this] { pump(); });
+        retry_ = sim_.after(kRetry, [this] { pump(); });
       }
       return;
     }

@@ -31,7 +31,7 @@ namespace efd::hybrid {
 /// round-trip to the peer device and back. When a member's breaker trips,
 /// the device immediately zeroes that member's scheduler weight, salvages
 /// the dead member's queued backlog onto the survivors (bounded by
-/// `FailoverConfig::salvage_budget`, overflow dropped with a metric), and
+/// `kSalvageBudget` in device.cpp, overflow dropped with a metric), and
 /// keeps probing on an exponential backoff until the breaker's half-open
 /// probes succeed and the member rejoins the split. The receive side's
 /// `ReorderBuffer` gap timeout releases the sequence holes the dead medium
@@ -45,11 +45,6 @@ class HybridDevice final : public net::Interface {
     /// member MACs route them like ordinary traffic.
     net::StationId self = 0;
     net::StationId peer = 0;
-    std::size_t probe_bytes = 64;
-    /// How many salvaged packets may be re-enqueued on survivors per trip;
-    /// the rest of the backlog is dropped (and counted) — an unbounded
-    /// retry burst would just re-congest the surviving medium.
-    std::size_t salvage_budget = 256;
     /// Seed for the monitors' backoff jitter (forked per member).
     std::uint64_t seed = 0x0e11;
     /// Optional observer for breaker transitions (member, state, time).
@@ -149,8 +144,6 @@ class RoundRobinSplitter final : public net::Interface {
  public:
   struct Config {
     std::size_t stage_limit = 128;   ///< staging queue bound (packets)
-    std::size_t watermark = 40;      ///< per-interface queue high watermark
-    sim::Time retry = sim::microseconds(500);
   };
 
   RoundRobinSplitter(sim::Simulator& simulator, std::vector<net::Interface*> interfaces,

@@ -39,7 +39,7 @@ PlcChannel::SnrEntry& PlcChannel::entry(net::StationId a, net::StationId b, int 
     cache_epoch_valid_ = true;
   }
   SnrEntry& e = cache_[link_key(a, b, slot)];
-  if (e.epoch == epoch && !e.snr_db.empty()) {
+  if (!e.snr_db.empty()) {
     EFD_COUNTER_INC("plc.channel.snr_cache_hits");
     return e;
   }
@@ -48,10 +48,7 @@ PlcChannel::SnrEntry& PlcChannel::entry(net::StationId a, net::StationId b, int 
   const int oa = outlet(a);
   const int ob = outlet(b);
   AttenEntry& ae = atten_cache_[link_key(a, b, 0x3f)];
-  if (ae.epoch != epoch || ae.att_db.empty()) {
-    grid_.attenuation_db(oa, ob, phy_.band, t, ae.att_db);
-    ae.epoch = epoch;
-  }
+  if (ae.att_db.empty()) grid_.attenuation_db(oa, ob, phy_.band, t, ae.att_db);
   const auto& att = ae.att_db;
   // The noise lands in the entry's own vector; the SNR is assembled over it
   // in place.
@@ -59,8 +56,6 @@ PlcChannel::SnrEntry& PlcChannel::entry(net::StationId a, net::StationId b, int 
   grid_.noise_psd_db(ob, phy_.band, t, slot, phy_.tone_map_slots, snr);
   grid::simd::active_kernels().assemble_snr_n(phy_.tx_psd_db, att.data(), snr.data(),
                                               snr.data(), att.size());
-  e.epoch = epoch;
-  e.pberr.clear();
   return e;
 }
 

@@ -75,7 +75,6 @@ class PlcChannel {
 
  private:
   struct SnrEntry {
-    std::uint64_t epoch = 0;
     std::vector<double> snr_db;
     /// pberr memo: key = (tone map id << 20) ^ (quantized offset bucket
     /// + 512).
@@ -85,7 +84,6 @@ class PlcChannel {
   /// Attenuation is independent of the tone-map slot; share it across the
   /// per-slot SNR entries.
   struct AttenEntry {
-    std::uint64_t epoch = 0;
     std::vector<double> att_db;
   };
 

@@ -15,6 +15,29 @@ namespace efd::plc {
 
 namespace {
 
+/// Bit-loading back-off over the constellation thresholds when the
+/// channel is perfectly known.
+constexpr double kBaseMarginDb = 1.0;
+/// PB samples that halve-ish the uncertainty: penalty = A/sqrt(1+n/n0).
+constexpr double kUncertaintyN0 = 400.0;
+/// Retune when the smoothed PB error rate exceeds this (high trigger).
+constexpr double kErrorRetuneThreshold = 0.03;
+/// EWMA weight for the measured PB error rate.
+constexpr double kPberrAlpha = 0.2;
+/// Extra margin added per error-triggered retune, decaying afterwards;
+/// produces the impulsive BLE drops and recovery of Fig. 10.
+constexpr double kPanicMarginDb = 0.8;
+constexpr double kPanicDecay = 0.8;  ///< multiplicative decay per clean retune
+/// Smoothed PBs-per-frame below which the single-PB clamp engages
+/// (Fig. 18: probes of at most one PB give the rate adaptation no
+/// airtime gradient above R1sym).
+constexpr double kClampPbThreshold = 1.05;
+/// Re-estimate when the accumulated samples would shift the bit-loading
+/// margin by this much (the improvement path of the convergence in
+/// Fig. 16), at most once per `kImproveMinInterval`.
+constexpr double kImproveMarginDb = 0.8;
+constexpr sim::Time kImproveMinInterval = sim::milliseconds(500);
+
 /// Per-thread ladder scratch: the perturbed SNR, one rung's bit loading
 /// and the best rung's so far (clamp_to_rate demotes in `levels` once the
 /// ladder is done). One set per thread rather than per estimator keeps
@@ -51,7 +74,7 @@ ChannelEstimator::ChannelEstimator(const PlcChannel& channel, net::StationId tx,
 
 double ChannelEstimator::current_uncertainty_db() const {
   return cfg_.uncertainty_db /
-         std::sqrt(1.0 + static_cast<double>(pb_samples_) / cfg_.uncertainty_n0);
+         std::sqrt(1.0 + static_cast<double>(pb_samples_) / kUncertaintyN0);
 }
 
 void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
@@ -184,20 +207,20 @@ void ChannelEstimator::retune(sim::Time now, bool error_triggered) {
     const double sustained =
         std::max(0.0, pberr_ewma_slow_ - expected_pberr_ - 0.03);
     const double severity = 1.0 + 8.0 * std::min(1.0, sustained / 0.1);
-    panic_margin_db_ += cfg_.panic_margin_db * severity;
+    panic_margin_db_ += kPanicMarginDb * severity;
     panic_margin_db_ = std::min(panic_margin_db_, 14.0);
   } else {
-    panic_margin_db_ *= cfg_.panic_decay;
+    panic_margin_db_ *= kPanicDecay;
     if (panic_margin_db_ < 0.05) panic_margin_db_ = 0.0;
   }
   const double margin =
-      cfg_.base_margin_db + current_uncertainty_db() + panic_margin_db_;
+      kBaseMarginDb + current_uncertainty_db() + panic_margin_db_;
   margin_at_last_retune_ = margin;
 
   // Rebuild the slot maps in place: a warm retune reuses their buffers.
   maps_.resize(static_cast<std::size_t>(phy.tone_map_slots));
   const bool clamp =
-      pbs_per_frame_ewma_ <= cfg_.clamp_pb_threshold && pb_samples_ > 50;
+      pbs_per_frame_ewma_ <= kClampPbThreshold && pb_samples_ > 50;
   double expected_sum = 0.0;
   for (int s = 0; s < phy.tone_map_slots; ++s) {
     ToneMap& tm = maps_[static_cast<std::size_t>(s)];
@@ -235,7 +258,7 @@ void ChannelEstimator::on_frame_received(int slot, int n_pbs, int n_errors,
   if (n_pbs > 0) {
     const double frame_err =
         static_cast<double>(n_errors) / static_cast<double>(n_pbs);
-    pberr_ewma_ += cfg_.pberr_alpha * (frame_err - pberr_ewma_);
+    pberr_ewma_ += kPberrAlpha * (frame_err - pberr_ewma_);
     pberr_ewma_slow_ += 0.02 * (frame_err - pberr_ewma_slow_);
     ampstat_ewma_ += 0.03 * (frame_err - ampstat_ewma_);
     symbols_per_frame_ewma_ +=
@@ -249,7 +272,7 @@ void ChannelEstimator::on_frame_received(int slot, int n_pbs, int n_errors,
   }
   // Error trigger is *relative* to the map's expected residual error rate:
   // an aggressively loaded map is supposed to see its design PBerr.
-  if (pberr_ewma_ - expected_pberr_ > cfg_.error_retune_threshold) {
+  if (pberr_ewma_ - expected_pberr_ > kErrorRetuneThreshold) {
     retune(now, /*error_triggered=*/true);
     return;
   }
@@ -257,9 +280,9 @@ void ChannelEstimator::on_frame_received(int slot, int n_pbs, int n_errors,
   // bit loading would change materially. This is what makes the estimated
   // capacity converge faster at higher probe rates (Fig. 16).
   const double margin_now =
-      cfg_.base_margin_db + current_uncertainty_db() + panic_margin_db_;
-  if (now - last_update_ >= cfg_.improve_min_interval &&
-      std::abs(margin_now - margin_at_last_retune_) > cfg_.improve_margin_db) {
+      kBaseMarginDb + current_uncertainty_db() + panic_margin_db_;
+  if (now - last_update_ >= kImproveMinInterval &&
+      std::abs(margin_now - margin_at_last_retune_) > kImproveMarginDb) {
     retune(now, /*error_triggered=*/false);
     return;
   }
@@ -268,7 +291,7 @@ void ChannelEstimator::on_frame_received(int slot, int n_pbs, int n_errors,
 
 void ChannelEstimator::maybe_expire(sim::Time now) {
   if (!has_maps_) return;
-  if (now - created_ >= cfg_.expiry) retune(now, /*error_triggered=*/false);
+  if (now - created_ >= kExpiry) retune(now, /*error_triggered=*/false);
 }
 
 void ChannelEstimator::reset(sim::Time now) {

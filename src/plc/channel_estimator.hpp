@@ -28,39 +28,18 @@ namespace efd::plc {
 class ChannelEstimator {
  public:
   struct Config {
-    /// Bit-loading back-off over the constellation thresholds when the
-    /// channel is perfectly known.
-    double base_margin_db = 1.0;
     /// Initial estimation uncertainty (dB), decaying as samples accumulate.
     double uncertainty_db = 12.0;
-    /// PB samples that halve-ish the uncertainty: penalty = A/sqrt(1+n/n0).
-    double uncertainty_n0 = 400.0;
-    /// Retune when the smoothed PB error rate exceeds this (high trigger).
-    double error_retune_threshold = 0.03;
-    /// Tone maps expire after this long (IEEE 1901: 30 s).
-    sim::Time expiry = sim::seconds(30);
-    /// EWMA weight for the measured PB error rate.
-    double pberr_alpha = 0.2;
     /// Fraction of the instantaneous noise offset the estimator bakes into
     /// a retune. The chip's SNR statistics average over many frames, so the
     /// zero-mean cycle-scale jitter washes out: 0 by default. (Non-zero
     /// values model a naive estimator that trusts instantaneous SNR — kept
     /// for the estimator ablation bench.)
     double offset_tracking = 0.0;
-    /// Extra margin added per error-triggered retune, decaying afterwards;
-    /// produces the impulsive BLE drops and recovery of Fig. 10.
-    double panic_margin_db = 0.8;
-    double panic_decay = 0.8;  ///< multiplicative decay per clean retune
-    /// Smoothed PBs-per-frame below which the single-PB clamp engages
-    /// (Fig. 18: probes of at most one PB give the rate adaptation no
-    /// airtime gradient above R1sym).
-    double clamp_pb_threshold = 1.05;
-    /// Re-estimate when the accumulated samples would shift the bit-loading
-    /// margin by this much (the improvement path of the convergence in
-    /// Fig. 16), at most once per `improve_min_interval`.
-    double improve_margin_db = 0.8;
-    sim::Time improve_min_interval = sim::milliseconds(500);
   };
+
+  /// Tone maps expire after this long (IEEE 1901: 30 s).
+  static constexpr sim::Time kExpiry = sim::seconds(30);
 
   ChannelEstimator(const PlcChannel& channel, net::StationId tx, net::StationId rx,
                    sim::Rng rng, Config config);

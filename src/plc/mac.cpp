@@ -1,6 +1,7 @@
 #include "src/plc/mac.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -12,6 +13,15 @@
 namespace efd::plc {
 
 namespace {
+
+constexpr int kMaxPbRetries = 31;
+/// CW per backoff stage (IEEE 1901 CA0/CA1 class). Every priority uses
+/// it: the standard's tighter CA2/CA3 ladder {8, 16, 16, 32} is not
+/// modelled.
+constexpr std::array<int, 4> kCw = {8, 16, 32, 64};
+/// Deferral counter per stage (IEEE 1901).
+constexpr std::array<int, 4> kDc = {0, 1, 3, 15};
+
 int pbs_for(std::size_t bytes) {
   return static_cast<int>(
       (bytes + PhyParams::kPbPayloadBytes - 1) / PhyParams::kPbPayloadBytes);
@@ -28,7 +38,7 @@ PlcMac::PlcMac(sim::Simulator& simulator, PlcMedium& medium, const PlcChannel& c
       self_(self),
       rng_(rng),
       cfg_(config) {
-  dc_ = cfg_.dc[0];
+  dc_ = kDc[0];
   // Register the MAC's metric names up front: contention-dependent counters
   // (deferrals, collisions) then show up in snapshots as explicit zeros for
   // uncontended runs instead of being absent.
@@ -95,18 +105,18 @@ void PlcMac::reset_modem() {
 void PlcMac::reset_backoff() {
   stage_ = 0;
   backoff_ = -1;
-  dc_ = cfg_.dc[0];
+  dc_ = kDc[0];
 }
 
 void PlcMac::redraw_backoff() {
   EFD_COUNTER_INC("plc.mac.backoff_redraws");
   backoff_ = static_cast<int>(
-      rng_.uniform_int(0, cfg_.cw[static_cast<std::size_t>(stage_)] - 1));
-  dc_ = cfg_.dc[static_cast<std::size_t>(stage_)];
+      rng_.uniform_int(0, kCw[static_cast<std::size_t>(stage_)] - 1));
+  dc_ = kDc[static_cast<std::size_t>(stage_)];
 }
 
 void PlcMac::enter_next_stage() {
-  stage_ = std::min<int>(stage_ + 1, static_cast<int>(cfg_.cw.size()) - 1);
+  stage_ = std::min<int>(stage_ + 1, static_cast<int>(kCw.size()) - 1);
   redraw_backoff();
 }
 
@@ -184,7 +194,7 @@ std::size_t PlcMac::requeue(const std::vector<PbUnit>& pbs) {
   std::size_t requeued = 0;
   for (auto it = pbs.rbegin(); it != pbs.rend(); ++it) {
     PbUnit pb = *it;
-    if (pb.retries >= cfg_.max_pb_retries) continue;
+    if (pb.retries >= kMaxPbRetries) continue;
     ++pb.retries;
     pb_queue_.push_front(std::move(pb));
     ++queued_pbs_;

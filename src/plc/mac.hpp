@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <unordered_map>
@@ -35,25 +34,9 @@ class PlcMac final : public net::Interface {
     /// Queue bound in PBs (~200 full-size packets); PLC adapter queues are
     /// non-blocking: excess packets are dropped (paper §7.4 footnote).
     std::size_t queue_limit_pbs = 600;
-    int max_pb_retries = 31;
-    /// CW per backoff stage (IEEE 1901 CA0/CA1 class).
-    std::array<int, 4> cw = {8, 16, 32, 64};
-    /// Deferral counter per stage (IEEE 1901).
-    std::array<int, 4> dc = {0, 1, 3, 15};
     /// Use plain 802.11-style backoff instead of the 1901 deferral rule;
     /// kept for the ablation bench.
     bool disable_deferral = false;
-
-    /// Backoff tables for a channel-access class: CA0/CA1 use the wide
-    /// ladder above; CA2/CA3 (delay-sensitive traffic) use the standard's
-    /// tighter one.
-    static Config for_ca_class(int ca) {
-      Config c;
-      if (ca >= 2) {
-        c.cw = {8, 16, 16, 32};
-      }
-      return c;
-    }
   };
 
   PlcMac(sim::Simulator& simulator, PlcMedium& medium, const PlcChannel& channel,

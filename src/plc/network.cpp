@@ -37,7 +37,7 @@ ChannelEstimator& PlcNetwork::estimator(net::StationId rx, net::StationId tx) {
     it = st.estimators_
              .emplace(tx, std::make_unique<ChannelEstimator>(
                               channel_, tx, rx, rng_.fork(++rng_streams_),
-                              cfg_.estimator))
+                              ChannelEstimator::Config{}))
              .first;
   }
   return *it->second;

@@ -16,7 +16,6 @@ class PlcNetwork final : public EstimatorDirectory {
  public:
   struct Config {
     PlcMac::Config mac;
-    ChannelEstimator::Config estimator;
   };
 
   PlcNetwork(sim::Simulator& simulator, const PlcChannel& channel, sim::Rng rng,

@@ -15,14 +15,15 @@
 // through a mutex-guarded free list (cold path, touched once every
 // kChunkEvents events), which keeps the steady state allocation-free.
 //
-// Capacity and backpressure (DESIGN.md §15): storage stays unbounded — a
-// push that blocked inside the mailbox while the consuming shard waits for
-// the producer's horizon is a deadlock the conservative protocol cannot
-// break. Instead the mailbox carries monotone pushed/popped counters; the
-// engine reads occupancy() at shard-horizon boundaries (after publishing
-// its horizon, so the consumer can always catch up) and stalls the producer
-// there when a configured soft capacity is exceeded. peak_occupancy() is
-// the producer-maintained high-water mark surfaced in bench metrics.
+// Capacity (DESIGN.md §14.3): storage stays unbounded — a push that
+// blocked inside the mailbox while the consuming shard waits for the
+// producer's horizon is a deadlock the conservative protocol cannot break.
+// The protocol bounds occupancy instead: with a link each way of lookahead
+// L, a consumer at horizon H has popped everything due before H and its
+// producer cannot run past H + L, so the undelivered events were posted
+// within [H - L, H + L). The monotone pushed/popped counters give
+// occupancy(); peak_occupancy() is the producer-maintained high-water mark
+// surfaced in bench metrics and the watchdog's stall diagnostics.
 
 #include <atomic>
 #include <cstdint>
@@ -52,7 +53,7 @@ struct BoundaryEvent {
 
 /// Single-producer single-consumer FIFO of BoundaryEvents with unbounded
 /// storage and counter-based occupancy accounting (see the header comment
-/// for why blocking lives in the engine, not here). Chunks make
+/// for what bounds it). Chunks make
 /// "unbounded" cheap: the producer allocates only when the free list is
 /// empty, and the consumer returns spent chunks for reuse.
 class ShardMailbox {
@@ -126,7 +127,7 @@ class ShardMailbox {
 
   /// Undelivered events (pushed minus popped). Safe from any thread; the
   /// two counters are read independently so a concurrent reader may see a
-  /// value off by in-flight operations — fine for the soft-capacity check.
+  /// value off by in-flight operations — fine for diagnostics.
   [[nodiscard]] std::uint64_t occupancy() const {
     const std::uint64_t pushed = pushed_.load(std::memory_order_relaxed);
     const std::uint64_t popped = popped_.load(std::memory_order_relaxed);

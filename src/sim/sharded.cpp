@@ -193,30 +193,6 @@ void ShardedSimulator::run_window(int shard, Shard& s, std::int64_t target_ns) {
   }
 }
 
-void ShardedSimulator::wait_backpressure(Shard& s, ShardStats& st,
-                                         std::int64_t horizon_ns,
-                                         std::int64_t end_exclusive_ns) {
-  // Runs AFTER this shard published horizon_ns, so every consumer below can
-  // reach horizon_ns regardless of what we do here. Stalling only while the
-  // consumer's horizon is strictly behind ours keeps the protocol live: the
-  // globally minimal shard never stalls, and its progress unblocks the rest.
-  for (const auto& [li, consumer] : s.out_inter) {
-    ShardMailbox& m = *mail_[static_cast<std::size_t>(li)];
-    while (m.occupancy() > cfg_.mailbox_capacity) {
-      const std::int64_t ch = shards_[static_cast<std::size_t>(consumer)]
-                                  ->horizon.load(std::memory_order_acquire);
-      if (ch >= horizon_ns || ch >= end_exclusive_ns || ch == kForever) break;
-      if (abort_.load(std::memory_order_relaxed)) return;  // drain, don't hang
-      ++st.backpressure_waits;
-      EFD_COUNTER_INC("sim.shard.backpressure_waits");
-      s.beats.fetch_add(1, std::memory_order_relaxed);
-      const std::int64_t t0 = wall_ns();
-      std::this_thread::yield();
-      st.wait_ns += wall_ns() - t0;
-    }
-  }
-}
-
 void ShardedSimulator::run_shard(int shard, std::int64_t end_exclusive_ns) {
   EFD_PROF_SCOPE("shard.run");
   Shard& s = *shards_[static_cast<std::size_t>(shard)];
@@ -238,9 +214,6 @@ void ShardedSimulator::run_shard(int shard, std::int64_t end_exclusive_ns) {
     s.heap_depth.store(s.sim.pending_events(), std::memory_order_relaxed);
     horizon = target;
     s.horizon.store(target, std::memory_order_release);
-    if (cfg_.mailbox_capacity > 0) {
-      wait_backpressure(s, st, horizon, end_exclusive_ns);
-    }
   }
   // An abort raised during the final window (a cell event calling
   // request_abort, or the watchdog firing late) must still fail the run —

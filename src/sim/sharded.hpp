@@ -29,9 +29,8 @@
 //
 // Fault-tolerance surface (DESIGN.md §15): a wall-clock watchdog flags
 // shards that stop making progress (run aborts with ShardStallError instead
-// of hanging), mailboxes carry a soft capacity with producer backpressure
-// at horizon boundaries, and checkpoint() fingerprints the quiescent engine
-// for the reset-and-replay restore protocol.
+// of hanging), and checkpoint() fingerprints the quiescent engine for the
+// reset-and-replay restore protocol.
 
 #include <atomic>
 #include <cstdint>
@@ -86,12 +85,6 @@ class ShardedSimulator {
     /// identical window protocol inline on the calling thread.
     int n_shards = 1;
     std::vector<Link> links;
-    /// Soft per-mailbox capacity (events); 0 = unbounded. A producer whose
-    /// outbound inter-shard mailbox exceeds it stalls at its next horizon
-    /// boundary — after publishing the horizon, so the consumer can always
-    /// drain — until the consumer catches up. Backpressure never reorders
-    /// events: digests are identical with any capacity.
-    std::size_t mailbox_capacity = 0;
     WatchdogConfig watchdog;
   };
 
@@ -151,7 +144,6 @@ class ShardedSimulator {
     std::uint64_t boundary_posted = 0;    ///< events sent over its out-links
     std::uint64_t boundary_delivered = 0; ///< arrivals handed to its cells
     std::uint64_t windows = 0;            ///< conservative windows executed
-    std::uint64_t backpressure_waits = 0; ///< yields spent over mailbox capacity
     std::int64_t busy_ns = 0;             ///< wall time executing (not waiting)
     std::int64_t wait_ns = 0;             ///< wall time blocked on horizons
   };
@@ -206,12 +198,12 @@ class ShardedSimulator {
     /// this shard, the minimum lookahead over those links.
     std::vector<std::pair<int, std::int64_t>> horizon_terms;
     /// Outbound inter-shard links as (link index, consuming shard); the
-    /// backpressure check walks these at horizon boundaries.
+    /// stall diagnostics report their occupancy.
     std::vector<std::pair<int, int>> out_inter;
     std::int64_t lookahead_intra_ns = 0; ///< min over intra-shard links (0 = none)
     /// Published horizon: everything strictly below has been executed.
     alignas(64) std::atomic<std::int64_t> horizon{0};
-    /// Progress beat, bumped once per window chunk and backpressure yield;
+    /// Progress beat, bumped once per window chunk;
     /// the watchdog reads it (with the horizon) to tell "slow" from
     /// "stuck". Relaxed: it carries liveness, not data.
     std::atomic<std::uint64_t> beats{0};
@@ -226,9 +218,6 @@ class ShardedSimulator {
   /// Run one window [sim.now, target): the deterministic local/arrival
   /// merge described in the header comment.
   void run_window(int shard, Shard& s, std::int64_t target_ns);
-  /// Soft-capacity stall after a horizon publish (see Config comment).
-  void wait_backpressure(Shard& s, ShardStats& st, std::int64_t horizon_ns,
-                         std::int64_t end_exclusive_ns);
   [[noreturn]] void throw_stall(int shard) const;
   /// Watchdog thread body: samples horizons/beats every poll_ns and aborts
   /// the run when one shard makes no progress for budget_ns.

@@ -22,6 +22,9 @@ constexpr int kWifiApOff = 49;
 /// rewrites (PLC -> WiFi -> boundary -> PLC).
 constexpr int kRemoteFlowBase = 1 << 24;
 
+/// Mean spacing of per-board traffic ticks (each offers one packet).
+constexpr sim::Time kTrafficInterval = sim::milliseconds(4);
+
 [[nodiscard]] int dst_board_of(int remote_flow) {
   return (remote_flow - kRemoteFlowBase) / kIdStride;
 }
@@ -55,7 +58,7 @@ CampusWorld::CampusWorld(const CampusRunConfig& cfg)
 
 CampusWorld::CampusWorld(const CampusRunConfig& cfg, grid::CampusTopology topo)
     : CellWorld(cfg,
-                {topo.n_boards(), topo.links(), cfg.traffic_interval, "campus.build",
+                {topo.n_boards(), topo.links(), kTrafficInterval, "campus.build",
                  "campus.run"},
                 /*bridge_fallback=*/true),
       cfg_(cfg),
@@ -104,7 +107,7 @@ std::unique_ptr<CellWorld::Cell> CampusWorld::make_cell(int b) {
       std::any_of(xs.begin(), xs.end(), [](const Crossing& x) {
         return x.kind == grid::BoundaryKind::kWifiBridge;
       });
-  if (bridge_endpoint && cfg_.with_wifi) {
+  if (bridge_endpoint) {
     bw->wifi = std::make_unique<wifi::WifiNetwork>(
         sim, sim::Rng{cfg_.campus.seed}.fork(
                  0x31F1000 + static_cast<std::uint64_t>(b)));

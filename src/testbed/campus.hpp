@@ -33,19 +33,13 @@
 namespace efd::testbed {
 
 /// The shared engine and fault fields (n_shards, duration, faults,
-/// mailbox_capacity, watchdog_budget_ns) come from CellRunConfig; fault
+/// watchdog_budget_ns) come from CellRunConfig; fault
 /// plans target a board index, or a topology link for kLinkPartition.
 struct CampusRunConfig : CellRunConfig {
   grid::CampusConfig campus;
-  /// Mean spacing of per-board traffic ticks (each offers one packet).
-  sim::Time traffic_interval = sim::milliseconds(4);
   /// Probability a generated packet targets a neighboring board (one
   /// boundary crossing; the campus does not route multi-hop).
   double p_remote = 0.3;
-  /// Model WiFi-bridge crossings as a real local WiFi hop (AP -> roof
-  /// radio) before the boundary event; false posts straight from the PLC
-  /// gateway.
-  bool with_wifi = true;
 };
 
 struct CampusResult : CellResult {

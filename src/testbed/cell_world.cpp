@@ -24,7 +24,6 @@ CellWorld::CellWorld(const CellRunConfig& run, Setup setup, bool bridge_fallback
     crossings_[static_cast<std::size_t>(l.board_b)].push_back(
         {l.board_a, l.kind, l.lookahead.ns(), link});
   }
-  ec.mailbox_capacity = run_.mailbox_capacity;
   ec.watchdog.budget_ns = run_.watchdog_budget_ns;
   engine_ = std::make_unique<sim::ShardedSimulator>(std::move(ec));
 }
@@ -288,7 +287,6 @@ void CellWorld::fill_result(CellResult& r,
   for (const auto& s : r.shards) {
     r.boundary_posted += s.boundary_posted;
     r.boundary_delivered += s.boundary_delivered;
-    r.backpressure_waits += s.backpressure_waits;
     busy_max = std::max(busy_max, s.busy_ns);
     busy_sum += s.busy_ns;
   }

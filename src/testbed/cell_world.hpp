@@ -40,8 +40,6 @@ struct CellRunConfig {
   /// kBoardBrownout target a cell index; kLinkPartition a topology link
   /// index). Empty = fault-free; the fault-free digest ignores fault wiring.
   fault::FaultPlan faults;
-  /// Soft per-mailbox capacity forwarded to the engine (0 = unbounded).
-  std::size_t mailbox_capacity = 0;
   /// Shard-watchdog wall-clock budget (0 disables). The default is far
   /// above any legitimate window's wall time, so it only fires on real
   /// stalls/deadlocks — failing CI fast instead of hanging it.
@@ -79,7 +77,6 @@ struct CellResult {
   std::uint64_t partition_drops = 0;   ///< egress dropped at kDown crossings
   std::uint64_t failovers = 0;         ///< bridge -> backbone reroutes
   std::uint64_t failbacks = 0;         ///< primary-path restorations
-  std::uint64_t backpressure_waits = 0;
   std::uint64_t mailbox_peak = 0;      ///< high-water boundary-mailbox depth
 };
 

@@ -27,6 +27,9 @@ constexpr int kWifiOff = 32;
 /// while the destination station survives the boundary crossing.
 constexpr int kRemoteFlowBase = 1 << 24;
 
+/// First-wins dedup / resequencing gap timeout at the concentrator.
+constexpr sim::Time kGapTimeout = sim::milliseconds(30);
+
 [[nodiscard]] int origin_of(int flow_id) {
   return flow_id >= kRemoteFlowBase
              ? (flow_id - kRemoteFlowBase) % kIdStride
@@ -152,7 +155,7 @@ std::unique_ptr<CellWorld::Cell> NanWorld::make_cell(int t) {
   tw->dedup.resize(static_cast<std::size_t>(tw->n_stations));
   for (int k = 1; k < tw->n_stations; ++k) {
     hybrid::ReorderBuffer::Config rc;
-    rc.hold_timeout = cfg_.gap_timeout;
+    rc.hold_timeout = kGapTimeout;
     auto rb = std::make_unique<hybrid::ReorderBuffer>(
         sim,
         [this, w](const net::Packet& p, sim::Time when) {

@@ -57,8 +57,6 @@ struct NanRunConfig : CellRunConfig {
   /// Probability a report targets a meter behind a neighboring transformer
   /// (one boundary crossing; the NAN does not route multi-cell).
   double p_remote = 0.2;
-  /// First-wins dedup / resequencing gap timeout at the concentrator.
-  sim::Time gap_timeout = sim::milliseconds(30);
   /// Multi-hop PLC relaying for below-threshold meters. max_hops=1 turns
   /// relaying off (only the direct link is a 1-hop path).
   bool relay_enabled = true;

@@ -38,7 +38,7 @@ Testbed::Testbed(sim::Simulator& simulator, Config config)
   }
 
   sim::Rng rng{cfg_.seed};
-  wifi_ = std::make_unique<wifi::WifiNetwork>(sim_, rng.fork(0x31f1ULL), cfg_.wifi);
+  wifi_ = std::make_unique<wifi::WifiNetwork>(sim_, rng.fork(0x31f1ULL));
   // The concrete core between the wings: no cross-wing WiFi link survives
   // it, matching the paper's observation that every WiFi-connected pair is
   // also PLC-connected (§4.1).
@@ -161,9 +161,9 @@ Testbed::PlcStack Testbed::build_plc_stack(const plc::PhyParams& phy,
   }
   sim::Rng rng{cfg_.seed ^ salt};
   stack.net_b1 = std::make_unique<plc::PlcNetwork>(sim_, *stack.channel,
-                                                   rng.fork(1), cfg_.plc);
+                                                   rng.fork(1));
   stack.net_b2 = std::make_unique<plc::PlcNetwork>(sim_, *stack.channel,
-                                                   rng.fork(2), cfg_.plc);
+                                                   rng.fork(2));
   for (int s = 0; s < kStations; ++s) {
     if (on_board_b1(s)) {
       stack.net_b1->add_station(s, outlets_[static_cast<std::size_t>(s)]);

@@ -30,8 +30,6 @@ class Testbed {
 
   struct Config {
     std::uint64_t seed = 42;
-    plc::PlcNetwork::Config plc;
-    wifi::WifiNetwork::Config wifi;
     /// Instantiate the HPAV500 stack too (costs a second set of MACs).
     bool with_hpav500 = true;
   };

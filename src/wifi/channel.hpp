@@ -16,28 +16,6 @@ namespace efd::wifi {
 /// ~19 Mb/s vs σ_P below 4 Mb/s in Fig. 3).
 class WifiChannel {
  public:
-  struct Config {
-    double tx_power_dbm = 17.0;
-    double noise_floor_dbm = -92.0;
-    /// Log-distance exponent; 3.85 models an office floor with many walls.
-    double path_loss_exponent = 3.85;
-    double path_loss_ref_db = 47.0;   ///< at 1 m, 2.4/5 GHz indoor
-    double shadowing_sigma_db = 4.0;  ///< per-link lognormal shadowing
-    /// Fast-fading swing (dB) and its time scale.
-    double fading_db = 7.0;
-    sim::Time fading_scale = sim::milliseconds(120);
-    /// Occasional deep-fade / interference bursts: rate and depth.
-    double burst_rate_hz = 0.15;
-    double burst_depth_db = 18.0;
-    sim::Time burst_duration = sim::milliseconds(300);
-    /// Per-direction receiver noise-figure skew (small WiFi asymmetry, §5).
-    double asymmetry_sigma_db = 1.0;
-    std::uint64_t seed = 0x31f1ULL;
-  };
-
-  explicit WifiChannel(Config config) : cfg_(config) {}
-  WifiChannel() : WifiChannel(Config{}) {}
-
   /// Place station `id` at floor coordinates (meters).
   void place_station(net::StationId id, double x, double y);
 
@@ -55,12 +33,9 @@ class WifiChannel {
   /// SNR without the fast-fading term (what long-term averaging sees).
   [[nodiscard]] double mean_snr_db(net::StationId a, net::StationId b) const;
 
-  [[nodiscard]] const Config& config() const { return cfg_; }
-
  private:
   struct Pos { double x, y; };
   struct Wall { double x; double loss_db; };
-  Config cfg_;
   std::unordered_map<net::StationId, Pos> pos_;
   std::vector<Wall> walls_;
 };

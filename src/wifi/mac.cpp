@@ -8,6 +8,19 @@
 
 namespace efd::wifi {
 
+namespace {
+constexpr std::size_t kQueueLimit = 200;  ///< packets
+constexpr int kCwMin = 16;
+constexpr int kCwMax = 1024;
+constexpr int kMaxAmpdu = 16;             ///< MPDUs per aggregate
+constexpr sim::Time kMaxAirtime = sim::milliseconds(2.0);
+constexpr sim::Time kPreamble = sim::microseconds(60.0);
+/// Rate-control estimate: staleness and measurement noise.
+constexpr sim::Time kSnrStaleness = sim::milliseconds(50.0);
+constexpr double kSnrNoiseDb = 1.2;
+constexpr double kMarginDb = 1.0;
+}  // namespace
+
 // --------------------------------------------------------------------------
 // WifiMedium
 // --------------------------------------------------------------------------
@@ -56,7 +69,7 @@ sim::Time WifiMedium::finish_round(std::vector<WifiFrame>& frames,
     // Exactly one completion per frame, at the end of its BlockAck (or of
     // the timeout waiting for it), and it takes only the MPDUs it may
     // requeue: the failed ones, or the whole frame when nothing decoded.
-    const sim::Time ack_end = payload_end + kSifs + sender->config().blockack;
+    const sim::Time ack_end = payload_end + kSifs + WifiMac::kBlockAck;
     if (decodable) {
       const double snr = channel_.snr_db(f.src, f.dst, f.start) - jam_db_;
       const double p = Mcs::mpdu_error_probability(f.mcs, snr);
@@ -75,7 +88,7 @@ sim::Time WifiMedium::finish_round(std::vector<WifiFrame>& frames,
     }
   }
 
-  return payload_end + kSifs + senders[0]->config().blockack;
+  return payload_end + kSifs + WifiMac::kBlockAck;
 }
 
 // --------------------------------------------------------------------------
@@ -83,18 +96,16 @@ sim::Time WifiMedium::finish_round(std::vector<WifiFrame>& frames,
 // --------------------------------------------------------------------------
 
 WifiMac::WifiMac(sim::Simulator& simulator, WifiMedium& medium,
-                 const WifiChannel& channel, net::StationId self, sim::Rng rng,
-                 Config config)
+                 const WifiChannel& channel, net::StationId self, sim::Rng rng)
     : sim_(simulator),
       medium_(medium),
       channel_(channel),
       self_(self),
       rng_(rng),
-      cfg_(config),
-      cw_(config.cw_min) {}
+      cw_(kCwMin) {}
 
 bool WifiMac::enqueue(const net::Packet& p) {
-  if (queue_.size() >= cfg_.queue_limit) {
+  if (queue_.size() >= kQueueLimit) {
     ++drops_;
     return false;
   }
@@ -109,6 +120,12 @@ std::vector<net::Packet> WifiMac::take_queue() {
   for (const Mpdu& m : queue_) out.push_back(m.packet);
   queue_.clear();
   return out;
+}
+
+void WifiMac::reset_modem() {
+  queue_.clear();
+  cw_ = kCwMin;
+  backoff_ = -1;
 }
 
 void WifiMac::redraw_backoff() {
@@ -135,23 +152,23 @@ WifiFrame WifiMac::build_frame(sim::Time now) {
   // Rate control: a stale, noisy view of the receiver SNR (the transmitter
   // learns the channel from acked history, not from the instant of TX).
   const sim::Time stale_at =
-      now >= cfg_.snr_staleness ? now - cfg_.snr_staleness : sim::Time{};
+      now >= kSnrStaleness ? now - kSnrStaleness : sim::Time{};
   const double est_snr = channel_.snr_db(self_, f.dst, stale_at) +
-                         rng_.normal(0.0, cfg_.snr_noise_db);
-  int mcs = Mcs::pick(est_snr - cfg_.margin_db);
+                         rng_.normal(0.0, kSnrNoiseDb);
+  int mcs = Mcs::pick(est_snr - kMarginDb);
   if (mcs < 0) mcs = 0;  // no sustainable MCS: transmit robust and fail
   f.mcs = mcs;
   EFD_COUNTER_INC("wifi.mac.mcs_selections");
   EFD_HISTO_OBSERVE("wifi.mac.mcs_index", mcs);
 
   const double rate_mbps = Mcs::rate_mbps(mcs);
-  sim::Time airtime = cfg_.preamble;
-  while (!queue_.empty() && static_cast<int>(f.mpdus.size()) < cfg_.max_ampdu) {
+  sim::Time airtime = kPreamble;
+  while (!queue_.empty() && static_cast<int>(f.mpdus.size()) < kMaxAmpdu) {
     const net::Packet& next = queue_.front().packet;
     if (next.dst != f.dst) break;
     const auto mpdu_air = sim::microseconds(
         static_cast<double>(next.size_bytes + 40) * 8.0 / rate_mbps);
-    if (!f.mpdus.empty() && airtime + mpdu_air > cfg_.max_airtime) break;
+    if (!f.mpdus.empty() && airtime + mpdu_air > kMaxAirtime) break;
     airtime += mpdu_air;
     f.mpdus.push_back(queue_.front());
     queue_.pop_front();
@@ -164,7 +181,7 @@ WifiFrame WifiMac::build_frame(sim::Time now) {
 
 void WifiMac::requeue(const std::vector<Mpdu>& mpdus) {
   for (auto it = mpdus.rbegin(); it != mpdus.rend(); ++it) {
-    if (it->retries >= cfg_.max_retries) {
+    if (it->retries >= kMaxRetries) {
       ++drops_;
       EFD_COUNTER_INC("wifi.mac.drops");
       continue;
@@ -175,7 +192,7 @@ void WifiMac::requeue(const std::vector<Mpdu>& mpdus) {
 }
 
 void WifiMac::on_block_ack(const std::vector<Mpdu>& failed) {
-  cw_ = cfg_.cw_min;
+  cw_ = kCwMin;
   backoff_ = -1;
   EFD_COUNTER_ADD("wifi.mac.mpdu_errors", failed.size());
   requeue(failed);
@@ -184,7 +201,7 @@ void WifiMac::on_block_ack(const std::vector<Mpdu>& failed) {
 
 void WifiMac::on_no_ack(const std::vector<Mpdu>& mpdus) {
   EFD_COUNTER_INC("wifi.mac.no_acks");
-  cw_ = std::min(cw_ * 2, cfg_.cw_max);
+  cw_ = std::min(cw_ * 2, kCwMax);
   requeue(mpdus);
   redraw_backoff();
   if (!queue_.empty()) medium_.notify_ready();

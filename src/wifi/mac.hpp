@@ -88,23 +88,13 @@ class WifiMedium : public net::ContentionRound<WifiMedium, WifiMac, WifiFrame> {
 /// what makes WiFi capacity jumpy compared to PLC's per-carrier adaptation).
 class WifiMac final : public net::Interface {
  public:
-  struct Config {
-    std::size_t queue_limit = 200;   ///< packets
-    int cw_min = 16;
-    int cw_max = 1024;
-    int max_retries = 7;
-    int max_ampdu = 16;              ///< MPDUs per aggregate
-    sim::Time max_airtime = sim::milliseconds(2.0);
-    sim::Time preamble = sim::microseconds(60.0);
-    sim::Time blockack = sim::microseconds(80.0);
-    /// Rate-control estimate: staleness and measurement noise.
-    sim::Time snr_staleness = sim::milliseconds(50.0);
-    double snr_noise_db = 1.2;
-    double margin_db = 1.0;
-  };
+  /// Retransmissions of one MPDU before it is dropped.
+  static constexpr int kMaxRetries = 7;
+  /// BlockAck exchange that closes every frame, after a SIFS.
+  static constexpr sim::Time kBlockAck = sim::microseconds(80.0);
 
   WifiMac(sim::Simulator& simulator, WifiMedium& medium, const WifiChannel& channel,
-          net::StationId self, sim::Rng rng, Config config);
+          net::StationId self, sim::Rng rng);
 
   // net::Interface
   bool enqueue(const net::Packet& p) override;
@@ -129,11 +119,7 @@ class WifiMac final : public net::Interface {
   [[nodiscard]] bool stalled() const { return stalled_; }
 
   /// Modem reset fault: flush the queue and restart the backoff machinery.
-  void reset_modem() {
-    queue_.clear();
-    cw_ = cfg_.cw_min;
-    backoff_ = -1;
-  }
+  void reset_modem();
 
   // Medium hooks.
   [[nodiscard]] bool has_pending() const { return !stalled_ && !queue_.empty(); }
@@ -150,7 +136,6 @@ class WifiMac final : public net::Interface {
   void on_frame_received(const WifiFrame& frame, const std::vector<int>& failed,
                          sim::Time now);
 
-  [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t packets_delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t packets_dropped() const { return drops_; }
 
@@ -165,12 +150,11 @@ class WifiMac final : public net::Interface {
   const WifiChannel& channel_;
   net::StationId self_;
   sim::Rng rng_;
-  Config cfg_;
   RxHandler rx_;
 
   std::deque<Mpdu> queue_;
   bool stalled_ = false;
-  int cw_ = 16;
+  int cw_;
   int backoff_ = -1;
   std::uint64_t delivered_ = 0;
   std::uint64_t drops_ = 0;

@@ -4,18 +4,16 @@
 
 namespace efd::wifi {
 
-WifiNetwork::WifiNetwork(sim::Simulator& simulator, sim::Rng rng, Config config)
+WifiNetwork::WifiNetwork(sim::Simulator& simulator, sim::Rng rng)
     : sim_(simulator),
       rng_(rng),
-      cfg_(config),
-      channel_(config.channel),
       medium_(simulator, channel_, rng.fork(0xf1ULL)) {}
 
 WifiMac& WifiNetwork::add_station(net::StationId id, double x, double y) {
   assert(!stations_.contains(id));
   channel_.place_station(id, x, y);
   auto mac = std::make_unique<WifiMac>(sim_, medium_, channel_, id,
-                                       rng_.fork(++rng_streams_), cfg_.mac);
+                                       rng_.fork(++rng_streams_));
   WifiMac& ref = *mac;
   medium_.register_mac(ref);
   stations_.emplace(id, std::move(mac));

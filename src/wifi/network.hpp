@@ -13,14 +13,7 @@ namespace efd::wifi {
 /// is internal plus the channel's own burst model.
 class WifiNetwork {
  public:
-  struct Config {
-    WifiChannel::Config channel;
-    WifiMac::Config mac;
-  };
-
-  WifiNetwork(sim::Simulator& simulator, sim::Rng rng, Config config);
-  WifiNetwork(sim::Simulator& simulator, sim::Rng rng)
-      : WifiNetwork(simulator, rng, Config{}) {}
+  WifiNetwork(sim::Simulator& simulator, sim::Rng rng);
 
   /// Create a station at floor position (x, y) meters.
   WifiMac& add_station(net::StationId id, double x, double y);
@@ -52,7 +45,6 @@ class WifiNetwork {
  private:
   sim::Simulator& sim_;
   sim::Rng rng_;
-  Config cfg_;
   WifiChannel channel_;
   WifiMedium medium_;
   std::map<net::StationId, std::unique_ptr<WifiMac>> stations_;

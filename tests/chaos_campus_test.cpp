@@ -145,19 +145,6 @@ TEST(ChaosCampus, RandomCampusStormIsSeedDeterministic) {
 // The restore round trip itself is the shared suite in
 // tests/cell_world_checkpoint_suite.hpp, called at the bottom of this file.
 
-// --- Backpressure under faults ----------------------------------------------
-
-TEST(ChaosCampus, BoundedMailboxesPreserveTheStormDigest) {
-  const CampusResult unbounded = run_campus(stormy_campus(4));
-  CampusRunConfig cfg = stormy_campus(4);
-  cfg.mailbox_capacity = 1;  // worst case: stall at every occupied horizon
-  const CampusResult bounded = run_campus(cfg);
-  EXPECT_EQ(bounded.digest, unbounded.digest);
-  EXPECT_EQ(bounded.fault_trace, unbounded.fault_trace);
-  EXPECT_EQ(bounded.board_digests, unbounded.board_digests);
-  EXPECT_GT(bounded.mailbox_peak, 0u);
-}
-
 }  // namespace
 
 template <>

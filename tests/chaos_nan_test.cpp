@@ -186,17 +186,6 @@ TEST(ChaosNan, SeededNanStormIsSeedDeterministic) {
   EXPECT_EQ(rb.transformer_digests, ra.transformer_digests);
 }
 
-TEST(ChaosNan, BoundedMailboxesPreserveTheStormDigest) {
-  const NanResult unbounded = run_nan(stormy_nan(4));
-  NanRunConfig cfg = stormy_nan(4);
-  cfg.mailbox_capacity = 1;  // worst case: stall at every occupied horizon
-  const NanResult bounded = run_nan(cfg);
-  EXPECT_EQ(bounded.digest, unbounded.digest);
-  EXPECT_EQ(bounded.fault_trace, unbounded.fault_trace);
-  EXPECT_EQ(bounded.transformer_digests, unbounded.transformer_digests);
-  EXPECT_GT(bounded.mailbox_peak, 0u);
-}
-
 TEST(ChaosNan, ResetAndRebuildReplaysTheIdenticalNan) {
   NanWorld world(stormy_nan(2));
   world.run();

@@ -279,7 +279,7 @@ std::uint64_t warm_retune_allocations(ChannelEstimator& est, const PlcChannel& c
   // is below 6 dB, so the ladder's depth is positive: four distinct rungs.
   EXPECT_GT(est.pb_samples(), 1200u);
   EXPECT_TRUE(est.has_tone_maps());
-  const sim::Time expired = now + ChannelEstimator::Config{}.expiry;
+  const sim::Time expired = now + ChannelEstimator::kExpiry;
   // Fill the channel's SNR cache for the retune instant up front: a cache
   // miss belongs to the channel, not to the retune.
   for (int s = 0; s < ch.phy().tone_map_slots; ++s) {

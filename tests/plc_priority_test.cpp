@@ -112,14 +112,6 @@ TEST_F(PriorityFixture, HigherClassStarvesLowerUnderSaturation) {
             20.0 * std::max(0.5, low_meter.average_mbps(sim::seconds(5))));
 }
 
-TEST_F(PriorityFixture, Ca2ConfigUsesTighterLadder) {
-  const auto c = PlcMac::Config::for_ca_class(2);
-  EXPECT_EQ(c.cw[2], 16);
-  EXPECT_EQ(c.cw[3], 32);
-  const auto c1 = PlcMac::Config::for_ca_class(1);
-  EXPECT_EQ(c1.cw[3], 64);
-}
-
 TEST_F(PriorityFixture, CurrentPriorityTracksQueueHead) {
   build(2);
   auto& mac = network->station(0).mac();

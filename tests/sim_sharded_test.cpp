@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -129,13 +130,11 @@ TEST(AdvanceTo, LandingExactlyOnAPendingEventIsAllowed) {
 struct ToyRing {
   static constexpr int kHops = 3;
 
-  explicit ToyRing(int n_cells, int n_shards, std::int64_t lookahead_ns = 1'000'000,
-                   std::size_t mailbox_capacity = 0)
+  explicit ToyRing(int n_cells, int n_shards, std::int64_t lookahead_ns = 1'000'000)
       : n(n_cells) {
     ShardedSimulator::Config cfg;
     cfg.n_cells = n_cells;
     cfg.n_shards = n_shards;
-    cfg.mailbox_capacity = mailbox_capacity;
     for (int c = 0; c < n_cells; ++c) {
       cfg.links.push_back({c, (c + 1) % n_cells, Time{lookahead_ns}});
     }
@@ -376,20 +375,59 @@ TEST(ShardedSimulator, CellExceptionPropagatesWithoutHanging) {
   EXPECT_THROW(ring.engine->run_until(milliseconds(50)), std::runtime_error);
 }
 
-// --- Backpressure -----------------------------------------------------------
+// --- Mailbox bound ----------------------------------------------------------
 
-TEST(ShardedSimulator, BoundedMailboxesKeepTheTraceIdentical) {
-  ToyRing reference(6, 3);
-  reference.engine->run_until(milliseconds(50));
-  // capacity 1 is the most aggressive bound: producers stall at nearly
-  // every horizon with anything in flight, yet delivery order (and hence
-  // the trace) cannot change — backpressure only delays the producer.
-  ToyRing bounded(6, 3, 1'000'000, /*mailbox_capacity=*/1);
-  bounded.engine->run_until(milliseconds(50));
-  EXPECT_EQ(bounded.trace(), reference.trace());
-  EXPECT_EQ(bounded.engine->events_dispatched(),
-            reference.engine->events_dispatched());
-  EXPECT_GT(bounded.engine->mailbox_peak_occupancy(), 0u);
+/// Two cells on two shards, one link each way with lookahead L; each cell
+/// posts to the other every T. Returns the peak mailbox occupancy of a run
+/// through `end`.
+std::uint64_t ping_pong_peak(Time lookahead, Time period, Time end) {
+  ShardedSimulator::Config cfg;
+  cfg.n_cells = 2;
+  cfg.n_shards = 2;
+  cfg.links = {{0, 1, lookahead}, {1, 0, lookahead}};
+  ShardedSimulator engine(std::move(cfg));
+  std::uint64_t delivered[2] = {0, 0};
+  std::function<void(int)> tick = [&](int c) {
+    engine.cell_sim(c).after(period, [&, c] {
+      BoundaryEvent e;
+      e.src_cell = c;
+      e.dst_cell = 1 - c;
+      e.t_ns = (engine.cell_sim(c).now() + lookahead).ns();
+      engine.post(e);
+      tick(c);
+    });
+  };
+  for (int c = 0; c < 2; ++c) {
+    engine.set_cell_handler(c, [&delivered, c](const BoundaryEvent&, Simulator&) {
+      ++delivered[c];
+    });
+    tick(c);
+  }
+  engine.run_until(end);
+  // Every post due by `end` arrived.
+  const auto due = static_cast<std::uint64_t>((end - lookahead) / period);
+  EXPECT_EQ(delivered[0], due);
+  EXPECT_EQ(delivered[1], due);
+  return engine.mailbox_peak_occupancy();
+}
+
+TEST(ShardedSimulator, ConservativeSyncBoundsMailboxOccupancy) {
+  // A consumer at horizon H has popped every event due before H, so an
+  // unconsumed event on the link into it is due at t >= H and was posted
+  // at s = t - L >= H - L. Its producer's window target is at most
+  // H + L (the reverse link's lookahead over the consumer's horizon), so
+  // s < H + L. Unconsumed posts were therefore made within 2L of the
+  // consumer's horizon: at most ceil(2L/T) of them (floor + 1 below),
+  // whatever the run's length.
+  const Time lookahead = milliseconds(1);
+  const Time period = microseconds(100);
+  const std::uint64_t bound =
+      static_cast<std::uint64_t>(2 * lookahead.ns() / period.ns()) + 1;
+  const std::uint64_t peak = ping_pong_peak(lookahead, period, milliseconds(50));
+  EXPECT_GT(peak, 0u);
+  EXPECT_LE(peak, bound);
+  // Memory stays bounded rather than growing with the run.
+  EXPECT_LE(ping_pong_peak(lookahead, period, milliseconds(500)), bound);
 }
 
 // --- Engine checkpoint fingerprints ----------------------------------------

@@ -212,7 +212,7 @@ struct WifiRetryFixture : ::testing::Test {
 };
 
 TEST_F(WifiRetryFixture, JammedMpdusSpendTheRetryBudgetThenDrop) {
-  const auto max_retries = static_cast<std::uint64_t>(tx().config().max_retries);
+  const auto max_retries = static_cast<std::uint64_t>(WifiMac::kMaxRetries);
   const std::uint64_t retries = counter("wifi.mac.retries");
   const std::uint64_t drops = counter("wifi.mac.drops");
   const std::uint64_t errors = counter("wifi.mac.mpdu_errors");
@@ -239,7 +239,7 @@ TEST_F(WifiRetryFixture, UnacknowledgedFramesRequeueWholeUntilDropped) {
   // Station 2 is on the channel but has no MAC: nothing decodes, no
   // BlockAck comes back, and every frame times out whole.
   net.channel().place_station(2, 1.0, 1.0);
-  const auto max_retries = static_cast<std::uint64_t>(tx().config().max_retries);
+  const auto max_retries = static_cast<std::uint64_t>(WifiMac::kMaxRetries);
   const std::uint64_t retries = counter("wifi.mac.retries");
   const std::uint64_t no_acks = counter("wifi.mac.no_acks");
   const std::uint64_t frames = counter("wifi.mac.frames_tx");

@@ -27,9 +27,10 @@
 //   efd --metrics stat 0 5 2>metrics.json
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,11 +69,18 @@ int usage() {
   return 2;
 }
 
-/// A count flag's value under core::parse_count's rules; 0 (rejected) when
-/// it is not a decimal count in [1, max_value].
+/// A count flag's value; 0 (rejected) when it is not a decimal count in
+/// [1, max_value].
 int count_arg(const char* raw, int max_value) {
-  const long v = core::parse_count(raw);
-  return v <= max_value ? static_cast<int>(v) : 0;
+  return static_cast<int>(core::parse_decimal(raw, 1, max_value).value_or(0));
+}
+
+/// A seed argument: any decimal integer in [0, LLONG_MAX].
+std::optional<std::uint64_t> seed_arg(const char* raw) {
+  const auto v =
+      core::parse_decimal(raw, 0, std::numeric_limits<long long>::max());
+  if (!v) return std::nullopt;
+  return static_cast<std::uint64_t>(*v);
 }
 
 struct World {
@@ -234,12 +242,16 @@ int cmd_campus(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       cfg.n_shards = count_arg(argv[++i], sim::ShardedSimulator::kMaxShards);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      cfg.campus.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      const auto seed = seed_arg(argv[++i]);
+      if (!seed) return usage();
+      cfg.campus.seed = *seed;
     } else if (std::strcmp(argv[i], "--ms") == 0 && i + 1 < argc) {
       ms = count_arg(argv[++i], 600'000);
     } else if (std::strcmp(argv[i], "--storm") == 0 && i + 1 < argc) {
       storm = true;
-      storm_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      const auto seed = seed_arg(argv[++i]);
+      if (!seed) return usage();
+      storm_seed = *seed;
     } else {
       return usage();
     }
@@ -304,10 +316,10 @@ int dispatch(int argc, char** argv) {
   const std::string cmd = argv[1];
   if (cmd == "--proptest" || cmd == "proptest") {
     if (argc < 4) return usage();
-    const long long seed = std::atoll(argv[2]);
+    const auto seed = seed_arg(argv[2]);
     const int n = count_arg(argv[3], 1'000'000);
-    if (seed < 0 || n < 1) return usage();
-    return cmd_proptest(static_cast<std::uint64_t>(seed), n);
+    if (!seed || n < 1) return usage();
+    return cmd_proptest(*seed, n);
   }
   const auto station_args = [&](int needed) {
     return argc >= 2 + needed;
@@ -327,7 +339,9 @@ int dispatch(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
         shards = count_arg(argv[++i], sim::ShardedSimulator::kMaxShards);
       } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        cfg.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+        const auto seed = seed_arg(argv[++i]);
+        if (!seed) return usage();
+        cfg.seed = *seed;
       } else {
         return usage();
       }
@@ -338,19 +352,21 @@ int dispatch(int argc, char** argv) {
     return 0;
   }
   if (!station_args(2)) return usage();
-  const int a = std::atoi(argv[2]);
-  const int b = std::atoi(argv[3]);
-  if (a < 0 || a >= testbed::Testbed::kStations || b < 0 ||
-      b >= testbed::Testbed::kStations || a == b) {
-    return usage();
-  }
-  if (cmd == "rate") return cmd_rate(a, b);
-  if (cmd == "stat") return cmd_stat(a, b);
-  if (cmd == "route") return cmd_route(a, b);
+  constexpr long long kLastStation = testbed::Testbed::kStations - 1;
+  const auto a = core::parse_decimal(argv[2], 0, kLastStation);
+  const auto b = core::parse_decimal(argv[3], 0, kLastStation);
+  if (!a || !b || *a == *b) return usage();
+  const auto s = static_cast<int>(*a);
+  const auto d = static_cast<int>(*b);
+  if (cmd == "rate") return cmd_rate(s, d);
+  if (cmd == "stat") return cmd_stat(s, d);
+  if (cmd == "route") return cmd_route(s, d);
   if (cmd == "trace" || cmd == "sniff") {
-    const double seconds = argc > 4 ? std::atof(argv[4]) : 10.0;
-    if (seconds <= 0 || seconds > 3600) return usage();
-    return cmd == "trace" ? cmd_trace(a, b, seconds) : cmd_sniff(a, b, seconds);
+    const auto seconds = argc > 4 ? core::parse_decimal(argv[4], 1, 3600)
+                                  : std::optional<long long>{10};
+    if (!seconds) return usage();
+    const auto secs = static_cast<double>(*seconds);
+    return cmd == "trace" ? cmd_trace(s, d, secs) : cmd_sniff(s, d, secs);
   }
   return usage();
 }
