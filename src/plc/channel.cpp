@@ -25,7 +25,7 @@ int PlcChannel::slot_at(sim::Time t) const {
   return std::min(slot, phy_.tone_map_slots - 1);
 }
 
-PlcChannel::SnrEntry& PlcChannel::entry(net::StationId a, net::StationId b, int slot,
+PlcChannel::SnrEntry& PlcChannel::touch(net::StationId a, net::StationId b, int slot,
                                         sim::Time t) const {
   const std::uint64_t epoch = grid_.state_epoch(t);
   if (!cache_epoch_valid_ || cache_epoch_ != epoch) {
@@ -38,24 +38,50 @@ PlcChannel::SnrEntry& PlcChannel::entry(net::StationId a, net::StationId b, int 
     cache_epoch_ = epoch;
     cache_epoch_valid_ = true;
   }
-  SnrEntry& e = cache_[link_key(a, b, slot)];
+  const auto [it, fresh] = cache_.try_emplace(link_key(a, b, slot));
+  if (fresh) it->second.t0 = t;
+  return it->second;
+}
+
+const std::vector<double>& PlcChannel::compute_snr(SnrEntry& e, net::StationId a,
+                                                   net::StationId b, int slot,
+                                                   bool keep) const {
+  const int oa = outlet(a);
+  const int ob = outlet(b);
+  // Every SNR entry computes at its first touch, so this entry's stamp is
+  // the instant the link's attenuation is first touched.
+  const auto [it, fresh] = atten_cache_.try_emplace(link_key(a, b, 0x3f));
+  AttenEntry& ae = it->second;
+  if (fresh) ae.t0 = e.t0;
+  thread_local std::vector<double> att_scratch;
+  thread_local std::vector<double> snr_scratch;
+  // A transient compute reads a kept attenuation but keeps none itself.
+  std::vector<double>& att = keep || !ae.att_db.empty() ? ae.att_db : att_scratch;
+  if (ae.att_db.empty()) grid_.attenuation_db(oa, ob, phy_.band, ae.t0, att);
+  // The noise lands in the output vector; the SNR is assembled over it in
+  // place.
+  std::vector<double>& snr = keep ? e.snr_db : snr_scratch;
+  grid_.noise_psd_db(ob, phy_.band, e.t0, slot, phy_.tone_map_slots, snr);
+  grid::simd::active_kernels().assemble_snr_n(phy_.tx_psd_db, att.data(), snr.data(),
+                                              snr.data(), att.size());
+  if (keep && ++ae.kept_slots == phy_.tone_map_slots) {
+    // Every slot's vector is kept: no query in this epoch reads the
+    // attenuation again.
+    std::vector<double>().swap(ae.att_db);
+    EFD_COUNTER_INC("plc.channel.atten_released");
+  }
+  return snr;
+}
+
+PlcChannel::SnrEntry& PlcChannel::entry(net::StationId a, net::StationId b, int slot,
+                                        sim::Time t) const {
+  SnrEntry& e = touch(a, b, slot, t);
   if (!e.snr_db.empty()) {
     EFD_COUNTER_INC("plc.channel.snr_cache_hits");
     return e;
   }
   EFD_COUNTER_INC("plc.channel.snr_cache_misses");
-
-  const int oa = outlet(a);
-  const int ob = outlet(b);
-  AttenEntry& ae = atten_cache_[link_key(a, b, 0x3f)];
-  if (ae.att_db.empty()) grid_.attenuation_db(oa, ob, phy_.band, t, ae.att_db);
-  const auto& att = ae.att_db;
-  // The noise lands in the entry's own vector; the SNR is assembled over it
-  // in place.
-  auto& snr = e.snr_db;
-  grid_.noise_psd_db(ob, phy_.band, t, slot, phy_.tone_map_slots, snr);
-  grid::simd::active_kernels().assemble_snr_n(phy_.tx_psd_db, att.data(), snr.data(),
-                                              snr.data(), att.size());
+  compute_snr(e, a, b, slot, true);
   return e;
 }
 
@@ -117,13 +143,25 @@ double PlcChannel::cable_distance(net::StationId a, net::StationId b) const {
 
 double PlcChannel::mean_snr_db(net::StationId a, net::StationId b, int slot,
                                sim::Time t) const {
+  SnrEntry& e = touch(a, b, slot, t);
+  const std::vector<double>* snr = &e.snr_db;
+  if (!snr->empty()) {
+    EFD_COUNTER_INC("plc.channel.snr_cache_hits");
+  } else if (e.scalar_queries++ > 0) {
+    // Asked again: keep the vector, so repeated queries (the medium's
+    // per-collision capture check) pay for one recompute at most.
+    EFD_COUNTER_INC("plc.channel.snr_cache_misses");
+    compute_snr(e, a, b, slot, true);
+  } else {
+    EFD_COUNTER_INC("plc.channel.snr_transient");
+    snr = &compute_snr(e, a, b, slot, false);
+  }
   // Same sum, in the same order, as averaging `snr_db`: each shifted entry
   // is the exact difference `v - offset`, without the copy.
-  const auto& snr = entry(a, b, slot, t).snr_db;
   const double offset = fast_offset_db(b, t);
   double sum = 0.0;
-  for (double v : snr) sum += v - offset;
-  return snr.empty() ? 0.0 : sum / static_cast<double>(snr.size());
+  for (double v : *snr) sum += v - offset;
+  return snr->empty() ? 0.0 : sum / static_cast<double>(snr->size());
 }
 
 }  // namespace efd::plc

@@ -17,20 +17,26 @@ namespace efd::plc {
 /// and serves per-carrier SNR and PB error probabilities to the MAC and the
 /// channel estimator.
 ///
-/// Performance: per-carrier vectors are cached per (link, slot) and the
+/// Performance: per-carrier SNR vectors are cached per (link, slot) and the
 /// whole cache is evicted when the grid's appliance state epoch changes
 /// (stale entries for links no longer queried would otherwise accumulate
 /// across epochs); the fast (cycle-scale) noise term is a scalar uniformly
-/// shifting SNR, so cached vectors stay valid across it. PB error
-/// probabilities are memoized per (link, slot, tone map, quantized fast
-/// offset), which keeps saturated frame-level simulation cheap. The fast
-/// offset itself is a pure function of (outlet, time) and is memoized in
-/// one entry: a trace step asks for the same instant once per slot and once
-/// per retuned slot map. A cache miss writes the noise and then the SNR
-/// straight into the entry's own vector, and a pberr memo miss shifts into
-/// one thread_local vector, so neither allocates once warm; the channel
-/// itself is not thread-safe — parallel experiments use one channel per
-/// thread.
+/// shifting SNR, so cached vectors stay valid across it. An entry's vector
+/// is computed at the entry's first touch in the epoch, so the slow drift
+/// term reads the same instant however late the vector is built; it is
+/// kept once read as a vector (`static_snr_db`, `snr_db`,
+/// `pb_error_probability`) or twice as a scalar (`mean_snr_db`), and a
+/// first scalar query computes into thread_local scratch. A link's
+/// attenuation is shared by its slots and freed once every slot's vector
+/// is kept. PB error probabilities are memoized per (link, slot, tone map,
+/// quantized fast offset), which keeps saturated frame-level simulation
+/// cheap. The fast offset itself is a pure function of (outlet, time) and
+/// is memoized in one entry: a trace step asks for the same instant once
+/// per slot and once per retuned slot map. A kept vector is written in
+/// place (the noise, then the SNR over it), and a pberr memo miss shifts
+/// into one thread_local vector, so neither allocates once warm; the
+/// channel itself is not thread-safe — parallel experiments use one
+/// channel per thread.
 class PlcChannel {
  public:
   PlcChannel(const grid::PowerGrid& grid, PhyParams phy)
@@ -75,7 +81,12 @@ class PlcChannel {
 
  private:
   struct SnrEntry {
+    /// First touch in the epoch: the instant the vector is computed at.
+    sim::Time t0;
+    /// Empty until kept.
     std::vector<double> snr_db;
+    /// `mean_snr_db` calls answered without a kept vector.
+    int scalar_queries = 0;
     /// pberr memo: key = (tone map id << 20) ^ (quantized offset bucket
     /// + 512).
     std::unordered_map<std::uint64_t, double> pberr;
@@ -84,7 +95,11 @@ class PlcChannel {
   /// Attenuation is independent of the tone-map slot; share it across the
   /// per-slot SNR entries.
   struct AttenEntry {
+    /// First touch in the epoch: the drift term is evaluated here.
+    sim::Time t0;
+    /// Empty until a slot's vector is kept, and again once all are.
     std::vector<double> att_db;
+    int kept_slots = 0;
   };
 
   [[nodiscard]] std::uint64_t link_key(net::StationId a, net::StationId b, int slot) const {
@@ -93,7 +108,15 @@ class PlcChannel {
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(slot));
   }
 
+  /// The (link, slot) entry, stamped with `t` if this is its first touch
+  /// in the epoch; evicts both caches when the epoch moved.
+  SnrEntry& touch(net::StationId a, net::StationId b, int slot, sim::Time t) const;
+  /// The entry with its vector kept.
   SnrEntry& entry(net::StationId a, net::StationId b, int slot, sim::Time t) const;
+  /// Computes `e`'s SNR at `e.t0` into the entry's own vector when `keep`,
+  /// otherwise into thread_local scratch valid until the next call.
+  const std::vector<double>& compute_snr(SnrEntry& e, net::StationId a, net::StationId b,
+                                         int slot, bool keep) const;
 
   const grid::PowerGrid& grid_;
   PhyParams phy_;

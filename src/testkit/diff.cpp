@@ -102,12 +102,14 @@ DiffResult diff_static_snr(ScenarioWorld& world, const DiffTolerances& tol) {
   const plc::PlcChannel& ch = world.channel();
   const plc::PhyParams& phy = ch.phy();
   const sim::Time now = world.sim().now();
-  // The world channel's cache may have been filled earlier in the epoch
-  // (the slow drift term is continuous in t, so its entries differ from a
-  // recompute at `now` by the drift delta, legitimately). A cold-cache
-  // channel over the same grid builds its entries at exactly `now`, so the
-  // production assembly path (tx PSD - attenuation - noise, carrier by
-  // carrier) must match the naive recompute to rounding.
+  // The world channel's entries are computed at their first touch in the
+  // epoch, which may be earlier than `now` (the slow drift term is
+  // continuous in t, so they differ from a recompute at `now` by the drift
+  // delta, legitimately); each is kept once read as a vector or twice as a
+  // scalar. A cold-cache channel over the same grid first touches its
+  // entries at exactly `now`, so the production assembly path (tx PSD -
+  // attenuation - noise, carrier by carrier) must match the naive
+  // recompute to rounding.
   plc::PlcChannel cold(ch.grid(), phy);
   for (const Scenario::StationSpec& st : world.scenario().stations) {
     cold.attach_station(st.id, st.outlet);

@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <utility>
 
 #include "alloc_count.hpp"
@@ -140,13 +142,108 @@ TEST_F(ChannelFixture, MeanSnrIsTheMeanOfSnrDbOnBothBands) {
 
 TEST_F(ChannelFixture, WarmMeanSnrAllocatesNothing) {
   const auto t = noon();
-  // The first call fills the cache entry, the second registers the
-  // cache-hit counter.
+  // The first call computes into scratch, the second keeps the vector, the
+  // third registers the cache-hit counter.
   const double first = channel.mean_snr_db(0, 1, 2, t);
+  (void)channel.mean_snr_db(0, 1, 2, t);
   (void)channel.mean_snr_db(0, 1, 2, t);
   efd::testsupport::AllocationWindow window;
   const double warm = channel.mean_snr_db(0, 1, 2, t);
   EXPECT_EQ(window.count(), 0u) << window.bytes() << " bytes allocated";
+  EXPECT_EQ(warm, first);
+}
+
+TEST(PlcChannel, ScalarQueryStampsTheFillTime) {
+  grid::PowerGrid grid;
+  const int a = grid.add_node("a");
+  const int j = grid.add_node("j");
+  const int b = grid.add_node("b");
+  grid.add_cable(a, j, 10.0);
+  grid.add_cable(j, b, 15.0);
+  grid.add_appliance(grid::make_appliance(grid::ApplianceType::kFridge, j, 5));
+  const PhyParams phy = PhyParams::hpav();
+  PlcChannel scalar_first{grid, phy};
+  PlcChannel vector_at_t0{grid, phy};
+  PlcChannel vector_at_t1{grid, phy};
+  for (PlcChannel* ch : {&scalar_first, &vector_at_t0, &vector_at_t1}) {
+    ch->attach_station(0, a);
+    ch->attach_station(1, b);
+  }
+  // Two instants of one epoch: the cache serves both, but the slow drift
+  // term differs between them.
+  const sim::Time t0 = sim::days(1) + sim::hours(12);
+  const sim::Time t1 = t0 + sim::seconds(30.0);
+  ASSERT_EQ(grid.state_epoch(t0), grid.state_epoch(t1));
+  const auto same = [](const std::vector<double>& x, const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+
+  // A scalar query at t0 stamps the entry, so the vector built at t1 holds
+  // the values at t0.
+  (void)scalar_first.mean_snr_db(0, 1, 0, t0);
+  const std::vector<double> late = scalar_first.static_snr_db(0, 1, 0, t1);
+  EXPECT_TRUE(same(late, vector_at_t0.static_snr_db(0, 1, 0, t0)));
+  EXPECT_FALSE(same(late, vector_at_t1.static_snr_db(0, 1, 0, t1)));
+
+  // Keeping every slot releases the link's attenuation; each slot still
+  // reads it as stamped at the link's first touch.
+  for (int slot = 1; slot < phy.tone_map_slots; ++slot) {
+    EXPECT_TRUE(same(scalar_first.static_snr_db(0, 1, slot, t1),
+                     vector_at_t0.static_snr_db(0, 1, slot, t0)))
+        << "slot " << slot;
+  }
+  for (int slot = 0; slot < phy.tone_map_slots; ++slot) {
+    EXPECT_EQ(scalar_first.mean_snr_db(0, 1, slot, t1),
+              vector_at_t0.mean_snr_db(0, 1, slot, t1))
+        << "slot " << slot << " after the release";
+  }
+}
+
+TEST(PlcChannel, FirstScalarQueryKeepsNoVector) {
+  // A star of outlets gives many distinct links.
+  grid::PowerGrid grid;
+  const int hub = grid.add_node("hub");
+  constexpr int kStations = 9;
+  PlcChannel channel{grid, PhyParams::hpav()};
+  for (int s = 0; s < kStations; ++s) {
+    const int o = grid.add_node("o" + std::to_string(s));
+    grid.add_cable(hub, o, 5.0 + s);
+    channel.attach_station(s, o);
+  }
+  grid.add_appliance(grid::make_appliance(grid::ApplianceType::kFridge, hub, 5));
+  const sim::Time t = sim::days(1) + sim::hours(12);
+  const std::uint64_t vector_bytes =
+      static_cast<std::uint64_t>(channel.phy().band.n_carriers) * sizeof(double);
+
+  // Warm the scratch, the grid's tables and the counters.
+  (void)channel.mean_snr_db(0, 1, 0, t);
+  int queried = 0;
+  for (int tx = 0; tx < kStations && queried < 50; ++tx) {
+    for (int rx = 0; rx < kStations && queried < 50; ++rx) {
+      if (tx == rx || (tx == 0 && rx == 1)) continue;
+      efd::testsupport::AllocationWindow window;
+      (void)channel.mean_snr_db(tx, rx, 0, t);
+      EXPECT_LT(window.bytes(), vector_bytes) << tx << "->" << rx;
+      ++queried;
+    }
+  }
+  ASSERT_EQ(queried, 50);
+
+  // On a fresh link, the second scalar query keeps the vector; once the
+  // hit counter is registered, reading it allocates nothing.
+  const double first = channel.mean_snr_db(8, 7, 0, t);
+  double second = 0.0;
+  {
+    efd::testsupport::AllocationWindow window;
+    second = channel.mean_snr_db(8, 7, 0, t);
+    EXPECT_GE(window.bytes(), vector_bytes);
+  }
+  (void)channel.mean_snr_db(8, 7, 0, t);
+  efd::testsupport::AllocationWindow window;
+  const double warm = channel.mean_snr_db(8, 7, 0, t);
+  EXPECT_EQ(window.count(), 0u) << window.bytes() << " bytes allocated";
+  EXPECT_EQ(second, first);
   EXPECT_EQ(warm, first);
 }
 
