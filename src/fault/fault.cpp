@@ -10,9 +10,6 @@ const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kPlcBlackout: return "plc_blackout";
     case FaultKind::kWifiJam: return "wifi_jam";
-    case FaultKind::kModemReset: return "modem_reset";
-    case FaultKind::kPacketCorruption: return "corruption";
-    case FaultKind::kQueueStall: return "queue_stall";
     case FaultKind::kBoardBlackout: return "board_blackout";
     case FaultKind::kBoardBrownout: return "board_brownout";
     case FaultKind::kLinkPartition: return "link_partition";
@@ -27,8 +24,6 @@ const char* to_string(FaultPhase phase) {
     case FaultPhase::kTrip: return "trip";
     case FaultPhase::kHalfOpen: return "half_open";
     case FaultPhase::kRecover: return "recover";
-    case FaultPhase::kRequeue: return "requeue";
-    case FaultPhase::kDrop: return "drop";
   }
   return "?";
 }
@@ -57,28 +52,6 @@ sim::Time FaultPlan::end() const {
   sim::Time last{};
   for (const FaultSpec& s : specs_) last = std::max(last, s.onset + s.duration);
   return last;
-}
-
-FaultPlan FaultPlan::random_storm(sim::Rng rng, const StormConfig& cfg) {
-  static const std::vector<FaultKind> kDefaultKinds = {
-      FaultKind::kPlcBlackout, FaultKind::kWifiJam, FaultKind::kPacketCorruption,
-      FaultKind::kQueueStall};
-  const std::vector<FaultKind>& kinds =
-      cfg.kinds.empty() ? kDefaultKinds : cfg.kinds;
-  FaultPlan plan;
-  for (int i = 0; i < cfg.n_faults; ++i) {
-    FaultSpec s;
-    s.onset = sim::Time{rng.uniform_int(cfg.start.ns(), cfg.horizon.ns() - 1)};
-    s.duration =
-        sim::Time{rng.uniform_int(cfg.min_duration.ns(), cfg.max_duration.ns())};
-    s.kind = kinds[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(kinds.size()) - 1))];
-    s.target = static_cast<int>(rng.uniform_int(0, cfg.n_targets - 1));
-    s.severity = rng.uniform(cfg.min_severity, cfg.max_severity);
-    if (s.kind == FaultKind::kModemReset) s.duration = sim::Time{};
-    plan.add(s);
-  }
-  return plan;
 }
 
 FaultPlan FaultPlan::random_campus_storm(sim::Rng rng,

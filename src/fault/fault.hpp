@@ -11,10 +11,10 @@
 namespace efd::fault {
 
 /// The fault taxonomy (DESIGN.md §10). Each kind maps onto one of the
-/// failure modes the paper observes: PLC links collapse under appliance
-/// impulsive noise and tone-map invalidation (§5-§6), WiFi degrades under
-/// interference (§4), and real adapters occasionally reset or wedge their
-/// transmit queues (§7.1 power-cycles devices between runs for a reason).
+/// failure modes the paper observes and a program runs: PLC links collapse
+/// under appliance impulsive noise and tone-map invalidation (§5-§6), WiFi
+/// degrades under interference (§4), and at campus and NAN scale boards
+/// lose power and cut crossings (§15).
 enum class FaultKind : std::uint8_t {
   /// Appliance surge on the mains: PB decodes fail at `severity`
   /// probability (1.0 = total blackout) and tone maps are invalidated,
@@ -23,15 +23,6 @@ enum class FaultKind : std::uint8_t {
   /// Interferer burst on the WiFi channel: receiver SNR drops by
   /// `severity` dB for the duration (large values kill even MCS0).
   kWifiJam,
-  /// Adapter/modem reset: transmit queue flushed, backoff and estimator
-  /// state restarted. `severity` is unused.
-  kModemReset,
-  /// Random corruption: PB/MPDU decodes additionally fail with
-  /// probability `severity` (a milder, persistent cousin of blackout).
-  kPacketCorruption,
-  /// The interface's transmit path wedges: the queue accepts packets but
-  /// stops draining until the fault clears. `severity` is unused.
-  kQueueStall,
   /// Campus fault domain (DESIGN.md §15): a whole distribution board loses
   /// power — every station on it goes dark, its media stop decoding and
   /// boundary ingress is dropped until the fault clears. `target` is the
@@ -49,7 +40,7 @@ enum class FaultKind : std::uint8_t {
 };
 
 /// Number of FaultKind values; sizes the injector's per-kind hook table.
-inline constexpr std::size_t kFaultKindCount = 8;
+inline constexpr std::size_t kFaultKindCount = 5;
 
 [[nodiscard]] const char* to_string(FaultKind kind);
 
@@ -66,15 +57,13 @@ struct FaultSpec {
 
 /// Lifecycle phase of a fault/recovery trace record. kApply/kClear come
 /// from the injector itself; the rest are recovery-side events recorded by
-/// the failover machinery (health-monitor transitions, salvage outcomes).
+/// the failover machinery (health-monitor transitions).
 enum class FaultPhase : std::uint8_t {
   kApply,     ///< fault onset took effect
   kClear,     ///< fault duration elapsed, effect removed
   kTrip,      ///< a health monitor opened (interface declared dead)
   kHalfOpen,  ///< reprobe succeeded once, trial traffic allowed
   kRecover,   ///< monitor closed again (interface declared live)
-  kRequeue,   ///< a queued packet was salvaged onto a surviving interface
-  kDrop,      ///< a queued packet exhausted its salvage budget
 };
 
 [[nodiscard]] const char* to_string(FaultPhase phase);
@@ -113,16 +102,6 @@ class FaultPlan {
                       double severity_db = 40.0) {
     return add({onset, duration, FaultKind::kWifiJam, target, severity_db});
   }
-  FaultPlan& modem_reset(sim::Time onset, int target = 0) {
-    return add({onset, sim::Time{}, FaultKind::kModemReset, target, 0.0});
-  }
-  FaultPlan& corruption(sim::Time onset, sim::Time duration, int target,
-                        double probability) {
-    return add({onset, duration, FaultKind::kPacketCorruption, target, probability});
-  }
-  FaultPlan& queue_stall(sim::Time onset, sim::Time duration, int target = 0) {
-    return add({onset, duration, FaultKind::kQueueStall, target, 0.0});
-  }
   FaultPlan& board_blackout(sim::Time onset, sim::Time duration, int board) {
     return add({onset, duration, FaultKind::kBoardBlackout, board, 1.0});
   }
@@ -141,24 +120,6 @@ class FaultPlan {
   /// Time at which the last fault has cleared.
   [[nodiscard]] sim::Time end() const;
 
-  /// Parameters for a seeded random fault storm.
-  struct StormConfig {
-    sim::Time start = sim::seconds(1);
-    sim::Time horizon = sim::seconds(60);   ///< onsets drawn in [start, horizon)
-    int n_faults = 8;
-    sim::Time min_duration = sim::milliseconds(200);
-    sim::Time max_duration = sim::seconds(5);
-    /// Kinds to draw from (uniformly). Empty = all duration-bearing kinds.
-    std::vector<FaultKind> kinds;
-    int n_targets = 1;                      ///< targets drawn in [0, n_targets)
-    double min_severity = 0.5;
-    double max_severity = 1.0;
-  };
-
-  /// Draw a storm from a seeded Rng: the same seed + config always yields
-  /// the same plan (and therefore the same injector trace).
-  [[nodiscard]] static FaultPlan random_storm(sim::Rng rng, const StormConfig& cfg);
-
   /// Parameters for a seeded campus-scale storm over the fault-domain
   /// kinds (DESIGN.md §15): board blackouts/brownouts draw targets in
   /// [0, n_boards), link partitions in [0, n_links).
@@ -176,8 +137,9 @@ class FaultPlan {
     double max_severity = 0.8;
   };
 
-  /// Draw a campus fault-domain storm; same determinism contract as
-  /// random_storm.
+  /// Draw a campus fault-domain storm from a seeded Rng: the same seed +
+  /// config always yields the same plan (and therefore the same injector
+  /// trace).
   [[nodiscard]] static FaultPlan random_campus_storm(sim::Rng rng,
                                                      const CampusStormConfig& cfg);
 

@@ -84,9 +84,6 @@ void HealthMonitor::on_probe_result(std::uint64_t nonce, bool ok) {
   }
 }
 
-void HealthMonitor::report_failure() { on_failure(); }
-void HealthMonitor::report_success() { on_success(); }
-
 void HealthMonitor::deepen_backoff() {
   backoff_stage_ = std::min(backoff_stage_ + 1, max_backoff_stage_);
 }

@@ -18,8 +18,7 @@ namespace efd::fault {
 ///
 /// Probing is pluggable: each probe calls `probe(nonce)` and the subject
 /// must answer via on_probe_result(nonce, ok) before `probe_timeout`, or
-/// the probe counts as a failure. Data-path outcomes can feed the same
-/// failure accounting through report_failure()/report_success().
+/// the probe counts as a failure.
 ///
 /// Determinism: all timing lives on the simulator clock and the reprobe
 /// jitter comes from the seeded Rng handed in at construction, so a given
@@ -34,8 +33,8 @@ class HealthMonitor {
   struct Config {
     sim::Time probe_interval = sim::milliseconds(100);
     sim::Time probe_timeout = sim::milliseconds(40);
-    /// Consecutive failures (probe timeouts or reported) that trip the
-    /// breaker open.
+    /// Consecutive probe failures (timeouts or failed answers) that trip
+    /// the breaker open.
     int trip_threshold = 3;
     /// Reprobe backoff while open: initial delay, growth factor, cap.
     sim::Time backoff_initial = sim::milliseconds(200);
@@ -69,11 +68,6 @@ class HealthMonitor {
   /// Probe answer path. Stale nonces (a late echo racing the timeout that
   /// already failed it) are counted and ignored.
   void on_probe_result(std::uint64_t nonce, bool ok);
-
-  /// Data-path outcome feedback: counts toward the same consecutive-failure
-  /// trip threshold / recovery streak as probes.
-  void report_failure();
-  void report_success();
 
   [[nodiscard]] State state() const { return state_; }
   /// True when the scheduler should carry traffic on this member (closed);

@@ -23,12 +23,9 @@ void FaultInjector::install(const FaultPlan& plan) {
     assert(spec.onset >= sim_.now() && "fault onset is in the simulator's past");
     pending_.push_back(
         sim_.at(spec.onset, [this, spec] { fire(spec, FaultPhase::kApply); }));
-    // Zero-duration faults (modem reset) are one-shot: no clear event.
-    if (spec.duration > sim::Time{}) {
-      pending_.push_back(sim_.at(spec.onset + spec.duration, [this, spec] {
-        fire(spec, FaultPhase::kClear);
-      }));
-    }
+    pending_.push_back(sim_.at(spec.onset + spec.duration, [this, spec] {
+      fire(spec, FaultPhase::kClear);
+    }));
   }
 }
 
@@ -37,7 +34,7 @@ void FaultInjector::fire(const FaultSpec& spec, FaultPhase phase) {
   Hooks& hooks = hooks_for(spec.kind);
   if (phase == FaultPhase::kApply) {
     ++applied_;
-    if (spec.duration > sim::Time{}) ++active_;
+    ++active_;
     EFD_COUNTER_INC("fault.injector.applied");
     if (hooks.apply) hooks.apply(spec, sim_.now());
   } else {

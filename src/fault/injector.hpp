@@ -12,8 +12,8 @@ namespace efd::fault {
 /// Drives a FaultPlan against the simulator clock. The injector itself is
 /// mechanism-free: per-kind hooks (wired by the harness) apply and clear
 /// the concrete effect — an impulse-noise floor on a PlcMedium, a jamming
-/// penalty on a WifiMedium, a MAC queue stall. The injector owns the
-/// schedule and the fault/recovery event trace.
+/// penalty on a WifiMedium, a dark distribution board. The injector owns
+/// the schedule and the fault/recovery event trace.
 ///
 /// Determinism: install() schedules every apply/clear at plan-defined
 /// absolute times, so the trace is a pure function of (plan, simulator
@@ -48,8 +48,8 @@ class FaultInjector {
   /// the simulator's past.
   void install(const FaultPlan& plan);
 
-  /// Append a recovery-side event to the trace (health-monitor trips,
-  /// salvage outcomes). `severity` is phase-defined (e.g. packets salvaged).
+  /// Append a recovery-side event to the trace (health-monitor trips and
+  /// recoveries). `severity` is phase-defined.
   void record(FaultPhase phase, FaultKind kind, int target, double severity = 0.0);
 
   [[nodiscard]] const std::vector<FaultEvent>& trace() const { return trace_; }

@@ -1,10 +1,7 @@
 #include "src/hybrid/routing.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <map>
-#include <queue>
-#include <set>
 
 namespace efd::hybrid {
 
@@ -40,69 +37,56 @@ std::vector<Hop> MeshRouter::route(net::StationId src, net::StationId dst,
     adjacency[e.src].push_back({e.dst, e.medium, ett});
   }
 
-  // Dijkstra over (station, last-hop medium) states so the alternation
-  // discount composes correctly along the path.
-  struct State {
-    net::StationId node;
-    int last_medium;  // -1 at the source
-    int hops;
+  // Bellman-Ford in max_hops rounds over (station, last-hop medium)
+  // states, so the alternation discount composes along the path: after
+  // round h, reach[h] holds the cheapest cost of each state within h hops.
+  // Keeping the hop budget in the search means a cheap partial route that
+  // spent more hops cannot hide a costlier one that still fits. Equal costs
+  // go to the lower predecessor state.
+  using Key = std::pair<net::StationId, int>;  // medium -1 at the source
+  struct Reach {
+    double cost;
+    Key from;
   };
-  using Key = std::pair<net::StationId, int>;
-  std::map<Key, double> best;
-  std::map<Key, std::pair<Key, Medium>> parent;
-  using QItem = std::pair<double, State>;
-  const auto cmp = [](const QItem& a, const QItem& b) { return a.first > b.first; };
-  std::priority_queue<QItem, std::vector<QItem>, decltype(cmp)> queue(cmp);
-
-  best[{src, -1}] = 0.0;
-  queue.push({0.0, {src, -1, 0}});
-  Key goal{-1, -1};
-  double goal_cost = std::numeric_limits<double>::infinity();
-
-  while (!queue.empty()) {
-    const auto [cost, state] = queue.top();
-    queue.pop();
-    const Key key{state.node, state.last_medium};
-    const auto it = best.find(key);
-    if (it == best.end() || cost > it->second) continue;  // stale entry
-    if (state.node == dst) {
-      if (cost < goal_cost) {
-        goal_cost = cost;
-        goal = key;
-      }
-      continue;
-    }
-    if (state.hops >= cfg_.max_hops) continue;
-    const auto adj = adjacency.find(state.node);
-    if (adj == adjacency.end()) continue;
-    for (const Edge& edge : adj->second) {
-      double hop_cost = edge.ett_ms;
-      if (state.last_medium >= 0 &&
-          state.last_medium != static_cast<int>(edge.medium)) {
-        hop_cost *= cfg_.alternation_discount;
-      }
-      const Key next{edge.to, static_cast<int>(edge.medium)};
-      const double next_cost = cost + hop_cost;
-      const auto bit = best.find(next);
-      if (bit == best.end() || next_cost < bit->second) {
-        best[next] = next_cost;
-        parent[next] = {key, edge.medium};
-        queue.push({next_cost, {edge.to, static_cast<int>(edge.medium),
-                                state.hops + 1}});
+  const int rounds = std::max(cfg_.max_hops, 0);
+  std::vector<std::map<Key, Reach>> reach(static_cast<std::size_t>(rounds) + 1);
+  reach[0][{src, -1}] = {0.0, {src, -1}};
+  for (std::size_t h = 1; h < reach.size(); ++h) {
+    reach[h] = reach[h - 1];
+    for (const auto& [key, r] : reach[h - 1]) {
+      if (key.first == dst) continue;  // routes end at the goal
+      const auto adj = adjacency.find(key.first);
+      if (adj == adjacency.end()) continue;
+      for (const Edge& edge : adj->second) {
+        double hop_cost = edge.ett_ms;
+        if (key.second >= 0 && key.second != static_cast<int>(edge.medium)) {
+          hop_cost *= cfg_.alternation_discount;
+        }
+        const double cost = r.cost + hop_cost;
+        const auto [it, fresh] = reach[h].try_emplace(
+            Key{edge.to, static_cast<int>(edge.medium)}, Reach{cost, key});
+        if (!fresh && (cost < it->second.cost ||
+                       (cost == it->second.cost && key < it->second.from))) {
+          it->second = {cost, key};
+        }
       }
     }
   }
 
-  if (goal.first == -1) return {};
-  // Walk parents back to the source.
+  const std::map<Key, Reach>& last = reach.back();
+  auto goal = last.end();
+  for (auto it = last.lower_bound({dst, -1});
+       it != last.end() && it->first.first == dst; ++it) {
+    if (goal == last.end() || it->second.cost < goal->second.cost) goal = it;
+  }
+  if (goal == last.end()) return {};
+  // Walk predecessors back to the source, one round per hop.
   std::vector<Hop> path;
-  Key cur = goal;
-  while (cur.first != src || cur.second != -1) {
-    const auto pit = parent.find(cur);
-    if (pit == parent.end()) break;
-    const auto& [prev, medium] = pit->second;
-    path.push_back({prev.first, cur.first, medium});
-    cur = prev;
+  Key cur = goal->first;
+  for (std::size_t h = reach.size() - 1; cur != Key{src, -1}; --h) {
+    const Key from = reach[h].at(cur).from;
+    path.push_back({from.first, cur.first, static_cast<Medium>(cur.second)});
+    cur = from;
   }
   std::reverse(path.begin(), path.end());
   return path;
@@ -146,49 +130,43 @@ std::vector<net::StationId> RelayPlanner::plan(net::StationId src,
                                                net::StationId dst) const {
   if (src == dst) return {src};
 
-  // Dijkstra keyed (cost, node) with node id as the tie-break, so equal-cost
-  // plans are identical on every shard and platform.
-  std::map<net::StationId, double> best;
-  std::map<net::StationId, net::StationId> parent;
-  std::map<net::StationId, int> depth;
-  using QItem = std::pair<double, net::StationId>;
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> queue;
-
-  best[src] = 0.0;
-  depth[src] = 0;
-  queue.push({0.0, src});
-  while (!queue.empty()) {
-    const auto [cost, node] = queue.top();
-    queue.pop();
-    const auto bit = best.find(node);
-    if (bit == best.end() || cost > bit->second) continue;  // stale entry
-    if (node == dst) break;
-    const int hops = depth[node];
-    if (hops >= cfg_.max_hops) continue;
-    const auto adj = links_.find(node);
-    if (adj == links_.end()) continue;
-    for (const auto& [to, etx] : adj->second) {
-      if (etx > cfg_.max_link_etx) continue;  // unusable even as a relay hop
-      const double next_cost = cost + etx;
-      const auto nit = best.find(to);
-      if (nit != best.end() &&
-          (next_cost > nit->second ||
-           (next_cost == nit->second && node >= parent[to]))) {
-        continue;
+  // Bellman-Ford in max_hops rounds: after round h, reach[h] holds the
+  // cheapest ETX of each station within h hops. Keeping the hop budget in
+  // the search means a cheap partial path that spent more hops cannot hide
+  // a costlier one that still fits. Equal costs go to the lower predecessor
+  // id, so equal-cost plans are identical on every shard and platform.
+  struct Reach {
+    double cost;
+    net::StationId from;
+  };
+  const int rounds = std::max(cfg_.max_hops, 0);
+  std::vector<std::map<net::StationId, Reach>> reach(
+      static_cast<std::size_t>(rounds) + 1);
+  reach[0][src] = {0.0, src};
+  for (std::size_t h = 1; h < reach.size(); ++h) {
+    reach[h] = reach[h - 1];
+    for (const auto& [node, r] : reach[h - 1]) {
+      if (node == dst) continue;  // paths end at the goal
+      const auto adj = links_.find(node);
+      if (adj == links_.end()) continue;
+      for (const auto& [to, etx] : adj->second) {
+        if (etx > cfg_.max_link_etx) continue;  // unusable even as a relay hop
+        const double cost = r.cost + etx;
+        const auto [it, fresh] = reach[h].try_emplace(to, Reach{cost, node});
+        if (!fresh && (cost < it->second.cost ||
+                       (cost == it->second.cost && node < it->second.from))) {
+          it->second = {cost, node};
+        }
       }
-      best[to] = next_cost;
-      parent[to] = node;
-      depth[to] = hops + 1;
-      queue.push({next_cost, to});
     }
   }
 
-  if (best.find(dst) == best.end()) return {};
-  std::vector<net::StationId> path;
-  for (net::StationId cur = dst; cur != src; cur = parent[cur]) {
-    path.push_back(cur);
+  if (!reach.back().contains(dst)) return {};
+  // Walk predecessors back to the source, one round per hop.
+  std::vector<net::StationId> path{dst};
+  for (std::size_t h = reach.size() - 1; path.back() != src; --h) {
+    path.push_back(reach[h].at(path.back()).from);
   }
-  path.push_back(src);
   std::reverse(path.begin(), path.end());
   return path;
 }

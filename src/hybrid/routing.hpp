@@ -47,8 +47,9 @@ class MeshRouter {
   explicit MeshRouter(const LinkMetricTable& table)
       : MeshRouter(table, Config{}) {}
 
-  /// Cheapest route src -> dst by summed (alternation-discounted) ETT.
-  /// Empty when unreachable with fresh metrics.
+  /// Cheapest route src -> dst of at most max_hops hops by summed
+  /// (alternation-discounted) ETT. Empty when unreachable with fresh
+  /// metrics within max_hops.
   [[nodiscard]] std::vector<Hop> route(net::StationId src, net::StationId dst,
                                        sim::Time now) const;
 
@@ -89,9 +90,10 @@ class RelayPlanner {
   /// connectivity threshold — the meter needs a relay path.
   [[nodiscard]] bool needs_relay(net::StationId src, net::StationId dst) const;
 
-  /// Cheapest usable path src -> dst by summed ETX (deterministic
-  /// Dijkstra, ties broken by station id), inclusive of both endpoints.
-  /// Acyclic by construction; empty when unreachable within max_hops.
+  /// Cheapest usable path src -> dst of at most max_hops hops by summed
+  /// ETX (deterministic, ties broken by predecessor id), inclusive of both
+  /// endpoints. Acyclic, since link costs are positive; empty when
+  /// unreachable within max_hops.
   [[nodiscard]] std::vector<net::StationId> plan(net::StationId src,
                                                  net::StationId dst) const;
 

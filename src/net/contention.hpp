@@ -39,7 +39,7 @@ class ContentionRound {
 
   void register_mac(Mac& mac) { macs_.push_back(&mac); }
 
-  /// A MAC signals that its queue went non-empty (or unstalled).
+  /// A MAC signals that its queue went non-empty.
   void notify_ready() {
     if (!busy_ && !contention_scheduled_) schedule_contention();
   }
@@ -116,8 +116,8 @@ class ContentionRound {
   /// The preamble of the round's winners.
   void transmit() {
     // A winner may have lost its backlog between the backoff win and the
-    // preamble (modem reset / queue stall fault injection); it cannot
-    // transmit. On the no-fault path every winner still has work pending.
+    // preamble (failover salvaging a tripped member's queue); it cannot
+    // transmit. Without failover every winner still has work pending.
     std::erase_if(winners_, [](Mac* m) { return !m->has_pending(); });
     if (winners_.empty()) {
       go_idle();

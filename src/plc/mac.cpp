@@ -90,18 +90,6 @@ std::vector<net::Packet> PlcMac::take_queue() {
   return out;
 }
 
-void PlcMac::set_stalled(bool stalled) {
-  stalled_ = stalled;
-  if (!stalled_ && !pb_queue_.empty()) medium_.notify_ready();
-}
-
-void PlcMac::reset_modem() {
-  pb_queue_.clear();
-  queued_pbs_ = 0;
-  reassembly_.clear();
-  reset_backoff();
-}
-
 void PlcMac::reset_backoff() {
   stage_ = 0;
   backoff_ = -1;

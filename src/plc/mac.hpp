@@ -58,20 +58,9 @@ class PlcMac final : public net::Interface {
 
   [[nodiscard]] net::StationId id() const { return self_; }
 
-  // --- Fault hooks (fault::FaultInjector) ----------------------------------
-
-  /// Queue-stall fault: the transmit path wedges — enqueue still accepts,
-  /// but the MAC stops contending until the stall clears.
-  void set_stalled(bool stalled);
-  [[nodiscard]] bool stalled() const { return stalled_; }
-
-  /// Modem reset fault: flush the queue and reassembly state and restart
-  /// the backoff machinery, as a power-cycled adapter would (§7.1).
-  void reset_modem();
-
   // --- Hooks driven by the medium -----------------------------------------
 
-  [[nodiscard]] bool has_pending() const { return !stalled_ && !pb_queue_.empty(); }
+  [[nodiscard]] bool has_pending() const { return !pb_queue_.empty(); }
 
   /// Channel-access priority the station will signal in the priority-
   /// resolution slots: the priority of the frame at the queue head.
@@ -130,7 +119,6 @@ class PlcMac final : public net::Interface {
 
   std::deque<PbUnit> pb_queue_;
   std::size_t queued_pbs_ = 0;
-  bool stalled_ = false;
 
   int stage_ = 0;
   int backoff_ = -1;  ///< -1: not drawn

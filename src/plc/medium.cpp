@@ -11,13 +11,10 @@ namespace efd::plc {
 PlcMedium::PlcMedium(sim::Simulator& simulator, const PlcChannel& channel, sim::Rng rng)
     : ContentionRound(simulator, kSlot, kPrs), channel_(channel), rng_(rng) {}
 
-void PlcMedium::enable_beacons(sim::Time period, sim::Time duration) {
+void PlcMedium::enable_beacons() {
   assert(!beacons_enabled_ && "beacons already enabled");
-  assert(duration < period);
   beacons_enabled_ = true;
-  beacon_period_ = period;
-  beacon_duration_ = duration;
-  sim_.after(period, [this] { beacon_tick(); });
+  sim_.after(kBeaconPeriod, [this] { beacon_tick(); });
 }
 
 void PlcMedium::beacon_tick() {
@@ -26,12 +23,12 @@ void PlcMedium::beacon_tick() {
   // flight, the region follows it: charge the hold to the next contention.
   // If the medium is idle, hold it busy for the beacon duration directly.
   if (busy_ || contention_scheduled_) {
-    pending_beacon_hold_ += beacon_duration_;
+    pending_beacon_hold_ += kBeaconDuration;
   } else {
     busy_ = true;
-    sim_.after(beacon_duration_, [this] { go_idle(); });
+    sim_.after(kBeaconDuration, [this] { go_idle(); });
   }
-  sim_.after(beacon_period_, [this] { beacon_tick(); });
+  sim_.after(kBeaconPeriod, [this] { beacon_tick(); });
 }
 
 PlcMedium::SnifferId PlcMedium::add_sniffer(

@@ -39,15 +39,19 @@ class PlcMedium : public net::ContentionRound<PlcMedium, PlcMac, PlcFrame> {
   /// "capture effect").
   static constexpr double kCaptureThresholdDb = 10.0;
 
+  /// IEEE 1901 beacon region: the CCo transmits a beacon every
+  /// `kBeaconPeriod` (nominally two mains cycles, 40 ms at 50 Hz), during
+  /// which the medium is reserved for `kBeaconDuration`.
+  static constexpr sim::Time kBeaconPeriod = sim::milliseconds(40);
+  static constexpr sim::Time kBeaconDuration = sim::microseconds(600);
+  static_assert(kBeaconDuration < kBeaconPeriod);
+
   PlcMedium(sim::Simulator& simulator, const PlcChannel& channel, sim::Rng rng);
 
-  /// Enable the IEEE 1901 beacon region: the CCo transmits a beacon every
-  /// `period` (nominally two mains cycles, 40 ms at 50 Hz), during which the
-  /// medium is reserved for `duration`. Purely an airtime cost in this
-  /// model (network management rides in it); disabled by default so the
+  /// Enable the beacon region. Purely an airtime cost in this model
+  /// (network management rides in it); disabled by default so the
   /// CSMA-only calibration stays put — enable for standard-fidelity runs.
-  void enable_beacons(sim::Time period = sim::milliseconds(40),
-                      sim::Time duration = sim::microseconds(600));
+  void enable_beacons();
 
   /// Subscribe a sniffer callback, invoked for every decodable SoF.
   /// Returns a token for `remove_sniffer` — a subscriber whose lifetime is
@@ -59,13 +63,13 @@ class PlcMedium : public net::ContentionRound<PlcMedium, PlcMac, PlcFrame> {
   SnifferId add_sniffer(std::function<void(const SofRecord&)> sniffer);
   void remove_sniffer(SnifferId id);
 
-  /// Fault injection (fault::FaultKind::kPlcBlackout / kPacketCorruption):
-  /// every PB decode additionally fails with probability `p` — an appliance
-  /// surge's impulsive noise floor. 1.0 blacks the bus out entirely (no PB
-  /// survives, SACKs report total loss, estimators retune away and drop
-  /// their maps). 0 restores the clean channel; the default path draws the
-  /// same RNG sequence as before the hook existed, so no-fault runs stay
-  /// byte-identical.
+  /// Fault injection (fault::FaultKind::kPlcBlackout, kBoardBlackout and
+  /// kBoardBrownout): every PB decode additionally fails with probability
+  /// `p` — an appliance surge's impulsive noise floor, or a board's failing
+  /// mains. 1.0 blacks the bus out entirely (no PB survives, SACKs report
+  /// total loss, estimators retune away and drop their maps). 0 restores
+  /// the clean channel; the default path draws the same RNG sequence as
+  /// before the hook existed, so no-fault runs stay byte-identical.
   void set_fault_pb_error(double p) { fault_pberr_ = p; }
   [[nodiscard]] double fault_pb_error() const { return fault_pberr_; }
 
@@ -97,8 +101,6 @@ class PlcMedium : public net::ContentionRound<PlcMedium, PlcMac, PlcFrame> {
   double fault_pberr_ = 0.0;  ///< injected impulsive-noise PB error floor
   std::uint64_t frames_sent_ = 0;
   bool beacons_enabled_ = false;
-  sim::Time beacon_period_{};
-  sim::Time beacon_duration_{};
   sim::Time pending_beacon_hold_{};  ///< beacon airtime owed by the next round
   std::uint64_t beacons_ = 0;
 };

@@ -51,10 +51,6 @@ double PlcNetwork::mm_pberr(net::StationId tx, net::StationId rx) {
   return estimator(rx, tx).measured_pberr();
 }
 
-void PlcNetwork::reset_link_estimation(net::StationId tx, net::StationId rx) {
-  estimator(rx, tx).reset(sim_.now());
-}
-
 bool PlcNetwork::inject_boundary(const net::Packet& p) {
   assert(gateway_ >= 0 && "inject_boundary before set_boundary_gateway");
   ++boundary_ingress_;

@@ -48,10 +48,6 @@ class PlcNetwork final : public EstimatorDirectory {
   /// `ampstat`-style management query: smoothed PB error rate on tx -> rx.
   [[nodiscard]] double mm_pberr(net::StationId tx, net::StationId rx);
 
-  /// Reset a station's estimation state for a given incoming link (the
-  /// paper power-cycles devices between convergence runs, §7.1).
-  void reset_link_estimation(net::StationId tx, net::StationId rx);
-
   /// Mark `id` as this AVLN's boundary gateway: the station through which
   /// ALL off-board traffic enters and leaves. The medium itself never
   /// crosses a distribution board (the sharded engine keeps it cell-local);

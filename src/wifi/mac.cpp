@@ -122,12 +122,6 @@ std::vector<net::Packet> WifiMac::take_queue() {
   return out;
 }
 
-void WifiMac::reset_modem() {
-  queue_.clear();
-  cw_ = kCwMin;
-  backoff_ = -1;
-}
-
 void WifiMac::redraw_backoff() {
   backoff_ = static_cast<int>(rng_.uniform_int(0, cw_ - 1));
 }

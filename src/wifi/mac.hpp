@@ -67,7 +67,6 @@ class WifiMedium : public net::ContentionRound<WifiMedium, WifiMac, WifiFrame> {
   /// §4 "WiFi degrades under interference" failure mode. 0 restores the
   /// clean channel and the exact pre-fault RNG sequence.
   void set_jamming_db(double db) { jam_db_ = db; }
-  [[nodiscard]] double jamming_db() const { return jam_db_; }
 
  private:
   friend net::ContentionRound<WifiMedium, WifiMac, WifiFrame>;
@@ -108,21 +107,8 @@ class WifiMac final : public net::Interface {
 
   [[nodiscard]] net::StationId id() const { return self_; }
 
-  // --- Fault hooks (fault::FaultInjector) ----------------------------------
-
-  /// Queue-stall fault: enqueue still accepts, but the MAC stops contending
-  /// until the stall clears.
-  void set_stalled(bool stalled) {
-    stalled_ = stalled;
-    if (!stalled_ && !queue_.empty()) medium_.notify_ready();
-  }
-  [[nodiscard]] bool stalled() const { return stalled_; }
-
-  /// Modem reset fault: flush the queue and restart the backoff machinery.
-  void reset_modem();
-
   // Medium hooks.
-  [[nodiscard]] bool has_pending() const { return !stalled_ && !queue_.empty(); }
+  [[nodiscard]] bool has_pending() const { return !queue_.empty(); }
   /// 802.11 DCF without EDCA has a single access class.
   [[nodiscard]] static int current_priority() { return 0; }
   [[nodiscard]] int current_backoff();
@@ -153,7 +139,6 @@ class WifiMac final : public net::Interface {
   RxHandler rx_;
 
   std::deque<Mpdu> queue_;
-  bool stalled_ = false;
   int cw_;
   int backoff_ = -1;
   std::uint64_t delivered_ = 0;

@@ -163,27 +163,44 @@ TEST(ChaosNan, RelayEngagesAndStaysShardCountInvariant) {
 }
 
 TEST(ChaosNan, SeededNanStormIsSeedDeterministic) {
-  fault::FaultPlan::StormConfig sc;
+  const NanRunConfig base = small_nan(1);
+  fault::FaultPlan::CampusStormConfig sc;
   sc.start = sim::milliseconds(10);
   sc.horizon = sim::milliseconds(60);
-  sc.n_faults = 6;
   sc.min_duration = sim::milliseconds(5);
   sc.max_duration = sim::milliseconds(25);
-  sc.kinds = {fault::FaultKind::kPlcBlackout, fault::FaultKind::kWifiJam,
-              fault::FaultKind::kBoardBrownout};
-  sc.n_targets = 4;
-  const fault::FaultPlan plan = fault::FaultPlan::random_storm(sim::Rng{7}, sc);
+  sc.n_boards = 4;
+  sc.n_links =
+      static_cast<int>(grid::NanTopology::generate(base.nan).links().size());
+  const fault::FaultPlan plan = fault::FaultPlan::random_campus_storm(sim::Rng{7}, sc);
   ASSERT_EQ(plan.size(), 6u);
-  NanRunConfig a = small_nan(1);
+  NanRunConfig a = base;
   a.faults = plan;
   NanRunConfig b = small_nan(4);
-  b.faults = fault::FaultPlan::random_storm(sim::Rng{7}, sc);
+  b.faults = fault::FaultPlan::random_campus_storm(sim::Rng{7}, sc);
   const NanResult ra = run_nan(a);
   const NanResult rb = run_nan(b);
   EXPECT_GT(ra.fault_events, 0u);
   EXPECT_EQ(rb.digest, ra.digest);
   EXPECT_EQ(rb.fault_trace, ra.fault_trace);
   EXPECT_EQ(rb.transformer_digests, ra.transformer_digests);
+}
+
+TEST(ChaosNan, EveryFaultKindChangesTheDigest) {
+  // A kind that no world hooks would only be traced: the run it lands in
+  // would stay byte-identical to the fault-free one.
+  const NanResult clean = run_nan(small_nan(1));
+  for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
+    const auto kind = static_cast<fault::FaultKind>(k);
+    NanRunConfig cfg = small_nan(1);
+    const int target = kind == fault::FaultKind::kLinkPartition ? 0 : 2;
+    const double severity = kind == fault::FaultKind::kWifiJam ? 200.0 : 1.0;
+    cfg.faults.add(
+        {sim::milliseconds(15), sim::milliseconds(30), kind, target, severity});
+    const NanResult r = run_nan(cfg);
+    EXPECT_GE(r.fault_events, 2u) << fault::to_string(kind);
+    EXPECT_NE(r.digest, clean.digest) << fault::to_string(kind);
+  }
 }
 
 TEST(ChaosNan, ResetAndRebuildReplaysTheIdenticalNan) {

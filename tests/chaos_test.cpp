@@ -229,7 +229,7 @@ TEST(ChaosStorm, ScriptedStormDegradesGracefullyAndDrains) {
   fault::FaultInjector inj(sim);
   plc::PlcMedium& plc_medium = tb.plc_network_of(pair.src).medium();
   wifi::WifiMedium& wifi_medium = tb.wifi().medium();
-  inj.set_hooks(fault::FaultKind::kPacketCorruption,
+  inj.set_hooks(fault::FaultKind::kPlcBlackout,
                 {[&](const fault::FaultSpec& s, sim::Time) {
                    plc_medium.set_fault_pb_error(s.severity);
                  },
@@ -243,41 +243,21 @@ TEST(ChaosStorm, ScriptedStormDegradesGracefullyAndDrains) {
                  [&](const fault::FaultSpec&, sim::Time) {
                    wifi_medium.set_jamming_db(0.0);
                  }});
-  inj.set_hooks(fault::FaultKind::kQueueStall,
-                {[&](const fault::FaultSpec& s, sim::Time) {
-                   if (s.target % 2 == 0) {
-                     tb.plc_station(pair.src).mac().set_stalled(true);
-                   } else {
-                     tb.wifi_station(pair.src).set_stalled(true);
-                   }
-                 },
-                 [&](const fault::FaultSpec& s, sim::Time) {
-                   if (s.target % 2 == 0) {
-                     tb.plc_station(pair.src).mac().set_stalled(false);
-                   } else {
-                     tb.wifi_station(pair.src).set_stalled(false);
-                   }
-                 }});
-  inj.set_hooks(fault::FaultKind::kModemReset,
-                {[&](const fault::FaultSpec&, sim::Time) {
-                   tb.plc_station(pair.src).mac().reset_modem();
-                   tb.plc_network_of(pair.src)
-                       .reset_link_estimation(pair.src, pair.dst);
-                 },
-                 {}});
 
   tx.enable_failover(failover_config(pair.src, pair.dst, inj));
 
-  fault::FaultPlan::StormConfig storm;
-  storm.start = t0 + sim::seconds(1);
-  storm.horizon = storm_end - sim::seconds(1);  // every onset well inside
-  storm.n_faults = 6;
-  storm.min_duration = sim::milliseconds(300);
-  storm.max_duration = sim::milliseconds(900);
-  storm.n_targets = 2;
-  storm.kinds = {fault::FaultKind::kPacketCorruption, fault::FaultKind::kWifiJam,
-                 fault::FaultKind::kQueueStall, fault::FaultKind::kModemReset};
-  const fault::FaultPlan plan = fault::FaultPlan::random_storm(sim::Rng{99}, storm);
+  // Six overlapping faults, every onset well inside the storm: partial
+  // blackouts (severity < 1, a persistent PB error floor) and a total one,
+  // interleaved with WiFi jams so that both mediums are down together for
+  // part of the storm.
+  const auto at = [t0](int ms) { return t0 + sim::milliseconds(ms); };
+  fault::FaultPlan plan;
+  plan.blackout(at(1000), sim::milliseconds(800), 0, 0.6)
+      .wifi_jam(at(1500), sim::milliseconds(600), 0, 0.7)
+      .blackout(at(3000), sim::milliseconds(700), 0, 1.0)
+      .wifi_jam(at(3400), sim::milliseconds(500), 0, 1.0)
+      .blackout(at(5000), sim::milliseconds(900), 0, 0.4)
+      .wifi_jam(at(5500), sim::milliseconds(800), 0, 0.5);
   inj.install(plan);
 
   net::UdpSource::Config scfg;
@@ -289,7 +269,7 @@ TEST(ChaosStorm, ScriptedStormDegradesGracefullyAndDrains) {
   source.run(t0, storm_end + sim::seconds(5));
   sim.run_until(storm_end + sim::seconds(6));
 
-  // Every duration-bearing fault was applied and cleared.
+  // Every fault was applied and cleared.
   EXPECT_EQ(inj.active_faults(), 0);
   EXPECT_GE(inj.faults_applied(), 6u);
 

@@ -21,29 +21,32 @@ TEST(FaultPlan, KeepsSpecsSortedByOnset) {
   FaultPlan plan;
   plan.wifi_jam(sim::seconds(5), sim::seconds(1))
       .blackout(sim::seconds(1), sim::seconds(2))
-      .modem_reset(sim::seconds(3));
+      .link_partition(sim::seconds(3), sim::seconds(1), /*link=*/0);
   ASSERT_EQ(plan.size(), 3u);
   EXPECT_EQ(plan.specs()[0].kind, FaultKind::kPlcBlackout);
-  EXPECT_EQ(plan.specs()[1].kind, FaultKind::kModemReset);
+  EXPECT_EQ(plan.specs()[1].kind, FaultKind::kLinkPartition);
   EXPECT_EQ(plan.specs()[2].kind, FaultKind::kWifiJam);
   EXPECT_EQ(plan.end(), sim::seconds(6));
 }
 
 TEST(FaultPlan, EqualOnsetsKeepInsertionOrder) {
   FaultPlan plan;
-  plan.queue_stall(sim::seconds(1), sim::seconds(1), /*target=*/0)
-      .queue_stall(sim::seconds(1), sim::seconds(1), /*target=*/1)
-      .queue_stall(sim::seconds(1), sim::seconds(1), /*target=*/2);
+  plan.board_blackout(sim::seconds(1), sim::seconds(1), /*board=*/0)
+      .board_blackout(sim::seconds(1), sim::seconds(1), /*board=*/1)
+      .board_blackout(sim::seconds(1), sim::seconds(1), /*board=*/2);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(plan.specs()[i].target, i);
 }
 
 TEST(FaultPlan, RandomStormIsSeedDeterministic) {
-  FaultPlan::StormConfig cfg;
-  cfg.n_faults = 12;
-  cfg.n_targets = 4;
-  const FaultPlan a = FaultPlan::random_storm(sim::Rng{1234}, cfg);
-  const FaultPlan b = FaultPlan::random_storm(sim::Rng{1234}, cfg);
-  const FaultPlan c = FaultPlan::random_storm(sim::Rng{99}, cfg);
+  FaultPlan::CampusStormConfig cfg;
+  cfg.n_blackouts = 4;
+  cfg.n_brownouts = 4;
+  cfg.n_partitions = 4;
+  cfg.n_boards = 4;
+  cfg.n_links = 4;
+  const FaultPlan a = FaultPlan::random_campus_storm(sim::Rng{1234}, cfg);
+  const FaultPlan b = FaultPlan::random_campus_storm(sim::Rng{1234}, cfg);
+  const FaultPlan c = FaultPlan::random_campus_storm(sim::Rng{99}, cfg);
   ASSERT_EQ(a.size(), 12u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.specs()[i].onset, b.specs()[i].onset);
@@ -61,28 +64,42 @@ TEST(FaultPlan, RandomStormIsSeedDeterministic) {
 }
 
 TEST(FaultPlan, StormRespectsConfigBounds) {
-  FaultPlan::StormConfig cfg;
+  FaultPlan::CampusStormConfig cfg;
   cfg.start = sim::seconds(2);
   cfg.horizon = sim::seconds(10);
-  cfg.n_faults = 50;
-  cfg.n_targets = 3;
+  cfg.min_duration = sim::milliseconds(200);
+  cfg.max_duration = sim::seconds(5);
+  cfg.n_blackouts = 20;
+  cfg.n_brownouts = 20;
+  cfg.n_partitions = 10;
+  cfg.n_boards = 3;
+  cfg.n_links = 2;
   cfg.min_severity = 0.25;
   cfg.max_severity = 0.75;
-  const FaultPlan plan = FaultPlan::random_storm(sim::Rng{7}, cfg);
+  const FaultPlan plan = FaultPlan::random_campus_storm(sim::Rng{7}, cfg);
+  ASSERT_EQ(plan.size(), 50u);
   for (const FaultSpec& s : plan.specs()) {
     EXPECT_GE(s.onset, cfg.start);
     EXPECT_LT(s.onset, cfg.horizon);
+    EXPECT_GE(s.duration, cfg.min_duration);
+    EXPECT_LE(s.duration, cfg.max_duration);
     EXPECT_GE(s.target, 0);
-    EXPECT_LT(s.target, 3);
-    if (s.kind != FaultKind::kModemReset) {
-      EXPECT_GE(s.duration, cfg.min_duration);
-      EXPECT_LE(s.duration, cfg.max_duration);
-      if (s.kind != FaultKind::kQueueStall) {
+    switch (s.kind) {
+      case FaultKind::kBoardBlackout:
+        EXPECT_LT(s.target, 3);
+        EXPECT_EQ(s.severity, 1.0);
+        break;
+      case FaultKind::kBoardBrownout:
+        EXPECT_LT(s.target, 3);
         EXPECT_GE(s.severity, 0.25);
         EXPECT_LE(s.severity, 0.75);
-      }
-    } else {
-      EXPECT_EQ(s.duration, sim::Time{});
+        break;
+      case FaultKind::kLinkPartition:
+        EXPECT_LT(s.target, 2);
+        EXPECT_EQ(s.severity, 0.0);
+        break;
+      default:
+        ADD_FAILURE() << "campus storm drew " << to_string(s.kind);
     }
   }
 }
@@ -118,22 +135,6 @@ TEST(FaultInjector, FiresApplyAndClearHooksOnSchedule) {
   EXPECT_EQ(inj.faults_cleared(), 1u);
 }
 
-TEST(FaultInjector, ZeroDurationFaultIsOneShot) {
-  sim::Simulator sim;
-  FaultInjector inj(sim);
-  int applies = 0, clears = 0;
-  inj.set_hooks(FaultKind::kModemReset,
-                {[&](const FaultSpec&, sim::Time) { ++applies; },
-                 [&](const FaultSpec&, sim::Time) { ++clears; }});
-  FaultPlan plan;
-  plan.modem_reset(sim::milliseconds(1));
-  inj.install(plan);
-  sim.run_until(sim::seconds(1));
-  EXPECT_EQ(applies, 1);
-  EXPECT_EQ(clears, 0);
-  EXPECT_EQ(inj.active_faults(), 0);  // one-shots never linger
-}
-
 TEST(FaultInjector, UnhookedKindsAreStillTraced) {
   sim::Simulator sim;
   FaultInjector inj(sim);
@@ -149,11 +150,17 @@ TEST(FaultInjector, UnhookedKindsAreStillTraced) {
 std::string run_storm_trace(std::uint64_t seed) {
   sim::Simulator sim;
   FaultInjector inj(sim);
-  FaultPlan::StormConfig cfg;
-  cfg.n_faults = 10;
+  FaultPlan::CampusStormConfig cfg;
+  cfg.start = sim::seconds(1);
   cfg.horizon = sim::seconds(20);
-  cfg.n_targets = 2;
-  inj.install(FaultPlan::random_storm(sim::Rng{seed}, cfg));
+  cfg.min_duration = sim::milliseconds(200);
+  cfg.max_duration = sim::seconds(5);
+  cfg.n_blackouts = 4;
+  cfg.n_brownouts = 4;
+  cfg.n_partitions = 2;
+  cfg.n_boards = 2;
+  cfg.n_links = 2;
+  inj.install(FaultPlan::random_campus_storm(sim::Rng{seed}, cfg));
   sim.run_until(sim::seconds(30));
   return inj.trace_lines();
 }
@@ -169,8 +176,8 @@ TEST(FaultInjector, StormTraceIsByteIdenticalAcrossRuns) {
 TEST(FaultInjector, RecordAppendsRecoveryEvents) {
   sim::Simulator sim;
   FaultInjector inj(sim);
-  inj.record(FaultPhase::kTrip, FaultKind::kQueueStall, 1);
-  inj.record(FaultPhase::kRecover, FaultKind::kQueueStall, 1);
+  inj.record(FaultPhase::kTrip, FaultKind::kLinkPartition, 1);
+  inj.record(FaultPhase::kRecover, FaultKind::kLinkPartition, 1);
   ASSERT_EQ(inj.trace().size(), 2u);
   EXPECT_EQ(inj.trace()[0].phase, FaultPhase::kTrip);
   EXPECT_EQ(inj.trace()[1].phase, FaultPhase::kRecover);
@@ -372,18 +379,6 @@ TEST(HealthMonitor, StaleNonceIsIgnored) {
   EXPECT_GE(mon.stale_results(), 2u);
 }
 
-TEST(HealthMonitor, DataPathReportsFeedTheSameBreaker) {
-  sim::Simulator sim;
-  HealthMonitor::Config cfg = fast_cfg();
-  HealthMonitor mon(sim, sim::Rng{1}, cfg, [](std::uint64_t) {});
-  for (int i = 0; i < cfg.trip_threshold; ++i) mon.report_failure();
-  EXPECT_EQ(mon.state(), HealthMonitor::State::kOpen);
-  mon.report_success();
-  EXPECT_EQ(mon.state(), HealthMonitor::State::kHalfOpen);
-  mon.report_success();
-  EXPECT_EQ(mon.state(), HealthMonitor::State::kClosed);
-}
-
 TEST(HealthMonitor, StopDisarmsAndStartResumes) {
   sim::Simulator sim;
   ProbeScript script;
@@ -447,17 +442,17 @@ TEST(FaultAllocation, InjectorFiringIsAllocationFree) {
   sim::Simulator sim;
   FaultInjector inj(sim);
   int applies = 0;
-  inj.set_hooks(FaultKind::kQueueStall,
+  inj.set_hooks(FaultKind::kPlcBlackout,
                 {[&](const FaultSpec&, sim::Time) { ++applies; },
                  [&](const FaultSpec&, sim::Time) {}});
   // Warm-up fault: first fire registers the obs counters.
   FaultPlan warm;
-  warm.queue_stall(sim::milliseconds(1), sim::milliseconds(1));
+  warm.blackout(sim::milliseconds(1), sim::milliseconds(1));
   inj.install(warm);
   sim.run_until(sim::milliseconds(5));
   FaultPlan plan;
   for (int i = 0; i < 50; ++i) {
-    plan.queue_stall(sim::milliseconds(10 + 10 * i), sim::milliseconds(5));
+    plan.blackout(sim::milliseconds(10 + 10 * i), sim::milliseconds(5));
   }
   // install() reserves trace and schedule capacity up front; firing the
   // events afterwards must not touch the heap.

@@ -110,6 +110,26 @@ TEST(MeshRouter, RespectsHopLimit) {
   EXPECT_EQ(router.route(0, 6, now()).size(), 6u);  // exactly at the limit
 }
 
+TEST(MeshRouter, CheapLongPrefixDoesNotHideAFeasibleRoute) {
+  // 0->1->2 reaches 2 cheaper than 0->2 but spends both hops of the budget;
+  // only 0->2->3 reaches 3 within two hops.
+  LinkMetricTable table;
+  table.update(0, 1, Medium::kPlc, metric(12.0));  // 1 ms
+  table.update(1, 2, Medium::kPlc, metric(12.0));
+  table.update(2, 3, Medium::kPlc, metric(12.0));
+  table.update(0, 2, Medium::kPlc, metric(2.4));  // 5 ms
+  MeshRouter::Config cfg;
+  cfg.max_hops = 2;
+  const auto path = MeshRouter(table, cfg).route(0, 3, now());
+  ASSERT_EQ(path.size(), 2u);
+  EXPECT_EQ(path[0].from, 0);
+  EXPECT_EQ(path[0].to, 2);
+  EXPECT_EQ(path[1].to, 3);
+  // With a third hop allowed the cheaper three-hop route wins.
+  cfg.max_hops = 3;
+  EXPECT_EQ(MeshRouter(table, cfg).route(0, 3, now()).size(), 3u);
+}
+
 TEST(MeshRouter, SelfRouteIsEmpty) {
   LinkMetricTable table;
   MeshRouter router(table);
@@ -140,6 +160,37 @@ TEST(MeshRouter, LossyShortcutLosesToCleanRelay) {
   table.update(0, 2, Medium::kWifi, metric(50.0, 0.7));
   const auto path2 = router.route(0, 2, now());
   EXPECT_EQ(path2.size(), 2u);
+}
+
+RelayPlanner chain_with_shortcut(int max_hops) {
+  RelayPlanner::Config cfg;
+  cfg.max_hops = max_hops;
+  RelayPlanner planner(cfg);
+  planner.set_link(0, 1, 1.0);
+  planner.set_link(1, 2, 1.0);
+  planner.set_link(2, 3, 1.0);
+  planner.set_link(0, 2, 5.0);
+  return planner;
+}
+
+TEST(RelayPlanner, CheapLongPrefixDoesNotHideAFeasiblePath) {
+  // 0->1->2 reaches 2 cheaper than 0->2 but spends both hops of the budget;
+  // only 0->2->3 reaches 3 within two hops.
+  const RelayPlanner two = chain_with_shortcut(2);
+  EXPECT_EQ(two.plan(0, 3), (std::vector<net::StationId>{0, 2, 3}));
+  EXPECT_DOUBLE_EQ(two.path_etx(two.plan(0, 3)), 6.0);
+  // With a third hop allowed the cheaper three-hop path wins.
+  EXPECT_EQ(chain_with_shortcut(3).plan(0, 3),
+            (std::vector<net::StationId>{0, 1, 2, 3}));
+}
+
+TEST(RelayPlanner, EqualCostsGoToTheLowerPredecessor) {
+  RelayPlanner planner;
+  planner.set_link(5, 3, 1.0);
+  planner.set_link(5, 2, 1.0);
+  planner.set_link(3, 0, 1.0);
+  planner.set_link(2, 0, 1.0);
+  EXPECT_EQ(planner.plan(5, 0), (std::vector<net::StationId>{5, 2, 0}));
 }
 
 }  // namespace

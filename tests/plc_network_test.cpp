@@ -57,14 +57,6 @@ TEST_F(NetworkFixture, MmQueriesReflectEstimatorState) {
   EXPECT_DOUBLE_EQ(network->mm_pberr(0, 1), est.measured_pberr());
 }
 
-TEST_F(NetworkFixture, ResetLinkEstimationDropsState) {
-  auto& est = network->estimator(1, 0);
-  est.on_sound_frame(sim::seconds(1));
-  ASSERT_TRUE(est.has_tone_maps());
-  network->reset_link_estimation(0, 1);
-  EXPECT_FALSE(est.has_tone_maps());
-}
-
 TEST_F(NetworkFixture, MediumIsShared) {
   // Every station registered on the one medium: a frame from 0 to 1 is
   // heard by the sniffer exactly once.
