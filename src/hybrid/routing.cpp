@@ -6,7 +6,68 @@
 namespace efd::hybrid {
 
 namespace {
+
 constexpr double kDeadMs = 1e9;
+
+/// Router states carry the last hop's medium; planner states are stations.
+using RouterKey = std::pair<net::StationId, int>;  // medium -1 at the source
+net::StationId station_of(const RouterKey& key) { return key.first; }
+net::StationId station_of(net::StationId station) { return station; }
+
+/// Cheapest path of at most `max_hops` hops from state `src` to a state at
+/// station `dst`, as the states along it (both ends included); empty when
+/// none fits. `expand(key, relax)` calls relax(next, hop_cost) for every
+/// usable edge out of `key`.
+///
+/// Bellman-Ford in max_hops rounds: after round h, reach[h] holds the
+/// cheapest cost of each state within h hops. Keeping the hop budget in the
+/// search means a cheap partial path that spent more hops cannot hide a
+/// costlier one that still fits. Equal costs go to the lower predecessor
+/// state, so equal-cost paths are identical on every shard and platform;
+/// among goal states of equal cost the lowest wins.
+template <class Key, class Expand>
+std::vector<Key> hop_bounded_search(const Key& src, net::StationId dst,
+                                    int max_hops, Expand&& expand) {
+  struct Reach {
+    double cost;
+    Key from;
+  };
+  std::vector<std::map<Key, Reach>> reach(
+      static_cast<std::size_t>(std::max(max_hops, 0)) + 1);
+  reach[0][src] = {0.0, src};
+  for (std::size_t h = 1; h < reach.size(); ++h) {
+    reach[h] = reach[h - 1];
+    for (const auto& [key, r] : reach[h - 1]) {
+      if (station_of(key) == dst) continue;  // paths end at the goal
+      expand(key, [&](const Key& next, double hop_cost) {
+        const double cost = r.cost + hop_cost;
+        const auto [it, fresh] = reach[h].try_emplace(next, Reach{cost, key});
+        if (!fresh && (cost < it->second.cost ||
+                       (cost == it->second.cost && key < it->second.from))) {
+          it->second = {cost, key};
+        }
+      });
+    }
+  }
+
+  const std::map<Key, Reach>& last = reach.back();
+  auto goal = last.end();
+  for (auto it = last.begin(); it != last.end(); ++it) {
+    if (station_of(it->first) == dst &&
+        (goal == last.end() || it->second.cost < goal->second.cost)) {
+      goal = it;
+    }
+  }
+  if (goal == last.end()) return {};
+  // Walk predecessors back to the source, one round per hop.
+  std::vector<Key> path{goal->first};
+  for (std::size_t h = reach.size() - 1; path.back() != src; --h) {
+    path.push_back(reach[h].at(path.back()).from);
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
 }  // namespace
 
 double expected_transmission_time_ms(const LinkMetric& metric,
@@ -37,58 +98,26 @@ std::vector<Hop> MeshRouter::route(net::StationId src, net::StationId dst,
     adjacency[e.src].push_back({e.dst, e.medium, ett});
   }
 
-  // Bellman-Ford in max_hops rounds over (station, last-hop medium)
-  // states, so the alternation discount composes along the path: after
-  // round h, reach[h] holds the cheapest cost of each state within h hops.
-  // Keeping the hop budget in the search means a cheap partial route that
-  // spent more hops cannot hide a costlier one that still fits. Equal costs
-  // go to the lower predecessor state.
-  using Key = std::pair<net::StationId, int>;  // medium -1 at the source
-  struct Reach {
-    double cost;
-    Key from;
-  };
-  const int rounds = std::max(cfg_.max_hops, 0);
-  std::vector<std::map<Key, Reach>> reach(static_cast<std::size_t>(rounds) + 1);
-  reach[0][{src, -1}] = {0.0, {src, -1}};
-  for (std::size_t h = 1; h < reach.size(); ++h) {
-    reach[h] = reach[h - 1];
-    for (const auto& [key, r] : reach[h - 1]) {
-      if (key.first == dst) continue;  // routes end at the goal
-      const auto adj = adjacency.find(key.first);
-      if (adj == adjacency.end()) continue;
-      for (const Edge& edge : adj->second) {
-        double hop_cost = edge.ett_ms;
-        if (key.second >= 0 && key.second != static_cast<int>(edge.medium)) {
-          hop_cost *= cfg_.alternation_discount;
-        }
-        const double cost = r.cost + hop_cost;
-        const auto [it, fresh] = reach[h].try_emplace(
-            Key{edge.to, static_cast<int>(edge.medium)}, Reach{cost, key});
-        if (!fresh && (cost < it->second.cost ||
-                       (cost == it->second.cost && key < it->second.from))) {
-          it->second = {cost, key};
-        }
+  // States are (station, last-hop medium), so the alternation discount
+  // composes along the path.
+  const auto expand = [&](const RouterKey& key, auto&& relax) {
+    const auto adj = adjacency.find(key.first);
+    if (adj == adjacency.end()) return;
+    for (const Edge& edge : adj->second) {
+      double hop_cost = edge.ett_ms;
+      if (key.second >= 0 && key.second != static_cast<int>(edge.medium)) {
+        hop_cost *= cfg_.alternation_discount;
       }
+      relax(RouterKey{edge.to, static_cast<int>(edge.medium)}, hop_cost);
     }
-  }
-
-  const std::map<Key, Reach>& last = reach.back();
-  auto goal = last.end();
-  for (auto it = last.lower_bound({dst, -1});
-       it != last.end() && it->first.first == dst; ++it) {
-    if (goal == last.end() || it->second.cost < goal->second.cost) goal = it;
-  }
-  if (goal == last.end()) return {};
-  // Walk predecessors back to the source, one round per hop.
+  };
+  const std::vector<RouterKey> states =
+      hop_bounded_search(RouterKey{src, -1}, dst, cfg_.max_hops, expand);
   std::vector<Hop> path;
-  Key cur = goal->first;
-  for (std::size_t h = reach.size() - 1; cur != Key{src, -1}; --h) {
-    const Key from = reach[h].at(cur).from;
-    path.push_back({from.first, cur.first, static_cast<Medium>(cur.second)});
-    cur = from;
+  for (std::size_t i = 1; i < states.size(); ++i) {
+    path.push_back({states[i - 1].first, states[i].first,
+                    static_cast<Medium>(states[i].second)});
   }
-  std::reverse(path.begin(), path.end());
   return path;
 }
 
@@ -130,45 +159,15 @@ std::vector<net::StationId> RelayPlanner::plan(net::StationId src,
                                                net::StationId dst) const {
   if (src == dst) return {src};
 
-  // Bellman-Ford in max_hops rounds: after round h, reach[h] holds the
-  // cheapest ETX of each station within h hops. Keeping the hop budget in
-  // the search means a cheap partial path that spent more hops cannot hide
-  // a costlier one that still fits. Equal costs go to the lower predecessor
-  // id, so equal-cost plans are identical on every shard and platform.
-  struct Reach {
-    double cost;
-    net::StationId from;
-  };
-  const int rounds = std::max(cfg_.max_hops, 0);
-  std::vector<std::map<net::StationId, Reach>> reach(
-      static_cast<std::size_t>(rounds) + 1);
-  reach[0][src] = {0.0, src};
-  for (std::size_t h = 1; h < reach.size(); ++h) {
-    reach[h] = reach[h - 1];
-    for (const auto& [node, r] : reach[h - 1]) {
-      if (node == dst) continue;  // paths end at the goal
-      const auto adj = links_.find(node);
-      if (adj == links_.end()) continue;
-      for (const auto& [to, etx] : adj->second) {
-        if (etx > cfg_.max_link_etx) continue;  // unusable even as a relay hop
-        const double cost = r.cost + etx;
-        const auto [it, fresh] = reach[h].try_emplace(to, Reach{cost, node});
-        if (!fresh && (cost < it->second.cost ||
-                       (cost == it->second.cost && node < it->second.from))) {
-          it->second = {cost, node};
-        }
-      }
+  const auto expand = [&](net::StationId node, auto&& relax) {
+    const auto adj = links_.find(node);
+    if (adj == links_.end()) return;
+    for (const auto& [to, etx] : adj->second) {
+      if (etx > cfg_.max_link_etx) continue;  // unusable even as a relay hop
+      relax(to, etx);
     }
-  }
-
-  if (!reach.back().contains(dst)) return {};
-  // Walk predecessors back to the source, one round per hop.
-  std::vector<net::StationId> path{dst};
-  for (std::size_t h = reach.size() - 1; path.back() != src; --h) {
-    path.push_back(reach[h].at(path.back()).from);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  };
+  return hop_bounded_search(src, dst, cfg_.max_hops, expand);
 }
 
 double RelayPlanner::path_etx(const std::vector<net::StationId>& path) const {

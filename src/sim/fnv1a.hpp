@@ -1,9 +1,8 @@
 #pragma once
 
-// FNV-1a, the hash behind the order-exact digest streams: engine
-// checkpoints, campus and NAN cell digests, scenario traces and the campus
-// bench sweep. Words are folded as little-endian bytes, so a digest is the
-// same on every host.
+// FNV-1a, the hash behind the order-exact digest streams: campus and NAN
+// cell digests, scenario traces and the campus bench sweep. Words are
+// folded as little-endian bytes, so a digest is the same on every host.
 
 #include <cstdint>
 

@@ -1,7 +1,7 @@
 #pragma once
 
 // Cross-shard boundary-event transport for the sharded event engine
-// (DESIGN.md §14, §15). One mailbox per *directed boundary link* (source
+// (DESIGN.md §14.3). One mailbox per *directed boundary link* (source
 // cell -> destination cell), so each mailbox has exactly one producing
 // thread (the shard executing the source cell) and one consuming thread
 // (the shard executing the destination cell) — a true SPSC channel,
@@ -134,40 +134,9 @@ class ShardMailbox {
     return pushed >= popped ? pushed - popped : 0;
   }
 
-  /// High-water mark of occupancy() since construction or the last reset().
+  /// High-water mark of occupancy() since construction.
   [[nodiscard]] std::uint64_t peak_occupancy() const {
     return peak_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t total_pushed() const {
-    return pushed_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t total_popped() const {
-    return popped_.load(std::memory_order_relaxed);
-  }
-
-  /// Visit every undelivered event in FIFO order without consuming it.
-  /// Quiescent-only (no concurrent producer): the checkpoint path walks the
-  /// chunk chain from the consumer cursor.
-  template <typename F>
-  void for_each_pending(F&& fn) const {
-    std::size_t cursor = read_;
-    for (const Chunk* c = head_; c != nullptr;
-         c = c->next.load(std::memory_order_acquire)) {
-      const std::size_t filled = c->filled.load(std::memory_order_acquire);
-      for (std::size_t i = cursor; i < filled; ++i) fn(c->events[i]);
-      cursor = 0;
-    }
-  }
-
-  /// Drain every pending event and zero the counters. Quiescent-only; the
-  /// engine's reset() uses this so a checkpoint taken after reset+replay
-  /// reproduces the original run's mailbox counters exactly.
-  void reset() {
-    while (peek() != nullptr) pop();
-    pushed_.store(0, std::memory_order_relaxed);
-    popped_.store(0, std::memory_order_relaxed);
-    peak_.store(0, std::memory_order_relaxed);
   }
 
  private:

@@ -14,7 +14,6 @@
 
 #include "src/core/env.hpp"
 #include "src/obs/obs.hpp"
-#include "src/sim/fnv1a.hpp"
 
 namespace efd::sim {
 
@@ -145,8 +144,6 @@ void ShardedSimulator::throw_stall(int shard) const {
   if (stalled >= 0) {
     msg += ": watchdog declared shard " + std::to_string(stalled) +
            " stalled (no horizon/beat progress within the wall-clock budget)";
-  } else {
-    msg += ": abort requested";
   }
   throw ShardStallError(msg);
 }
@@ -215,9 +212,9 @@ void ShardedSimulator::run_shard(int shard, std::int64_t end_exclusive_ns) {
     horizon = target;
     s.horizon.store(target, std::memory_order_release);
   }
-  // An abort raised during the final window (a cell event calling
-  // request_abort, or the watchdog firing late) must still fail the run —
-  // the loop condition above is already false by the time it lands.
+  // An abort raised during the final window (the watchdog firing late)
+  // must still fail the run — the loop condition above is already false by
+  // the time it lands.
   if (abort_.load(std::memory_order_relaxed)) throw_stall(shard);
   st.events_dispatched = s.sim.events_dispatched();
 }
@@ -225,7 +222,9 @@ void ShardedSimulator::run_shard(int shard, std::int64_t end_exclusive_ns) {
 void ShardedSimulator::watch(const std::stop_token& st,
                              std::int64_t end_exclusive_ns) {
   const std::int64_t budget = cfg_.watchdog.budget_ns;
-  const std::int64_t poll = std::max<std::int64_t>(cfg_.watchdog.poll_ns, 1'000'000);
+  // Ten samples per budget, between 1 ms and 20 ms apart.
+  const std::int64_t poll =
+      std::clamp<std::int64_t>(budget / 10, 1'000'000, 20'000'000);
   struct Last {
     std::int64_t horizon = 0;
     std::uint64_t beats = 0;
@@ -369,70 +368,6 @@ std::uint64_t ShardedSimulator::mailbox_peak_occupancy() const {
   std::uint64_t peak = 0;
   for (const auto& m : mail_) peak = std::max(peak, m->peak_occupancy());
   return peak;
-}
-
-EngineCheckpoint ShardedSimulator::checkpoint() const {
-  EngineCheckpoint cp;
-  cp.n_cells = cfg_.n_cells;
-  cp.n_shards = n_shards_;
-  cp.t_ns = kForever;
-  cp.shards.reserve(static_cast<std::size_t>(n_shards_));
-  std::vector<std::pair<std::int64_t, std::uint64_t>> pend;
-  for (const auto& shard : shards_) {
-    const Shard& s = *shard;
-    ShardCheckpoint sc;
-    sc.horizon_ns = s.horizon.load(std::memory_order_acquire);
-    sc.now_ns = s.sim.now().ns();
-    sc.dispatched = s.sim.events_dispatched();
-    sc.sequence = s.sim.sequence();
-    sc.pending = s.sim.pending_events();
-    pend.clear();
-    s.sim.visit_pending([&pend](std::int64_t t_ns, std::uint64_t seq) {
-      pend.emplace_back(t_ns, seq);
-    });
-    std::sort(pend.begin(), pend.end());
-    Fnv1a64 f;
-    for (const auto& [t_ns, seq] : pend) {
-      f.mix(t_ns);
-      f.mix(seq);
-    }
-    sc.pending_digest = f.h;
-    cp.t_ns = std::min(cp.t_ns, sc.horizon_ns);
-    cp.shards.push_back(sc);
-  }
-  cp.mailboxes.reserve(mail_.size());
-  for (const auto& m : mail_) {
-    MailboxCheckpoint mc;
-    mc.pushed = m->total_pushed();
-    mc.popped = m->total_popped();
-    Fnv1a64 f;
-    m->for_each_pending([&f](const BoundaryEvent& e) {
-      f.mix(e.t_ns);
-      f.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.src_cell)));
-      f.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.dst_cell)));
-      f.mix((static_cast<std::uint64_t>(e.kind) << 32) | e.bytes);
-      f.mix(e.a);
-      f.mix(e.b);
-      f.mix(e.c);
-    });
-    mc.pending_digest = f.h;
-    cp.mailboxes.push_back(mc);
-  }
-  return cp;
-}
-
-void ShardedSimulator::reset() {
-  for (auto& shard : shards_) {
-    shard->sim.reset();
-    shard->horizon.store(0, std::memory_order_relaxed);
-    shard->beats.store(0, std::memory_order_relaxed);
-    shard->heap_depth.store(0, std::memory_order_relaxed);
-  }
-  for (auto& m : mail_) m->reset();
-  abort_.store(false, std::memory_order_relaxed);
-  stalled_shard_.store(-1, std::memory_order_relaxed);
-  std::fill(stats_.begin(), stats_.end(), ShardStats{});
-  std::fill(handlers_.begin(), handlers_.end(), CellHandler{});
 }
 
 int ShardedSimulator::env_shards(int fallback) {

@@ -29,8 +29,8 @@
 //
 // Fault-tolerance surface (DESIGN.md §15): a wall-clock watchdog flags
 // shards that stop making progress (run aborts with ShardStallError instead
-// of hanging), and checkpoint() fingerprints the quiescent engine for the
-// reset-and-replay restore protocol.
+// of hanging). An engine is built, run and read once: to replay a run,
+// build a new one from the same config.
 
 #include <atomic>
 #include <cstdint>
@@ -40,16 +40,14 @@
 #include <stop_token>
 #include <vector>
 
-#include "src/sim/checkpoint.hpp"
 #include "src/sim/shard_mailbox.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sim/time.hpp"
 
 namespace efd::sim {
 
-/// Thrown (out of run_until) when the watchdog declares a shard stalled or
-/// abort was requested mid-run. The engine state is indeterminate afterwards
-/// — reset() before reusing it.
+/// Thrown (out of run_until) when the watchdog declares a shard stalled.
+/// The engine state is indeterminate afterwards: discard the engine.
 class ShardStallError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -73,10 +71,10 @@ class ShardedSimulator {
   /// ShardStallError instead of hanging. budget_ns == 0 disables the
   /// watchdog. The beat granularity is one engine window chunk, so the
   /// budget must comfortably exceed the wall time of the largest chunk
-  /// (milliseconds in practice; CI uses tens of seconds).
+  /// (milliseconds in practice; CI uses tens of seconds). The watchdog
+  /// samples every budget_ns / 10, clamped to [1 ms, 20 ms].
   struct WatchdogConfig {
     std::int64_t budget_ns = 0;
-    std::int64_t poll_ns = 20'000'000;  ///< sampling period
   };
 
   struct Config {
@@ -127,10 +125,9 @@ class ShardedSimulator {
   /// watchdog aborts the run, or rethrows the first cell exception.
   void run_until(Time end);
 
-  /// Cooperatively abort an in-flight run: every shard throws
-  /// ShardStallError at its next window or wait-loop check. Long-running
-  /// cell events can poll abort_requested() to bail out early.
-  void request_abort() { abort_.store(true, std::memory_order_relaxed); }
+  /// True once the watchdog has aborted the in-flight run: every shard
+  /// throws ShardStallError at its next window or wait-loop check.
+  /// Long-running cell events can poll it to bail out early.
   [[nodiscard]] bool abort_requested() const {
     return abort_.load(std::memory_order_relaxed);
   }
@@ -150,25 +147,8 @@ class ShardedSimulator {
   [[nodiscard]] const std::vector<ShardStats>& shard_stats() const { return stats_; }
 
   /// High-water mark of undelivered events over all boundary mailboxes
-  /// since construction or the last reset().
+  /// since construction.
   [[nodiscard]] std::uint64_t mailbox_peak_occupancy() const;
-
-  /// Fingerprint the quiescent engine (between run_until calls; never
-  /// during a run). See checkpoint.hpp for the restore protocol.
-  [[nodiscard]] EngineCheckpoint checkpoint() const;
-
-  /// True when the engine's current fingerprint equals `cp` — the verify
-  /// half of reset-and-replay restore.
-  [[nodiscard]] bool matches(const EngineCheckpoint& cp) const {
-    return checkpoint() == cp;
-  }
-
-  /// Drop all engine/mailbox state and return to the as-constructed state:
-  /// every shard Simulator reset, every mailbox drained (counters zeroed),
-  /// horizons back to zero. Cell worlds must then be rebuilt (their event
-  /// chains died with the engines) — the reset-replay gate rebuilds and
-  /// expects a byte-identical digest.
-  void reset();
 
   /// Largest shard count a user may ask for (EFD_SHARDS clamps to it, the
   /// CLI's --shards rejects above it): one worker thread per shard.
@@ -219,7 +199,7 @@ class ShardedSimulator {
   /// merge described in the header comment.
   void run_window(int shard, Shard& s, std::int64_t target_ns);
   [[noreturn]] void throw_stall(int shard) const;
-  /// Watchdog thread body: samples horizons/beats every poll_ns and aborts
+  /// Watchdog thread body: samples horizons/beats and aborts
   /// the run when one shard makes no progress for budget_ns.
   void watch(const std::stop_token& st, std::int64_t end_exclusive_ns);
   void dump_stall_diagnostics(std::int64_t end_exclusive_ns) const;

@@ -89,19 +89,6 @@ class Simulator {
   /// Number of events dispatched since construction or the last reset().
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
 
-  /// FIFO sequence counter: events ever scheduled since construction or the
-  /// last reset(). Together with events_dispatched() and the pending set it
-  /// fingerprints the engine state for checkpoints (DESIGN.md §15).
-  [[nodiscard]] std::uint64_t sequence() const { return seq_; }
-
-  /// Visit every pending heap entry as (t_ns, seq), in unspecified order
-  /// (heap layout). Checkpointing sorts the pairs before digesting so the
-  /// fingerprint does not depend on the internal layout.
-  template <typename F>
-  void visit_pending(F&& fn) const {
-    for (const HeapNode& n : heap_) fn(n.t_ns, n.seq);
-  }
-
   /// Events scheduled but not yet fired or collected (tombstoned events
   /// count until the dispatch loop reaps them).
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }

@@ -32,9 +32,9 @@
 
 namespace efd::testbed {
 
-/// The shared engine and fault fields (n_shards, duration, faults,
-/// watchdog_budget_ns) come from CellRunConfig; fault
-/// plans target a board index, or a topology link for kLinkPartition.
+/// The shared engine and fault fields (n_shards, duration, faults) come
+/// from CellRunConfig; fault plans target a board index, or a topology
+/// link for kLinkPartition.
 struct CampusRunConfig : CellRunConfig {
   grid::CampusConfig campus;
   /// Probability a generated packet targets a neighboring board (one

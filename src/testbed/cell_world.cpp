@@ -8,6 +8,15 @@
 
 namespace efd::testbed {
 
+namespace {
+
+/// Shard-watchdog wall-clock budget. It is far above any legitimate
+/// window's wall time, so it only fires on real stalls/deadlocks — failing
+/// CI fast instead of hanging it.
+constexpr std::int64_t kWatchdogBudgetNs = 30'000'000'000;
+
+}  // namespace
+
 CellWorld::CellWorld(const CellRunConfig& run, Setup setup, bool bridge_fallback)
     : run_(run), setup_(std::move(setup)), bridge_fallback_(bridge_fallback) {
   sim::ShardedSimulator::Config ec;
@@ -24,13 +33,12 @@ CellWorld::CellWorld(const CellRunConfig& run, Setup setup, bool bridge_fallback
     crossings_[static_cast<std::size_t>(l.board_b)].push_back(
         {l.board_a, l.kind, l.lookahead.ns(), link});
   }
-  ec.watchdog.budget_ns = run_.watchdog_budget_ns;
+  ec.watchdog.budget_ns = kWatchdogBudgetNs;
   engine_ = std::make_unique<sim::ShardedSimulator>(std::move(ec));
 }
 
 void CellWorld::build() {
   EFD_PROF_SCOPE(setup_.build_scope);
-  cells_.clear();
   cells_.reserve(static_cast<std::size_t>(setup_.n_cells));
 
   for (int c = 0; c < setup_.n_cells; ++c) {
@@ -236,25 +244,6 @@ std::uint64_t CellWorld::world_digest() const {
     fold_counters(*c, f);
   }
   return f.h;
-}
-
-CellCheckpoint CellWorld::checkpoint() const {
-  CellCheckpoint cp;
-  cp.engine = engine_->checkpoint();
-  cp.t = sim::Time{cp.engine.t_ns - 1};  // engine horizons are exclusive
-  cp.world_digest = world_digest();
-  return cp;
-}
-
-bool CellWorld::restore(const CellCheckpoint& cp) {
-  reset_and_rebuild();
-  engine_->run_until(cp.t);
-  return engine_->matches(cp.engine) && world_digest() == cp.world_digest;
-}
-
-void CellWorld::reset_and_rebuild() {
-  engine_->reset();
-  build();
 }
 
 void CellWorld::fill_result(CellResult& r,

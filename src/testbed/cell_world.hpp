@@ -5,8 +5,9 @@
 // transformer) is one engine cell; cells meet only through BoundaryEvents
 // over the topology links. The scaffold owns the engine, each cell's
 // crossings and boundary-arrival handler, egress and the boundary post,
-// fault wiring, the tick chain, run/checkpoint/restore and the result
-// tail. A world derives its cell type from Cell and keeps its traffic and
+// fault wiring, the tick chain, run and the result tail. A world is built
+// once, run and read; to replay a run, build a new world from the same
+// config. A world derives its cell type from Cell and keeps its traffic and
 // transport: media and rx handlers (lambdas over the concrete cell), the
 // tick, landing decoded arrivals, and folding its own counters into the
 // world digest. Every digest's fold order is part of the contract.
@@ -23,7 +24,6 @@
 #include "src/net/packet.hpp"
 #include "src/plc/channel.hpp"
 #include "src/plc/network.hpp"
-#include "src/sim/checkpoint.hpp"
 #include "src/sim/fnv1a.hpp"
 #include "src/sim/rng.hpp"
 #include "src/sim/sharded.hpp"
@@ -40,26 +40,13 @@ struct CellRunConfig {
   /// kBoardBrownout target a cell index; kLinkPartition a topology link
   /// index). Empty = fault-free; the fault-free digest ignores fault wiring.
   fault::FaultPlan faults;
-  /// Shard-watchdog wall-clock budget (0 disables). The default is far
-  /// above any legitimate window's wall time, so it only fires on real
-  /// stalls/deadlocks — failing CI fast instead of hanging it.
-  std::int64_t watchdog_budget_ns = 30'000'000'000;
-};
-
-/// Fingerprint of a cell world at a quiescent horizon: the engine
-/// checkpoint plus the world digest. Restore is reset-and-replay
-/// (CellWorld::restore), verified against both digests.
-struct CellCheckpoint {
-  sim::Time t{};                  ///< horizon the checkpoint was taken at
-  sim::EngineCheckpoint engine;
-  std::uint64_t world_digest = 0; ///< the world's result digest at t
 };
 
 /// Result fields every cell world reports the same way.
 struct CellResult {
   /// Order-exact fold of every cell's digest stream and counters, combined
   /// in cell order. Invariant across shard counts, EFD_SIMD legs and
-  /// reset-and-rebuild replays.
+  /// split run_until calls.
   std::uint64_t digest = 0;
   std::uint64_t events = 0;            ///< engine events across all shards
   std::uint64_t boundary_posted = 0;
@@ -92,20 +79,6 @@ class CellWorld {
   /// Advance through `end` (inclusive); callable repeatedly with
   /// increasing horizons — run() is run_until(duration).
   void run_until(sim::Time end);
-
-  /// Fingerprint the quiescent world (between run_until calls).
-  [[nodiscard]] CellCheckpoint checkpoint() const;
-
-  /// Reset-and-replay restore: drop all engine/world state, rebuild, and
-  /// deterministically replay to cp.t. Returns true when both the engine
-  /// fingerprint and the world digest match the checkpoint (FNV-1a
-  /// verified); on false the world diverged (or cp was corrupted) and is
-  /// left at cp.t for inspection.
-  [[nodiscard]] bool restore(const CellCheckpoint& cp);
-
-  /// Reset the engine and rebuild every cell from scratch; a subsequent
-  /// run() replays the identical world (same digest).
-  void reset_and_rebuild();
 
   [[nodiscard]] sim::ShardedSimulator& engine() { return *engine_; }
 
@@ -169,7 +142,7 @@ class CellWorld {
   CellWorld(const CellRunConfig& run, Setup setup, bool bridge_fallback);
 
   /// Build every cell: make_cell, then the arrival handler, the fault
-  /// wiring and the first tick. The world's constructor calls it.
+  /// wiring and the first tick. The world's constructor calls it, once.
   void build();
 
   /// Egress half of a crossing to `dst_cell`: a partitioned crossing with

@@ -21,8 +21,8 @@
 // Cross-transformer reports ride the MV feeder runs / feeder-head WiFi
 // crossings as BoundaryEvents, so every digest is byte-identical across
 // EFD_SHARDS, faults included. The engine wiring, boundary handling, fault
-// wiring, checkpoint/restore and result tail are the shared CellWorld
-// scaffold (cell_world.hpp).
+// wiring and result tail are the shared CellWorld scaffold
+// (cell_world.hpp).
 
 #include <cstdint>
 #include <memory>

@@ -1,8 +1,8 @@
 // Campus-scale fault domains (DESIGN.md §15): board blackouts/brownouts and
 // boundary-link partitions injected at shard horizons, with the acceptance
 // gates of PR 9 — fault traces and per-board digests byte-identical across
-// shard counts, checkpoint -> restore -> replay reproducing the
-// uninterrupted run's digests exactly, and corrupted checkpoints rejected.
+// shard counts, and a run split at a mid-storm horizon reproducing the
+// uninterrupted run's digests exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +13,7 @@
 #include "src/grid/campus.hpp"
 #include "src/sim/rng.hpp"
 #include "src/testbed/campus.hpp"
-#include "tests/cell_world_checkpoint_suite.hpp"
+#include "tests/cell_world_split_run_suite.hpp"
 
 namespace efd::testbed {
 namespace {
@@ -141,27 +141,22 @@ TEST(ChaosCampus, RandomCampusStormIsSeedDeterministic) {
   EXPECT_EQ(rb.board_digests, ra.board_digests);
 }
 
-// --- Checkpoint / restore ---------------------------------------------------
-// The restore round trip itself is the shared suite in
-// tests/cell_world_checkpoint_suite.hpp, called at the bottom of this file.
+// --- Split run --------------------------------------------------------------
+// The split run itself is the shared suite in
+// tests/cell_world_split_run_suite.hpp, called at the bottom of this file.
 
 }  // namespace
 
 template <>
 struct CellWorldTraits<CampusWorld> {
   static CampusRunConfig storm(int n_shards) { return stormy_campus(n_shards); }
-  static constexpr int kCells = 5;
   static const std::vector<std::uint64_t>& cell_digests(const CampusResult& r) {
     return r.board_digests;
   }
 };
 
-TEST(ChaosCampus, CheckpointRestoreReplaysTheUninterruptedDigests) {
-  expect_checkpoint_restore_replays_the_uninterrupted_digests<CampusWorld>();
-}
-
-TEST(ChaosCampus, RestoreRejectsACorruptedCheckpoint) {
-  expect_restore_rejects_a_corrupted_checkpoint<CampusWorld>();
+TEST(ChaosCampus, SplitRunReplaysTheUninterruptedDigests) {
+  expect_split_run_replays_the_uninterrupted_digests<CampusWorld>();
 }
 
 }  // namespace efd::testbed

@@ -12,7 +12,7 @@
 #include "src/grid/nan.hpp"
 #include "src/sim/rng.hpp"
 #include "src/testbed/nan.hpp"
-#include "tests/cell_world_checkpoint_suite.hpp"
+#include "tests/cell_world_split_run_suite.hpp"
 
 namespace efd::testbed {
 namespace {
@@ -203,36 +203,19 @@ TEST(ChaosNan, EveryFaultKindChangesTheDigest) {
   }
 }
 
-TEST(ChaosNan, ResetAndRebuildReplaysTheIdenticalNan) {
-  NanWorld world(stormy_nan(2));
-  world.run();
-  const NanResult first = world.result();
-  world.reset_and_rebuild();
-  world.run();
-  const NanResult second = world.result();
-  EXPECT_EQ(second.digest, first.digest);
-  EXPECT_EQ(second.fault_trace, first.fault_trace);
-  EXPECT_EQ(second.transformer_digests, first.transformer_digests);
-}
-
 }  // namespace
 
 template <>
 struct CellWorldTraits<NanWorld> {
   static NanRunConfig storm(int n_shards) { return stormy_nan(n_shards); }
-  static constexpr int kCells = 4;
   static const std::vector<std::uint64_t>& cell_digests(const NanResult& r) {
     return r.transformer_digests;
   }
 };
 
-// Checkpoint/restore through the shared scaffold, as for the campus.
-TEST(ChaosNan, CheckpointRestoreReplaysTheUninterruptedDigests) {
-  expect_checkpoint_restore_replays_the_uninterrupted_digests<NanWorld>();
-}
-
-TEST(ChaosNan, RestoreRejectsACorruptedCheckpoint) {
-  expect_restore_rejects_a_corrupted_checkpoint<NanWorld>();
+// A split run through the shared scaffold, as for the campus.
+TEST(ChaosNan, SplitRunReplaysTheUninterruptedDigests) {
+  expect_split_run_replays_the_uninterrupted_digests<NanWorld>();
 }
 
 }  // namespace efd::testbed
