@@ -1,6 +1,7 @@
 #include "src/grid/simd.hpp"
 
 #include <array>
+#include <bit>
 #include <cstdlib>
 
 #include "src/grid/db_units.hpp"
@@ -100,6 +101,28 @@ std::int64_t load_bits_scalar(const BitLoadingTable& t, const double* snr_db,
   }
   return total;
 }
+
+std::size_t noise_undecided_scalar(const NoiseGridView& g, const double* snr_db,
+                                   const double* r, std::size_t n,
+                                   std::uint32_t* idx) {
+  const double last = static_cast<double>(g.cells - 1);
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    // The AVX2 entry's max/min order: NaN takes cell 0.
+    double pos = (snr_db[i] - g.lo_db) * g.cells_per_db;
+    pos = pos > 0.0 ? pos : 0.0;
+    pos = pos < last ? pos : last;
+    const std::int32_t kmax = g.kmax[static_cast<std::int32_t>(pos)];
+    // r lies in (0, 1], so its biased exponent is 1023 + floor(log2 r), and
+    // r >= 2^-kmax exactly when that plus kmax reaches 1023.
+    const auto biased_exp =
+        static_cast<std::int32_t>(std::bit_cast<std::uint64_t>(r[i]) >> 52);
+    idx[count] = static_cast<std::uint32_t>(i);
+    count += static_cast<std::size_t>(biased_exp + kmax < 1023);
+  }
+  return count;
+}
+
 }  // namespace detail
 
 namespace {
@@ -115,8 +138,9 @@ constexpr CarrierKernels kScalar = {
     &s_shift_n,
     &s_sum_db_to_linear_n,
     &s_ber_weighted_sum_n,
-    &sim::polar_block_scalar,
+    sim::kPolarScalar,
     &detail::load_bits_scalar,
+    &detail::noise_undecided_scalar,
 };
 
 }  // namespace

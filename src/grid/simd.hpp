@@ -32,6 +32,19 @@ struct BitLoadingTable {
   std::array<std::int32_t, kBitLevels> bits{};
 };
 
+/// The estimator's noise-decision grid (plc::ChannelEstimator, DESIGN.md
+/// §12), one per retune: `cells` cells of 1/`cells_per_db` dB each over the
+/// SNR axis from `lo_db`; an SNR outside the span belongs to the end cell on
+/// its side (NaN to cell 0). A carrier whose SNR lies in cell c keeps its
+/// bit loading under any polar pair with r >= 2^-kmax[c]; kmax[c] < 0 holds
+/// none.
+struct NoiseGridView {
+  const std::int32_t* kmax = nullptr;
+  std::int32_t cells = 0;
+  double lo_db = 0.0;
+  double cells_per_db = 1.0;
+};
+
 /// One interchangeable set of *batch* carrier-domain kernels — the
 /// structure-of-arrays counterpart of `efd::testkit::CarrierMathImpl`. The
 /// hot per-carrier loops of the channel stack (attenuation assembly, noise
@@ -56,19 +69,25 @@ struct BitLoadingTable {
 ///  - ber_weighted_sum_n: per element, clamped-lerp lookup of row level[i]
 ///    of lut (level[i] < lut.rows) at snr[i] + gain_db; returns the sum of
 ///    value * t.bits[level[i]].
-///  - polar_block:      sim::PolarBlockFn, the polar method over a block of
-///    untempered engine words (Rng::normal_fill's transform).
+///  - polar:            sim::PolarKernels, the polar method's accept phase
+///    (untempered engine words in, kept (y, r) pairs out) and its
+///    transform (pairs in, variates out).
 ///  - load_bits_n:      level[i] = number of levels k >= 1 with
 ///    snr[i] - margin >= required_db[k] (NaN meets none); returns the sum
 ///    of t.bits[level[i]].
+///  - noise_undecided_n: the i (ascending) whose carrier the noise may move,
+///    written to idx[0, returned): with c the grid cell of snr[i] (pos =
+///    (snr[i] - lo_db) * cells_per_db, raised to 0 unless above it, lowered
+///    to cells - 1 unless below it, truncated), every i where
+///    r[i] < 2^-kmax[c], read from r's exponent. idx holds n.
 ///
 /// The scalar entry reproduces the PR 1 fast-path loops operation for
-/// operation (bit-identical figures under EFD_SIMD=scalar). polar_block and
-/// load_bits_n are exact in every entry: their outputs are bit-identical
-/// across entries, so the estimator's draws and bit loading never depend
-/// on EFD_SIMD. The other vector kernels may reassociate sums and use FMA,
-/// and are gated by the DiffRunner tolerance contract instead (DESIGN.md
-/// §11/§12).
+/// operation (bit-identical figures under EFD_SIMD=scalar). polar,
+/// load_bits_n and noise_undecided_n are exact in every entry: their
+/// outputs are bit-identical across entries, so the estimator's draws, its
+/// bit loading and its count of exact variates never depend on EFD_SIMD.
+/// The other vector kernels may reassociate sums and use FMA, and are gated
+/// by the DiffRunner tolerance contract instead (DESIGN.md §11/§12).
 struct CarrierKernels {
   const char* name;
   void (*db_to_linear_n)(const double* db, double* out, std::size_t n);
@@ -87,10 +106,13 @@ struct CarrierKernels {
                                const BitLoadingTable& t,
                                const std::uint8_t* level, const double* snr_db,
                                double gain_db, std::size_t n);
-  sim::PolarBlockFn polar_block;
+  sim::PolarKernels polar;
   std::int64_t (*load_bits_n)(const BitLoadingTable& t, const double* snr_db,
                               double margin_db, std::size_t n,
                               std::uint8_t* level);
+  std::size_t (*noise_undecided_n)(const NoiseGridView& g, const double* snr_db,
+                                   const double* r, std::size_t n,
+                                   std::uint32_t* idx);
 };
 
 namespace detail {
@@ -99,6 +121,10 @@ namespace detail {
 std::int64_t load_bits_scalar(const BitLoadingTable& t, const double* snr_db,
                               double margin_db, std::size_t n,
                               std::uint8_t* level);
+/// The scalar entry's noise decision, shared by the NEON entry.
+std::size_t noise_undecided_scalar(const NoiseGridView& g, const double* snr_db,
+                                   const double* r, std::size_t n,
+                                   std::uint32_t* idx);
 }  // namespace detail
 
 /// The portable scalar entry (always available).

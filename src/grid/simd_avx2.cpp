@@ -11,11 +11,14 @@
 // orders of magnitude inside the DiffRunner's 1e-12 dB contract — and the
 // reductions (ROBO sum, BER-weighted sum) keep vector-lane partial
 // accumulators, which reassociates the sum within the PBerr tolerance. The
-// estimator's two kernels (polar block, bit loading) are exact: integer work
-// and correctly rounded mul/add/sub/div/sqrt in the scalar order, no FMA, so
-// they return the scalar entry's bits.
+// estimator's kernels (the polar method's two phases, bit loading, the noise
+// decision) are exact: integer work and correctly rounded
+// mul/add/sub/div/sqrt in the scalar order, libm's log, no FMA, so they
+// return the scalar entry's bits.
 #include <immintrin.h>
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -360,24 +363,24 @@ inline __m256i v_temper(__m256i z) {
 }
 
 /// rng.cpp's polar_coord on 4 untempered words: 2u - 1 with u the canonical
-/// double of the tempered word. Each 32-bit half converts exactly as
-/// (2^52 + half) - 2^52, hi * 2^32 + lo rounds once, and u >= 1 clamps below 1.
+/// double of the tempered word, in fewer steps with the same roundings. The
+/// high half lands as 2^84 + hi * 2^32 and the low one as 2^52 + lo, so
+/// subtracting 2^84 + 2^52 from the first leaves hi * 2^32 - 2^52 exactly,
+/// and adding the second rounds hi * 2^32 + lo once. 2u is that sum times
+/// 2^-63, clamped below 2, both exact.
 inline __m256d v_polar_coord(__m256i word) {
   const __m256i w = v_temper(word);
-  const __m256i magic = splat(0x4330000000000000ULL);  // the bits of 2^52
-  const __m256d two52 = _mm256_set1_pd(0x1p52);
   const __m256d hi = _mm256_sub_pd(
-      _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(w, 32), magic)), two52);
-  const __m256d lo = _mm256_sub_pd(
-      _mm256_castsi256_pd(_mm256_or_si256(_mm256_and_si256(w, splat(0xffffffffULL)),
-                                          magic)),
-      two52);
-  __m256d u = _mm256_mul_pd(
-      _mm256_add_pd(_mm256_mul_pd(hi, _mm256_set1_pd(0x1p32)), lo),
-      _mm256_set1_pd(0x1p-64));
-  u = _mm256_min_pd(u, _mm256_set1_pd(0x1.fffffffffffffp-1));
-  return _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), u),
-                       _mm256_set1_pd(1.0));
+      _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(w, 32),
+                                          splat(0x4530000000000000ULL))),  // 2^84
+      _mm256_set1_pd(0x1p84 + 0x1p52));
+  const __m256d lo = _mm256_castsi256_pd(
+      _mm256_or_si256(_mm256_and_si256(w, splat(0xffffffffULL)),
+                      splat(0x4330000000000000ULL)));  // 2^52
+  const __m256d two_u =
+      _mm256_min_pd(_mm256_mul_pd(_mm256_add_pd(hi, lo), _mm256_set1_pd(0x1p-63)),
+                    _mm256_set1_pd(0x1.fffffffffffffp0));
+  return _mm256_sub_pd(two_u, _mm256_set1_pd(1.0));
 }
 
 /// Left-packing permutations of 4 double lanes by accept mask, as 32-bit
@@ -414,19 +417,15 @@ inline __m256d permute_lanes(__m256d v, __m256i idx) {
       _mm256_permutevar8x32_epi32(_mm256_castpd_si256(v), idx));
 }
 
-std::size_t a_polar_block(const std::uint64_t* words, std::size_t n_words,
-                          double mean, double stddev, double* y) {
-  constexpr std::size_t kPairs = sim::Mt19937_64::kWords / 2;
+std::size_t a_polar_accept(const std::uint64_t* words, std::size_t n_words,
+                           double* y, double* r) {
   assert(n_words % 2 == 0 && n_words <= sim::Mt19937_64::kWords);
-  // Accepted pairs' y and r, packed. Each pack stores a whole vector at the
-  // accepted count, hence 4 lanes of slack. Written before read.
-  alignas(32) double ys[kPairs + 4];
-  alignas(32) double r2[kPairs + 4];
-  alignas(32) double log_r[kPairs];
   std::size_t have = 0;
-  // Four pairs: x0 y0 x1 y1 | x2 y2 x3 y3. Pairs outside `live_mask` are
-  // padding and never accepted.
-  const auto pack = [&](const std::uint64_t* w8, int live_mask) {
+  // Four pairs: x0 y0 x1 y1 | x2 y2 x3 y3, kept pairs packed to the front
+  // and stored as a whole vector at the kept count. Pairs outside
+  // `live_mask` are padding and never kept.
+  const auto pack = [&](const std::uint64_t* w8, int live_mask, double* y_out,
+                        double* r_out) {
     const __m256d c0 =
         v_polar_coord(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(w8)));
     const __m256d c1 = v_polar_coord(
@@ -434,46 +433,67 @@ std::size_t a_polar_block(const std::uint64_t* words, std::size_t n_words,
     // unpacklo/hi give x0 x2 x1 x3 and y0 y2 y1 y3; swap the middle lanes.
     const __m256d x = _mm256_permute4x64_pd(_mm256_unpacklo_pd(c0, c1), 0xD8);
     const __m256d yv = _mm256_permute4x64_pd(_mm256_unpackhi_pd(c0, c1), 0xD8);
-    const __m256d r = _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(yv, yv));
+    const __m256d rv = _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(yv, yv));
     // Kept unless r > 1 or r == 0 (r is never NaN).
     const __m256d ok =
-        _mm256_and_pd(_mm256_cmp_pd(r, _mm256_set1_pd(1.0), _CMP_LE_OQ),
-                      _mm256_cmp_pd(r, _mm256_setzero_pd(), _CMP_NEQ_OQ));
+        _mm256_and_pd(_mm256_cmp_pd(rv, _mm256_set1_pd(1.0), _CMP_LE_OQ),
+                      _mm256_cmp_pd(rv, _mm256_setzero_pd(), _CMP_NEQ_OQ));
     const int mask = _mm256_movemask_pd(ok) & live_mask;
     const __m256i perm =
         _mm256_load_si256(reinterpret_cast<const __m256i*>(kCompact.idx[mask]));
-    _mm256_storeu_pd(ys + have, permute_lanes(yv, perm));
-    _mm256_storeu_pd(r2 + have, permute_lanes(r, perm));
-    have += kCompact.count[mask];
+    _mm256_storeu_pd(y_out, permute_lanes(yv, perm));
+    _mm256_storeu_pd(r_out, permute_lanes(rv, perm));
+    return static_cast<std::size_t>(kCompact.count[mask]);
   };
   const std::size_t n_pairs = n_words / 2;
   std::size_t j = 0;
-  for (; j + 4 <= n_pairs; j += 4) pack(words + 2 * j, 0xF);
+  // The kept count is at most j, so a full group's store ends by pair j + 4.
+  for (; j + 4 <= n_pairs; j += 4) have += pack(words + 2 * j, 0xF, y + have, r + have);
   if (j < n_pairs) {
+    // The partial group packs into local lanes and copies out only the kept
+    // pairs, so nothing lands past pair n_pairs.
     alignas(32) std::uint64_t w8[8] = {};
+    alignas(32) double y4[4];
+    alignas(32) double r4[4];
     std::memcpy(w8, words + 2 * j, (n_words - 2 * j) * sizeof(std::uint64_t));
-    pack(w8, (1 << (n_pairs - j)) - 1);
-  }
-  // libm's log, one call per pair: a vector log would round differently.
-  for (std::size_t k = 0; k < have; ++k) log_r[k] = std::log(r2[k]);
-  const __m256d vsd = _mm256_set1_pd(stddev);
-  const __m256d vmean = _mm256_set1_pd(mean);
-  std::size_t k = 0;
-  for (; k + 4 <= have; k += 4) {
-    const __m256d r = _mm256_load_pd(r2 + k);
-    const __m256d mult = _mm256_sqrt_pd(_mm256_div_pd(
-        _mm256_mul_pd(_mm256_set1_pd(-2.0), _mm256_load_pd(log_r + k)), r));
-    _mm256_storeu_pd(
-        y + k,
-        _mm256_add_pd(_mm256_mul_pd(_mm256_mul_pd(_mm256_load_pd(ys + k), mult),
-                                    vsd),
-                      vmean));
-  }
-  for (; k < have; ++k) {
-    const double mult = std::sqrt(-2 * log_r[k] / r2[k]);
-    y[k] = (ys[k] * mult) * stddev + mean;
+    const std::size_t kept = pack(w8, (1 << (n_pairs - j)) - 1, y4, r4);
+    std::memcpy(y + have, y4, kept * sizeof(double));
+    std::memcpy(r + have, r4, kept * sizeof(double));
+    have += kept;
   }
   return have;
+}
+
+void a_polar_transform(const double* y, const double* r, std::size_t n,
+                       double mean, double stddev, double* out) {
+  // libm's log, one call per pair (a vector log would round differently),
+  // a batch at a time; sqrt and div are correctly rounded in any width.
+  constexpr std::size_t kBatch = 64;
+  alignas(32) double log_r[kBatch];
+  const __m256d vsd = _mm256_set1_pd(stddev);
+  const __m256d vmean = _mm256_set1_pd(mean);
+  for (std::size_t base = 0; base < n; base += kBatch) {
+    const std::size_t m = std::min(kBatch, n - base);
+    const double* yb = y + base;
+    const double* rb = r + base;
+    double* ob = out + base;
+    for (std::size_t k = 0; k < m; ++k) log_r[k] = std::log(rb[k]);
+    std::size_t k = 0;
+    for (; k + 4 <= m; k += 4) {
+      const __m256d mult = _mm256_sqrt_pd(_mm256_div_pd(
+          _mm256_mul_pd(_mm256_set1_pd(-2.0), _mm256_load_pd(log_r + k)),
+          _mm256_loadu_pd(rb + k)));
+      _mm256_storeu_pd(
+          ob + k,
+          _mm256_add_pd(
+              _mm256_mul_pd(_mm256_mul_pd(_mm256_loadu_pd(yb + k), mult), vsd),
+              vmean));
+    }
+    for (; k < m; ++k) {
+      const double mult = std::sqrt(-2 * log_r[k] / rb[k]);
+      ob[k] = (yb[k] * mult) * stddev + mean;
+    }
+  }
 }
 
 std::int64_t a_load_bits_n(const BitLoadingTable& t, const double* snr_db,
@@ -519,6 +539,52 @@ std::int64_t a_load_bits_n(const BitLoadingTable& t, const double* snr_db,
          detail::load_bits_scalar(t, snr_db + i, margin_db, n - i, level + i);
 }
 
+std::size_t a_noise_undecided_n(const NoiseGridView& g, const double* snr_db,
+                                const double* r, std::size_t n,
+                                std::uint32_t* idx) {
+  const __m256d vlo = _mm256_set1_pd(g.lo_db);
+  const __m256d vscale = _mm256_set1_pd(g.cells_per_db);
+  const __m256d vlast = _mm256_set1_pd(static_cast<double>(g.cells - 1));
+  // The high 32 bits of each 64-bit lane, gathered into the low half.
+  const __m256i high_words = _mm256_setr_epi32(1, 3, 5, 7, 1, 3, 5, 7);
+  const __m128i limit = _mm_set1_epi32(1022);
+  std::size_t count = 0;
+  // The scalar entry's cell and compare on four carriers; returns the
+  // undecided lanes as a 4-bit mask.
+  const auto undecided4 = [&](const double* snr4, const double* r4) {
+    __m256d pos = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(snr4), vlo), vscale);
+    // max_pd(a, b) and min_pd(a, b) return b unless a wins a strict compare,
+    // as the scalar ternaries do, so NaN lands on cell 0.
+    pos = _mm256_max_pd(pos, _mm256_setzero_pd());
+    pos = _mm256_min_pd(pos, vlast);
+    const __m128i kmax = _mm_i32gather_epi32(g.kmax, _mm256_cvttpd_epi32(pos), 4);
+    // r's biased exponent: the high word of the double, shifted by 20.
+    const __m128i hi = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+        _mm256_castpd_si256(_mm256_loadu_pd(r4)), high_words));
+    const __m128i biased_exp = _mm_srli_epi32(hi, 20);
+    const __m128i decided =
+        _mm_cmpgt_epi32(_mm_add_epi32(biased_exp, kmax), limit);
+    return ~_mm_movemask_ps(_mm_castsi128_ps(decided)) & 0xF;
+  };
+  const auto emit = [&](int mask, std::size_t base) {
+    for (; mask != 0; mask &= mask - 1) {
+      idx[count++] = static_cast<std::uint32_t>(base + std::countr_zero(
+                                                           static_cast<unsigned>(mask)));
+    }
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) emit(undecided4(snr_db + i, r + i), i);
+  if (i < n) {
+    // Padded final block; the pad lanes are masked off.
+    alignas(32) double snr4[4] = {0.0, 0.0, 0.0, 0.0};
+    alignas(32) double r4[4] = {1.0, 1.0, 1.0, 1.0};
+    std::memcpy(snr4, snr_db + i, (n - i) * sizeof(double));
+    std::memcpy(r4, r + i, (n - i) * sizeof(double));
+    emit(undecided4(snr4, r4) & ((1 << (n - i)) - 1), i);
+  }
+  return count;
+}
+
 constexpr CarrierKernels kAvx2 = {
     "avx2",
     &a_db_to_linear_n,
@@ -530,8 +596,9 @@ constexpr CarrierKernels kAvx2 = {
     &a_shift_n,
     &a_sum_db_to_linear_n,
     &a_ber_weighted_sum_n,
-    &a_polar_block,
+    {&a_polar_accept, &a_polar_transform},
     &a_load_bits_n,
+    &a_noise_undecided_n,
 };
 
 }  // namespace

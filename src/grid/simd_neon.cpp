@@ -248,10 +248,11 @@ constexpr CarrierKernels kNeon = {
     &n_shift_n,
     &n_sum_db_to_linear_n,
     &n_ber_weighted_sum_n,
-    // No NEON bodies yet for the two exact kernels: the scalar ones, which
+    // No NEON bodies yet for the exact kernels: the scalar ones, which
     // every entry must match bit for bit anyway.
-    &sim::polar_block_scalar,
+    sim::kPolarScalar,
     &detail::load_bits_scalar,
+    &detail::noise_undecided_scalar,
 };
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include "src/plc/channel_estimator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
+#include <numbers>
 #include <span>
 #include <utility>
 #include <vector>
@@ -38,15 +41,145 @@ constexpr double kClampPbThreshold = 1.05;
 constexpr double kImproveMarginDb = 0.8;
 constexpr sim::Time kImproveMinInterval = sim::milliseconds(500);
 
+/// The ladder's rung margins, most conservative first.
+std::array<double, 4> ladder_margins(double margin_db, double depth) {
+  return {margin_db, margin_db - 1.5 * depth, margin_db - 3.0 * depth,
+          margin_db - 4.5 * depth};
+}
+
+/// Noise-decision grid resolution and reach (DESIGN.md §12): cells of 1/64
+/// dB, distances to the nearest threshold resolved up to 0.3 dB. The reach
+/// also sets where the decision stops: past sigma ~0.25 dB it is skipped,
+/// since there about half the carriers need their variate anyway and the
+/// decision costs as much as it saves. Converged links (sigma ~0.01 dB)
+/// lose nothing: at 0.3 dB every pair they draw is already covered.
+constexpr double kGridCellsPerDb = 64.0;
+constexpr double kGridCapDb = 0.3;
+/// Room left between a variate's bound and a threshold for rounding: of
+/// static - offset + v and its difference with a margin, of a threshold
+/// plus a margin, and of a carrier's cell. Each is ~1e-14 dB at carrier SNRs.
+constexpr double kGridSlackDb = 1e-7;
+/// A kmax that covers every pair: r is a positive normal double, at least
+/// 2^-1022.
+constexpr std::int32_t kKmaxAll = 1023;
+
+/// One retune's noise-decision grid. Its margins, depth and sigma fix it,
+/// so the slots of one retune share it.
+class NoiseGrid {
+ public:
+  /// Sized for the widest grid, at depth 1, when the thread's scratch is
+  /// made: margins move every retune, and a warm retune, the first with a
+  /// small enough sigma included, must not allocate.
+  NoiseGrid() {
+    const grid::simd::BitLoadingTable& table = bit_loading_table();
+    kmax_.reserve(static_cast<std::size_t>(
+                      (table.required_db.back() - table.required_db[1] + 4.5 +
+                       2.0 * kGridCapDb) *
+                      kGridCellsPerDb) +
+                  5);
+    near_.reserve(static_cast<std::size_t>(kGridCapDb * kGridCellsPerDb) + 1);
+  }
+
+  /// Readies the grid for this pass. False when no carrier could be decided:
+  /// sigma * sqrt(2 ln 2) is beyond the grid's reach, so even r >= 1/2
+  /// bounds the variate past every resolved distance.
+  bool prepare(double margin_db, double depth, double sigma) {
+    if (margin_db == margin_db_ && depth == depth_ && sigma == sigma_) {
+      return usable_;
+    }
+    margin_db_ = margin_db;
+    depth_ = depth;
+    sigma_ = sigma;
+    scale_ = 1.0 / (sigma * (1.0 + 2e-9));
+    usable_ = kmax_at(kGridCapDb) >= 1;
+    if (usable_) build();
+    return usable_;
+  }
+
+  [[nodiscard]] grid::simd::NoiseGridView view() const {
+    return {kmax_.data(), static_cast<std::int32_t>(kmax_.size()), lo_db_,
+            kGridCellsPerDb};
+  }
+
+ private:
+  /// The largest k with sigma * sqrt(2 k ln 2) * (1 + 1e-9) + slack < d:
+  /// then every pair with r >= 2^-k gives |v| under d - slack. Dividing by
+  /// sigma * (1 + 2e-9) keeps k on the safe side of this formula's own
+  /// rounding.
+  [[nodiscard]] std::int32_t kmax_at(double d) const {
+    const double t = (d - kGridSlackDb) * scale_;
+    if (!(t > 0.0)) return -1;
+    const double k = t * t * (0.5 / std::numbers::ln2);
+    return k >= kKmaxAll ? kKmaxAll : static_cast<std::int32_t>(k);
+  }
+
+  void build() {
+    // Every threshold load_bits_n compares against: snr - m >= required_db[q]
+    // flips at required_db[q] + m, for each level q and rung margin m.
+    const grid::simd::BitLoadingTable& table = bit_loading_table();
+    const std::array<double, 4> margins = ladder_margins(margin_db_, depth_);
+    const auto [m_lo, m_hi] = std::minmax_element(margins.begin(), margins.end());
+    constexpr double kCellDb = 1.0 / kGridCellsPerDb;
+    // One cell more than the reach below the lowest threshold and above the
+    // highest, so the end cells, which run on to infinity, are out of reach.
+    lo_db_ = table.required_db[1] + *m_lo - kGridCapDb - kCellDb;
+    const auto cells = static_cast<std::size_t>(
+                           (table.required_db.back() + *m_hi + kGridCapDb - lo_db_) *
+                           kGridCellsPerDb) +
+                       3;
+    const std::int32_t far = kmax_at(kGridCapDb);
+    kmax_.assign(cells, far);
+    // near_[o]: the kmax of a cell whose nearest threshold is at least o
+    // cells away, up to the first o at which it reaches `far`.
+    near_.clear();
+    for (std::int32_t k = kmax_at(0.0); k < far;
+         k = kmax_at(static_cast<double>(near_.size()) * kCellDb)) {
+      near_.push_back(k);
+    }
+    // A threshold in cell c is at least o cells from cells c + 1 + o and
+    // c - 1 - o, and at distance 0 from c itself.
+    for (std::size_t rung = 0; rung < margins.size(); ++rung) {
+      if (rung > 0 && margins[rung] == margins[rung - 1]) continue;
+      for (std::size_t q = 1; q < grid::simd::kBitLevels; ++q) {
+        const double bound = table.required_db[q] + margins[rung];
+        const auto c = static_cast<std::size_t>((bound - lo_db_) * kGridCellsPerDb);
+        assert(c >= near_.size() && c + near_.size() < cells);
+        kmax_[c] = near_[0];
+        std::int32_t* above = kmax_.data() + c + 1;
+        std::int32_t* below = kmax_.data() + c - 1;
+        for (std::size_t o = 0; o < near_.size(); ++o) {
+          above[o] = std::min(above[o], near_[o]);
+          *(below - o) = std::min(*(below - o), near_[o]);
+        }
+      }
+    }
+  }
+
+  static constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  double margin_db_ = kNan;
+  double depth_ = kNan;
+  double sigma_ = kNan;
+  double scale_ = 0.0;
+  bool usable_ = false;
+  double lo_db_ = 0.0;
+  std::vector<std::int32_t> kmax_;
+  std::vector<std::int32_t> near_;
+};
+
 /// Per-thread ladder scratch: the perturbed SNR, one rung's bit loading
 /// and the best rung's so far (clamp_to_rate demotes in `levels` once the
-/// ladder is done). One set per thread rather than per estimator keeps
-/// thousands of mostly idle links from each holding carrier-sized buffers;
-/// the scratch is not reentrant.
+/// ladder is done), every carrier's polar pair, the carriers the noise may
+/// move, and the noise-decision grid. One set per thread rather than per
+/// estimator keeps thousands of mostly idle links from each holding
+/// carrier-sized buffers; the scratch is not reentrant.
 struct LadderScratch {
   std::vector<double> snr;
   std::vector<Modulation> levels;
   std::vector<Modulation> best_levels;
+  std::vector<double> pair_y;
+  std::vector<double> pair_r;
+  std::vector<std::uint32_t> undecided;
+  NoiseGrid grid;
 };
 
 LadderScratch& ladder_scratch() {
@@ -79,26 +212,9 @@ double ChannelEstimator::current_uncertainty_db() const {
 
 void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
                                       std::uint32_t id, ToneMap& out) const {
-  const PhyParams& phy = channel_.phy();
-  const std::vector<double>& static_snr = channel_.static_snr_db(tx_, rx_, slot, now);
   const double uncertainty = current_uncertainty_db();
-  std::vector<double>& snr = ladder_scratch().snr;
-  snr.resize(static_snr.size());
   // The receiver's measurements include part of the instantaneous noise and
   // a per-carrier estimation error that shrinks with accumulated samples.
-  // The error is drawn for every carrier in one batch, then added to the
-  // offset SNR, carrier by carrier, in the order of the per-carrier loop.
-  const grid::simd::CarrierKernels& kernels = grid::simd::active_kernels();
-  const double offset = channel_.fast_offset_db(rx_, now) * cfg_.offset_tracking;
-  const double sigma = 0.3 * uncertainty;
-  if (sigma > 0.0) {
-    rng_.normal_fill(snr, 0.0, sigma, kernels.polar_block);
-    for (std::size_t i = 0; i < snr.size(); ++i) {
-      snr[i] = (static_snr[i] - offset) + snr[i];
-    }
-  } else {
-    for (std::size_t i = 0; i < snr.size(); ++i) snr[i] = static_snr[i] - offset;
-  }
   // The bit loader maximizes *goodput*, rate * (1 - PBerr): on carriers
   // near a constellation threshold it can pay to load aggressively and
   // accept block errors — which is why real HPAV links run at PBerr up to
@@ -108,8 +224,64 @@ void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
   // Gambling below the safe margin requires *knowing* the channel: scale
   // the ladder's depth by confidence, so a freshly reset device starts
   // conservative and earns its aggressiveness with samples (Fig. 16).
-  const double depth = std::clamp(1.0 - uncertainty / 6.0, 0.0, 1.0);
-  run_margin_ladder(snr, static_snr, margin_db, depth, phy, id, kernels, out);
+  measure_and_load(channel_.static_snr_db(tx_, rx_, slot, now),
+                   channel_.fast_offset_db(rx_, now) * cfg_.offset_tracking,
+                   0.3 * uncertainty, margin_db,
+                   std::clamp(1.0 - uncertainty / 6.0, 0.0, 1.0), channel_.phy(),
+                   id, grid::simd::active_kernels(), rng_, out);
+}
+
+// The measured SNR is read only by load_bits_n's threshold compares, at the
+// ladder's rung margins: the true SNR scores the rungs. So a carrier whose
+// static - offset lies farther from every threshold-plus-margin than its
+// variate can reach loads the same bits with or without the variate, and
+// takes static - offset as it is. The accept phase still runs for every
+// carrier, so the engine moves exactly as a full draw moves it; only the
+// undecided carriers pay for log, div and sqrt (DESIGN.md §12).
+void ChannelEstimator::measure_and_load(std::span<const double> static_snr_db,
+                                        double offset_db, double sigma_db,
+                                        double margin_db, double depth,
+                                        const PhyParams& phy, std::uint32_t id,
+                                        const grid::simd::CarrierKernels& kernels,
+                                        sim::Rng& rng, ToneMap& out) {
+  LadderScratch& scratch = ladder_scratch();
+  const std::size_t n = static_snr_db.size();
+  std::vector<double>& snr = scratch.snr;
+  std::vector<double>& y = scratch.pair_y;
+  std::vector<double>& r = scratch.pair_r;
+  std::vector<std::uint32_t>& undecided = scratch.undecided;
+  // Every pass sizes every buffer, so a warm pass allocates nothing
+  // whatever sigma the passes before it had.
+  snr.resize(n);
+  y.resize(n);
+  r.resize(n);
+  undecided.resize(n);
+  kernels.shift_n(static_snr_db.data(), offset_db, snr.data(), n);
+  if (sigma_db > 0.0) {
+    rng.polar_pairs(y, r, kernels.polar.accept);
+    std::size_t exact = n;
+    if (scratch.grid.prepare(margin_db, depth, sigma_db)) {
+      exact = kernels.noise_undecided_n(scratch.grid.view(), snr.data(), r.data(), n,
+                                        undecided.data());
+      // Pack the undecided pairs to the front (undecided[k] >= k, ascending),
+      // transform them in one batch and add each to its carrier.
+      for (std::size_t k = 0; k < exact; ++k) {
+        y[k] = y[undecided[k]];
+        r[k] = r[undecided[k]];
+      }
+      kernels.polar.transform(y.data(), r.data(), exact, 0.0, sigma_db, y.data());
+      for (std::size_t k = 0; k < exact; ++k) {
+        snr[undecided[k]] = snr[undecided[k]] + y[k];
+      }
+    } else {
+      // No carrier can be decided: every variate, added carrier by carrier.
+      kernels.polar.transform(y.data(), r.data(), n, 0.0, sigma_db, y.data());
+      for (std::size_t i = 0; i < n; ++i) snr[i] = snr[i] + y[i];
+    }
+    EFD_COUNTER_ADD("plc.est.exact_variates", exact);
+    EFD_COUNTER_ADD("plc.est.noise_carriers", n);
+  }
+  run_margin_ladder(snr, static_snr_db, margin_db, depth, phy, id, kernels, out);
 }
 
 void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db,
@@ -119,8 +291,7 @@ void ChannelEstimator::run_margin_ladder(std::span<const double> measured_snr_db
                                          const grid::simd::CarrierKernels& kernels,
                                          ToneMap& out) {
   LadderScratch& scratch = ladder_scratch();
-  const double ladder[] = {margin_db, margin_db - 1.5 * depth,
-                           margin_db - 3.0 * depth, margin_db - 4.5 * depth};
+  const std::array<double, 4> ladder = ladder_margins(margin_db, depth);
   const std::size_t n = measured_snr_db.size();
   scratch.levels.resize(n);
   scratch.best_levels.resize(n);

@@ -106,6 +106,21 @@ class ChannelEstimator {
   void build_slot_map(int slot, sim::Time now, double margin_db,
                       std::uint32_t id, ToneMap& out) const;
 
+  /// build_slot_map on explicit inputs: measures each carrier as
+  /// (`static_snr_db` - `offset_db`) + N(0, `sigma_db`) from `rng`, then
+  /// runs the margin ladder on the measurement against `static_snr_db`.
+  /// The tone map and the engine position equal those of drawing every
+  /// carrier's variate with `rng.normal_fill`, but a variate that cannot
+  /// change the carrier's bit loading at any rung is never computed.
+  /// Static so tests can pin it against that full draw on every kernel
+  /// entry.
+  static void measure_and_load(std::span<const double> static_snr_db,
+                               double offset_db, double sigma_db,
+                               double margin_db, double depth,
+                               const PhyParams& phy, std::uint32_t id,
+                               const grid::simd::CarrierKernels& kernels,
+                               sim::Rng& rng, ToneMap& out);
+
   /// The ladder on its own: bit-loads `measured_snr_db` at each distinct
   /// margin of {m, m - 1.5 d, m - 3 d, m - 4.5 d} (m = `margin_db`,
   /// d = `depth`), scores each rung's goodput against `true_snr_db` on

@@ -51,22 +51,8 @@ class Mt19937_64 {
   }
 
  private:
-  static constexpr std::size_t kShift = 156;
-
-  static result_type twist(result_type cur, result_type next, result_type far) {
-    const result_type y = (cur & ~result_type{0x7fffffff}) | (next & 0x7fffffff);
-    return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xb5026f5aa96619e9ULL);
-  }
-
-  void regen() {
-    std::size_t k = 0;
-    for (; k < kWords - kShift; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kShift]);
-    for (; k < kWords - 1; ++k) {
-      x_[k] = twist(x_[k], x_[k + 1], x_[k + kShift - kWords]);
-    }
-    x_[kWords - 1] = twist(x_[kWords - 1], x_[0], x_[kShift - 1]);
-    p_ = 0;
-  }
+  /// Twists the whole block and rewinds the position (rng.cpp).
+  void regen();
 
   // No initialiser: seeding writes every word, and Rngs are built by the
   // thousand.
@@ -74,20 +60,36 @@ class Mt19937_64 {
   std::size_t p_ = kWords;
 };
 
-/// One block of the polar method: turns `n_words` untempered engine words
-/// (even, at most `Mt19937_64::kWords`), read as consecutive (x, y) pairs,
-/// into the variates of the accepted pairs, each `y * mult * stddev + mean`
-/// exactly as libstdc++'s `std::normal_distribution` rounds it. Writes only
-/// `y[0, returned)` and returns the number of accepted pairs. Every entry
-/// must return the same bits: the carrier-kernel table (grid/simd.hpp)
-/// holds one per instruction set.
-using PolarBlockFn = std::size_t (*)(const std::uint64_t* words,
-                                     std::size_t n_words, double mean,
-                                     double stddev, double* y);
+/// libstdc++'s polar method in two phases, so a consumer can decide which
+/// variates it needs before paying for them. Every entry of a phase must
+/// return the same bits: the carrier-kernel table (grid/simd.hpp) holds one
+/// pair per instruction set.
+///
+/// The accept phase turns `n_words` untempered engine words (even, at most
+/// `Mt19937_64::kWords`), read as consecutive (x, y) pairs, into the pairs
+/// the method keeps (r = x^2 + y^2 neither above 1 nor zero), packed in
+/// order into `y` and `r`. Returns the kept count; may write anywhere in
+/// `[0, n_words / 2)` of both arrays.
+using PolarAcceptFn = std::size_t (*)(const std::uint64_t* words,
+                                      std::size_t n_words, double* y, double* r);
+/// The transform phase: out[i] = y[i] * sqrt(-2 log(r[i]) / r[i]) * stddev +
+/// mean for i < n, rounded exactly as libstdc++'s `std::normal_distribution`
+/// rounds it (libm's log, no fused multiply-add). `out` may be `y`.
+using PolarTransformFn = void (*)(const double* y, const double* r, std::size_t n,
+                                  double mean, double stddev, double* out);
 
-/// The portable entry: the per-call polar loop, op for op.
-std::size_t polar_block_scalar(const std::uint64_t* words, std::size_t n_words,
-                               double mean, double stddev, double* y);
+struct PolarKernels {
+  PolarAcceptFn accept;
+  PolarTransformFn transform;
+};
+
+/// The portable entries: the per-call polar loop, op for op.
+std::size_t polar_accept_scalar(const std::uint64_t* words, std::size_t n_words,
+                                double* y, double* r);
+void polar_transform_scalar(const double* y, const double* r, std::size_t n,
+                            double mean, double stddev, double* out);
+inline constexpr PolarKernels kPolarScalar{&polar_accept_scalar,
+                                           &polar_transform_scalar};
 
 /// Seeded random-number source. Every stochastic component takes an `Rng`
 /// (or forks one) so that whole experiments are reproducible from a single
@@ -118,19 +120,20 @@ class Rng {
   /// One Gaussian draw: the value of a fresh
   /// `std::normal_distribution<double>{mean, stddev}` on this engine under
   /// libstdc++, and the engine left where that call leaves it.
-  double normal(double mean, double stddev) {
-    double v = 0.0;
-    normal_fill({&v, 1}, mean, stddev);
-    return v;
-  }
+  double normal(double mean, double stddev);
+
+  /// The accepted polar pairs of `y.size()` `normal` calls, in order, with
+  /// the engine left exactly where those calls would leave it; `r` is as
+  /// long as `y`. A `PolarTransformFn` of the pairs gives the calls' values.
+  void polar_pairs(std::span<double> y, std::span<double> r, PolarAcceptFn accept);
 
   /// `out.size()` Gaussian draws at once: exactly the values, in order, of
   /// that many `normal(mean, stddev)` calls, and the engine left exactly
   /// where they would leave it. Like those calls, every polar pair yields
-  /// one variate and discards the other. `block` transforms the words;
-  /// every entry gives the same values.
+  /// one variate and discards the other. Every kernel pair gives the same
+  /// values.
   void normal_fill(std::span<double> out, double mean, double stddev,
-                   PolarBlockFn block = &polar_block_scalar);
+                   const PolarKernels& kernels = kPolarScalar);
 
   /// Exponential with the given mean (not rate).
   double exponential_mean(double mean) {

@@ -88,8 +88,11 @@ void Simulator::run_until(Time end) {
   // One scope per dispatch batch, not per event: a per-event scope would
   // dominate the ~100ns schedule+dispatch budget this engine exists for.
   EFD_PROF_SCOPE("sim.run");
-  EFD_GAUGE_SET("sim.queue_depth", heap_.size());
-  EFD_GAUGE_SET("sim.slab_occupancy", slab_occupancy());
+  // One observation per call: histogram cells sum, so simulators on
+  // several threads merge to the same distribution in any order (a gauge
+  // would keep whichever thread wrote last).
+  EFD_HISTO_OBSERVE("sim.queue_depth", heap_.size());
+  EFD_HISTO_OBSERVE("sim.slab_occupancy", slab_occupancy());
   while (!heap_.empty() && heap_[0].t_ns <= end.ns()) {
     const HeapNode top = heap_[0];
     pop_top();
@@ -128,8 +131,8 @@ void Simulator::advance_to(Time t) {
 
 void Simulator::run() {
   EFD_PROF_SCOPE("sim.run");
-  EFD_GAUGE_SET("sim.queue_depth", heap_.size());
-  EFD_GAUGE_SET("sim.slab_occupancy", slab_occupancy());
+  EFD_HISTO_OBSERVE("sim.queue_depth", heap_.size());
+  EFD_HISTO_OBSERVE("sim.slab_occupancy", slab_occupancy());
   while (!heap_.empty()) {
     const HeapNode top = heap_[0];
     pop_top();

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -276,6 +277,57 @@ TEST_P(KernelSweep, LoadBitsMatchesPickModulation) {
       for (std::size_t i = n; i < n + 4; ++i) {
         ASSERT_EQ(level[i], kUnwritten) << "level written past " << n;
       }
+    }
+  }
+}
+
+TEST_P(KernelSweep, NoiseUndecidedMatchesNaiveLookup) {
+  const CarrierKernels& k = *GetParam();
+  sim::Rng rng{0xdec1deu};
+  // A grid of every kind of cell: none decided, a few exponents, all.
+  std::vector<std::int32_t> kmax(301);
+  for (std::int32_t& v : kmax) {
+    const double u = rng.uniform();
+    v = u < 0.2 ? -1 : u < 0.3 ? 1023 : static_cast<std::int32_t>(rng.uniform_int(0, 70));
+  }
+  const grid::simd::NoiseGridView g{kmax.data(), static_cast<std::int32_t>(kmax.size()),
+                                    -3.25, 64.0};
+  const double hi_db = g.lo_db + static_cast<double>(g.cells) / g.cells_per_db;
+  // SNRs inside, on cell edges, past both ends and not finite.
+  const double specials[] = {NAN, INFINITY, -INFINITY, g.lo_db, hi_db, -1e9, 1e9,
+                             g.lo_db + 5.0 / 64.0, -0.0};
+  std::vector<std::size_t> sizes = {917, 2232};
+  for (std::size_t n = 0; n <= 9; ++n) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    SCOPED_TRACE(::testing::Message() << k.name << " n " << n);
+    std::vector<double> snr(n);
+    std::vector<double> r(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      snr[i] = i % 4 == 0 ? specials[(i / 4 + n) % std::size(specials)]
+                          : rng.uniform(g.lo_db - 1.0, hi_db + 1.0);
+      // r in (0, 1]: exact powers of two (r == 2^-kmax is decided), 1, and
+      // random mantissas over a range of exponents.
+      const int e = static_cast<int>(rng.uniform_int(0, 80));
+      r[i] = i % 5 == 0 ? std::ldexp(1.0, -e)
+                        : i % 7 == 0 ? 1.0 : std::ldexp(rng.uniform(0.5, 1.0), -e);
+    }
+    constexpr std::uint32_t kUnwritten = 0xA5A5A5A5u;
+    std::vector<std::uint32_t> idx(n + 4, kUnwritten);
+    const std::size_t count = k.noise_undecided_n(g, snr.data(), r.data(), n, idx.data());
+    std::vector<std::uint32_t> want;
+    for (std::size_t i = 0; i < n; ++i) {
+      double pos = (snr[i] - g.lo_db) * g.cells_per_db;
+      if (!(pos > 0.0)) pos = 0.0;
+      if (!(pos < g.cells - 1)) pos = g.cells - 1;
+      const std::int32_t cell_kmax = kmax[static_cast<std::size_t>(pos)];
+      if (!(r[i] >= std::ldexp(1.0, -cell_kmax))) {
+        want.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    ASSERT_EQ(count, want.size());
+    for (std::size_t i = 0; i < count; ++i) ASSERT_EQ(idx[i], want[i]) << "i " << i;
+    for (std::size_t i = n; i < n + 4; ++i) {
+      ASSERT_EQ(idx[i], kUnwritten) << "idx written past " << n;
     }
   }
 }

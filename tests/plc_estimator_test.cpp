@@ -306,6 +306,32 @@ TEST_F(EstimatorFixture, WarmClampedRetuneIsAllocationFree) {
               channel.phy().single_pb_symbol_rate_mbps(), 4.0);
 }
 
+TEST_F(EstimatorFixture, ConvergedRetunesComputeFewExactVariates) {
+  // link_trace's regime: past 10^7 PB samples the noise sigma is ~0.02 dB,
+  // so the noise decision settles almost every carrier without its variate.
+  auto est = make();
+  est.on_sound_frame(t0());
+  for (int i = 0; i < 10; ++i) {
+    est.on_frame_received(channel.slot_at(t0()), 1'000'000, 0, 40, t0());
+  }
+  ASSERT_GE(est.pb_samples(), 10'000'000u);
+  const auto counter = [](const char* name) {
+    return obs::MetricsRegistry::instance().snapshot().counter(name);
+  };
+  const std::uint64_t exact_before = counter("plc.est.exact_variates");
+  const std::uint64_t carriers_before = counter("plc.est.noise_carriers");
+  constexpr int kRetunes = 20;
+  for (int i = 1; i <= kRetunes; ++i) est.maybe_expire(t0() + ChannelEstimator::kExpiry * i);
+  EXPECT_EQ(est.update_count(), 1u + kRetunes);
+  if (!(EFD_OBS_ENABLED && obs::enabled())) GTEST_SKIP() << "metrics are off";
+  const std::uint64_t carriers = counter("plc.est.noise_carriers") - carriers_before;
+  EXPECT_EQ(carriers, static_cast<std::uint64_t>(kRetunes) *
+                          static_cast<std::uint64_t>(channel.phy().tone_map_slots) *
+                          static_cast<std::uint64_t>(channel.phy().band.n_carriers));
+  const std::uint64_t exact = counter("plc.est.exact_variates") - exact_before;
+  EXPECT_LT(static_cast<double>(exact), 0.10 * static_cast<double>(carriers));
+}
+
 /// The candidate-map ladder run_margin_ladder replaced, kept as its oracle:
 /// a full ToneMap per rung (repeated rungs included), the winner's
 /// carriers copied into the result.
@@ -469,6 +495,96 @@ TEST_P(LadderEquivalence, CraftedEdgeCasesMatchOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllImpls, LadderEquivalence,
+                         ::testing::ValuesIn(grid::simd::available_kernels().begin(),
+                                             grid::simd::available_kernels().end()));
+
+/// The full draw measure_and_load stands for: every carrier's variate from
+/// normal_fill, added to the offset SNR, then the ladder.
+void full_draw_measure_and_load(std::span<const double> static_snr, double offset,
+                                double sigma, double margin, double depth,
+                                const PhyParams& phy, std::uint32_t id,
+                                const grid::simd::CarrierKernels& k, sim::Rng& rng,
+                                ToneMap& out) {
+  std::vector<double> snr(static_snr.size());
+  if (sigma > 0.0) {
+    rng.normal_fill(snr, 0.0, sigma, k.polar);
+    for (std::size_t i = 0; i < snr.size(); ++i) {
+      snr[i] = (static_snr[i] - offset) + snr[i];
+    }
+  } else {
+    for (std::size_t i = 0; i < snr.size(); ++i) snr[i] = static_snr[i] - offset;
+  }
+  ChannelEstimator::run_margin_ladder(snr, static_snr, margin, depth, phy, id, k, out);
+}
+
+class LazyNoise : public ::testing::TestWithParam<const grid::simd::CarrierKernels*> {};
+
+TEST_P(LazyNoise, MatchesTheFullDrawBitForBit) {
+  const grid::simd::CarrierKernels& k = *GetParam();
+  const PhyParams phy = PhyParams::hpav();
+  sim::Rng gen{0x1a2ee};
+  ToneMap lazy;
+  ToneMap full;
+  std::vector<double> static_snr;
+  std::uint32_t id = 0;
+  for (int trial = 0; trial < 3400; ++trial) {
+    // Sigma log-uniform over [1e-4, 4] dB: converged links, warm ones and
+    // bootstraps, where the decision is skipped.
+    const double sigma = std::pow(10.0, gen.uniform(-4.0, std::log10(4.0)));
+    const double margin = gen.uniform(-2.0, 14.0);
+    // A nonzero offset moves every carrier off the exact thresholds.
+    const double offset = trial % 4 == 0 ? gen.uniform(-3.0, 3.0) : 0.0;
+    // Mostly short slots, which put every carrier count's tail through the
+    // vector kernels, and some full ones.
+    const auto n = static_cast<std::size_t>(
+        trial % 10 == 0 ? phy.band.n_carriers : gen.uniform_int(1, 240));
+    static_snr.resize(n);
+    for (const double depth : {0.0, 0.5, 1.0}) {
+      SCOPED_TRACE(::testing::Message() << k.name << " trial " << trial << " sigma "
+                                        << sigma << " margin " << margin << " depth "
+                                        << depth << " n " << n);
+      const double rungs[] = {margin, margin - 1.5 * depth, margin - 3.0 * depth,
+                              margin - 4.5 * depth};
+      for (std::size_t i = 0; i < n; ++i) {
+        // A threshold plus a rung margin (plus the offset): exactly on it,
+        // within 1e-6 dB of it, or within a few sigma of it; or NaN, +-inf,
+        // or anywhere.
+        const double bound =
+            kRequiredSnrDb[static_cast<std::size_t>(gen.uniform_int(1, 7))] +
+            rungs[gen.uniform_int(0, 3)] + offset;
+        switch (gen.uniform_int(0, 9)) {
+          case 0: static_snr[i] = bound; break;
+          case 1: static_snr[i] = bound + gen.uniform(-1e-6, 1e-6); break;
+          case 2: static_snr[i] = bound + gen.uniform(-5.0, 5.0) * sigma; break;
+          case 3: static_snr[i] = NAN; break;
+          case 4: static_snr[i] = gen.bernoulli(0.5) ? INFINITY : -INFINITY; break;
+          default: static_snr[i] = gen.uniform(-10.0, 50.0); break;
+        }
+      }
+      const std::uint64_t seed = gen.uniform_int(1, 1'000'000'000);
+      sim::Rng lazy_rng{seed};
+      sim::Rng full_rng{seed};
+      // Start the draw at varying engine positions.
+      for (int skip = trial % 5; skip > 0; --skip) {
+        (void)lazy_rng.uniform();
+        (void)full_rng.uniform();
+      }
+      ++id;
+      ChannelEstimator::measure_and_load(static_snr, offset, sigma, margin, depth, phy,
+                                         id, k, lazy_rng, lazy);
+      full_draw_measure_and_load(static_snr, offset, sigma, margin, depth, phy, id, k,
+                                 full_rng, full);
+      ASSERT_EQ(lazy.carriers(), full.carriers());
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(lazy.expected_pberr()),
+                std::bit_cast<std::uint64_t>(full.expected_pberr()));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(lazy.ble_mbps()),
+                std::bit_cast<std::uint64_t>(full.ble_mbps()));
+      ASSERT_EQ(lazy_rng.uniform(), full_rng.uniform());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllImpls, LazyNoise,
                          ::testing::ValuesIn(grid::simd::available_kernels().begin(),
                                              grid::simd::available_kernels().end()));
 

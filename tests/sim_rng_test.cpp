@@ -228,9 +228,9 @@ std::mt19937_64 oracle_engine(std::uint64_t seed) {
   return std::mt19937_64{x ^ (x >> 31)};
 }
 
-/// Rng::normal_fill through `block` against std::normal_distribution on the
-/// oracle engine, bit for bit, across block boundaries and odd offsets.
-void expect_normal_fill_matches_oracle(PolarBlockFn block) {
+/// Rng::normal_fill through `kernels` against std::normal_distribution on
+/// the oracle engine, bit for bit, across block boundaries and odd offsets.
+void expect_normal_fill_matches_oracle(const PolarKernels& kernels) {
   const std::size_t lengths[] = {0,   1,   2,   155, 156,  157,
                                  311, 312, 313, 917, 2232, 5000};
   // Every uniform() consumes one engine word, so `offset` uniforms start the
@@ -254,7 +254,7 @@ void expect_normal_fill_matches_oracle(PolarBlockFn block) {
             ASSERT_EQ(rng.uniform(), unit(ref));
           }
           std::vector<double> got(n);
-          rng.normal_fill(got, mean, sd, block);
+          rng.normal_fill(got, mean, sd, kernels);
           for (std::size_t i = 0; i < n; ++i) {
             const double want = std::normal_distribution<double>{mean, sd}(ref);
             ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
@@ -270,17 +270,54 @@ void expect_normal_fill_matches_oracle(PolarBlockFn block) {
 }
 
 TEST(RngBatch, NormalFillMatchesPerCallStdNormalDistribution) {
-  expect_normal_fill_matches_oracle(&polar_block_scalar);
+  expect_normal_fill_matches_oracle(kPolarScalar);
 }
 
-// Every carrier-kernel entry's polar block must give the scalar entry's
+// Every carrier-kernel entry's polar phases must give the scalar entry's
 // bits (grid/simd.hpp), so each runs the same oracle grid.
 
 class PolarBlock
     : public ::testing::TestWithParam<const grid::simd::CarrierKernels*> {};
 
 TEST_P(PolarBlock, NormalFillMatchesPerCallStdNormalDistribution) {
-  expect_normal_fill_matches_oracle(GetParam()->polar_block);
+  expect_normal_fill_matches_oracle(GetParam()->polar);
+}
+
+// The estimator draws the pairs first and transforms only some of them:
+// both phases run apart must give normal_fill's values, and leave the
+// engine on the same word.
+TEST_P(PolarBlock, AcceptThenTransformMatchesNormalFill) {
+  const grid::simd::CarrierKernels& k = *GetParam();
+  std::vector<double> want;
+  std::vector<double> y;
+  std::vector<double> r;
+  std::vector<double> got;
+  std::uint64_t seed = 0x5eed;
+  for (std::size_t n = 1; n <= 917; ++n) {
+    // An odd offset puts a pair across every block end the draw reaches.
+    for (const std::size_t offset : {0, 1}) {
+      SCOPED_TRACE(::testing::Message() << k.name << " n " << n << " offset " << offset);
+      Rng full{++seed};
+      Rng split{seed};
+      for (std::size_t i = 0; i < offset; ++i) {
+        (void)full.uniform();
+        (void)split.uniform();
+      }
+      want.assign(n, 0.0);
+      full.normal_fill(want, 1.5, 0.3);
+      y.assign(n, 0.0);
+      r.assign(n, 0.0);
+      got.assign(n, 0.0);
+      split.polar_pairs(y, r, k.polar.accept);
+      k.polar.transform(y.data(), r.data(), n, 1.5, 0.3, got.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << "draw " << i;
+      }
+      ASSERT_EQ(split.uniform(), full.uniform());
+    }
+  }
 }
 
 /// Inverse of Mt19937_64::temper, to craft the untempered word behind a
@@ -313,9 +350,11 @@ struct ReplayEngine {
   result_type operator()() { return (*outputs)[pos++]; }
 };
 
-/// One block of `tempered` outputs through the entry, against the per-call
-/// std::normal_distribution values of the pairs the block holds. Checks the
-/// count and that nothing is written past it; returns the count.
+/// One block of `tempered` outputs through the entry's accept phase and
+/// transform, against the per-call std::normal_distribution values of the
+/// pairs the block holds. Checks the count, that the accept phase writes
+/// nothing past the block's pairs and the transform nothing past the
+/// count; returns the count.
 std::size_t expect_block_matches_std(const grid::simd::CarrierKernels& k,
                               const std::vector<std::uint64_t>& tempered,
                               double mean, double sd) {
@@ -333,10 +372,18 @@ std::size_t expect_block_matches_std(const grid::simd::CarrierKernels& k,
     if (replay.pos <= tempered.size()) want.push_back(v);
   }
   constexpr double kSentinel = -777.25;
-  std::vector<double> got(tempered.size() / 2 + 4, kSentinel);
-  const std::size_t n = k.polar_block(words.data(), words.size(), mean, sd, got.data());
+  const std::size_t pairs = tempered.size() / 2;
+  std::vector<double> y(pairs + 4, kSentinel);
+  std::vector<double> r(pairs + 4, kSentinel);
+  const std::size_t n = k.polar.accept(words.data(), words.size(), y.data(), r.data());
+  for (std::size_t i = pairs; i < y.size(); ++i) {
+    EXPECT_EQ(y[i], kSentinel) << "accept wrote y " << i;
+    EXPECT_EQ(r[i], kSentinel) << "accept wrote r " << i;
+  }
   EXPECT_EQ(n, want.size());
   if (n != want.size()) return n;
+  std::vector<double> got(n + 4, kSentinel);
+  k.polar.transform(y.data(), r.data(), n, mean, sd, got.data());
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
               std::bit_cast<std::uint64_t>(want[i]))
