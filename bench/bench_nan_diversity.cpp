@@ -59,6 +59,7 @@ void experiment(bench::JsonReporter& json) {
   const testbed::DiversityMode modes[] = {
       testbed::DiversityMode::kPlcOnly, testbed::DiversityMode::kWifiOnly,
       testbed::DiversityMode::kLoadBalance, testbed::DiversityMode::kDiversity};
+  std::uint64_t peak = 0;
   for (const bool storm : {false, true}) {
     for (const testbed::DiversityMode mode : modes) {
       testbed::NanRunConfig cfg = base_config(shards);
@@ -91,8 +92,10 @@ void experiment(bench::JsonReporter& json) {
                "packets");
       json.add("wins_plc_" + tag, static_cast<double>(r.wins_plc), "packets");
       json.add("wins_wifi_" + tag, static_cast<double>(r.wins_wifi), "packets");
+      peak = std::max(peak, r.mailbox_peak);
     }
   }
+  bench::mailbox_peak(json, peak);
 }
 
 }  // namespace

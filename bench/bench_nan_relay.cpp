@@ -27,6 +27,7 @@ void experiment(bench::JsonReporter& json) {
               "delivered", "ratio", "relay_meters", "forwards", "hops_max",
               "digest");
 
+  std::uint64_t peak = 0;
   for (const int max_hops : {1, 2, 3, 4}) {
     testbed::NanRunConfig cfg;
     cfg.nan.n_meters = 96;
@@ -70,7 +71,9 @@ void experiment(bench::JsonReporter& json) {
              "packets");
     json.add("hops_max_h" + tag, static_cast<double>(r.relay_hops_max),
              "hops");
+    peak = std::max(peak, r.mailbox_peak);
   }
+  bench::mailbox_peak(json, peak);
 }
 
 }  // namespace

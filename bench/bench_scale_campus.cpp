@@ -28,6 +28,7 @@ void experiment(bench::JsonReporter& json, int max_outlets) {
 
   sim::Fnv1a64 sweep;
   double worst_balance = 1.0;
+  std::uint64_t peak = 0;
   for (const int outlets : {10, 100, 1'000, 10'000}) {
     if (outlets > max_outlets) continue;
     testbed::CampusRunConfig cfg;
@@ -61,11 +62,13 @@ void experiment(bench::JsonReporter& json, int max_outlets) {
              "events");
     sweep.mix(r.digest);
     worst_balance = std::max(worst_balance, r.load_balance);
+    peak = std::max(peak, r.mailbox_peak);
   }
 
   json.add("sweep_digest6", static_cast<double>(bench::digest6(sweep.h)), "digest");
   // Warn-only in bench_compare: load balance depends on host scheduling.
   json.add("shard_load_balance", worst_balance, "ratio");
+  bench::mailbox_peak(json, peak);
   std::printf("sweep digest6 %llu   worst load balance %.2f\n",
               static_cast<unsigned long long>(bench::digest6(sweep.h)),
               worst_balance);

@@ -56,7 +56,7 @@ inline std::uint64_t digest6(std::uint64_t h) { return h % 1'000'000; }
 /// Machine-readable bench results: collects (name, value, unit) metrics
 /// that bench::run writes to `BENCH_<id>.json` next to the human-readable
 /// table, with the run's wall-clock and a full `metrics_snapshot` block from
-/// efd::obs (every layer's counters/gauges/histograms, merged across
+/// efd::obs (every layer's counters and histograms, merged across
 /// ParallelRunner workers). Downstream tooling diffs these files across
 /// commits to track the perf/shape trajectory.
 class JsonReporter {
@@ -84,17 +84,15 @@ class JsonReporter {
     // but the comparator surfaces the mismatch instead of hiding it.
     metrics_.push_back({"carrier_math_impl", "index",
                         static_cast<double>(grid::simd::active_impl_index())});
-    // Fault and mailbox machine metrics (DESIGN.md §14.3, §15), present in
-    // every BENCH_*.json so the comparator can surface chaos-profile drift
-    // (warn-only: both depend on the bench's fault plan and scheduling).
+    // Fault machine metric (DESIGN.md §15), present in every BENCH_*.json
+    // so the comparator can surface chaos-profile drift (warn-only: it
+    // depends on the bench's fault plan). The cell-world benches add
+    // mailbox_peak_occupancy themselves (mailbox_peak below).
     const auto fault_events =
         static_cast<double>(snap.counter("fault.injector.applied") +
                             snap.counter("fault.injector.cleared") +
                             snap.counter("fault.injector.recovery_events"));
     metrics_.push_back({"fault_events", "events", fault_events});
-    metrics_.push_back(
-        {"mailbox_peak_occupancy", "events",
-         static_cast<double>(snap.gauge("sim.shard.mailbox_peak"))});
     const std::string path = "BENCH_" + id + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return;
@@ -201,6 +199,13 @@ inline int env_shards(JsonReporter& json, const char* title, double floor) {
   std::printf("%s  (EFD_SHARDS=%d, duration scale %.2f)\n", title, shards,
               scaled(1.0, floor));
   return shards;
+}
+
+/// The cell-world benches' boundary-mailbox high-water mark over all their
+/// runs (CellResult::mailbox_peak; DESIGN.md §14.3). Warn-only in
+/// bench_compare: at several shards it depends on scheduling.
+inline void mailbox_peak(JsonReporter& json, std::uint64_t peak) {
+  json.add("mailbox_peak_occupancy", static_cast<double>(peak), "events");
 }
 
 inline void section(const std::string& name) {

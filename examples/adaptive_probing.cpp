@@ -23,7 +23,6 @@ int main() {
 
   const core::QualityAdaptivePolicy adaptive;
   const core::FixedIntervalPolicy fixed{sim::seconds(5)};
-  core::LinkQualityClassifier classifier;
 
   std::printf("Tracing all live links for 120 s at the 50 ms MM cadence...\n\n");
   struct LinkEval {
@@ -40,7 +39,7 @@ int main() {
     const auto trace = sampler.run(sim.now(), sim.now() + sim::seconds(120));
     LinkEval e{a, b, 0.0, core::LinkQuality::kBad, {}, {}};
     e.ble = trace.back().ble_mbps;
-    e.klass = classifier.classify(e.ble);
+    e.klass = core::LinkQualityClassifier::classify(e.ble);
     e.adaptive_eval = core::evaluate_policy(trace, adaptive);
     e.fixed_eval = core::evaluate_policy(trace, fixed);
     evals.push_back(e);

@@ -23,7 +23,6 @@ int main() {
   sim.run_until(testbed::weekday_afternoon());
 
   core::BleCapacityEstimator capacity;
-  core::LinkQualityClassifier classifier;
 
   struct Link {
     int a, b;
@@ -54,7 +53,7 @@ int main() {
     if (l.ble > 10.0 && l.wifi_mbps < 1.0) ++plc_only;
     if (l.wifi_mbps > capacity.throughput_from_ble(l.ble)) ++wifi_better;
     if (l.ble > 1.0) {
-      ++counts[static_cast<int>(classifier.classify(l.ble))];
+      ++counts[static_cast<int>(core::LinkQualityClassifier::classify(l.ble))];
     }
   }
   std::printf("quality classes (by BLE): bad %d, average %d, good %d\n",

@@ -4,31 +4,21 @@ namespace efd::core {
 
 /// Quality classes for PLC links, derived from average BLE. The paper's
 /// §7.3 heuristic for its adaptive probing method: bad links have BLE below
-/// 60 Mb/s, good links above 100 Mb/s, average links in between. Thresholds
-/// are configurable because the classification depends on the PLC
-/// generation (§6.2 footnote).
+/// 60 Mb/s, good links above 100 Mb/s, average links in between. The
+/// thresholds are the paper's HomePlug AV ones; another PLC generation
+/// would need its own (§6.2 footnote).
 enum class LinkQuality { kBad, kAverage, kGood };
 
 class LinkQualityClassifier {
  public:
-  struct Thresholds {
-    double bad_below_mbps = 60.0;
-    double good_above_mbps = 100.0;
-  };
+  static constexpr double kBadBelowMbps = 60.0;
+  static constexpr double kGoodAboveMbps = 100.0;
 
-  LinkQualityClassifier() = default;
-  explicit LinkQualityClassifier(Thresholds t) : t_(t) {}
-
-  [[nodiscard]] LinkQuality classify(double average_ble_mbps) const {
-    if (average_ble_mbps < t_.bad_below_mbps) return LinkQuality::kBad;
-    if (average_ble_mbps > t_.good_above_mbps) return LinkQuality::kGood;
+  [[nodiscard]] static constexpr LinkQuality classify(double average_ble_mbps) {
+    if (average_ble_mbps < kBadBelowMbps) return LinkQuality::kBad;
+    if (average_ble_mbps > kGoodAboveMbps) return LinkQuality::kGood;
     return LinkQuality::kAverage;
   }
-
-  [[nodiscard]] const Thresholds& thresholds() const { return t_; }
-
- private:
-  Thresholds t_;
 };
 
 }  // namespace efd::core

@@ -8,11 +8,10 @@ namespace {
 constexpr sim::Time kBase = sim::seconds(5);  ///< bad links
 constexpr int kAverageFactor = 8;             ///< average links probe 8x slower
 constexpr int kGoodFactor = 16;               ///< good links probe 16x slower
-constexpr LinkQualityClassifier kClassifier{};
 }  // namespace
 
 sim::Time QualityAdaptivePolicy::interval(double average_ble_mbps) const {
-  switch (kClassifier.classify(average_ble_mbps)) {
+  switch (LinkQualityClassifier::classify(average_ble_mbps)) {
     case LinkQuality::kBad: return kBase;
     case LinkQuality::kAverage: return kBase * kAverageFactor;
     case LinkQuality::kGood: return kBase * kGoodFactor;

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "src/grid/db_units.hpp"
-#include "src/obs/obs.hpp"
 
 namespace efd::grid::simd {
 
@@ -229,11 +228,6 @@ const CarrierKernels& active_kernels() {
     const char* env = std::getenv("EFD_SIMD");
     return select_kernels(env != nullptr ? env : "auto");
   }();
-  // Record the chosen code path so every BENCH_*.json / --metrics snapshot
-  // names what it measured (0 scalar, 1 avx2, 2 neon). Re-asserted on every
-  // call (one relaxed store per batch query) so the gauge survives metric
-  // resets in tests and long-lived tools.
-  EFD_GAUGE_SET("carrier_math.impl", impl_index(k));
   return k;
 }
 

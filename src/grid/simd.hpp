@@ -148,9 +148,9 @@ std::size_t noise_undecided_scalar(const NoiseGridView& g, const double* snr_db,
 [[nodiscard]] const CarrierKernels& select_kernels(std::string_view want);
 
 /// The process-wide selection: EFD_SIMD environment override resolved via
-/// select_kernels() on first use, then memoized. Records the chosen entry in
-/// the `carrier_math.impl` efd::obs gauge (0 scalar, 1 avx2, 2 neon) so every
-/// BENCH_*.json / --metrics snapshot names the code path it measured.
+/// select_kernels() on first use, then memoized. Every BENCH_*.json names
+/// the entry it measured in its `carrier_math_impl` metric (impl_index),
+/// and perfbench in its provenance line.
 [[nodiscard]] const CarrierKernels& active_kernels();
 
 /// Stable index of an entry for metrics (0 scalar, 1 avx2, 2 neon).

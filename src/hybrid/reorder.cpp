@@ -61,7 +61,6 @@ void ReorderBuffer::on_packet(const net::Packet& p, sim::Time now, int tag) {
     return;
   }
   EFD_HISTO_OBSERVE("hybrid.reorder.occupancy", buffer_.size());
-  EFD_GAUGE_SET("hybrid.reorder.buffered", buffer_.size());
   const std::uint32_t before = next_seq_;
   drain();
   if (buffer_.empty()) {
@@ -87,7 +86,6 @@ void ReorderBuffer::clear() {
   warmup_ = false;
   blocked_ = false;
   block_start_ = sim::Time{};
-  EFD_GAUGE_SET("hybrid.reorder.buffered", 0);
 }
 
 void ReorderBuffer::deliver(const net::Packet& p, int tag) {

@@ -23,6 +23,13 @@ thread_local Shard* t_shard = nullptr;
 
 Shard& make_shard() { return MetricsRegistry::instance().shard(); }
 
+void append_escaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+}
+
 }  // namespace detail
 
 void set_enabled(bool on) {
@@ -44,19 +51,12 @@ Shard& MetricsRegistry::shard() {
 
 namespace {
 
-/// Shared registration: the names vector owns the string; the index map
-/// keys view into it (stable — vectors of std::string never relocate the
-/// character data on push_back for existing entries... but the string
-/// objects themselves move, so key views must point at heap buffers; keep
-/// keys viewing the stored std::string's data, which is stable under vector
-/// growth only for non-SSO strings. To be safe regardless of SSO, the map
-/// is rebuilt from the names vector on every insertion.)
-int register_name(std::string_view name, std::vector<std::string>& names,
-                  std::unordered_map<std::string_view, int>& index, int capacity,
+template <typename Index>
+int register_name(std::string_view name, Index& index, int capacity,
                   const char* kind) {
-  const auto it = index.find(name);
-  if (it != index.end()) return it->second;
-  if (static_cast<int>(names.size()) >= capacity) {
+  if (const auto it = index.find(name); it != index.end()) return it->second;
+  const int id = static_cast<int>(index.size());
+  if (id >= capacity) {
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true)) {
       std::fprintf(stderr,
@@ -65,55 +65,38 @@ int register_name(std::string_view name, std::vector<std::string>& names,
     }
     return -1;
   }
-  names.emplace_back(name);
-  index.clear();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    index.emplace(names[i], static_cast<int>(i));
-  }
-  return static_cast<int>(names.size()) - 1;
+  index.emplace(name, id);
+  return id;
 }
 
 }  // namespace
 
 CounterId MetricsRegistry::counter_id(std::string_view name) {
   const std::scoped_lock lock(mutex_);
-  return CounterId{register_name(name, counter_names_, counter_index_,
-                                 kMaxCounters, "counter")};
-}
-
-GaugeId MetricsRegistry::gauge_id(std::string_view name) {
-  const std::scoped_lock lock(mutex_);
-  return GaugeId{
-      register_name(name, gauge_names_, gauge_index_, kMaxGauges, "gauge")};
+  return CounterId{register_name(name, counter_index_, kMaxCounters, "counter")};
 }
 
 HistogramId MetricsRegistry::histogram_id(std::string_view name) {
   const std::scoped_lock lock(mutex_);
-  return HistogramId{register_name(name, histogram_names_, histogram_index_,
-                                   kMaxHistograms, "histogram")};
+  return HistogramId{
+      register_name(name, histogram_index_, kMaxHistograms, "histogram")};
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   const std::scoped_lock lock(mutex_);
   MetricsSnapshot snap;
-  snap.counters.reserve(counter_names_.size());
-  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
+  snap.counters.reserve(counter_index_.size());
+  for (const auto& [name, id] : counter_index_) {
+    const auto i = static_cast<std::size_t>(id);
     std::uint64_t total = 0;
     for (const auto& s : shards_) {
       total += s->counters[i].load(std::memory_order_relaxed);
     }
-    snap.counters.emplace_back(counter_names_[i], total);
+    snap.counters.emplace_back(name, total);
   }
-  snap.gauges.reserve(gauge_names_.size());
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    double total = 0.0;
-    for (const auto& s : shards_) {
-      total += s->gauges[i].load(std::memory_order_relaxed);
-    }
-    snap.gauges.emplace_back(gauge_names_[i], total);
-  }
-  snap.histograms.reserve(histogram_names_.size());
-  for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
+  snap.histograms.reserve(histogram_index_.size());
+  for (const auto& [name, id] : histogram_index_) {
+    const auto i = static_cast<std::size_t>(id);
     HistogramData h;
     for (const auto& s : shards_) {
       h.count += s->histo_count[i].load(std::memory_order_relaxed);
@@ -124,13 +107,12 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
                 std::memory_order_relaxed);
       }
     }
-    snap.histograms.emplace_back(histogram_names_[i], h);
+    snap.histograms.emplace_back(name, h);
   }
   const auto by_name = [](const auto& a, const auto& b) {
     return a.first < b.first;
   };
   std::sort(snap.counters.begin(), snap.counters.end(), by_name);
-  std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   return snap;
 }
@@ -139,7 +121,6 @@ void MetricsRegistry::reset() {
   const std::scoped_lock lock(mutex_);
   for (const auto& s : shards_) {
     for (auto& c : s->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& g : s->gauges) g.store(0.0, std::memory_order_relaxed);
     for (auto& c : s->histo_count) c.store(0, std::memory_order_relaxed);
     for (auto& v : s->histo_sum) v.store(0.0, std::memory_order_relaxed);
     for (auto& row : s->histo_buckets) {
@@ -155,13 +136,6 @@ std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
   return 0;
 }
 
-double MetricsSnapshot::gauge(std::string_view name) const {
-  for (const auto& [n, v] : gauges) {
-    if (n == name) return v;
-  }
-  return 0.0;
-}
-
 const HistogramData* MetricsSnapshot::histogram(std::string_view name) const {
   for (const auto& [n, v] : histograms) {
     if (n == name) return &v;
@@ -170,13 +144,6 @@ const HistogramData* MetricsSnapshot::histogram(std::string_view name) const {
 }
 
 namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
 
 void append_double(std::string& out, double v) {
   char buf[32];
@@ -194,25 +161,16 @@ std::string MetricsSnapshot::to_json(int indent,
   for (std::size_t i = 0; i < counters.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += pad + "    \"";
-    append_escaped(out, counters[i].first);
+    detail::append_escaped(out, counters[i].first);
     out += "\": " + std::to_string(counters[i].second);
   }
   out += counters.empty() ? "},\n" : "\n" + pad + "  },\n";
-  out += pad + "  \"gauges\": {";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += pad + "    \"";
-    append_escaped(out, gauges[i].first);
-    out += "\": ";
-    append_double(out, gauges[i].second);
-  }
-  out += gauges.empty() ? "},\n" : "\n" + pad + "  },\n";
   out += pad + "  \"histograms\": {";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     const auto& [name, h] = histograms[i];
     out += pad + "    \"";
-    append_escaped(out, name);
+    detail::append_escaped(out, name);
     out += "\": {\"count\": " + std::to_string(h.count) + ", \"sum\": ";
     append_double(out, h.sum);
     // Only non-empty buckets, as {"le_exp": count}: key i means v < 2^i.

@@ -2,10 +2,12 @@
 
 // efd::obs — low-overhead process-wide metrics (DESIGN.md §8).
 //
-// A MetricsRegistry of named counters, gauges, and fixed-bucket histograms.
-// Writes go to lock-free thread-local shards (relaxed atomics on
-// thread-private cache lines), so ParallelRunner workers never contend;
-// snapshot() merges all shards ever created. Call sites resolve a name to a
+// A MetricsRegistry of named counters and fixed-bucket histograms. Both
+// kinds merge by addition, so a snapshot is the same whatever the thread
+// count or the order the threads wrote in. Writes go to lock-free
+// thread-local shards (relaxed atomics on thread-private cache lines), so
+// ParallelRunner workers never contend; snapshot() merges all shards ever
+// created. Call sites resolve a name to a
 // stable id once (function-local static) and then pay one enabled-flag load
 // plus one relaxed fetch_add per update.
 //
@@ -20,6 +22,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,7 +41,6 @@ namespace efd::obs {
 /// beyond the capacity is dropped (id -1, updates become no-ops) rather than
 /// reallocating shards under concurrent writers.
 inline constexpr int kMaxCounters = 192;
-inline constexpr int kMaxGauges = 64;
 inline constexpr int kMaxHistograms = 64;
 /// Power-of-two buckets: bucket 0 holds v < 1, bucket i >= 1 holds
 /// [2^(i-1), 2^i). Cheap to compute (bit_width, no libm) and wide enough for
@@ -46,7 +48,6 @@ inline constexpr int kMaxHistograms = 64;
 inline constexpr int kHistogramBuckets = 32;
 
 struct CounterId { int index = -1; };
-struct GaugeId { int index = -1; };
 struct HistogramId { int index = -1; };
 
 /// One thread's private slice of every metric. Heap-allocated on first use
@@ -54,7 +55,6 @@ struct HistogramId { int index = -1; };
 /// completed workers' counts survive into the merge.
 struct Shard {
   std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-  std::array<std::atomic<double>, kMaxGauges> gauges{};
   std::array<std::atomic<std::uint64_t>, kMaxHistograms> histo_count{};
   std::array<std::atomic<double>, kMaxHistograms> histo_sum{};
   std::array<std::array<std::atomic<std::uint64_t>, kHistogramBuckets>,
@@ -76,14 +76,12 @@ struct HistogramData {
 /// deterministic workload — the tests diff two runs' snapshots).
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, HistogramData>> histograms;
 
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
-  [[nodiscard]] double gauge(std::string_view name) const;
   [[nodiscard]] const HistogramData* histogram(std::string_view name) const;
 
-  /// Render as a JSON object: {"counters": {...}, "gauges": {...},
+  /// Render as a JSON object: {"counters": {...},
   /// "histograms": {name: {count, sum, buckets}}}. `indent` spaces prefix
   /// every line after the first, so the block nests inside another document
   /// (the bench JSON embeds it this way). A non-empty `profile_json` (an
@@ -102,18 +100,13 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Resolve (registering on first use) a metric name. Cold path — call
-  /// sites cache the result in a function-local static. Names must outlive
-  /// the call (the macros pass string literals). Returns index -1 when the
-  /// shard capacity for the kind is exhausted; updates through a -1 id are
-  /// silently dropped.
+  /// sites cache the result in a function-local static. Returns index -1
+  /// when the shard capacity for the kind is exhausted; updates through a
+  /// -1 id are silently dropped.
   CounterId counter_id(std::string_view name);
-  GaugeId gauge_id(std::string_view name);
   HistogramId histogram_id(std::string_view name);
 
-  /// Merge every shard into one snapshot. Counters/histogram cells sum;
-  /// gauges sum across shards (each parallel worker simulates a disjoint
-  /// world, so the sum is the fleet-wide value; single-threaded runs read
-  /// back the last value set).
+  /// Merge every shard into one snapshot: counter and histogram cells sum.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Zero every cell of every shard (registered names are kept, ids remain
@@ -126,18 +119,27 @@ class MetricsRegistry {
  private:
   MetricsRegistry() = default;
 
+  /// Registered name -> shard slot, per kind. Transparent, so looking up
+  /// an already registered name allocates nothing.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using NameIndex = std::unordered_map<std::string, int, NameHash, std::equal_to<>>;
+
   mutable std::mutex mutex_;
-  std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
-  std::vector<std::string> histogram_names_;
-  std::unordered_map<std::string_view, int> counter_index_;
-  std::unordered_map<std::string_view, int> gauge_index_;
-  std::unordered_map<std::string_view, int> histogram_index_;
+  NameIndex counter_index_;
+  NameIndex histogram_index_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
+/// Append `s` to a JSON string body, escaping quotes and backslashes (metric
+/// and profile scope names are the only strings either exporter writes).
+void append_escaped(std::string& out, std::string_view s);
 Shard& make_shard();
 extern thread_local Shard* t_shard;
 }  // namespace detail
@@ -161,13 +163,6 @@ inline void counter_add(CounterId id, std::uint64_t v = 1) {
   this_thread_shard()
       .counters[static_cast<std::size_t>(id.index)]
       .fetch_add(v, std::memory_order_relaxed);
-}
-
-inline void gauge_set(GaugeId id, double v) {
-  if (!enabled() || id.index < 0) return;
-  this_thread_shard()
-      .gauges[static_cast<std::size_t>(id.index)]
-      .store(v, std::memory_order_relaxed);
 }
 
 /// Bucket index for a histogram observation (see kHistogramBuckets).

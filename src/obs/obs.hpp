@@ -25,13 +25,6 @@
 
 #define EFD_COUNTER_INC(name) EFD_COUNTER_ADD(name, 1)
 
-#define EFD_GAUGE_SET(name, v)                                    \
-  do {                                                            \
-    static const ::efd::obs::GaugeId efd_obs_gid =                \
-        ::efd::obs::MetricsRegistry::instance().gauge_id(name);   \
-    ::efd::obs::gauge_set(efd_obs_gid, static_cast<double>(v));   \
-  } while (0)
-
 #define EFD_HISTO_OBSERVE(name, v)                                    \
   do {                                                                \
     static const ::efd::obs::HistogramId efd_obs_hid =                \
@@ -56,10 +49,6 @@
   } while (0)
 #define EFD_COUNTER_INC(name) \
   do {                        \
-  } while (0)
-#define EFD_GAUGE_SET(name, v) \
-  do {                         \
-    (void)sizeof(v);           \
   } while (0)
 #define EFD_HISTO_OBSERVE(name, v) \
   do {                             \

@@ -1,5 +1,7 @@
 #include "src/obs/profile.hpp"
 
+#include "src/obs/metrics.hpp"
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -278,18 +280,11 @@ const ProfileNode* ProfileSnapshot::find(std::string_view path) const {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
 void append_node(std::string& out, const ProfileNode& node,
                  const std::string& pad) {
   out += "{\n";
   out += pad + "  \"name\": \"";
-  append_escaped(out, node.name);
+  detail::append_escaped(out, node.name);
   out += "\",\n";
   out += pad + "  \"count\": " + std::to_string(node.count) + ",\n";
   out += pad + "  \"total_ns\": " + std::to_string(node.total_ns) + ",\n";

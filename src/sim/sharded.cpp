@@ -169,7 +169,7 @@ void ShardedSimulator::run_window(int shard, Shard& s, std::int64_t target_ns) {
     const std::int64_t intra_bound =
         s.lookahead_intra_ns > 0 ? clock + s.lookahead_intra_ns : kForever;
     const std::int64_t bound = std::min({arrival, target_ns, intra_bound});
-    sim.run_until(Time{bound - 1});
+    sim.dispatch_until(Time{bound - 1});
     if (arrival == bound && arrival < target_ns) {
       // Boundary arrivals fire BEFORE local events at the same instant, in
       // inbound (src_cell, dst_cell) order, FIFO within a mailbox.
@@ -278,7 +278,6 @@ void ShardedSimulator::dump_stall_diagnostics(
                "(run target %" PRId64 " ns); per-shard state:\n",
                stalled, static_cast<double>(cfg_.watchdog.budget_ns) / 1e9,
                end_exclusive_ns);
-  std::uint64_t stalled_inbox = 0;
   for (int i = 0; i < n_shards_; ++i) {
     const Shard& s = *shards_[static_cast<std::size_t>(i)];
     std::uint64_t inbox = 0;
@@ -289,7 +288,6 @@ void ShardedSimulator::dump_stall_diagnostics(
     for (const auto& [li, consumer] : s.out_inter) {
       outbox += mail_[static_cast<std::size_t>(li)]->occupancy();
     }
-    if (i == stalled) stalled_inbox = inbox;
     std::fprintf(stderr,
                  "[efd]   shard %d: horizon=%" PRId64 "ns beats=%" PRIu64
                  " heap_depth=%" PRIu64 " inbox=%" PRIu64 " outbox=%" PRIu64
@@ -299,24 +297,12 @@ void ShardedSimulator::dump_stall_diagnostics(
                  s.heap_depth.load(std::memory_order_relaxed), inbox, outbox,
                  s.cells.size(), i == stalled ? "  <-- stalled" : "");
   }
-  if (stalled >= 0) {
-    const Shard& s = *shards_[static_cast<std::size_t>(stalled)];
-    EFD_GAUGE_SET("sim.shard.stall.shard", stalled);
-    EFD_GAUGE_SET("sim.shard.stall.horizon_ns",
-                  s.horizon.load(std::memory_order_acquire));
-    EFD_GAUGE_SET("sim.shard.stall.heap_depth",
-                  static_cast<std::int64_t>(
-                      s.heap_depth.load(std::memory_order_relaxed)));
-    EFD_GAUGE_SET("sim.shard.stall.inbox",
-                  static_cast<std::int64_t>(stalled_inbox));
-  }
 }
 
 void ShardedSimulator::run_until(Time end) {
   const std::int64_t endx = end.ns() + 1;
   abort_.store(false, std::memory_order_relaxed);
   stalled_shard_.store(-1, std::memory_order_relaxed);
-  EFD_GAUGE_SET("sim.shard.count", n_shards_);
   std::exception_ptr first_error;
   std::mutex error_mutex;
   {
@@ -352,9 +338,6 @@ void ShardedSimulator::run_until(Time end) {
     }  // shard jthreads join here
     if (dog) dog->request_stop();
   }  // watchdog joins here
-  std::uint64_t peak = 0;
-  for (const auto& m : mail_) peak = std::max(peak, m->peak_occupancy());
-  EFD_GAUGE_SET("sim.shard.mailbox_peak", static_cast<std::int64_t>(peak));
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -67,7 +67,8 @@ class ShardedSimulator {
 
   /// Watchdog policy: a shard that advances neither its horizon nor its
   /// progress beat within `budget_ns` of wall clock is declared stalled —
-  /// diagnostics are dumped (stderr + efd::obs) and the run aborts with
+  /// the per-shard state is dumped to stderr, the
+  /// `sim.shard.watchdog_stalls` counter counts it, and the run aborts with
   /// ShardStallError instead of hanging. budget_ns == 0 disables the
   /// watchdog. The beat granularity is one engine window chunk, so the
   /// budget must comfortably exceed the wall time of the largest chunk

@@ -1,6 +1,7 @@
 #include "src/sim/simulator.hpp"
 
 #include <cassert>
+#include <limits>
 #include <utility>
 
 #include "src/obs/obs.hpp"
@@ -85,15 +86,18 @@ EventHandle Simulator::at(Time t, EventFn fn) {
 }
 
 void Simulator::run_until(Time end) {
+  // One observation per call: histogram cells sum, so simulators on
+  // several threads merge to the same distribution in any order.
+  EFD_HISTO_OBSERVE("sim.queue_depth", heap_.size());
+  EFD_HISTO_OBSERVE("sim.slab_occupancy", slab_occupancy());
+  dispatch_until(end);
+}
+
+void Simulator::dispatch(std::int64_t end_ns) {
   // One scope per dispatch batch, not per event: a per-event scope would
   // dominate the ~100ns schedule+dispatch budget this engine exists for.
   EFD_PROF_SCOPE("sim.run");
-  // One observation per call: histogram cells sum, so simulators on
-  // several threads merge to the same distribution in any order (a gauge
-  // would keep whichever thread wrote last).
-  EFD_HISTO_OBSERVE("sim.queue_depth", heap_.size());
-  EFD_HISTO_OBSERVE("sim.slab_occupancy", slab_occupancy());
-  while (!heap_.empty() && heap_[0].t_ns <= end.ns()) {
+  while (!heap_.empty() && heap_[0].t_ns <= end_ns) {
     const HeapNode top = heap_[0];
     pop_top();
     now_ = Time{top.t_ns};
@@ -112,7 +116,6 @@ void Simulator::run_until(Time end) {
     EFD_COUNTER_INC("sim.events_dispatched");
     fn();
   }
-  if (now_ < end) now_ = end;
 }
 
 void Simulator::advance_to(Time t) {
@@ -130,25 +133,9 @@ void Simulator::advance_to(Time t) {
 }
 
 void Simulator::run() {
-  EFD_PROF_SCOPE("sim.run");
   EFD_HISTO_OBSERVE("sim.queue_depth", heap_.size());
   EFD_HISTO_OBSERVE("sim.slab_occupancy", slab_occupancy());
-  while (!heap_.empty()) {
-    const HeapNode top = heap_[0];
-    pop_top();
-    now_ = Time{top.t_ns};
-    Slot& s = slots_[top.slot];
-    if (s.cancelled) {
-      EFD_COUNTER_INC("sim.events_cancelled");
-      release_slot(top.slot);
-      continue;
-    }
-    EventFn fn = std::move(s.fn);
-    release_slot(top.slot);
-    ++dispatched_;
-    EFD_COUNTER_INC("sim.events_dispatched");
-    fn();
-  }
+  dispatch(std::numeric_limits<std::int64_t>::max());
 }
 
 void Simulator::reset() {

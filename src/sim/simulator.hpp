@@ -73,6 +73,8 @@ class Simulator {
 
   /// Run events until the queue drains or the clock would pass `end`.
   /// The clock is left at `end` (or at the last event if the queue drained).
+  /// Each call observes the `sim.queue_depth` and `sim.slab_occupancy`
+  /// histograms once, before dispatching.
   void run_until(Time end);
 
   /// Move the clock forward to `t` without dispatching anything. Every
@@ -83,7 +85,7 @@ class Simulator {
   /// reaped here, like the dispatch loop would.
   void advance_to(Time t);
 
-  /// Run until the event queue is empty.
+  /// Run until the event queue is empty (observes like run_until).
   void run();
 
   /// Number of events dispatched since construction or the last reset().
@@ -110,6 +112,10 @@ class Simulator {
 
  private:
   friend class EventHandle;
+  /// Shard windows dispatch through dispatch_until: a shard's heap mixes
+  /// the events of all its cells and its window count depends on timing,
+  /// so its depth is not a function of the run and is not observed.
+  friend class ShardedSimulator;
 
   struct Slot {
     EventFn fn;
@@ -129,6 +135,16 @@ class Simulator {
   static bool earlier(const HeapNode& a, const HeapNode& b) {
     if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
     return a.seq < b.seq;
+  }
+
+  /// The dispatch loop: fire every live event at or before `end_ns`,
+  /// reaping tombstones on the way. Observes no histogram.
+  void dispatch(std::int64_t end_ns);
+  /// dispatch(end), then leave the clock at `end`: run_until without the
+  /// observations.
+  void dispatch_until(Time end) {
+    dispatch(end.ns());
+    if (now_ < end) now_ = end;
   }
 
   void sift_up(std::size_t i);

@@ -1,7 +1,5 @@
 #include "src/testbed/experiment.hpp"
 
-#include <chrono>
-
 #include "src/obs/obs.hpp"
 
 namespace efd::testbed {
@@ -20,7 +18,6 @@ ThroughputResult measure(net::Interface& tx, net::Interface& rx,
                          sim::Simulator& sim, net::StationId src,
                          net::StationId dst, sim::Time duration) {
   EFD_PROF_SCOPE("testbed.measure_throughput");
-  const auto wall_start = std::chrono::steady_clock::now();
   net::ThroughputMeter meter;
   rx.set_rx_handler(
       [&meter](const net::Packet& p, sim::Time t) { meter.on_packet(p, t); });
@@ -41,17 +38,6 @@ ThroughputResult measure(net::Interface& tx, net::Interface& rx,
   rx.set_rx_handler([](const net::Packet&, sim::Time) {});
   tx.clear_queue();
   sim.run_until(start + measurement_span(duration));
-
-  // Wall-clock per simulated second: the hot-path health number every
-  // scaling PR watches (lower is faster; ratio < 1 means faster than
-  // real time).
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  if (duration.seconds() > 0.0) {
-    EFD_GAUGE_SET("sim.wall_sim_ratio", wall_s / duration.seconds());
-  }
 
   ThroughputResult result;
   const auto stats = meter.stats();

@@ -27,7 +27,6 @@ void ParallelRunner::run_pool(
     int n_tasks, const std::function<void(int, sim::Simulator&)>& task) const {
   if (n_tasks <= 0) return;
   const int workers = std::min(n_threads_, n_tasks);
-  EFD_GAUGE_SET("testbed.workers", workers);
   EFD_PROF_SCOPE("testbed.parallel_run");
   std::atomic<int> next{0};
   std::exception_ptr first_error;

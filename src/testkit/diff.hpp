@@ -7,27 +7,6 @@
 
 namespace efd::testkit {
 
-/// Agreement bounds between the production fast paths and the naive
-/// double-precision reference implementations. Defaults are the contract
-/// documented in DESIGN.md §11; tests may tighten them to measure slack.
-struct DiffTolerances {
-  /// exp2/log2 dB conversions vs pow(10, x/10) / 10*log10 — both are a
-  /// handful of correctly-rounded libm calls apart, so relative error.
-  double db_conversion_rel = 1e-12;
-  /// BER lookup table vs closed-form erfc, absolute (the LUT's own stated
-  /// contract, regression-tested in plc tests).
-  double uncoded_ber_abs = 1e-4;
-  /// Cached per-carrier static SNR vs a fresh recompute from the grid at
-  /// the same epoch, absolute dB (identical code path, so near-zero).
-  double static_snr_abs_db = 1e-9;
-  /// Memoized+LUT PB error probability vs the reference recompute with the
-  /// same 0.25 dB offset quantization. The waterfall slope amplifies the
-  /// LUT's 1e-4 BER error, hence the looser bound.
-  double pberr_abs = 5e-3;
-  /// ToneMap's cached Eq. (1) BLE vs the recompute, relative.
-  double ble_rel = 1e-12;
-};
-
 /// Outcome of one differential check: the worst disagreement observed over
 /// `samples` comparisons against its tolerance.
 struct DiffResult {
@@ -42,9 +21,10 @@ struct DiffResult {
 /// Execute a completed scenario's carrier-domain state through both the
 /// fast and reference implementations and bound their disagreement:
 /// dB conversions, the BER LUT, the channel's cached static SNR, the
-/// memoized PB error probability and the tone maps' Eq. (1) BLE.
-[[nodiscard]] std::vector<DiffResult> run_diff(ScenarioWorld& world,
-                                               const DiffTolerances& tol = {});
+/// memoized PB error probability and the tone maps' Eq. (1) BLE. Each
+/// check's bound is a named constant in diff.cpp: the contract documented
+/// in DESIGN.md §11.
+[[nodiscard]] std::vector<DiffResult> run_diff(ScenarioWorld& world);
 
 /// Convenience: results that exceeded their tolerance.
 [[nodiscard]] std::vector<DiffResult> diff_failures(const std::vector<DiffResult>& r);

@@ -12,6 +12,9 @@ namespace efd::testkit {
 
 namespace {
 
+/// Greedy shrink steps spent on the first failing scenario.
+constexpr int kMaxShrinkSteps = 256;
+
 ScenarioVerdict check_scenario_with(const Scenario& s, sim::Simulator& sim,
                                     const ProptestOptions& opts) {
   ScenarioVerdict v;
@@ -36,7 +39,7 @@ ScenarioVerdict check_scenario_with(const Scenario& s, sim::Simulator& sim,
   for (Violation& hv : check_hybrid_invariants(s, opts.invariants)) {
     v.violations.push_back(std::move(hv));
   }
-  v.diff_failed = diff_failures(run_diff(world, opts.tolerances));
+  v.diff_failed = diff_failures(run_diff(world));
   return v;
 }
 
@@ -91,15 +94,10 @@ ProptestReport run_proptest(std::uint64_t seed, int n, const ProptestOptions& op
     const ScenarioVerdict& first = report.failures.front();
     Scenario failing = gen.generate(first.index);
     report.first_failure = describe_verdict(failing, first);
-    if (opts.shrink_on_failure) {
-      report.shrunk = shrink(
-          failing,
-          [&opts](const Scenario& cand) {
-            return !check_scenario(cand, opts).ok();
-          },
-          opts.max_shrink_steps);
-      report.has_shrunk = true;
-    }
+    report.shrunk = shrink(
+        failing,
+        [&opts](const Scenario& cand) { return !check_scenario(cand, opts).ok(); },
+        kMaxShrinkSteps);
   }
   return report;
 }
@@ -114,9 +112,7 @@ std::string ProptestReport::summary() const {
   std::string out = head;
   if (!failures.empty()) {
     out += "\nfirst failure:\n" + first_failure;
-    if (has_shrunk) {
-      out += "\nshrunk reproducer:\n" + shrunk.describe();
-    }
+    out += "\nshrunk reproducer:\n" + shrunk.describe();
   }
   return out;
 }

@@ -16,10 +16,6 @@ struct ProptestOptions {
   int threads = 0;
   /// Deliberate-corruption hooks; neutral by default.
   InvariantOptions invariants;
-  DiffTolerances tolerances;
-  /// On the first failing scenario, shrink it to a minimal reproducer.
-  bool shrink_on_failure = true;
-  int max_shrink_steps = 256;
 };
 
 /// Verdict for one scenario: everything that went wrong, plus the trace
@@ -45,7 +41,6 @@ struct ProptestReport {
   std::vector<ScenarioVerdict> failures;  ///< only the scenarios that failed
   std::uint64_t combined_digest = 0;
   Scenario shrunk;              ///< minimal reproducer of the first failure
-  bool has_shrunk = false;
   std::string first_failure;    ///< human-readable description
 
   [[nodiscard]] bool ok() const { return failures.empty(); }
@@ -59,8 +54,8 @@ struct ProptestReport {
                                              const ProptestOptions& opts = {});
 
 /// Sweep scenarios [0, n) from `seed` across a ParallelRunner. On failure
-/// (and if opts.shrink_on_failure) the lowest-index failing scenario is
-/// shrunk with check_scenario as the predicate.
+/// the lowest-index failing scenario is shrunk (at most 256 greedy steps)
+/// with check_scenario as the predicate.
 [[nodiscard]] ProptestReport run_proptest(std::uint64_t seed, int n,
                                           const ProptestOptions& opts = {});
 

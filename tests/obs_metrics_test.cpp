@@ -1,15 +1,18 @@
 // efd::obs metrics: id stability, lock-free shard merge correctness under
-// ParallelRunner fan-out, snapshot determinism for deterministic workloads,
-// histogram bucketing, and the runtime disable path.
+// ParallelRunner fan-out, snapshot determinism for deterministic workloads
+// (across worker and shard counts too), histogram bucketing, and the runtime
+// disable path.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "src/fault/fault.hpp"
 #include "src/grid/appliance.hpp"
 #include "src/grid/power_grid.hpp"
 #include "src/obs/obs.hpp"
 #include "src/plc/channel.hpp"
 #include "src/plc/channel_estimator.hpp"
+#include "src/testbed/nan.hpp"
 #include "src/testbed/parallel_runner.hpp"
 
 namespace efd {
@@ -69,12 +72,6 @@ TEST_F(ObsMetricsTest, HistogramsMergeAcrossParallelWorkers) {
 }
 
 TEST_F(ObsMetricsTest, MergeIsIndependentOfWorkerCount) {
-  // Note: not a whole-snapshot diff — the runner itself records its worker
-  // count (testbed.workers), which legitimately differs between runs.
-  struct Merged {
-    std::uint64_t counter;
-    std::string histo_json;
-  };
   const auto workload = [](int workers) {
     obs::MetricsRegistry::instance().reset();
     const testbed::ParallelRunner pool(workers);
@@ -83,23 +80,44 @@ TEST_F(ObsMetricsTest, MergeIsIndependentOfWorkerCount) {
       EFD_HISTO_OBSERVE("test.obs.indep_histo", i % 7);
       return 0;
     });
-    const auto snap = obs::MetricsRegistry::instance().snapshot();
-    const obs::HistogramData* h = snap.histogram("test.obs.indep_histo");
-    Merged m{snap.counter("test.obs.indep_counter"), ""};
-    if (h != nullptr) {
-      m.histo_json = std::to_string(h->count) + "/" + std::to_string(h->sum);
-      for (const std::uint64_t b : h->buckets) {
-        m.histo_json += "," + std::to_string(b);
-      }
-    }
-    return m;
+    return obs::MetricsRegistry::instance().snapshot();
   };
-  const Merged serial = workload(1);
-  const Merged parallel = workload(4);
-  EXPECT_EQ(serial.counter, 40u * 39u / 2u);
-  EXPECT_EQ(serial.counter, parallel.counter);
-  EXPECT_EQ(serial.histo_json, parallel.histo_json);
-  EXPECT_FALSE(serial.histo_json.empty());
+  const obs::MetricsSnapshot serial = workload(1);
+  const obs::MetricsSnapshot parallel = workload(4);
+  EXPECT_EQ(serial.counter("test.obs.indep_counter"), 40u * 39u / 2u);
+  ASSERT_NE(serial.histogram("test.obs.indep_histo"), nullptr);
+  EXPECT_EQ(serial.histogram("test.obs.indep_histo")->count, 40u);
+  EXPECT_EQ(serial.to_json(), parallel.to_json());
+}
+
+TEST_F(ObsMetricsTest, ShardedRunSnapshotIsIndependentOfShardCount) {
+  // A stormy NAN on 1 and on 4 shards: every counter and histogram must
+  // match. Shard windows observe no engine histogram, since a shard's heap
+  // depth and window count depend on the cell grouping and on timing.
+  const auto run = [](int shards) {
+    testbed::NanRunConfig cfg;
+    cfg.nan.n_meters = 36;
+    cfg.nan.meters_per_transformer = 9;
+    cfg.nan.transformers_per_feeder = 2;
+    cfg.nan.stations_per_transformer = 5;
+    cfg.nan.seed = 42;
+    cfg.n_shards = shards;
+    cfg.duration = sim::milliseconds(40);
+    cfg.report_interval = sim::milliseconds(2);
+    cfg.p_remote = 0.3;
+    cfg.faults.blackout(sim::milliseconds(10), sim::milliseconds(10), 0, 1.0)
+        .link_partition(sim::milliseconds(15), sim::milliseconds(15), 0);
+    obs::MetricsRegistry::instance().reset();
+    const testbed::NanResult r = testbed::run_nan(cfg);
+    EXPECT_EQ(r.n_shards, shards);
+    EXPECT_GT(r.fault_events, 0u);
+    return obs::MetricsRegistry::instance().snapshot();
+  };
+  const obs::MetricsSnapshot one = run(1);
+  const obs::MetricsSnapshot four = run(4);
+  EXPECT_GT(one.counter("sim.events_dispatched"), 0u);
+  EXPECT_GT(one.counter("sim.shard.boundary_delivered"), 0u);
+  EXPECT_EQ(one.to_json(), four.to_json());
 }
 
 TEST_F(ObsMetricsTest, SnapshotIsDeterministicForFixedSeeds) {
@@ -146,13 +164,6 @@ TEST_F(ObsMetricsTest, SnapshotIsDeterministicForFixedSeeds) {
   EXPECT_NE(first.find("grid.atten.queries"), std::string::npos);
 }
 
-TEST_F(ObsMetricsTest, GaugeReadsBackLastValueSingleThreaded) {
-  EFD_GAUGE_SET("test.obs.gauge", 3.5);
-  EFD_GAUGE_SET("test.obs.gauge", 7.25);
-  const auto snap = obs::MetricsRegistry::instance().snapshot();
-  EXPECT_DOUBLE_EQ(snap.gauge("test.obs.gauge"), 7.25);
-}
-
 TEST_F(ObsMetricsTest, HistogramBucketsArePowersOfTwo) {
   EXPECT_EQ(obs::histogram_bucket(0.0), 0);
   EXPECT_EQ(obs::histogram_bucket(0.5), 0);
@@ -168,7 +179,6 @@ TEST_F(ObsMetricsTest, HistogramBucketsArePowersOfTwo) {
 
 TEST_F(ObsMetricsTest, DroppedIdsAreSafeNoOps) {
   obs::counter_add(obs::CounterId{-1}, 5);
-  obs::gauge_set(obs::GaugeId{-1}, 1.0);
   obs::histogram_observe(obs::HistogramId{-1}, 1.0);
   // Nothing to assert beyond "did not crash / did not corrupt a slot":
   // snapshot still works.
@@ -177,12 +187,10 @@ TEST_F(ObsMetricsTest, DroppedIdsAreSafeNoOps) {
 
 TEST_F(ObsMetricsTest, ResetZeroesEveryCell) {
   EFD_COUNTER_ADD("test.obs.reset_counter", 9);
-  EFD_GAUGE_SET("test.obs.reset_gauge", 2.0);
   EFD_HISTO_OBSERVE("test.obs.reset_histo", 3.0);
   obs::MetricsRegistry::instance().reset();
   const auto snap = obs::MetricsRegistry::instance().snapshot();
   EXPECT_EQ(snap.counter("test.obs.reset_counter"), 0u);
-  EXPECT_DOUBLE_EQ(snap.gauge("test.obs.reset_gauge"), 0.0);
   const obs::HistogramData* h = snap.histogram("test.obs.reset_histo");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 0u);
@@ -200,15 +208,15 @@ TEST_F(ObsMetricsTest, RuntimeDisableStopsRecording) {
 }
 
 TEST_F(ObsMetricsTest, SnapshotJsonHasTheThreeSections) {
+  // Counters, histograms and the embedded profile tree; nothing else.
   EFD_COUNTER_INC("test.obs.json_counter");
-  EFD_GAUGE_SET("test.obs.json_gauge", 1.5);
   EFD_HISTO_OBSERVE("test.obs.json_histo", 4.0);
   const std::string json = obs::snapshot_json();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(json.find("\"profile\""), std::string::npos);
+  EXPECT_EQ(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"test.obs.json_counter\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"test.obs.json_gauge\": 1.5"), std::string::npos);
   // Histogram entry carries count/sum/buckets.
   EXPECT_NE(json.find("\"test.obs.json_histo\": {\"count\": 1, \"sum\": 4"),
             std::string::npos);

@@ -21,8 +21,8 @@
 //                                     shard counts, DESIGN.md §15
 //   efd --proptest <seed> <n>         property-based scenario sweep
 //
-// A leading --metrics flag dumps the efd::obs metrics snapshot (counters,
-// gauges, histograms accumulated by the command's simulation) as JSON to
+// A leading --metrics flag dumps the efd::obs metrics snapshot (counters and
+// histograms accumulated by the command's simulation) as JSON to
 // stderr after the command output, so CSV/stdout pipelines stay clean:
 //   efd --metrics stat 0 5 2>metrics.json
 #include <cstdint>
